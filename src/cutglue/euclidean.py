@@ -11,6 +11,7 @@ numerical quadrature against those structural facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gamma, log, pi, sqrt
 from typing import Callable, Sequence
 
@@ -45,8 +46,17 @@ def fundamental_solution(dim: int, x: np.ndarray | float) -> float:
     return r ** (2 - dim) / ((dim - 2) * sphere_area(dim))
 
 
-def _gl(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gl(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 
@@ -209,7 +219,7 @@ def sphere_directions(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         pts = np.column_stack([np.cos(th), np.sin(th)])
         return pts, np.full(order, 1.0 / order)
     if dim == 3:
-        ct, wt = np.polynomial.legendre.leggauss(order)
+        ct, wt = _leggauss(order)
         st = np.sqrt(1.0 - ct * ct)
         ph = 2.0 * pi * np.arange(order) / order
         pts, ws = [], []

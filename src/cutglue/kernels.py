@@ -175,11 +175,6 @@ def spectral_regularized_green(mesh: Mesh, op_interior: np.ndarray,
     return (hv / vals) @ hv.T
 
 
-def deformed_nodes(mesh: Mesh, lam: float) -> np.ndarray:
-    """Interior nodes at geodesic distance >= 1/lam from the boundary."""
-    return mesh.trim_to_deformed(lam)
-
-
 def deformed_side_nodes(mesh: Mesh, cut: Cut, side: str, lam: float) -> np.ndarray:
     """Side interior nodes whose 1/lam ball cannot leave the side submanifold.
 

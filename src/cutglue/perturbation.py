@@ -1,14 +1,20 @@
 """Interacting theory: vertices, Wick combinatorics, and the moment engine.
 
 The partition function of a polynomial interaction under a Gaussian field is
-computed exactly at each order of the coupling expansion: combinatorial
-multiplicities in rational arithmetic, field contractions as dense tensor
-sums.  A brute-force matching enumerator is kept alongside the counting
-formulas as an independent route; the two must never be merged.
+computed exactly at each order of the coupling expansion.  The Wick
+topologies of a tuple of vertex powers (which legs sit on the mean, the self
+loops, the propagator multiplicities between vertices, and the multiplicity
+counted in rational arithmetic) are enumerated once per tuple and cached.
+Each topology is then contracted as a dense tensor sum along a greedy einsum
+path, cached per subscripts and region size, so the cost follows the diagram
+rather than the number of vertices.  A brute-force matching enumerator is
+kept alongside the counting formulas as an independent route; the two must
+never be merged.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -176,43 +182,81 @@ def _pairing_count(residues, m) -> Fraction:
     return count
 
 
+@dataclass(frozen=True)
+class _Term:
+    """One Wick topology of a tuple of instance powers.
+
+    us    : legs of each instance set to the mean.
+    loops : self-loop count of each instance.
+    cross : ((a, b), c) propagator multiplicities between instances a < b.
+    mult  : exact count of labeled terms with this topology, as a float.
+    subs  : einsum subscripts contracting the per-instance vectors, then the
+            cross propagators, to a scalar.
+    """
+
+    us: tuple
+    loops: tuple
+    cross: tuple
+    mult: float
+    subs: str
+
+
+@functools.lru_cache(maxsize=None)
+def _topologies(powers: tuple) -> tuple:
+    """Every term of the moment expansion for these instance powers, in sum order."""
+    j = len(powers)
+    letters = "abcdefghijkl"[:j]
+    terms = []
+    for us in itertools.product(*[range(k + 1) for k in powers]):
+        residues = [k - u for k, u in zip(powers, us)]
+        if sum(residues) % 2:
+            continue
+        comb_u = 1
+        for k, u in zip(powers, us):
+            comb_u *= comb(k, u)
+        for m in _pair_matrices(residues):
+            loops = tuple(m.get((a, a), 0) for a in range(j))
+            cross = tuple(((a, b), c) for (a, b), c in m.items() if a != b)
+            subs = ",".join(list(letters) + [letters[a] + letters[b]
+                                             for (a, b), _ in cross]) + "->"
+            terms.append(_Term(us, loops, cross,
+                               float(comb_u * _pairing_count(residues, m)), subs))
+    return tuple(terms)
+
+
+@functools.lru_cache(maxsize=1024)
+def _contraction_path(subs: str, n: int) -> tuple:
+    """Greedy einsum path for subscripts over region size n.
+
+    The search reads only shapes.  Caching it spares the search on every call
+    and makes equal inputs contract in the same order, hence bitwise equal.
+    """
+    shapes = [(n,) * len(s) for s in subs[:-2].split(",")]
+    ops = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(subs, *ops, optimize="greedy")[0])
+
+
 def gaussian_expectation(instances, mean: np.ndarray, cov: np.ndarray) -> float:
     """E[prod_i sum_p w_i(p) (mean(p) + g(p))^(k_i)] for centered Gaussian g.
 
     instances: list of (power k_i, weight vector over region nodes).
     mean, cov: background values and leg covariance over the same nodes.
     """
-    j = len(instances)
-    if sum(k for k, _ in instances) > LEG_CAP:
+    powers = tuple(k for k, _ in instances)
+    if sum(powers) > LEG_CAP:
         raise PerturbationError("order cap exceeded")
-    if j == 0:
+    if not powers:
         return 1.0
-    letters = "abcdefghijkl"[:j]
     diag = np.diag(cov)
     total = 0.0
-    for us in itertools.product(*[range(k + 1) for k, _ in instances]):
-        residues = [k - u for (k, _), u in zip(instances, us)]
-        if sum(residues) % 2:
-            continue
-        comb_u = 1
-        for (k, _), u in zip(instances, us):
-            comb_u *= comb(k, u)
-        for m in _pair_matrices(residues):
-            mult = comb_u * _pairing_count(residues, m)
-            ops, subs = [], []
-            vecs = [w * mean**u for (_, w), u in zip(instances, us)]
-            for (a, b), c in m.items():
-                if a == b:
-                    vecs[a] = vecs[a] * diag**c
-            for i, v in enumerate(vecs):
-                ops.append(v)
-                subs.append(letters[i])
-            for (a, b), c in m.items():
-                if a != b:
-                    ops.append(cov**c)
-                    subs.append(letters[a] + letters[b])
-            value = float(np.einsum(",".join(subs) + "->", *ops))
-            total += float(mult) * value
+    for t in _topologies(powers):
+        ops = []
+        for (_, w), u, c in zip(instances, t.us, t.loops):
+            v = w * mean**u
+            ops.append(v * diag**c if c else v)
+        ops.extend(cov**c for _, c in t.cross)
+        path = _contraction_path(t.subs, mean.size)
+        total += t.mult * float(np.einsum(t.subs, *ops, optimize=path))
     return total
 
 
@@ -220,40 +264,25 @@ def interaction_z_series(vertices, mean: np.ndarray, cov: np.ndarray,
                          max_order: float) -> PerturbationSeries:
     """Series of E[exp(-V)] in x = sqrt(hbar), truncated at x^(2 max_order).
 
-    Enumerates vertex-type multisets within the order and leg budgets; the
-    1/n! of the exponential and the minus signs enter as exact rationals.
+    Enumerates vertex-type multisets within the order budget (the moment
+    engine enforces the leg budget); the 1/n! of the exponential and the
+    minus signs enter as exact rationals.
     """
     xmax = int(round(2 * max_order))
     coeffs = np.zeros(xmax + 1)
     coeffs[0] = 1.0
-
-    def evaluate(counts, xpow):
+    ranges = [range(xmax // v.xpower + 1) for v in vertices]
+    for counts in itertools.product(*ranges):
+        xpow = sum(v.xpower * c for v, c in zip(vertices, counts))
+        if xpow > xmax or not any(counts):
+            continue
         pref = Fraction((-1) ** sum(counts))
         for c in counts:
             pref /= factorial(c)
         instances = []
-        for i, c in enumerate(counts):
-            instances.extend([(vertices[i].power, vertices[i].weights)] * c)
+        for v, c in zip(vertices, counts):
+            instances.extend([(v.power, v.weights)] * c)
         coeffs[xpow] += float(pref) * gaussian_expectation(instances, mean, cov)
-
-    def rec(idx, counts, xpow, legs):
-        if idx == len(vertices):
-            if any(counts):
-                evaluate(counts, xpow)
-            return
-        c = 0
-        while True:
-            nx = xpow + vertices[idx].xpower * c
-            nl = legs + vertices[idx].power * c
-            if nx > xmax:
-                break
-            if nl > LEG_CAP:
-                raise PerturbationError("order cap exceeded")
-            rec(idx + 1, counts + (c,), nx, nl)
-            c += 1
-
-    if vertices:
-        rec(0, (), 0, 0)
     return PerturbationSeries.from_array(coeffs, max_order)
 
 

@@ -1,3 +1,8 @@
+import gc
+import itertools
+import weakref
+from math import comb, prod
+
 import numpy as np
 import pytest
 
@@ -5,10 +10,11 @@ from cutglue.green import green_bundle
 from cutglue.kernels import build_mesh_kernel, regularized_green
 from cutglue.meshes import Mesh, build_interval_mesh
 from cutglue.operators import OperatorSpec
-from cutglue.perturbation import (InteractionSpec, PerturbationError,
+from cutglue.perturbation import (LEG_CAP, InteractionSpec, PerturbationError,
                                   effective_action_series,
-                                  gaussian_expectation, partition_series,
-                                  vertex_terms, wick_pairings)
+                                  gaussian_expectation, interaction_z_series,
+                                  partition_series, vertex_terms,
+                                  wick_pairings)
 from cutglue.series import series_log
 
 M0 = OperatorSpec(0.0)
@@ -77,7 +83,6 @@ def brute_expectation(instances, mean, cov):
         legs.extend((i, s) for s in range(k))
     grids = [range(n)] * len(instances)
     total = 0.0
-    import itertools
     for nodes in itertools.product(*grids):
         weight = 1.0
         for (k, w), p in zip(instances, nodes):
@@ -98,11 +103,56 @@ def test_engine_matches_brute_force():
     mean = rng.standard_normal(n)
     root = rng.standard_normal((n, n))
     cov = root @ root.T
-    for powers in [(3,), (4,), (3, 3), (3, 4)]:
+    for powers in [(3,), (4,), (3, 3), (3, 4), (3, 3, 3), (4, 4)]:
         instances = [(k, rng.standard_normal(n)) for k in powers]
         got = gaussian_expectation(instances, mean, cov)
         want = brute_expectation(instances, mean, cov)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_engine_single_node_closed_form():
+    # one node, unit variance: the product of instances is (m + g)^L with
+    # E[g^k] = (k - 1)!! for even k
+    m = 0.7
+    mean, cov, one = np.array([m]), np.array([[1.0]]), np.ones(1)
+    for j in range(1, LEG_CAP // 3 + 1):
+        for powers in itertools.product((3, 4), repeat=j):
+            legs = sum(powers)
+            if legs > LEG_CAP:
+                continue
+            want = sum(comb(legs, k) * m ** (legs - k) * prod(range(k - 1, 0, -2))
+                       for k in range(0, legs + 1, 2))
+            got = gaussian_expectation([(k, one) for k in powers], mean, cov)
+            assert got == pytest.approx(want, rel=1e-12), powers
+
+
+def test_engine_is_bitwise_repeatable():
+    rng = np.random.default_rng(5)
+    n = 7
+    mean = rng.standard_normal(n)
+    root = rng.standard_normal((n, n))
+    cov = root @ root.T
+    instances = [(k, rng.standard_normal(n)) for k in (3, 4, 3)]
+    first = gaussian_expectation(instances, mean, cov)
+    assert gaussian_expectation(instances, mean, cov) == first
+
+
+def test_z_series_releases_its_inputs():
+    mesh = build_interval_mesh(5, 1.0)
+    region = mesh.interior
+    vertices = vertex_terms(InteractionSpec({3: 0.3, 4: 0.2}), region,
+                            mesh.node_volumes)
+    rng = np.random.default_rng(7)
+    mean = rng.standard_normal(region.size)
+    cov = np.eye(region.size)
+    ref = weakref.ref(cov)
+    gc.disable()
+    try:
+        interaction_z_series(vertices, mean, cov, 1.5)
+        del cov
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_free_series_is_order_zero_only():
