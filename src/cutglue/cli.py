@@ -10,8 +10,9 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
-from .config import ConfigError, load_config
+from .config import ConfigError, check_max_order, load_config
 from .reports import Report
 from .suites import SUITES
 
@@ -40,9 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the series truncation order")
     run.add_argument("--seed", type=int, default=0,
                      help="seed for randomized property trials")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="worker count (suites are cheap; kept serial for "
-                          "byte-stable reports)")
 
     sub.add_parser("list-suites", help="list available suites")
     return parser
@@ -60,18 +58,14 @@ def run(args) -> int:
     try:
         cfg = load_config(args.config, SUITES)
         if args.max_order is not None:
-            from dataclasses import replace
-            if round(2 * args.max_order) != 2 * args.max_order or args.max_order < 0:
-                raise ConfigError("max_order must be a nonnegative half-integer")
-            cfg = replace(cfg, max_order=float(args.max_order))
+            cfg = replace(cfg, max_order=check_max_order(cfg.interaction,
+                                                         args.max_order))
         selected = cfg.suites
         if args.suite:
             unknown = [s for s in args.suite if s not in SUITES]
             if unknown:
                 raise ConfigError(f"unknown suites: {unknown}")
             selected = tuple(args.suite)
-        if args.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

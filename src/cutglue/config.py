@@ -8,14 +8,16 @@ are checked here, before any numerics start.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meshes import Mesh, MeshError, build_grid_mesh, build_interval_mesh, \
+from .kernels import SHAPES
+from .meshes import Mesh, build_grid_mesh, build_interval_mesh, \
     cut_along_interface, lambda_one
-from .operators import OperatorSpec
-from .perturbation import InteractionSpec, PerturbationError
+from .operators import OperatorSpec, assemble, check_positive_spectrum
+from .perturbation import LEG_CAP, InteractionSpec, leg_budget
 
 
 class ConfigError(ValueError):
@@ -77,6 +79,18 @@ def _build_eta(mesh: Mesh, spec) -> np.ndarray:
     return eta
 
 
+def check_max_order(interaction: InteractionSpec, max_order: float) -> float:
+    """A nonnegative half-integer order whose terms stay within LEG_CAP legs."""
+    if not (math.isfinite(max_order) and max_order >= 0
+            and round(2 * max_order) == 2 * max_order):
+        raise ConfigError("max_order must be a nonnegative half-integer")
+    legs = leg_budget(interaction.powers(), max_order)
+    if legs > LEG_CAP:
+        raise ConfigError(f"max_order {max_order} needs terms with {legs} "
+                          f"field legs, above the cap of {LEG_CAP}")
+    return max_order
+
+
 def load_config(path: str, known_suites) -> ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -87,32 +101,37 @@ def load_config(path: str, known_suites) -> ScenarioConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    try:
+        return _interpret(raw, known_suites)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        # MeshError, OperatorError and PerturbationError are ValueErrors too.
+        raise ConfigError(f"bad config entry: {exc}") from exc
 
+
+def _interpret(raw: dict, known_suites) -> ScenarioConfig:
     required = {"name", "mesh", "cut", "operator", "interaction",
                 "lambdas", "max_order"}
     missing = required - raw.keys()
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
 
-    try:
-        mesh = _build_mesh(raw["mesh"])
-        cut = _build_cut(mesh, raw["cut"])
-    except (MeshError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad mesh/cut spec: {exc}") from exc
-
-    operator = OperatorSpec(mass_squared=float(raw["operator"].get("mass_squared", 0.0)))
-    try:
-        couplings = {int(k): v for k, v in raw["interaction"].items()}
-        interaction = InteractionSpec(couplings)
-    except (PerturbationError, ValueError) as exc:
-        raise ConfigError(f"bad interaction spec: {exc}") from exc
+    mesh = _build_mesh(raw["mesh"])
+    cut = _build_cut(mesh, raw["cut"])
+    operator = OperatorSpec(float(raw["operator"].get("mass_squared", 0.0)))
+    lambdas = tuple(float(x) for x in raw["lambdas"])
+    if not all(map(math.isfinite, (operator.mass_squared, *lambdas))):
+        raise ConfigError("mass_squared and lambdas must be finite")
+    # Side operators are principal submatrices of this one and the summed
+    # interface response is its Schur complement: they inherit positivity.
+    check_positive_spectrum(assemble(mesh, operator))
+    interaction = InteractionSpec({int(k): v for k, v in raw["interaction"].items()})
 
     shape = raw.get("kernel", {}).get("shape", "uniform")
-    from .kernels import SHAPES
     if shape not in SHAPES:
         raise ConfigError(f"unknown kernel shape {shape!r}")
 
-    lambdas = tuple(float(x) for x in raw["lambdas"])
     if not lambdas:
         raise ConfigError("lambdas must be nonempty")
     lam1 = lambda_one(mesh, cut)
@@ -120,9 +139,7 @@ def load_config(path: str, known_suites) -> ScenarioConfig:
         if lam <= lam1:
             raise ConfigError(f"lam below lambda_1: {lam} <= {lam1}")
 
-    max_order = float(raw["max_order"])
-    if round(2 * max_order) != 2 * max_order or max_order < 0:
-        raise ConfigError("max_order must be a nonnegative half-integer")
+    max_order = check_max_order(interaction, float(raw["max_order"]))
 
     suites = tuple(raw.get("suites", sorted(known_suites)))
     unknown = [s for s in suites if s not in known_suites]

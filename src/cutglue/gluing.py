@@ -8,28 +8,59 @@ the interface variable) are assembled into one node-level mean and
 covariance built purely from side quantities, and the moment engine of the
 perturbation module does the rest.  Agreement with the whole-manifold series
 is then a matter of exact linear algebra, order by order.
+
+Green data is built once per cut (`GluingContext`), kernels and Gaussian
+data once per scale (`ScaleData`); vertex regions are index subsets of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .green import (green_bundle, interface_green, quadratic_form_S0,
-                    side_bundle)
-from .kernels import (KernelMatrix, build_mesh_kernel, deformed_side_nodes,
-                      restrict_kernel_to_submesh)
+from .green import GreenBundle, green_bundle, interface_green, side_bundle
+from .kernels import (KernelMatrix, SideKernels, build_mesh_kernel,
+                      deformed_side_nodes, restrict_kernel_to_submesh)
 from .meshes import LEFT, RIGHT, Cut, Mesh, lambda_one
-from .operators import OperatorSpec
-from .perturbation import (InteractionSpec, effective_action_series,
-                           interaction_z_series, vertex_terms)
+from .operators import OperatorSpec, assemble
+from .perturbation import (InteractionSpec, NodeGaussian, averaged_gaussian,
+                           effective_action_series)
 from .reports import Check, Report
-from .series import PerturbationSeries, series_log
+from .series import PerturbationSeries
 
 
 class GluingError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class GluingContext:
+    """Whole and side Green bundles of one (mesh, operator, cut), and the
+    interface Green's matrix g_sigma from the summed side responses."""
+
+    mesh: Mesh
+    cut: Cut
+    operator: OperatorSpec
+    bundle: GreenBundle
+    sides: dict
+    g_sigma: np.ndarray
+
+
+def gluing_context(mesh: Mesh, operator: OperatorSpec, cut: Cut) -> GluingContext:
+    op = assemble(mesh, operator)
+    sides = {s: side_bundle(mesh, operator, cut, s, op=op) for s in (LEFT, RIGHT)}
+    return GluingContext(mesh, cut, operator, green_bundle(mesh, operator, op=op),
+                         sides, interface_green(sides[LEFT], sides[RIGHT]))
+
+
+def side_kernels(ctx: GluingContext, lam: float, shape="uniform") -> SideKernels:
+    """Kernel at scale lam, restricted to each side bundle's submesh."""
+    kernel = build_mesh_kernel(ctx.mesh, lam, shape, cut=ctx.cut)
+    deep = {s: deformed_side_nodes(ctx.mesh, sb, lam) for s, sb in ctx.sides.items()}
+    deep_rows = {s: restrict_kernel_to_submesh(kernel, sb.nodes).matrix[deep[s]]
+                 for s, sb in ctx.sides.items()}
+    return SideKernels(kernel=kernel, deep=deep, deep_rows=deep_rows)
 
 
 @dataclass(frozen=True)
@@ -41,69 +72,54 @@ class GluingScenario:
     shared.  lam must exceed the admissibility scale of the cut.
     """
 
-    mesh: Mesh
-    cut: Cut
-    operator: OperatorSpec
+    context: GluingContext
     interaction: InteractionSpec
     lam: float
     shape: object = "uniform"
     eta: np.ndarray | None = None
     max_order: float = 1.5
-    name: str = "scenario"
 
     def __post_init__(self):
-        if self.lam <= lambda_one(self.mesh, self.cut):
+        mesh = self.context.mesh
+        if self.lam <= lambda_one(mesh, self.context.cut):
             raise GluingError("lam below lambda_1")
-        eta = self.eta
-        if eta is None:
-            eta = np.zeros(self.mesh.boundary.size)
-        eta = np.asarray(eta, dtype=float)
-        if eta.size != self.mesh.boundary.size:
+        eta = (np.zeros(mesh.boundary.size) if self.eta is None
+               else np.asarray(self.eta, dtype=float))
+        if eta.size != mesh.boundary.size:
             raise GluingError("eta must cover the whole boundary")
         object.__setattr__(self, "eta", eta)
 
-    def with_interaction(self, interaction: InteractionSpec) -> "GluingScenario":
-        return GluingScenario(
-            mesh=self.mesh, cut=self.cut, operator=self.operator,
-            interaction=interaction, lam=self.lam, shape=self.shape,
-            eta=self.eta, max_order=self.max_order, name=self.name,
-        )
-
-    def with_lam(self, lam: float) -> "GluingScenario":
-        return GluingScenario(
-            mesh=self.mesh, cut=self.cut, operator=self.operator,
-            interaction=self.interaction, lam=lam, shape=self.shape,
-            eta=self.eta, max_order=self.max_order, name=self.name,
-        )
-
 
 def _side_eta(scenario: GluingScenario, sb) -> np.ndarray:
-    pos = {int(n): k for k, n in enumerate(scenario.mesh.boundary)}
+    pos = {int(n): k for k, n in enumerate(scenario.context.mesh.boundary)}
     return np.array([scenario.eta[pos[int(n)]] for n in sb.outer])
 
 
-def union_region(scenario: GluingScenario) -> np.ndarray:
-    """Vertex region: nodes deep inside either side at this scale."""
-    left = deformed_side_nodes(scenario.mesh, scenario.cut, LEFT, scenario.lam)
-    right = deformed_side_nodes(scenario.mesh, scenario.cut, RIGHT, scenario.lam)
-    return np.asarray(sorted(set(left.tolist()) | set(right.tolist())), dtype=int)
+def glued_gaussian(scenario: GluingScenario, kernels: SideKernels,
+                   assembly: str = "fold",
+                   side_order: tuple = (LEFT, RIGHT)) -> NodeGaussian:
+    """Node-level Gaussian data of the glued theory, from side data only.
 
-
-def glued_series(scenario: GluingScenario, region: np.ndarray | None = None,
-                 assembly: str = "fold",
-                 side_order: tuple = (LEFT, RIGHT)) -> PerturbationSeries:
-    """Minus log of the glued partition function, order by order.
-
-    Built exclusively from side data: side Green's matrices, side Poisson
-    operators, and the interface covariance from the summed interface
-    responses.  assembly picks how the interface mean enters: "fold" bakes
-    it into the background field before averaging, "carry" adds it through
-    the interface map afterwards; the two must agree identically.
+    Built exclusively from side Green's matrices, side Poisson operators,
+    and the interface covariance from the summed interface responses.
+    assembly picks how the interface mean enters: "fold" bakes it into the
+    background field before averaging, "carry" adds it through the
+    interface map afterwards; the two must agree identically.  Rows of
+    nodes deep inside a side average with that side's restricted kernel.
     """
-    mesh, cut = scenario.mesh, scenario.cut
-    sides = {s: side_bundle(mesh, scenario.operator, cut, s) for s in side_order}
-    k_matrix = sum(sides[s].dtn_sigma for s in side_order)
-    g_sigma = np.linalg.inv(k_matrix)
+    if assembly not in ("fold", "carry"):
+        raise GluingError(f"unknown assembly {assembly!r}")
+    order0, b, cov_nodes = _glued_fields(scenario, assembly, side_order)
+    rows = np.array(kernels.kernel.matrix)
+    for s in side_order:
+        rows[kernels.deep[s]] = kernels.deep_rows[s]
+    return NodeGaussian(order0, rows @ b, rows @ cov_nodes @ rows.T)
+
+
+def _glued_fields(scenario: GluingScenario, assembly: str, side_order: tuple):
+    """Order-0 action, background and covariance of the glued field, unaveraged."""
+    ctx = scenario.context
+    mesh, cut, g_sigma, sides = ctx.mesh, ctx.cut, ctx.g_sigma, ctx.sides
 
     etas = {s: _side_eta(scenario, sides[s]) for s in side_order}
     c = sum(sides[s].dtn_cross.T @ etas[s] for s in side_order)
@@ -127,73 +143,67 @@ def glued_series(scenario: GluingScenario, region: np.ndarray | None = None,
     cov_blocks[-ns:, -ns:] = g_sigma
     cov_nodes = t_map @ cov_blocks @ t_map.T
 
-    if assembly == "fold":
-        b = np.zeros(n)
-        for s in side_order:
-            sb = sides[s]
-            b[sb.outer] = etas[s]
-            b[sb.interior] = sb.poisson @ np.concatenate([etas[s], mu])
-        b[cut.interface] = mu
-    elif assembly == "carry":
-        b = np.zeros(n)
-        for s in side_order:
-            sb = sides[s]
-            b[sb.outer] = etas[s]
-            b[sb.interior] = sb.poisson @ np.concatenate(
-                [etas[s], np.zeros(ns)])
-        b = b + t_map[:, -ns:] @ mu
-    else:
-        raise GluingError(f"unknown assembly {assembly!r}")
-
-    kernel = build_mesh_kernel(mesh, scenario.lam, scenario.shape, cut=cut)
-    rows = np.array(kernel.matrix)
+    b = np.zeros(n)
+    sigma_value = mu if assembly == "fold" else np.zeros(ns)
     for s in side_order:
         sb = sides[s]
-        deep = deformed_side_nodes(mesh, cut, s, scenario.lam)
-        if deep.size:
-            side_nodes = set(map(int, sb.interior)) | set(map(int, sb.sigma))
-            side_nodes |= set(map(int, sb.outer))
-            restricted = restrict_kernel_to_submesh(kernel, side_nodes)
-            rows[deep] = restricted.matrix[deep]
-
-    if region is None:
-        region = union_region(scenario)
-    region = np.asarray(region, dtype=int)
-    mean = (rows @ b)[region]
-    cov = (rows @ cov_nodes @ rows.T)[np.ix_(region, region)]
-    vertices = vertex_terms(scenario.interaction, region, mesh.node_volumes)
-    z = interaction_z_series(vertices, mean, cov, scenario.max_order)
-    w = -series_log(z).to_array()
-    w[0] += order0
-    return PerturbationSeries.from_array(w, scenario.max_order)
+        b[sb.outer] = etas[s]
+        b[sb.interior] = sb.poisson @ np.concatenate([etas[s], sigma_value])
+    if assembly == "fold":
+        b[cut.interface] = mu
+    else:
+        b = b + t_map[:, -ns:] @ mu
+    return order0, b, cov_nodes
 
 
-def whole_series(scenario: GluingScenario,
-                 region: np.ndarray | None = None) -> PerturbationSeries:
+@dataclass(frozen=True)
+class ScaleData:
+    """What every check at one scale reads; build it per lam, drop it after.
+    region: union of the sides' deep nodes; trimmed: where widening ends;
+    glued, whole: node-level Gaussian data that vertex regions index into."""
+
+    scenario: GluingScenario
+    kernels: SideKernels
+    region: np.ndarray
+    trimmed: np.ndarray
+    glued: NodeGaussian
+    whole: NodeGaussian
+
+
+def scale_data(scenario: GluingScenario) -> ScaleData:
+    ctx = scenario.context
+    kernels = side_kernels(ctx, scenario.lam, scenario.shape)
+    return ScaleData(scenario=scenario, kernels=kernels,
+                     region=np.union1d(kernels.deep[LEFT], kernels.deep[RIGHT]),
+                     trimmed=ctx.mesh.trim_to_deformed(scenario.lam),
+                     glued=glued_gaussian(scenario, kernels),
+                     whole=averaged_gaussian(kernels.kernel, scenario.eta, ctx.bundle))
+
+
+def _series(data: ScaleData, gaussian: NodeGaussian, region) -> PerturbationSeries:
+    sc = data.scenario
+    return gaussian.series(sc.interaction, data.region if region is None else region,
+                           sc.context.mesh.node_volumes, sc.max_order)
+
+
+def glued_series(data: ScaleData, region: np.ndarray | None = None,
+                 assembly: str = "fold",
+                 side_order: tuple = (LEFT, RIGHT)) -> PerturbationSeries:
+    """Minus log of the glued partition function, order by order, with
+    vertices on region (default data.region).  Assemblies other than the
+    default build their own Gaussian data, see `glued_gaussian`."""
+    if (assembly, tuple(side_order)) == ("fold", (LEFT, RIGHT)):
+        return _series(data, data.glued, region)
+    return _series(data, glued_gaussian(data.scenario, data.kernels, assembly,
+                                        side_order), region)
+
+
+def whole_series(data: ScaleData, region: np.ndarray | None = None) -> PerturbationSeries:
     """Whole-manifold comparison target, through the whole-mesh Green path."""
-    kernel = build_mesh_kernel(scenario.mesh, scenario.lam, scenario.shape,
-                               cut=scenario.cut)
-    if region is None:
-        region = union_region(scenario)
-    return effective_action_series(
-        scenario.mesh, scenario.operator, kernel, scenario.interaction,
-        scenario.eta, scenario.max_order, region=region,
-    )
+    return _series(data, data.whole, region)
 
 
-def _per_order_checks(name: str, glued: PerturbationSeries,
-                      whole: PerturbationSeries, tolerance: float,
-                      details: dict | None = None) -> list[Check]:
-    out = []
-    for o in glued.orders():
-        d = dict(details or {})
-        d["order"] = o
-        out.append(Check(f"{name}-order-{o}",
-                         abs(glued.coeff(o) - whole.coeff(o)), tolerance, d))
-    return out
-
-
-def verify_gluing_theorem(scenario: GluingScenario, tolerance: float = 1e-10,
+def verify_gluing_theorem(data: ScaleData, tolerance: float = 1e-10,
                           widen: bool = False) -> Report:
     """Glued versus whole series, order by order, plus internal consistency.
 
@@ -204,58 +214,54 @@ def verify_gluing_theorem(scenario: GluingScenario, tolerance: float = 1e-10,
     node from the union up to the full trimmed set, and the match must hold
     at every step.
     """
-    mesh, cut = scenario.mesh, scenario.cut
-    bundle = green_bundle(mesh, scenario.operator)
-    sides = [side_bundle(mesh, scenario.operator, cut, s) for s in (LEFT, RIGHT)]
-    g_sigma = interface_green(*sides)
-    pos = {int(p): k for k, p in enumerate(bundle.interior)}
-    loc = [pos[int(p)] for p in cut.interface]
-    block = bundle.green[np.ix_(loc, loc)]
+    ctx = data.scenario.context
+    pos = {int(p): k for k, p in enumerate(ctx.bundle.interior)}
+    loc = [pos[int(p)] for p in ctx.cut.interface]
+    block = ctx.bundle.green[np.ix_(loc, loc)]
 
     report = Report("gluing-theorem")
     report.add(Check("interface-covariance-two-paths",
-                     float(np.abs(block - g_sigma).max()), tolerance))
+                     float(np.abs(block - ctx.g_sigma).max()), tolerance))
 
-    base_region = union_region(scenario)
-    glued = glued_series(scenario, region=base_region)
-    whole = whole_series(scenario, region=base_region)
-    report.extend(_per_order_checks("glued-vs-whole", glued, whole, tolerance,
-                                    {"region_size": base_region.size}))
+    glued = glued_series(data)
+    whole = whole_series(data)
+    for o in glued.orders():
+        report.add(Check(f"glued-vs-whole-order-{o}",
+                         abs(glued.coeff(o) - whole.coeff(o)), tolerance,
+                         {"region_size": data.region.size, "order": o}))
 
-    carried = glued_series(scenario, region=base_region, assembly="carry")
+    carried = glued_series(data, assembly="carry")
     report.add(Check("interface-mean-assembly", glued.max_abs_diff(carried), 1e-12))
-    swapped = glued_series(scenario, region=base_region,
-                           side_order=(RIGHT, LEFT))
+    swapped = glued_series(data, side_order=(RIGHT, LEFT))
     report.add(Check("side-swap", glued.max_abs_diff(swapped), 1e-12))
 
     if widen:
-        full = mesh.trim_to_deformed(scenario.lam)
-        middle = [p for p in full.tolist() if p not in set(base_region.tolist())]
-        region = base_region.tolist()
-        for step, p in enumerate(sorted(middle), start=1):
-            region.append(p)
+        region = set(data.region.tolist())
+        for step, p in enumerate(sorted(set(data.trimmed.tolist()) - region), 1):
+            region.add(p)
             r = np.asarray(sorted(region), dtype=int)
-            g = glued_series(scenario, region=r)
-            w = whole_series(scenario, region=r)
-            report.add(Check(f"widened-step-{step}", g.max_abs_diff(w), tolerance,
-                             {"region_size": r.size, "added_node": p}))
+            g = glued_series(data, region=r)
+            report.add(Check(f"widened-step-{step}",
+                             g.max_abs_diff(whole_series(data, region=r)),
+                             tolerance, {"region_size": r.size, "added_node": p}))
         final = np.asarray(sorted(region), dtype=int)
         report.add(Check("widened-final-region-is-trimmed-set",
-                         0.0 if np.array_equal(final, full) else 1.0, 0.0))
+                         0.0 if np.array_equal(final, data.trimmed) else 1.0, 0.0))
     return report
 
 
-def renormalization_commutes(scenario: GluingScenario, mapping,
+def renormalization_commutes(data: ScaleData, mapping,
                              tolerance: float = 1e-10) -> Report:
     """Gluing must be insensitive to redefinitions of the couplings.
 
     mapping(k, t_k) produces the new coupling for each power; the redefined
     scenario must pass the same per-order match, and its residual magnitude
-    must not move relative to the original.
+    must not move relative to the original.  Both read the same Gaussian
+    data, which does not depend on the couplings.
     """
-    base = verify_gluing_theorem(scenario, tolerance=tolerance)
-    redefined = scenario.with_interaction(scenario.interaction.redefined(mapping))
-    after = verify_gluing_theorem(redefined, tolerance=tolerance)
+    base = verify_gluing_theorem(data, tolerance=tolerance)
+    sc = replace(data.scenario, interaction=data.scenario.interaction.redefined(mapping))
+    after = verify_gluing_theorem(replace(data, scenario=sc), tolerance=tolerance)
     report = Report("renormalization-commutes")
     report.extend(after.checks)
     report.add(Check("residual-magnitude-stable",
@@ -269,19 +275,17 @@ def lambda_sweep(scenario: GluingScenario, lams) -> Report:
     Flags kernel saturation; past the inverse minimum edge length the
     coefficients must coincide bitwise with the identity-kernel values.
     """
+    ctx = scenario.context
     report = Report("lambda-sweep")
     for lam in lams:
-        sc = scenario.with_lam(float(lam))
-        kernel = build_mesh_kernel(sc.mesh, sc.lam, sc.shape, cut=sc.cut)
-        region = union_region(sc)
-        glued = glued_series(sc, region=region)
-        whole = whole_series(sc, region=region)
-        trimmed = sc.mesh.trim_to_deformed(sc.lam)
+        data = scale_data(replace(scenario, lam=float(lam)))
+        glued = glued_series(data)
+        whole = whole_series(data)
         details = {
             "lam": float(lam),
-            "saturated": kernel.is_identity,
-            "trimmed_nodes": trimmed.size,
-            "region_size": region.size,
+            "saturated": data.kernels.kernel.is_identity,
+            "trimmed_nodes": data.trimmed.size,
+            "region_size": data.region.size,
         }
         for o in glued.orders():
             d = dict(details)
@@ -289,11 +293,13 @@ def lambda_sweep(scenario: GluingScenario, lams) -> Report:
             d["glued"] = glued.coeff(o)
             report.add(Check(f"lam-{lam}-order-{o}",
                              abs(glued.coeff(o) - whole.coeff(o)), 1e-10, d))
-        if kernel.is_identity:
-            identity = KernelMatrix(matrix=np.eye(sc.mesh.n_nodes), lam=sc.lam)
+        if details["saturated"]:
+            identity = KernelMatrix(matrix=np.eye(ctx.mesh.n_nodes), lam=float(lam))
             w_id = effective_action_series(
-                sc.mesh, sc.operator, identity, sc.interaction, sc.eta,
-                sc.max_order, region=region)
+                ctx.mesh, ctx.operator, identity, scenario.interaction,
+                scenario.eta, scenario.max_order, region=data.region,
+                bundle=ctx.bundle)
             exact = 0.0 if np.array_equal(whole.to_array(), w_id.to_array()) else 1.0
             report.add(Check(f"lam-{lam}-saturation-bitwise", exact, 0.0, details))
+        del data  # this lam's arrays must not overlap the next lam's
     return report

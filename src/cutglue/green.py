@@ -24,15 +24,6 @@ class GreenError(ValueError):
     pass
 
 
-def full_matrix(mesh: Mesh, spec: OperatorSpec) -> np.ndarray:
-    """Operator over all nodes: graph Laplacian plus interior mass term."""
-    a = -mesh.adjacency()
-    np.fill_diagonal(a, -a.sum(axis=1))
-    mass = np.zeros(mesh.n_nodes)
-    mass[mesh.interior] = spec.mass_squared * mesh.node_volumes[mesh.interior]
-    return a + np.diag(mass)
-
-
 def _inverse_spd(m: np.ndarray, what: str) -> np.ndarray:
     try:
         c = np.linalg.cholesky(m)
@@ -80,8 +71,7 @@ def green_bundle(mesh: Mesh, spec: OperatorSpec, op: OperatorMatrix | None = Non
         op = assemble(mesh, spec)
     green = _inverse_spd(op.interior_matrix, "interior operator")
     poisson = -green @ op.boundary_coupling
-    full = full_matrix(mesh, spec)
-    a_bb = full[np.ix_(mesh.boundary, mesh.boundary)]
+    a_bb = op.matrix[np.ix_(mesh.boundary, mesh.boundary)]
     dtn = a_bb - op.boundary_coupling.T @ green @ op.boundary_coupling
     return GreenBundle(
         mesh=mesh,
@@ -114,12 +104,13 @@ class SideBundle:
     dtn: np.ndarray
 
     @property
-    def n_outer(self) -> int:
-        return self.outer.size
+    def nodes(self) -> np.ndarray:
+        """Every node of the side submesh: interior, outer boundary, interface."""
+        return np.concatenate([self.interior, self.outer, self.sigma])
 
     @property
-    def poisson_outer(self) -> np.ndarray:
-        return self.poisson[:, : self.n_outer]
+    def n_outer(self) -> int:
+        return self.outer.size
 
     @property
     def poisson_sigma(self) -> np.ndarray:
@@ -141,14 +132,6 @@ class SideBundle:
         """Outer-to-interface block (rows outer, columns sigma)."""
         k = self.n_outer
         return self.dtn[:k, k:]
-
-    def extend(self, n_nodes: int, eta_outer: np.ndarray, eta_sigma: np.ndarray) -> np.ndarray:
-        """Side harmonic extension as a full-mesh field (zero off-side)."""
-        field = np.zeros(n_nodes)
-        field[self.outer] = eta_outer
-        field[self.sigma] = eta_sigma
-        field[self.interior] = self.poisson @ np.concatenate([eta_outer, eta_sigma])
-        return field
 
 
 def side_surface_matrix(mesh: Mesh, spec: OperatorSpec, cut: Cut, side: str,
@@ -180,14 +163,15 @@ def side_surface_matrix(mesh: Mesh, spec: OperatorSpec, cut: Cut, side: str,
     return m
 
 
-def side_bundle(mesh: Mesh, spec: OperatorSpec, cut: Cut, side: str) -> SideBundle:
+def side_bundle(mesh: Mesh, spec: OperatorSpec, cut: Cut, side: str,
+                op: OperatorMatrix | None = None) -> SideBundle:
+    op = assemble(mesh, spec) if op is None else op
     interior = cut.side_interior(side)
     outer = cut.side_outer_boundary(side)
     sigma = cut.interface
     surf = np.concatenate([outer, sigma])
-    full = full_matrix(mesh, spec)
-    a_ii = full[np.ix_(interior, interior)]
-    a_is = full[np.ix_(interior, surf)]
+    a_ii = op.matrix[np.ix_(interior, interior)]
+    a_is = op.matrix[np.ix_(interior, surf)]
     if interior.size:
         green = _inverse_spd(a_ii, f"{side} side operator")
         poisson = -green @ a_is
@@ -211,28 +195,6 @@ def side_bundle(mesh: Mesh, spec: OperatorSpec, cut: Cut, side: str) -> SideBund
 def interface_green(left: SideBundle, right: SideBundle) -> np.ndarray:
     """Interface Green's matrix: inverse of the summed interface responses."""
     return _inverse_spd(left.dtn_sigma + right.dtn_sigma, "interface response sum")
-
-
-def dtn(mesh: Mesh, spec: OperatorSpec, cut: Cut | None, side: str, target: str) -> np.ndarray:
-    """Boundary response matrix for one side (or the whole mesh).
-
-    side   : "left", "right", or "whole".
-    target : "sigma" (cut surface) or "outer" (that side's outer boundary;
-             for "whole", the full boundary).
-    """
-    if side == "whole":
-        bundle = green_bundle(mesh, spec)
-        if target == "outer":
-            return bundle.dtn
-        if cut is None:
-            raise GreenError("interface target needs a cut")
-        left = side_bundle(mesh, spec, cut, LEFT)
-        right = side_bundle(mesh, spec, cut, RIGHT)
-        return np.linalg.inv(interface_green(left, right))
-    if cut is None:
-        raise GreenError("side response needs a cut")
-    sb = side_bundle(mesh, spec, cut, side)
-    return sb.dtn_sigma if target == "sigma" else sb.dtn_outer
 
 
 def quadratic_form_S0(mesh: Mesh, spec: OperatorSpec, field: np.ndarray) -> float:
@@ -259,7 +221,7 @@ def cross_form(bundle: GreenBundle, ids_a: np.ndarray, eta_a: np.ndarray,
     return float(-eta_a @ block @ eta_b)
 
 
-def verify_quadratic_decomposition(mesh: Mesh, spec: OperatorSpec, cut: Cut,
+def verify_quadratic_decomposition(bundle: GreenBundle, cut: Cut,
                                    trials: int = 100, seed: int = 0,
                                    tolerance: float = 1e-12) -> Report:
     """Check the additive split of the free action under background shifts.
@@ -270,9 +232,11 @@ def verify_quadratic_decomposition(mesh: Mesh, spec: OperatorSpec, cut: Cut,
     boundary cross term.
     """
     rng = np.random.default_rng(seed)
-    bundle = green_bundle(mesh, spec)
+    mesh, spec = bundle.mesh, bundle.spec
     ids_l = np.asarray(sorted(set(cut.left_boundary) | set(cut.shared_boundary)), dtype=int)
     ids_r = cut.right_boundary
+    pos = {int(n): k for k, n in enumerate(bundle.boundary)}
+    loc_l, loc_r = [pos[int(n)] for n in ids_l], [pos[int(n)] for n in ids_r]
     report = Report("quadratic-decomposition")
     scale = max(1.0, float(np.abs(bundle.green).max()))
     worst = 0.0
@@ -282,18 +246,14 @@ def verify_quadratic_decomposition(mesh: Mesh, spec: OperatorSpec, cut: Cut,
         eta = rng.standard_normal(bundle.boundary.size)
         eta_l = np.zeros_like(eta)
         eta_r = np.zeros_like(eta)
-        pos = {int(n): k for k, n in enumerate(bundle.boundary)}
-        for n in ids_l:
-            eta_l[pos[int(n)]] = eta[pos[int(n)]]
-        for n in ids_r:
-            eta_r[pos[int(n)]] = eta[pos[int(n)]]
+        eta_l[loc_l] = eta[loc_l]
+        eta_r[loc_r] = eta[loc_r]
         total = quadratic_form_S0(mesh, spec, phi + bundle.extend(eta))
         parts = (
             quadratic_form_S0(mesh, spec, phi)
             + quadratic_form_S0(mesh, spec, bundle.extend(eta_l))
             + quadratic_form_S0(mesh, spec, bundle.extend(eta_r))
-            - cross_form(bundle, ids_l, eta_l[[pos[int(n)] for n in ids_l]],
-                         ids_r, eta_r[[pos[int(n)] for n in ids_r]])
+            - cross_form(bundle, ids_l, eta_l[loc_l], ids_r, eta_r[loc_r])
         )
         worst = max(worst, abs(total - parts) / scale)
     report.add(Check("free-action-split", worst, tolerance,
@@ -301,27 +261,24 @@ def verify_quadratic_decomposition(mesh: Mesh, spec: OperatorSpec, cut: Cut,
     return report
 
 
-def verify_green_gluing(mesh: Mesh, spec: OperatorSpec, cut: Cut,
+def verify_green_gluing(bundle: GreenBundle, sides: dict, g_sigma: np.ndarray,
                         tolerance: float = 1e-10) -> Report:
     """Entrywise check of the same-side and cross-side gluing relations.
 
     The whole-mesh Green's matrix must equal the side Green's matrix plus the
     interface round trip on one side, and the pure interface round trip
     across sides.  The interface Green's block is computed both as a block of
-    the dense whole inverse and as the inverse summed side response; their
-    agreement is part of the report.
+    the dense whole inverse and as the inverse summed side response g_sigma;
+    their agreement is part of the report.
     """
-    bundle = green_bundle(mesh, spec)
-    left = side_bundle(mesh, spec, cut, LEFT)
-    right = side_bundle(mesh, spec, cut, RIGHT)
-    g_sigma = interface_green(left, right)
-
+    left, right = sides[LEFT], sides[RIGHT]
+    interface = left.sigma  # the cut interface, shared by both sides
     pos = {int(n): k for k, n in enumerate(bundle.interior)}
     loc = lambda ids: [pos[int(n)] for n in ids]
     g = bundle.green
     report = Report("green-gluing")
 
-    block = g[np.ix_(loc(cut.interface), loc(cut.interface))]
+    block = g[np.ix_(loc(interface), loc(interface))]
     report.add(Check("interface-green-two-paths",
                      float(np.abs(block - g_sigma).max()), tolerance))
     report.add(Check("interface-response-inverse",
@@ -337,7 +294,7 @@ def verify_green_gluing(mesh: Mesh, spec: OperatorSpec, cut: Cut,
         sub = sb.green + glued
         report.add(Check(f"same-side-{sb.side}",
                          float(np.abs(whole_block - sub).max()), tolerance))
-        mixed = g[np.ix_(loc(sb.interior), loc(cut.interface))]
+        mixed = g[np.ix_(loc(sb.interior), loc(interface))]
         report.add(Check(f"side-to-interface-{sb.side}",
                          float(np.abs(mixed - sb.poisson_sigma @ g_sigma).max()),
                          tolerance))
@@ -350,18 +307,16 @@ def verify_green_gluing(mesh: Mesh, spec: OperatorSpec, cut: Cut,
     return report
 
 
-def verify_dtn_difference(mesh: Mesh, spec: OperatorSpec, cut: Cut, side: str = LEFT) -> Report:
+def verify_dtn_difference(bundle: GreenBundle, sb: SideBundle) -> Report:
     """Difference between whole-mesh and one-side outer boundary responses.
 
     The difference matrix is regular (finite entrywise); the report carries
     its max norm so refinement sweeps can confirm it stays bounded.
     """
-    bundle = green_bundle(mesh, spec)
-    sb = side_bundle(mesh, spec, cut, side)
     whole_block = bundle.dtn_block(sb.outer, sb.outer)
     diff = whole_block - sb.dtn_outer
     norm = float(np.abs(diff).max()) if diff.size else 0.0
     report = Report("outer-response-difference")
-    report.add(Check(f"finite-difference-{side}", 0.0 if np.isfinite(norm) else np.inf,
+    report.add(Check(f"finite-difference-{sb.side}", 0.0 if np.isfinite(norm) else np.inf,
                      0.0, {"max_entry": norm, "outer_nodes": sb.outer.size}))
     return report

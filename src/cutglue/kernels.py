@@ -15,9 +15,9 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .euclidean import RadialProfile
-from .green import SideBundle, green_bundle, interface_green, side_bundle
+from .green import GreenBundle, SideBundle
 from .meshes import LEFT, RIGHT, _DIST_RTOL, Cut, Mesh, lambda_one
-from .operators import OperatorSpec
+from .operators import OperatorMatrix
 from .reports import Check, Report
 
 
@@ -175,28 +175,35 @@ def spectral_regularized_green(mesh: Mesh, op_interior: np.ndarray,
     return (hv / vals) @ hv.T
 
 
-def deformed_side_nodes(mesh: Mesh, cut: Cut, side: str, lam: float) -> np.ndarray:
+def deformed_side_nodes(mesh: Mesh, sb: SideBundle, lam: float) -> np.ndarray:
     """Side interior nodes whose 1/lam ball cannot leave the side submanifold.
 
     These are the nodes where the whole-mesh and restricted kernels agree row
     by row, and additionally at distance >= 1/lam from the side's own
     boundary (so they survive the side's deformation too).
     """
-    inside = cut.side_interior(side)
-    own = set(map(int, inside)) | set(map(int, cut.interface))
-    own |= set(map(int, cut.side_outer_boundary(side)))
-    outside = np.array([p for p in range(mesh.n_nodes) if p not in own], dtype=int)
+    outside = np.setdiff1d(np.arange(mesh.n_nodes), sb.nodes)
     radius = 1.0 / lam
     d = mesh.distance_matrix()
-    bdry = np.concatenate([cut.side_outer_boundary(side), cut.interface])
+    bdry = np.concatenate([sb.outer, sb.sigma])
     out = []
-    for p in inside:
+    for p in sb.interior:
         if outside.size and d[p, outside].min() <= radius * (1.0 + _DIST_RTOL):
             continue
         if d[p, bdry].min() < radius * (1.0 - _DIST_RTOL):
             continue
         out.append(int(p))
     return np.asarray(out, dtype=int)
+
+
+@dataclass(frozen=True)
+class SideKernels:
+    """A kernel with each side's deformed nodes (deep) and their rows of the
+    kernel restricted to that side (deep_rows).  See `gluing.side_kernels`."""
+
+    kernel: KernelMatrix
+    deep: dict
+    deep_rows: dict
 
 
 def _extended_side(sb: SideBundle):
@@ -215,8 +222,9 @@ def _extended_side(sb: SideBundle):
     return ids, green_ext, to_sigma
 
 
-def verify_deformed_gluing(mesh: Mesh, spec: OperatorSpec, cut: Cut, lam: float,
-                           shape="uniform", tolerance: float = 1e-10) -> Report:
+def verify_deformed_gluing(kernels: SideKernels, bundle: GreenBundle,
+                           sides: dict, g_sigma: np.ndarray,
+                           tolerance: float = 1e-10) -> Report:
     """Decomposition of the averaged propagator across a cut.
 
     For nodes deep inside each side the whole-mesh averaged propagator must
@@ -224,34 +232,18 @@ def verify_deformed_gluing(mesh: Mesh, spec: OperatorSpec, cut: Cut, lam: float,
     (same side), and into the pure interface round trip (across sides), all
     built from restricted kernels and side Green data only.
     """
-    kernel = build_mesh_kernel(mesh, lam, shape, cut=cut)
-    bundle = green_bundle(mesh, spec)
-    sides = {LEFT: side_bundle(mesh, spec, cut, LEFT),
-             RIGHT: side_bundle(mesh, spec, cut, RIGHT)}
-    g_sigma = interface_green(sides[LEFT], sides[RIGHT])
+    kernel, deep = kernels.kernel, kernels.deep
     g_reg = regularized_green(kernel, kernel, bundle.green, bundle.interior)
 
     report = Report("deformed-gluing")
-    deep = {}
-    rows = {}
-    for side, sb in sides.items():
-        nodes = deformed_side_nodes(mesh, cut, side, lam)
-        deep[side] = nodes
-        side_nodes = set(map(int, sb.interior)) | set(map(int, sb.sigma))
-        side_nodes |= set(map(int, sb.outer))
-        restricted = restrict_kernel_to_submesh(kernel, side_nodes)
-        if nodes.size:
-            diff = np.abs(kernel.matrix[nodes] - restricted.matrix[nodes]).max()
-        else:
-            diff = 0.0
-        report.add(Check(f"restricted-rows-match-{side}", float(diff), tolerance,
-                         {"deep_nodes": nodes.size}))
-        rows[side] = restricted
-
     parts = {}
     for side, sb in sides.items():
+        nodes, rows = deep[side], kernels.deep_rows[side]
+        diff = np.abs(kernel.matrix[nodes] - rows).max() if nodes.size else 0.0
+        report.add(Check(f"restricted-rows-match-{side}", float(diff), tolerance,
+                         {"deep_nodes": nodes.size}))
         ids, green_ext, to_sigma = _extended_side(sb)
-        h = rows[side].matrix[np.ix_(deep[side], ids)]
+        h = rows.take(ids, axis=1)  # C order; rows[:, ids] would be F order
         parts[side] = (h @ green_ext @ h.T, h @ to_sigma)
 
     for side in (LEFT, RIGHT):
@@ -270,16 +262,12 @@ def verify_deformed_gluing(mesh: Mesh, spec: OperatorSpec, cut: Cut, lam: float,
     return report
 
 
-def verify_regularization(mesh: Mesh, spec: OperatorSpec, lam: float,
-                          shape="uniform", tolerance: float = 1e-12) -> Report:
-    """Finiteness of the averaged diagonal and the two-route consistency check."""
-    from .operators import assemble
-
-    op = assemble(mesh, spec)
-    bundle = green_bundle(mesh, spec, op=op)
-    kernel = build_mesh_kernel(mesh, lam, shape)
+def verify_regularization(op: OperatorMatrix, bundle: GreenBundle,
+                          kernel: KernelMatrix, tolerance: float = 1e-12) -> Report:
+    """Finiteness of the averaged diagonal and the two-route consistency check;
+    bundle must be the Green data of op."""
     g_reg = regularized_green(kernel, kernel, bundle.green, bundle.interior)
-    spectral = spectral_regularized_green(mesh, op.interior_matrix, kernel)
+    spectral = spectral_regularized_green(bundle.mesh, op.interior_matrix, kernel)
     report = Report("regularization")
     diag = np.diag(g_reg)
     report.add(Check("finite-diagonal",

@@ -27,20 +27,20 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dirichlet-eliminated operator blocks on a mesh.
+    """Operator over all nodes and its Dirichlet-eliminated blocks.
 
+    matrix            : (N, N) operator over every node; boundary rows carry
+                        no mass term.
     interior_matrix   : symmetric (I, I) block over interior nodes.
     boundary_coupling : (I, B) block; Dirichlet data enters through it.
     interior / boundary : global node indices labelling rows and columns.
-    volumes           : node volumes, the inner-product weights.
     """
 
+    matrix: np.ndarray
     interior_matrix: np.ndarray
     boundary_coupling: np.ndarray
     interior: np.ndarray
     boundary: np.ndarray
-    volumes: np.ndarray
-    mass_squared: float
 
     def to_coo_text(self) -> str:
         """Interior block in (row, col, value) coordinate text form."""
@@ -70,12 +70,11 @@ def assemble(mesh: Mesh, spec: OperatorSpec) -> OperatorMatrix:
     a += np.diag(mass * mass_mask)
     interior, boundary = mesh.interior, mesh.boundary
     return OperatorMatrix(
+        matrix=a,
         interior_matrix=a[np.ix_(interior, interior)],
         boundary_coupling=a[np.ix_(interior, boundary)],
         interior=interior,
         boundary=boundary,
-        volumes=mesh.node_volumes.copy(),
-        mass_squared=spec.mass_squared,
     )
 
 

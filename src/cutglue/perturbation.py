@@ -260,6 +260,23 @@ def gaussian_expectation(instances, mean: np.ndarray, cov: np.ndarray) -> float:
     return total
 
 
+def _vertex_counts(xpowers, xmax: int):
+    """(counts per vertex type, x-power) of each nonempty multiset within xmax."""
+    ranges = [range(xmax // x + 1) for x in xpowers]
+    for counts in itertools.product(*ranges):
+        xpow = sum(x * c for x, c in zip(xpowers, counts))
+        if xpow <= xmax and any(counts):
+            yield counts, xpow
+
+
+def leg_budget(powers, max_order: float) -> int:
+    """Most field legs in one term of `interaction_z_series` through max_order."""
+    xmax = int(round(2 * max_order))
+    return max((sum(k * c for k, c in zip(powers, counts))
+                for counts, _ in _vertex_counts([k - 2 for k in powers], xmax)),
+               default=0)
+
+
 def interaction_z_series(vertices, mean: np.ndarray, cov: np.ndarray,
                          max_order: float) -> PerturbationSeries:
     """Series of E[exp(-V)] in x = sqrt(hbar), truncated at x^(2 max_order).
@@ -271,11 +288,7 @@ def interaction_z_series(vertices, mean: np.ndarray, cov: np.ndarray,
     xmax = int(round(2 * max_order))
     coeffs = np.zeros(xmax + 1)
     coeffs[0] = 1.0
-    ranges = [range(xmax // v.xpower + 1) for v in vertices]
-    for counts in itertools.product(*ranges):
-        xpow = sum(v.xpower * c for v, c in zip(vertices, counts))
-        if xpow > xmax or not any(counts):
-            continue
+    for counts, xpow in _vertex_counts([v.xpower for v in vertices], xmax):
         pref = Fraction((-1) ** sum(counts))
         for c in counts:
             pref /= factorial(c)
@@ -284,6 +297,37 @@ def interaction_z_series(vertices, mean: np.ndarray, cov: np.ndarray,
             instances.extend([(v.power, v.weights)] * c)
         coeffs[xpow] += float(pref) * gaussian_expectation(instances, mean, cov)
     return PerturbationSeries.from_array(coeffs, max_order)
+
+
+@dataclass(frozen=True)
+class NodeGaussian:
+    """Free data over every node: order-0 action, averaged mean leg and
+    propagator.  It does not depend on the couplings or the vertex region."""
+
+    order0: float
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def series(self, interaction: InteractionSpec, region: np.ndarray,
+               volumes: np.ndarray, max_order: float) -> PerturbationSeries:
+        """Minus log of E[exp(-V)] with vertices on region, plus order 0."""
+        region = np.asarray(region, dtype=int)
+        vertices = vertex_terms(interaction, region, volumes)
+        z = interaction_z_series(vertices, self.mean[region],
+                                 self.cov[np.ix_(region, region)], max_order)
+        w = -series_log(z).to_array()
+        w[0] += self.order0
+        return PerturbationSeries.from_array(w, max_order)
+
+
+def averaged_gaussian(kernel: KernelMatrix, eta: np.ndarray | None,
+                      bundle: GreenBundle) -> NodeGaussian:
+    """Whole-manifold route: averaged harmonic extension and propagator."""
+    eta = np.zeros(bundle.boundary.size) if eta is None else np.asarray(eta, dtype=float)
+    phi_bg = bundle.extend(eta)
+    return NodeGaussian(quadratic_form_S0(bundle.mesh, bundle.spec, phi_bg),
+                        kernel.matrix @ phi_bg,
+                        regularized_green(kernel, kernel, bundle.green, bundle.interior))
 
 
 def effective_action_series(mesh: Mesh, spec: OperatorSpec, kernel: KernelMatrix,
@@ -300,20 +344,10 @@ def effective_action_series(mesh: Mesh, spec: OperatorSpec, kernel: KernelMatrix
     """
     if bundle is None:
         bundle = green_bundle(mesh, spec)
-    eta = np.zeros(bundle.boundary.size) if eta is None else np.asarray(eta, dtype=float)
-    phi_bg = bundle.extend(eta)
-    s0 = quadratic_form_S0(mesh, spec, phi_bg)
     if region is None:
         region = mesh.trim_to_deformed(kernel.lam)
-    region = np.asarray(region, dtype=int)
-    mean = (kernel.matrix @ phi_bg)[region]
-    cov_nodes = regularized_green(kernel, kernel, bundle.green, bundle.interior)
-    cov = cov_nodes[np.ix_(region, region)]
-    vertices = vertex_terms(interaction, region, mesh.node_volumes)
-    z = interaction_z_series(vertices, mean, cov, max_order)
-    w = -series_log(z).to_array()
-    w[0] += s0
-    return PerturbationSeries.from_array(w, max_order)
+    gaussian = averaged_gaussian(kernel, eta, bundle)
+    return gaussian.series(interaction, region, mesh.node_volumes, max_order)
 
 
 def partition_series(mesh: Mesh, spec: OperatorSpec, kernel: KernelMatrix,

@@ -1,43 +1,47 @@
-"""Named verification suites runnable from a scenario config."""
+"""Named verification suites runnable from a scenario config.
+
+A suite builds its Green data once; data of one scale lives for that scale.
+"""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import pi
 
 import numpy as np
 
 from . import euclidean as eu
 from .config import ScenarioConfig
-from .gluing import (GluingScenario, lambda_sweep, renormalization_commutes,
+from .gluing import (GluingScenario, gluing_context, lambda_sweep,
+                     renormalization_commutes, scale_data, side_kernels,
                      verify_gluing_theorem)
-from .green import (green_bundle, interface_green, side_bundle,
-                    verify_dtn_difference, verify_green_gluing,
-                    verify_quadratic_decomposition)
+from .green import (green_bundle, side_bundle, verify_dtn_difference,
+                    verify_green_gluing, verify_quadratic_decomposition)
 from .kernels import (build_mesh_kernel, restrict_kernel_to_submesh,
                       verify_deformed_gluing, verify_regularization)
 from .meshes import LEFT, RIGHT
+from .operators import assemble
 from .reports import Check, Report
 
 
 def _scenario(cfg: ScenarioConfig, lam: float) -> GluingScenario:
     return GluingScenario(
-        mesh=cfg.mesh, cut=cfg.cut, operator=cfg.operator,
-        interaction=cfg.interaction, lam=lam, shape=cfg.shape,
-        eta=cfg.eta, max_order=cfg.max_order, name=cfg.name,
+        context=gluing_context(cfg.mesh, cfg.operator, cfg.cut),
+        interaction=cfg.interaction, lam=lam,
+        shape=cfg.shape, eta=cfg.eta, max_order=cfg.max_order,
     )
 
 
 def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
     report = Report("green-identities")
-    left = side_bundle(cfg.mesh, cfg.operator, cfg.cut, LEFT)
-    right = side_bundle(cfg.mesh, cfg.operator, cfg.cut, RIGHT)
-    g_sigma = interface_green(left, right)
+    ctx = gluing_context(cfg.mesh, cfg.operator, cfg.cut)
+    bundle, left, right = ctx.bundle, ctx.sides[LEFT], ctx.sides[RIGHT]
     k = left.dtn_sigma + right.dtn_sigma
     report.add(Check("interface-response-sum-inverse",
-                     float(np.abs(k @ g_sigma - np.eye(k.shape[0])).max()), 1e-10))
-    report.extend(verify_green_gluing(cfg.mesh, cfg.operator, cfg.cut).checks)
-    report.extend(verify_dtn_difference(cfg.mesh, cfg.operator, cfg.cut).checks)
-    bundle = green_bundle(cfg.mesh, cfg.operator)
+                     float(np.abs(k @ ctx.g_sigma - np.eye(k.shape[0])).max()),
+                     1e-10))
+    report.extend(verify_green_gluing(bundle, ctx.sides, ctx.g_sigma).checks)
+    report.extend(verify_dtn_difference(bundle, left).checks)
     report.add(Check("green-symmetry",
                      float(np.abs(bundle.green - bundle.green.T).max()), 1e-12))
     if cfg.operator.mass_squared == 0.0:
@@ -50,8 +54,8 @@ def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
 
 
 def suite_quadratic_decomposition(cfg: ScenarioConfig, seed: int) -> Report:
-    return verify_quadratic_decomposition(cfg.mesh, cfg.operator, cfg.cut,
-                                          trials=120, seed=seed)
+    return verify_quadratic_decomposition(green_bundle(cfg.mesh, cfg.operator),
+                                          cfg.cut, trials=120, seed=seed)
 
 
 def suite_averaging_closed_form(cfg: ScenarioConfig, seed: int) -> Report:
@@ -86,6 +90,7 @@ def suite_averaging_closed_form(cfg: ScenarioConfig, seed: int) -> Report:
 def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
     report = Report("kernel-properties")
     d = cfg.mesh.distance_matrix()
+    left = side_bundle(cfg.mesh, cfg.operator, cfg.cut, LEFT)
     for lam in cfg.lambdas:
         kernel = build_mesh_kernel(cfg.mesh, lam, cfg.shape, cut=cfg.cut)
         report.add(Check(f"rows-stochastic-lam-{lam}",
@@ -93,9 +98,7 @@ def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
                          1e-12))
         off = kernel.matrix * (d > kernel.support_radius * (1 + 1e-9))
         report.add(Check(f"ball-support-lam-{lam}", float(np.abs(off).max()), 0.0))
-        side = set(map(int, cfg.cut.left_nodes)) | set(map(int, cfg.cut.interface))
-        side |= set(map(int, cfg.cut.side_outer_boundary(LEFT)))
-        restricted = restrict_kernel_to_submesh(kernel, side)
+        restricted = restrict_kernel_to_submesh(kernel, left.nodes)
         report.add(Check(f"restricted-rows-stochastic-lam-{lam}",
                          float(np.abs(restricted.matrix.sum(axis=1) - 1.0).max()),
                          1e-12))
@@ -106,49 +109,52 @@ def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
     return report
 
 
-def suite_regularization(cfg: ScenarioConfig, seed: int) -> Report:
-    report = Report("regularization")
-    for lam in cfg.lambdas:
-        sub = verify_regularization(cfg.mesh, cfg.operator, lam, cfg.shape)
+def _per_lam(name: str, lambdas, checks_at) -> Report:
+    """Checks of every scale, tagged with it; checks_at(lam) returns a Report."""
+    report = Report(name)
+    for lam in lambdas:
+        sub = checks_at(lam)
         for c in sub.checks:
             c.details["lam"] = lam
         report.extend(sub.checks)
     return report
+
+
+def suite_regularization(cfg: ScenarioConfig, seed: int) -> Report:
+    op = assemble(cfg.mesh, cfg.operator)
+    bundle = green_bundle(cfg.mesh, cfg.operator, op=op)
+    return _per_lam("regularization", cfg.lambdas,
+                    lambda lam: verify_regularization(
+                        op, bundle, build_mesh_kernel(cfg.mesh, lam, cfg.shape)))
 
 
 def suite_deformed_gluing(cfg: ScenarioConfig, seed: int) -> Report:
-    report = Report("deformed-gluing")
-    for lam in cfg.lambdas:
-        sub = verify_deformed_gluing(cfg.mesh, cfg.operator, cfg.cut, lam,
-                                     cfg.shape)
-        for c in sub.checks:
-            c.details["lam"] = lam
-        report.extend(sub.checks)
-    return report
+    ctx = gluing_context(cfg.mesh, cfg.operator, cfg.cut)
+    return _per_lam("deformed-gluing", cfg.lambdas,
+                    lambda lam: verify_deformed_gluing(
+                        side_kernels(ctx, lam, cfg.shape), ctx.bundle, ctx.sides,
+                        ctx.g_sigma))
 
 
 def suite_gluing_theorem(cfg: ScenarioConfig, seed: int) -> Report:
-    report = Report("gluing-theorem")
-    for lam in cfg.lambdas:
-        sub = verify_gluing_theorem(_scenario(cfg, lam), widen=True)
-        for c in sub.checks:
-            c.details["lam"] = lam
-        report.extend(sub.checks)
-    return report
+    scenario = _scenario(cfg, cfg.lambdas[0])
+    return _per_lam("gluing-theorem", cfg.lambdas,
+                    lambda lam: verify_gluing_theorem(
+                        scale_data(replace(scenario, lam=lam)), widen=True))
 
 
 def suite_renormalization(cfg: ScenarioConfig, seed: int) -> Report:
     report = Report("renormalization")
     lam = cfg.lambdas[0]
-    scenario = _scenario(cfg, lam)
+    data = scale_data(_scenario(cfg, lam))
     shift = renormalization_commutes(
-        scenario, lambda k, t: np.asarray(t) + 0.5 * lam if k == 4 else t)
+        data, lambda k, t: np.asarray(t) + 0.5 * lam if k == 4 else t)
     for c in shift.checks:
         c.details["redefinition"] = "quartic-scale-shift"
     report.extend(shift.checks)
     nodes = range(cfg.mesh.n_nodes)
     position_dependent = renormalization_commutes(
-        scenario,
+        data,
         lambda k, t: {p: 0.1 * (p + 1) for p in nodes} if k == 3 else t)
     for c in position_dependent.checks:
         c.details["redefinition"] = "cubic-position-dependent"

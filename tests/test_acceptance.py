@@ -12,13 +12,14 @@ import pytest
 
 from cutglue import euclidean as eu
 from cutglue import kernels as kn
-from cutglue.gluing import (GluingScenario, lambda_sweep,
-                            renormalization_commutes, verify_gluing_theorem)
+from cutglue.gluing import (GluingScenario, gluing_context, lambda_sweep,
+                            renormalization_commutes, scale_data,
+                            side_kernels, verify_gluing_theorem)
 from cutglue.green import (green_bundle, interface_green, side_bundle,
                            verify_green_gluing, verify_quadratic_decomposition)
 from cutglue.meshes import (LEFT, RIGHT, build_grid_mesh, build_interval_mesh,
                             cut_along_interface)
-from cutglue.operators import OperatorSpec
+from cutglue.operators import OperatorSpec, assemble
 from cutglue.perturbation import InteractionSpec, wick_pairings
 from cutglue.series import PerturbationSeries, series_exp, series_log
 
@@ -86,7 +87,8 @@ def test_criterion_1_interface_response_sum():
 def test_criterion_2_green_gluing_relations():
     worst = 0.0
     for mesh, cut in _cases():
-        rep = verify_green_gluing(mesh, OperatorSpec(0.0), cut)
+        ctx = gluing_context(mesh, OperatorSpec(0.0), cut)
+        rep = verify_green_gluing(ctx.bundle, ctx.sides, ctx.g_sigma)
         worst = max(worst, rep.max_residual)
     small = build_interval_mesh(3, 1.0)
     g = green_bundle(small, OperatorSpec(0.0)).green
@@ -99,8 +101,8 @@ def test_criterion_2_green_gluing_relations():
 def test_criterion_3_quadratic_decomposition():
     worst = 0.0
     for mesh, cut in _cases():
-        rep = verify_quadratic_decomposition(mesh, OperatorSpec(0.1), cut,
-                                             trials=120, seed=11)
+        rep = verify_quadratic_decomposition(green_bundle(mesh, OperatorSpec(0.1)),
+                                             cut, trials=120, seed=11)
         assert all(c.details["trials"] >= 100 for c in rep.checks)
         worst = max(worst, rep.max_residual)
     _emit(3, worst <= 1e-12,
@@ -128,8 +130,11 @@ def test_criterion_5_regularization_finiteness():
     worst = 0.0
     finite = True
     for mesh, _ in _cases():
+        op = assemble(mesh, OperatorSpec(0.1))
+        bundle = green_bundle(mesh, OperatorSpec(0.1), op=op)
         for lam in (1.5, 2.5):
-            rep = kn.verify_regularization(mesh, OperatorSpec(0.1), lam)
+            rep = kn.verify_regularization(op, bundle,
+                                           kn.build_mesh_kernel(mesh, lam))
             finite &= rep.passed
             worst = max(worst, max(c.residual for c in rep.checks
                                    if "spectral" in c.name))
@@ -143,15 +148,19 @@ def test_criterion_6_deformed_gluing():
     pcut = cut_along_interface(path9, lambda n: n == 4)
     grid5 = build_grid_mesh(5, 5, 1.0)
     gcut = cut_along_interface(grid5, lambda n: grid5.positions[n][0] == 2.0)
+    pctx = gluing_context(path9, OperatorSpec(0.0), pcut)
+    gctx = gluing_context(grid5, OperatorSpec(0.1), gcut)
     for shape in ("uniform", "bump"):
         for lam in (0.5, 1.0):
-            rep = kn.verify_deformed_gluing(path9, OperatorSpec(0.0), pcut,
-                                            lam, shape)
+            rep = kn.verify_deformed_gluing(side_kernels(pctx, lam, shape),
+                                            pctx.bundle, pctx.sides,
+                                            pctx.g_sigma)
             assert rep.passed
             worst = max(worst, rep.max_residual)
         for lam in (1.5, 2.5):
-            rep = kn.verify_deformed_gluing(grid5, OperatorSpec(0.1), gcut,
-                                            lam, shape)
+            rep = kn.verify_deformed_gluing(side_kernels(gctx, lam, shape),
+                                            gctx.bundle, gctx.sides,
+                                            gctx.g_sigma)
             assert rep.passed
             worst = max(worst, rep.max_residual)
     _emit(6, worst <= 1e-10,
@@ -163,18 +172,18 @@ def _scenarios():
     pcut = cut_along_interface(path9, lambda n: n == 4)
     grid5 = build_grid_mesh(5, 5, 1.0)
     gcut = cut_along_interface(grid5, lambda n: grid5.positions[n][0] == 2.0)
+    pctx = gluing_context(path9, OperatorSpec(0.0), pcut)
+    gctx = gluing_context(grid5, OperatorSpec(0.1), gcut)
     out = []
     for couplings in ({3: 0.3}, {4: 0.2}, {3: 0.3, 4: 0.2}):
         for eta_on in (False, True):
             p_eta = np.array([1.0, -0.5]) if eta_on else None
             out.append(GluingScenario(
-                mesh=path9, cut=pcut, operator=OperatorSpec(0.0),
-                interaction=InteractionSpec(couplings), lam=1.0,
+                context=pctx, interaction=InteractionSpec(couplings), lam=1.0,
                 eta=p_eta, max_order=1.5))
             g_eta = 0.2 * np.arange(grid5.boundary.size) if eta_on else None
             out.append(GluingScenario(
-                mesh=grid5, cut=gcut, operator=OperatorSpec(0.1),
-                interaction=InteractionSpec(couplings), lam=2.5,
+                context=gctx, interaction=InteractionSpec(couplings), lam=2.5,
                 eta=g_eta, max_order=1.5))
     return out
 
@@ -183,7 +192,7 @@ def test_criterion_7_gluing_theorem():
     worst = 0.0
     widen_ok = True
     for sc in _scenarios():
-        rep = verify_gluing_theorem(sc, widen=True)
+        rep = verify_gluing_theorem(scale_data(sc), widen=True)
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
         worst = max(worst, rep.max_residual)
         widen_ok &= any(c.name == "widened-final-region-is-trimmed-set"
@@ -195,13 +204,14 @@ def test_criterion_7_gluing_theorem():
 def test_criterion_8_coupling_redefinitions():
     path9 = build_interval_mesh(7, 1.0)
     pcut = cut_along_interface(path9, lambda n: n == 4)
-    sc = GluingScenario(mesh=path9, cut=pcut, operator=OperatorSpec(0.0),
+    sc = GluingScenario(context=gluing_context(path9, OperatorSpec(0.0), pcut),
                         interaction=InteractionSpec({3: 0.3, 4: 0.2}),
                         lam=1.0, eta=np.array([1.0, -0.5]), max_order=1.5)
+    data = scale_data(sc)
     pos = renormalization_commutes(
-        sc, lambda k, t: {p: 0.1 * (p + 1) for p in range(9)} if k == 3 else t)
+        data, lambda k, t: {p: 0.1 * (p + 1) for p in range(9)} if k == 3 else t)
     scale = renormalization_commutes(
-        sc, lambda k, t: t + 0.5 * sc.lam if k == 4 else t)
+        data, lambda k, t: t + 0.5 * sc.lam if k == 4 else t)
     worst = max(pos.max_residual, scale.max_residual)
     _emit(8, pos.passed and scale.passed and worst <= 1e-10,
           f"redefined couplings, max residual {worst:.3e}")
@@ -229,7 +239,7 @@ def test_criterion_10_saturation_bitwise():
     g_reg = kn.regularized_green(kernel, kernel, bundle.green, bundle.interior)
     green_ok = np.array_equal(
         g_reg[np.ix_(bundle.interior, bundle.interior)], bundle.green)
-    sc = GluingScenario(mesh=mesh, cut=cut, operator=OperatorSpec(0.0),
+    sc = GluingScenario(context=gluing_context(mesh, OperatorSpec(0.0), cut),
                         interaction=InteractionSpec({3: 0.3, 4: 0.2}),
                         lam=1.0, eta=np.array([1.0, -0.5]), max_order=1.5)
     rep = lambda_sweep(sc, [0.5, 1.0, 2.5])

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -8,6 +9,16 @@ from cutglue.reports import Check, Report
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                       "path9_cubic.json")
+
+
+def path9_with(tmp_path, **changes):
+    """The committed path9 config with some top-level entries replaced."""
+    with open(CONFIG, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw.update(changes)
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 def test_list_suites(capsys):
@@ -36,22 +47,19 @@ def test_run_fast_suites(tmp_path, capsys):
     assert summary["passed"] is True
 
 
-def test_bad_config_exits_two(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "name": "bad",
-        "mesh": {"type": "interval", "n_interior": 7, "spacing": 1.0},
-        "cut": {"axis": 0, "value": 4.0},
-        "operator": {"mass_squared": 0.0},
-        "interaction": {},
-        "kernel": {"shape": "uniform"},
-        "lambdas": [0.1],
-        "eta": None,
-        "max_order": 1.0,
-        "suites": ["green-identities"],
-    }))
-    assert cli.main(["run", str(bad), "--out-dir", str(tmp_path / "r")]) == 2
-    assert "lam below lambda_1" in capsys.readouterr().err
+@pytest.mark.parametrize("changes, message", [
+    ({"lambdas": [0.1]}, "lam below lambda_1"),
+    ({"operator": {"mass_squared": -5}}, "non-positive spectrum"),
+    ({"lambdas": ["x"]}, "could not convert"),
+    ({"max_order": 3.0}, "above the cap"),
+], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
+        "leg-cap-exceeded"])
+def test_bad_config_exits_two(tmp_path, capsys, changes, message):
+    bad = path9_with(tmp_path, **changes)
+    assert cli.main(["run", bad, "--out-dir", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("config error:") == 1
+    assert not (tmp_path / "r").exists()
 
 
 def test_unknown_suite_exits_two(tmp_path, capsys):
@@ -66,6 +74,44 @@ def test_bad_max_order_exits_two(tmp_path, capsys):
                      "--max-order", "0.3", "--suite", "green-identities"])
     assert code == 2
     assert "half-integer" in capsys.readouterr().err
+
+
+def test_max_order_override_checks_leg_cap(tmp_path, capsys):
+    code = cli.main(["run", CONFIG, "--out-dir", str(tmp_path / "r"),
+                     "--max-order", "3.0", "--suite", "green-identities"])
+    assert code == 2
+    assert "above the cap" in capsys.readouterr().err
+
+
+def test_suites_build_green_data_once(tmp_path, monkeypatch, capsys):
+    """One gluing context per suite and one kernel per lam, however many
+    checks and widening steps read them."""
+    calls = {"green_bundle": 0, "side_bundle": 0, "build_mesh_kernel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # Patch every module alias, as taken by `from .x import y`.
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("cutglue."):
+            for name in calls:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name,
+                                        counted(name, vars(module)[name]))
+
+    code = cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
+                     "--suite", "gluing-theorem"])
+    assert code == 0
+    data = json.loads((tmp_path / "path9_cubic-gluing-theorem.json").read_text())
+    assert any(c["check"].startswith("widened-step-") for c in data["checks"])
+    with open(CONFIG, encoding="utf-8") as fh:
+        n_lambdas = len(json.load(fh)["lambdas"])
+    assert n_lambdas >= 2
+    assert calls == {"green_bundle": 1, "side_bundle": 2,
+                     "build_mesh_kernel": n_lambdas}
 
 
 def test_numerical_failure_exits_one(tmp_path, monkeypatch, capsys):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from cutglue.gluing import (GluingError, GluingScenario, glued_series,
-                            lambda_sweep, renormalization_commutes,
-                            union_region, verify_gluing_theorem, whole_series)
+from cutglue.gluing import (GluingError, GluingScenario, gluing_context,
+                            glued_gaussian, glued_series, lambda_sweep,
+                            renormalization_commutes, scale_data,
+                            verify_gluing_theorem, whole_series)
 from cutglue.green import green_bundle, quadratic_form_S0
 from cutglue.meshes import (build_grid_mesh, build_interval_mesh,
                             cut_along_interface)
 from cutglue.operators import OperatorSpec
-from cutglue.perturbation import InteractionSpec
+from cutglue.perturbation import InteractionSpec, effective_action_series
 
 M0 = OperatorSpec(0.0)
 
@@ -16,7 +17,7 @@ M0 = OperatorSpec(0.0)
 def path9_scenario(couplings, eta=None, lam=1.0, max_order=1.5):
     mesh = build_interval_mesh(7, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 4)
-    return GluingScenario(mesh=mesh, cut=cut, operator=M0,
+    return GluingScenario(context=gluing_context(mesh, M0, cut),
                           interaction=InteractionSpec(couplings), lam=lam,
                           eta=eta, max_order=max_order)
 
@@ -24,20 +25,19 @@ def path9_scenario(couplings, eta=None, lam=1.0, max_order=1.5):
 def grid_scenario(couplings, eta=None, lam=2.5, mass=0.1):
     mesh = build_grid_mesh(5, 5, 1.0)
     cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == 2.0)
-    return GluingScenario(mesh=mesh, cut=cut, operator=OperatorSpec(mass),
-                          interaction=InteractionSpec(couplings), lam=lam,
-                          eta=eta, max_order=1.5)
+    ctx = gluing_context(mesh, OperatorSpec(mass), cut)
+    return GluingScenario(context=ctx, interaction=InteractionSpec(couplings),
+                          lam=lam, eta=eta, max_order=1.5)
 
 
 def test_scenario_validation():
     mesh = build_interval_mesh(7, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 4)
+    ctx = gluing_context(mesh, M0, cut)
     with pytest.raises(GluingError, match="lambda_1"):
-        GluingScenario(mesh=mesh, cut=cut, operator=M0,
-                       interaction=InteractionSpec({}), lam=0.2)
+        GluingScenario(context=ctx, interaction=InteractionSpec({}), lam=0.2)
     with pytest.raises(GluingError, match="eta"):
-        GluingScenario(mesh=mesh, cut=cut, operator=M0,
-                       interaction=InteractionSpec({}), lam=1.0,
+        GluingScenario(context=ctx, interaction=InteractionSpec({}), lam=1.0,
                        eta=np.array([1.0]))
 
 
@@ -45,10 +45,10 @@ def test_free_order_zero_equals_whole_action():
     mesh = build_interval_mesh(3, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 2)
     eta = np.array([1.0, -0.5])
-    sc = GluingScenario(mesh=mesh, cut=cut, operator=M0,
+    sc = GluingScenario(context=gluing_context(mesh, M0, cut),
                         interaction=InteractionSpec({}), lam=1.0, eta=eta,
                         max_order=1.0)
-    glued = glued_series(sc)
+    glued = glued_series(scale_data(sc))
     bundle = green_bundle(mesh, M0)
     s0 = quadratic_form_S0(mesh, M0, bundle.extend(eta))
     assert abs(glued.coeff(0.0) - s0) <= 1e-12
@@ -56,9 +56,9 @@ def test_free_order_zero_equals_whole_action():
 
 
 def test_cubic_tadpole_matches_whole():
-    sc = path9_scenario({3: 0.3}, eta=np.array([1.0, -0.5]))
-    glued = glued_series(sc)
-    whole = whole_series(sc)
+    data = scale_data(path9_scenario({3: 0.3}, eta=np.array([1.0, -0.5])))
+    glued = glued_series(data)
+    whole = whole_series(data)
     assert abs(glued.coeff(0.5) - whole.coeff(0.5)) <= 1e-10
     assert glued.coeff(0.5) != 0.0
 
@@ -68,7 +68,7 @@ def test_cubic_tadpole_matches_whole():
 def test_theorem_on_nine_path(couplings, with_eta):
     eta = np.array([1.0, -0.5]) if with_eta else None
     sc = path9_scenario(couplings, eta=eta)
-    rep = verify_gluing_theorem(sc, widen=True)
+    rep = verify_gluing_theorem(scale_data(sc), widen=True)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
     assert rep.max_residual <= 1e-10
 
@@ -79,13 +79,13 @@ def test_theorem_on_grid(couplings, with_eta):
     mesh = build_grid_mesh(5, 5, 1.0)
     eta = 0.2 * np.arange(mesh.boundary.size) if with_eta else None
     sc = grid_scenario(couplings, eta=eta)
-    rep = verify_gluing_theorem(sc, widen=True)
+    rep = verify_gluing_theorem(scale_data(sc), widen=True)
     assert rep.passed and rep.max_residual <= 1e-10
 
 
 def test_widening_terminates_at_trimmed_set():
     sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
-    rep = verify_gluing_theorem(sc, widen=True)
+    rep = verify_gluing_theorem(scale_data(sc), widen=True)
     final = [c for c in rep.checks if c.name == "widened-final-region-is-trimmed-set"]
     assert len(final) == 1 and final[0].passed
     widened = [c for c in rep.checks if c.name.startswith("widened-step")]
@@ -94,43 +94,67 @@ def test_widening_terminates_at_trimmed_set():
 
 
 def test_union_region_on_nine_path():
-    sc = path9_scenario({})
-    assert list(union_region(sc)) == [1, 2, 3, 5, 6, 7]
+    data = scale_data(path9_scenario({}))
+    assert list(data.region) == [1, 2, 3, 5, 6, 7]
 
 
 def test_assembly_orders_agree():
-    sc = path9_scenario({3: 0.3}, eta=np.array([1.0, -0.5]))
-    fold = glued_series(sc)
-    carry = glued_series(sc, assembly="carry")
+    data = scale_data(path9_scenario({3: 0.3}, eta=np.array([1.0, -0.5])))
+    fold = glued_series(data)
+    carry = glued_series(data, assembly="carry")
     assert fold.max_abs_diff(carry) <= 1e-12
     with pytest.raises(GluingError):
-        glued_series(sc, assembly="sideways")
+        glued_series(data, assembly="sideways")
 
 
 def test_side_swap_invariance():
-    sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([0.4, 0.9]))
-    a = glued_series(sc)
-    b = glued_series(sc, side_order=("right", "left"))
+    data = scale_data(path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([0.4, 0.9])))
+    a = glued_series(data)
+    b = glued_series(data, side_order=("right", "left"))
     assert a.max_abs_diff(b) <= 1e-12
+
+
+def test_default_glued_data_is_the_fold_assembly():
+    data = scale_data(path9_scenario({3: 0.3}, eta=np.array([1.0, -0.5])))
+    fresh = glued_gaussian(data.scenario, data.kernels)
+    assert fresh.order0 == data.glued.order0
+    assert np.array_equal(fresh.mean, data.glued.mean)
+    assert np.array_equal(fresh.cov, data.glued.cov)
+
+
+def test_whole_data_matches_effective_action_series():
+    """Widening reads an index subset of the per-scale whole data; on any
+    region that must equal the whole route built from scratch, bitwise."""
+    sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
+    data = scale_data(sc)
+    ctx = sc.context
+    for region in (data.region, data.trimmed, data.trimmed[1:]):
+        fresh = effective_action_series(ctx.mesh, ctx.operator,
+                                        data.kernels.kernel, sc.interaction,
+                                        sc.eta, sc.max_order, region=region)
+        assert np.array_equal(whole_series(data, region).to_array(),
+                              fresh.to_array())
 
 
 def test_renormalization_scale_shift():
     sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
-    rep = renormalization_commutes(sc, lambda k, t: t + 0.5 * sc.lam if k == 4 else t)
+    rep = renormalization_commutes(scale_data(sc),
+                                   lambda k, t: t + 0.5 * sc.lam if k == 4 else t)
     assert rep.passed and rep.max_residual <= 1e-10
 
 
 def test_renormalization_position_dependent():
     sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
     rep = renormalization_commutes(
-        sc, lambda k, t: {p: 0.1 * (p + 1) for p in range(9)} if k == 3 else t)
+        scale_data(sc),
+        lambda k, t: {p: 0.1 * (p + 1) for p in range(9)} if k == 3 else t)
     assert rep.passed and rep.max_residual <= 1e-10
 
 
 def test_renormalization_identity_is_noop():
-    sc = path9_scenario({3: 0.3})
-    base = verify_gluing_theorem(sc)
-    rep = renormalization_commutes(sc, lambda k, t: t)
+    data = scale_data(path9_scenario({3: 0.3}))
+    base = verify_gluing_theorem(data)
+    rep = renormalization_commutes(data, lambda k, t: t)
     base_rows = [(c.name, c.residual) for c in base.checks]
     rep_rows = [(c.name, c.residual) for c in rep.checks[:len(base.checks)]]
     assert base_rows == rep_rows

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutglue.green import (GreenError, cross_form, dtn, green_bundle,
+from cutglue.green import (GreenError, cross_form, green_bundle,
                            interface_green, quadratic_form_S0, side_bundle,
                            verify_dtn_difference, verify_green_gluing,
                            verify_quadratic_decomposition)
@@ -59,18 +59,6 @@ def test_side_responses_five_node_path():
     # G restricted to the interface equals the whole-inverse entry G(2,2) = 1
     bundle = green_bundle(mesh, M0)
     assert bundle.green[1, 1] == pytest.approx(1.0)
-
-
-def test_dtn_dispatcher():
-    mesh, cut = path5()
-    np.testing.assert_allclose(dtn(mesh, M0, cut, LEFT, "sigma"), [[0.5]])
-    np.testing.assert_allclose(dtn(mesh, M0, cut, "whole", "sigma"), [[1.0]])
-    whole = dtn(mesh, M0, None, "whole", "outer")
-    assert whole.shape == (2, 2)
-    with pytest.raises(GreenError):
-        dtn(mesh, M0, None, "whole", "sigma")
-    with pytest.raises(GreenError):
-        dtn(mesh, M0, None, LEFT, "sigma")
 
 
 def test_empty_side_interior_degenerates_to_diagonal_share():
@@ -148,11 +136,12 @@ def test_cross_form_closes_the_decomposition():
 
 def test_quadratic_decomposition_reports():
     mesh, cut = path5()
-    rep = verify_quadratic_decomposition(mesh, M0, cut, trials=100)
+    rep = verify_quadratic_decomposition(green_bundle(mesh, M0), cut, trials=100)
     assert rep.passed and rep.max_residual <= 1e-12
     grid = build_grid_mesh(5, 5, 1.0)
     gcut = cut_along_interface(grid, lambda n: grid.positions[n][0] == 2.0)
-    rep = verify_quadratic_decomposition(grid, OperatorSpec(0.3), gcut, trials=100)
+    rep = verify_quadratic_decomposition(green_bundle(grid, OperatorSpec(0.3)),
+                                         gcut, trials=100)
     assert rep.passed and rep.max_residual <= 1e-12
 
 
@@ -180,7 +169,9 @@ def test_green_gluing_reports():
         if sel is None:
             sel = lambda n, m=mesh: m.positions[n][0] == 2.0
         cut = cut_along_interface(mesh, sel)
-        rep = verify_green_gluing(mesh, spec, cut)
+        sides = {s: side_bundle(mesh, spec, cut, s) for s in (LEFT, RIGHT)}
+        rep = verify_green_gluing(green_bundle(mesh, spec), sides,
+                                  interface_green(sides[LEFT], sides[RIGHT]))
         assert rep.passed and rep.max_residual <= 1e-10
 
 
@@ -192,7 +183,8 @@ def test_dtn_difference_bounded_under_refinement():
         mid = 2.0
         cut = cut_along_interface(
             mesh, lambda n, m=mesh: abs(m.positions[n][0] - mid) < 1e-9)
-        rep = verify_dtn_difference(mesh, M0, cut)
+        rep = verify_dtn_difference(green_bundle(mesh, M0),
+                                    side_bundle(mesh, M0, cut, LEFT))
         assert rep.passed
         norms.append(float(rep.checks[0].details["max_entry"]))
     assert all(np.isfinite(v) for v in norms)

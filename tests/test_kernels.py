@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from cutglue import kernels as kn
 from cutglue.euclidean import EuclideanKernelSpec, compose_kernels
-from cutglue.green import green_bundle
+from cutglue.gluing import gluing_context, side_kernels
+from cutglue.green import green_bundle, side_bundle
 from cutglue.meshes import (LEFT, build_grid_mesh, build_interval_mesh,
                             cut_along_interface)
 from cutglue.operators import OperatorSpec, assemble
@@ -133,29 +134,36 @@ def test_spectral_route_agrees():
 def test_deformed_side_nodes_nine_path():
     mesh = build_interval_mesh(7, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 4)
-    left = kn.deformed_side_nodes(mesh, cut, LEFT, 1.0)
+    sb = side_bundle(mesh, M0, cut, LEFT)
+    left = kn.deformed_side_nodes(mesh, sb, 1.0)
     assert list(left) == [1, 2, 3]
-    narrow = kn.deformed_side_nodes(mesh, cut, LEFT, 0.5)
+    narrow = kn.deformed_side_nodes(mesh, sb, 0.5)
     assert list(narrow) == [2]
 
 
 def test_deformed_gluing_reports():
     mesh = build_interval_mesh(7, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 4)
+    ctx = gluing_context(mesh, M0, cut)
     for lam in (0.5, 1.0):
         for shape in ("uniform", "bump"):
-            rep = kn.verify_deformed_gluing(mesh, M0, cut, lam, shape)
+            rep = kn.verify_deformed_gluing(side_kernels(ctx, lam, shape),
+                                            ctx.bundle, ctx.sides, ctx.g_sigma)
             assert rep.passed and rep.max_residual <= 1e-10
     grid = build_grid_mesh(5, 5, 1.0)
     gcut = cut_along_interface(grid, lambda n: grid.positions[n][0] == 2.0)
+    gctx = gluing_context(grid, OperatorSpec(0.1), gcut)
     for lam in (1.5, 2.5):
-        rep = kn.verify_deformed_gluing(grid, OperatorSpec(0.1), gcut, lam)
+        rep = kn.verify_deformed_gluing(side_kernels(gctx, lam), gctx.bundle,
+                                        gctx.sides, gctx.g_sigma)
         assert rep.passed and rep.max_residual <= 1e-10
 
 
 def test_verify_regularization():
     mesh = build_interval_mesh(7, 1.0)
-    rep = kn.verify_regularization(mesh, M0, 1.0)
+    op = assemble(mesh, M0)
+    rep = kn.verify_regularization(op, green_bundle(mesh, M0, op=op),
+                                   kn.build_mesh_kernel(mesh, 1.0))
     assert rep.passed and rep.max_residual <= 1e-12
 
 

@@ -11,9 +11,9 @@ from cutglue.kernels import build_mesh_kernel, regularized_green
 from cutglue.meshes import Mesh, build_interval_mesh
 from cutglue.operators import OperatorSpec
 from cutglue.perturbation import (LEG_CAP, InteractionSpec, PerturbationError,
-                                  effective_action_series,
+                                  VertexType, effective_action_series,
                                   gaussian_expectation, interaction_z_series,
-                                  partition_series, vertex_terms,
+                                  leg_budget, partition_series, vertex_terms,
                                   wick_pairings)
 from cutglue.series import series_log
 
@@ -124,6 +124,30 @@ def test_engine_single_node_closed_form():
                        for k in range(0, legs + 1, 2))
             got = gaussian_expectation([(k, one) for k in powers], mean, cov)
             assert got == pytest.approx(want, rel=1e-12), powers
+
+
+def test_leg_budget_mixed_powers():
+    # two quartics carry 8 legs, but a quartic and a quintic fit the same
+    # x-budget of 5 with 9
+    assert leg_budget([4, 5], 2.5) == 9
+    assert leg_budget([4], 2.5) == 8
+    assert leg_budget([3], 3.0) == 18
+    assert leg_budget([], 1.5) == 0
+    assert leg_budget([3, 4], 0.0) == 0
+
+
+@pytest.mark.parametrize("powers", [(3,), (4,), (3, 4), (4, 5), (3, 6)])
+def test_leg_budget_decides_the_engine_cap(powers):
+    """The budget is within LEG_CAP exactly when the z-series expands."""
+    mean, cov, one = np.array([0.3]), np.array([[1.0]]), np.ones(1)
+    vertices = [VertexType(power=k, xpower=k - 2, weights=one) for k in powers]
+    for twice in range(9):
+        max_order = twice / 2
+        if leg_budget(powers, max_order) <= LEG_CAP:
+            interaction_z_series(vertices, mean, cov, max_order)
+        else:
+            with pytest.raises(PerturbationError, match="order cap"):
+                interaction_z_series(vertices, mean, cov, max_order)
 
 
 def test_engine_is_bitwise_repeatable():
