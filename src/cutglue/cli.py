@@ -83,7 +83,9 @@ def run(args) -> int:
             fh.write(report.to_json())
         summary.extend(report.checks)
         status = "pass" if report.passed else "FAIL"
-        print(f"{name}: {status} (max residual {report.max_residual:.3e}, "
+        worst = report.worst
+        at = "" if worst is None else f" at {worst.name}"
+        print(f"{name}: {status} (max residual {report.max_residual:.3e}{at}, "
               f"{len(report.checks)} checks)")
         if not report.passed:
             all_passed = False

@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .euclidean import RadialProfile
 from .green import GreenBundle, SideBundle
 from .meshes import LEFT, RIGHT, _DIST_RTOL, Cut, Mesh, lambda_one
-from .operators import OperatorMatrix
 from .reports import Check, Report
 
 
@@ -162,13 +160,15 @@ def regularized_green(kernel_a: KernelMatrix, kernel_b: KernelMatrix,
     return ha @ green @ hb.T
 
 
-def spectral_regularized_green(mesh: Mesh, op_interior: np.ndarray,
+def spectral_regularized_green(mesh: Mesh, eigenpairs: tuple[np.ndarray, np.ndarray],
                                kernel: KernelMatrix) -> np.ndarray:
     """Independent route to H G H': eigen-decomposition of the interior operator.
 
-    Sums (H psi)(H psi)' / eigenvalue over the full spectrum.
+    eigenpairs is `np.linalg.eigh(interior_matrix)`; it does not depend on lam,
+    so one decomposition serves every scale.  Sums (H psi)(H psi)' / eigenvalue
+    over the full spectrum.
     """
-    vals, vecs = eigh(op_interior)
+    vals, vecs = eigenpairs
     interior = mesh.interior
     h = kernel.matrix[:, interior]
     hv = h @ vecs
@@ -262,12 +262,12 @@ def verify_deformed_gluing(kernels: SideKernels, bundle: GreenBundle,
     return report
 
 
-def verify_regularization(op: OperatorMatrix, bundle: GreenBundle,
+def verify_regularization(bundle: GreenBundle, eigenpairs: tuple[np.ndarray, np.ndarray],
                           kernel: KernelMatrix, tolerance: float = 1e-12) -> Report:
     """Finiteness of the averaged diagonal and the two-route consistency check;
-    bundle must be the Green data of op."""
+    eigenpairs must be those of the interior operator bundle inverts."""
     g_reg = regularized_green(kernel, kernel, bundle.green, bundle.interior)
-    spectral = spectral_regularized_green(bundle.mesh, op.interior_matrix, kernel)
+    spectral = spectral_regularized_green(bundle.mesh, eigenpairs, kernel)
     report = Report("regularization")
     diag = np.diag(g_reg)
     report.add(Check("finite-diagonal",

@@ -2,17 +2,18 @@
 
 A mesh plays the role of a compact Riemannian manifold with boundary.  Edge
 weights are finite-volume conductances, node volumes discretize the metric
-volume element, and shortest weighted paths stand in for geodesics.
+volume element, and shortest weighted paths stand in for geodesics.  Graph
+searches (geodesics, connectivity) are plain numpy: breadth-first search and
+Bellman's label-correcting relaxation, with no sparse-graph library.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 logger = logging.getLogger(__name__)
 
@@ -51,7 +52,7 @@ class Mesh:
     boundary: np.ndarray
     dim: int
     spacing: float
-    _dist_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if np.any(self.edge_weights <= 0) or np.any(self.edge_lengths <= 0):
@@ -60,9 +61,10 @@ class Mesh:
             raise MeshError("node volumes must be positive")
         interior = self.interior
         if interior.size:
-            sub = self.adjacency()[np.ix_(interior, interior)]
-            ncomp, _ = connected_components(csr_matrix(sub), directed=False)
-            if ncomp != 1:
+            allowed = np.zeros(self.n_nodes, dtype=bool)
+            allowed[interior] = True
+            reached = _bfs(self.neighbors()[0], int(interior[0]), allowed)
+            if len(reached) != interior.size:
                 raise MeshError("interior graph is not connected")
 
     @property
@@ -85,12 +87,53 @@ class Mesh:
         a[j, i] = values
         return a
 
+    def neighbors(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-node neighbour indices and the lengths of the joining edges."""
+        if "nbrs" not in self._cache:
+            src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+            dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+            lengths = np.concatenate([self.edge_lengths, self.edge_lengths])
+            order = np.argsort(src, kind="stable")
+            cuts = np.searchsorted(src[order], np.arange(1, self.n_nodes))
+            self._cache["nbrs"] = (np.split(dst[order], cuts),
+                                        np.split(lengths[order], cuts))
+        return self._cache["nbrs"]
+
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs geodesic distances (shortest weighted paths)."""
-        if "d" not in self._dist_cache:
-            g = csr_matrix(self.adjacency(self.edge_lengths))
-            self._dist_cache["d"] = dijkstra(g, directed=False)
-        return self._dist_cache["d"]
+        """All-pairs geodesic distances (shortest weighted paths).
+
+        Label-correcting relaxation over all sources at once: row v of `to`
+        holds the distances from every source to v, and each node in turn
+        takes the best neighbour row plus the joining edge length.  Sweeps
+        visit the nodes in breadth-first order, alternating direction, until
+        one changes nothing (at most N sweeps).  Each distance is summed from
+        its source outward, so d[s, t] equals Dijkstra's value bitwise;
+        unreachable pairs stay inf.
+        """
+        if "d" not in self._cache:
+            n = self.n_nodes
+            nbrs, lengths = self.neighbors()
+            order, seen = [], np.zeros(n, dtype=bool)
+            for start in range(n):
+                if not seen[start]:
+                    order += _bfs(nbrs, start, ~seen)
+                    seen[order] = True
+            to = np.full((n, n), np.inf)
+            np.fill_diagonal(to, 0.0)
+            for sweep in range(n):
+                changed = False
+                for v in order if sweep % 2 == 0 else order[::-1]:
+                    if nbrs[v].size == 0:
+                        continue
+                    best = (to[nbrs[v]] + lengths[v][:, None]).min(axis=0)
+                    shorter = best < to[v]
+                    if shorter.any():
+                        to[v, shorter] = best[shorter]
+                        changed = True
+                if not changed:
+                    break
+            self._cache["d"] = np.ascontiguousarray(to.T)
+        return self._cache["d"]
 
     def geodesic_distance(self, p: int, q: int) -> float:
         """Shortest weighted path length; +inf for disconnected pairs."""
@@ -203,6 +246,20 @@ class Cut:
         return f if side == LEFT else 1.0 - f
 
 
+def _bfs(nbrs: list[np.ndarray], start: int, allowed: np.ndarray) -> list[int]:
+    """Nodes reachable from `start` through `allowed` nodes, in BFS order."""
+    allowed = allowed.copy()
+    allowed[start] = False
+    order, queue = [start], deque([start])
+    while queue:
+        for u in nbrs[queue.popleft()].tolist():
+            if allowed[u]:
+                allowed[u] = False
+                order.append(u)
+                queue.append(u)
+    return order
+
+
 def _node_side_labels(mesh: Mesh, interface: set[int]) -> tuple[np.ndarray, np.ndarray]:
     """Split interior nodes minus the interface into two groups.
 
@@ -210,23 +267,21 @@ def _node_side_labels(mesh: Mesh, interface: set[int]) -> tuple[np.ndarray, np.n
     any further components join the right group.  Raises if the selector does
     not separate.
     """
-    interior = [i for i in mesh.interior if i not in interface]
-    if not interior:
+    interior = np.array([i for i in mesh.interior if i not in interface], dtype=int)
+    if not interior.size:
         raise MeshError("not a separator: no interior nodes remain")
-    sub = mesh.adjacency()[np.ix_(interior, interior)]
-    ncomp, labels = connected_components(csr_matrix(sub), directed=False)
-    if ncomp < 2:
+    allowed = np.zeros(mesh.n_nodes, dtype=bool)
+    allowed[interior] = True
+    in_first = np.zeros(mesh.n_nodes, dtype=bool)
+    in_first[_bfs(mesh.neighbors()[0], int(interior[0]), allowed)] = True
+    left, right = interior[in_first[interior]], interior[~in_first[interior]]
+    if right.size == 0:
         # one-sided cut: all remaining interior on one side, the other empty
-        empty = np.array([], dtype=int)
-        rest = np.asarray(interior, dtype=int)
-        if min(interior) > min(interface):
-            return empty, rest
-        if max(interior) < max(interface):
-            return rest, empty
+        if interior.min() > min(interface):
+            return right, interior
+        if interior.max() < max(interface):
+            return interior, right
         raise MeshError("not a separator")
-    left_label = labels[0]
-    left = np.array([n for n, l in zip(interior, labels) if l == left_label], dtype=int)
-    right = np.array([n for n, l in zip(interior, labels) if l != left_label], dtype=int)
     return left, right
 
 
@@ -248,10 +303,7 @@ def cut_along_interface(mesh: Mesh, selector) -> Cut:
     left, right = _node_side_labels(mesh, iface)
     lset, rset = set(left.tolist()), set(right.tolist())
 
-    neighbors: dict[int, set[int]] = {i: set() for i in range(mesh.n_nodes)}
-    for i, j in mesh.edges:
-        neighbors[int(i)].add(int(j))
-        neighbors[int(j)].add(int(i))
+    neighbors = [set(nb.tolist()) for nb in mesh.neighbors()[0]]
 
     # Boundary nodes adjacent to the interface sit on the cut line and are
     # shared; the rest take the side of their interior neighbors, falling

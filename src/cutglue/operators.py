@@ -1,11 +1,14 @@
-"""Discrete Laplace-plus-mass operator with Dirichlet bookkeeping."""
+"""Discrete Laplace-plus-mass operator with Dirichlet bookkeeping.
+
+Dense numpy throughout: the spectrum check is one symmetric LAPACK eigensolve
+(`np.linalg.eigvalsh`).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .meshes import Mesh
 
@@ -83,8 +86,7 @@ def smallest_eigenvalue(op: OperatorMatrix) -> float:
     m = op.interior_matrix
     if not np.allclose(m, m.T, atol=1e-12):
         raise OperatorError("interior matrix lost symmetry")
-    vals = eigh(m, eigvals_only=True, subset_by_index=[0, 0])
-    return float(vals[0])
+    return float(np.linalg.eigvalsh(m)[0])
 
 
 def check_positive_spectrum(op: OperatorMatrix) -> float:

@@ -56,6 +56,11 @@ class Report:
     def max_residual(self) -> float:
         return max((c.residual for c in self.checks), default=0.0)
 
+    @property
+    def worst(self) -> Check | None:
+        """The check with the largest residual, the first one on ties."""
+        return max(self.checks, key=lambda c: c.residual, default=None)
+
     def to_csv(self) -> str:
         keys = ["check", "residual", "tolerance", "passed"]
         extra = sorted({k for c in self.checks for k in c.details})

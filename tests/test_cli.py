@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import cutglue
 from cutglue import cli, suites
 from cutglue.reports import Check, Report
 
@@ -130,6 +132,41 @@ def test_numerical_failure_exits_one(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "forced-failure: FAIL" in captured.out
     assert "failed: forced-failure" in captured.err
+
+
+def test_pass_line_names_the_worst_check(tmp_path, monkeypatch, capsys):
+    def two_checks(cfg, seed):
+        rep = Report("two")
+        rep.add(Check("small", residual=1e-14, tolerance=1e-10))
+        rep.add(Check("worst-one", residual=2e-12, tolerance=1e-10))
+        rep.add(Check("tied", residual=2e-12, tolerance=1e-10))
+        return rep
+
+    patched = dict(suites.SUITES, two=("two checks", two_checks),
+                   empty=("no checks", lambda cfg, seed: Report("empty")))
+    monkeypatch.setattr(cli, "SUITES", patched)
+    code = cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
+                     "--suite", "two", "--suite", "empty"])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["two: pass (max residual 2.000e-12 at worst-one, 3 checks)",
+                   "empty: pass (max residual 0.000e+00, 0 checks)"]
+
+
+def test_run_keeps_scipy_off_the_import_path(tmp_path):
+    """A full run imports no scipy module: numpy alone serves every layer."""
+    script = (
+        "import sys\n"
+        "from cutglue.cli import main\n"
+        f"code = main(['run', {CONFIG!r}, '--out-dir', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cutglue.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_reports_byte_identical_across_reruns(tmp_path, capsys):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutglue.meshes import (LEFT, RIGHT, Mesh, MeshError, build_grid_mesh,
-                            build_interval_mesh, cut_along_interface,
-                            lambda_one)
+from cutglue.meshes import (LEFT, RIGHT, Mesh, MeshError, _node_side_labels,
+                            build_grid_mesh, build_interval_mesh,
+                            cut_along_interface, lambda_one)
 
 
 def test_interval_mesh_flat_unit():
@@ -163,3 +163,119 @@ def test_geodesic_metric_properties(nx, ny, amp, seed):
     for _ in range(10):
         i, j, k = rng.integers(0, n, size=3)
         assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+
+
+def _scrambled(mesh: Mesh, seed: int) -> tuple[Mesh, np.ndarray]:
+    """The mesh read back from text with nodes and edges relabelled at random.
+
+    Returns the new mesh and perm, where old node i is new node perm[i].
+    """
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.n_nodes)
+    header, *rows = mesh.to_text().splitlines()
+    nodes, edges = {}, []
+    for ln in rows:
+        kind, a, *rest = ln.split()
+        if kind == "node":
+            nodes[perm[int(a)]] = " ".join([kind, str(perm[int(a)]), *rest])
+        else:
+            b, *rest = rest
+            edges.append(" ".join([kind, str(perm[int(a)]), str(perm[int(b)]), *rest]))
+    lines = [header, *(nodes[k] for k in range(mesh.n_nodes)),
+             *(edges[k] for k in rng.permutation(len(edges)))]
+    return Mesh.from_text("\n".join(lines)), perm
+
+
+def _with_isolated_boundary_node(mesh: Mesh) -> Mesh:
+    n = mesh.n_nodes
+    return Mesh(positions=np.vstack([mesh.positions, [[-5.0]]]), edges=mesh.edges,
+                edge_weights=mesh.edge_weights, edge_lengths=mesh.edge_lengths,
+                node_volumes=np.append(mesh.node_volumes, 1.0),
+                boundary=np.append(mesh.boundary, n), dim=1, spacing=1.0)
+
+
+def _bumpy(x):
+    return 1.0 + 0.5 * np.sin(np.sum(x)) ** 2
+
+
+GEODESIC_MESHES = {
+    "interval-9": lambda: build_interval_mesh(7, 1.0),
+    "interval-403": lambda: build_interval_mesh(401, 1.0),
+    "interval-803": lambda: build_interval_mesh(801, 1.0),
+    "grid-11": lambda: build_grid_mesh(11, 11, 1.0),
+    "grid-21": lambda: build_grid_mesh(21, 21, 1.0),
+    "interval-403-profile": lambda: build_interval_mesh(401, 0.1, _bumpy),
+    "grid-11-profile": lambda: build_grid_mesh(11, 11, 0.3, _bumpy),
+    "interval-403-scrambled": lambda: _scrambled(build_interval_mesh(401, 1.0), 0)[0],
+    "grid-21-scrambled": lambda: _scrambled(build_grid_mesh(21, 21, 1.0), 1)[0],
+    "grid-11-profile-scrambled":
+        lambda: _scrambled(build_grid_mesh(11, 11, 0.3, _bumpy), 2)[0],
+    "isolated-boundary-node":
+        lambda: _with_isolated_boundary_node(build_interval_mesh(7, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(GEODESIC_MESHES))
+def test_geodesics_match_dijkstra_bitwise(name):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    mesh = GEODESIC_MESHES[name]()
+    expected = csgraph.dijkstra(mesh.adjacency(mesh.edge_lengths), directed=False)
+    d = mesh.distance_matrix()
+    assert d.flags.c_contiguous
+    np.testing.assert_array_equal(d, expected)
+
+
+def test_isolated_boundary_node_stays_unreachable():
+    mesh = _with_isolated_boundary_node(build_interval_mesh(7, 1.0))
+    d = mesh.distance_matrix()
+    lone = mesh.n_nodes - 1
+    assert d[lone, lone] == 0.0
+    assert np.all(np.isinf(d[lone, :lone])) and np.all(np.isinf(d[:lone, lone]))
+    assert np.all(np.isfinite(d[:lone, :lone]))
+
+
+def test_geodesics_do_not_depend_on_node_labels():
+    mesh = build_grid_mesh(9, 7, 0.5, _bumpy)
+    scrambled, perm = _scrambled(mesh, 3)
+    np.testing.assert_array_equal(scrambled.distance_matrix()[np.ix_(perm, perm)],
+                                  mesh.distance_matrix())
+
+
+def test_three_component_cut_on_interval():
+    # interface {3, 7} leaves {1, 2}, {4, 5, 6} and {8, 9}: the component of
+    # the first node is left, the other two are right
+    mesh = build_interval_mesh(9, 1.0)
+    cut = cut_along_interface(mesh, lambda n: n in (3, 7))
+    assert list(cut.left_nodes) == [1, 2]
+    assert list(cut.right_nodes) == [4, 5, 6, 8, 9]
+    assert list(cut.left_boundary) == [0] and list(cut.right_boundary) == [10]
+
+
+@pytest.mark.parametrize("scramble", [False, True])
+def test_three_component_split_matches_connected_components(scramble):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    mesh = build_grid_mesh(9, 6, 1.0)
+    if scramble:
+        mesh = _scrambled(mesh, 4)[0]
+    xs = mesh.positions[:, 0]
+    iface = {int(n) for n in mesh.interior if xs[n] in (3.0, 5.0)}
+    left, right = _node_side_labels(mesh, iface)
+    interior = [int(n) for n in mesh.interior if n not in iface]
+    sub = mesh.adjacency()[np.ix_(interior, interior)]
+    ncomp, labels = csgraph.connected_components(sub, directed=False)
+    assert ncomp == 3
+    assert list(left) == [n for n, l in zip(interior, labels) if l == labels[0]]
+    assert list(right) == [n for n, l in zip(interior, labels) if l != labels[0]]
+    if not scramble:
+        assert set(xs[left].tolist()) == {1.0, 2.0}
+
+
+def test_disconnected_interior_rejected():
+    mesh = build_interval_mesh(7, 1.0)
+    keep = ~np.all(np.isin(mesh.edges, [3, 4]), axis=1)
+    with pytest.raises(MeshError, match="interior graph is not connected"):
+        Mesh(positions=mesh.positions, edges=mesh.edges[keep],
+             edge_weights=mesh.edge_weights[keep],
+             edge_lengths=mesh.edge_lengths[keep],
+             node_volumes=mesh.node_volumes, boundary=mesh.boundary,
+             dim=1, spacing=1.0)
