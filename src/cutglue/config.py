@@ -61,6 +61,40 @@ def _build_cut(mesh: Mesh, spec: dict):
     )
 
 
+def _finite(value, what: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _build_coupling(mesh: Mesh, power: int, spec):
+    """A constant, a list with one value per node, or {node id: value}."""
+    what = f"interaction {power} coupling"
+    if isinstance(spec, dict):
+        by_node = {}
+        for node, value in spec.items():
+            if not (str(node).isdecimal() and int(node) < mesh.n_nodes):
+                raise ConfigError(f"{what} names {node!r}, not a node id "
+                                  f"below {mesh.n_nodes}")
+            by_node[int(node)] = _finite(value, what)
+        return by_node
+    if isinstance(spec, list):
+        if len(spec) != mesh.n_nodes:
+            raise ConfigError(f"{what} has {len(spec)} entries, "
+                              f"mesh has {mesh.n_nodes} nodes")
+        return [_finite(value, what) for value in spec]
+    return _finite(spec, what)
+
+
+def _build_name(name) -> str:
+    """Report files are named after the config: keep them in --out-dir."""
+    name = str(name)
+    if name in ("", ".", "..") or any(sep in name for sep in ("/", "\\", "\0")):
+        raise ConfigError(f"name {name!r} must be a plain file name")
+    return name
+
+
 def _build_eta(mesh: Mesh, spec) -> np.ndarray:
     nb = mesh.boundary.size
     if spec is None:
@@ -72,10 +106,12 @@ def _build_eta(mesh: Mesh, spec) -> np.ndarray:
             if int(node) not in pos:
                 raise ConfigError(f"eta node {node} is not a boundary node")
             eta[pos[int(node)]] = float(value)
-        return eta
-    eta = np.asarray(spec, dtype=float)
-    if eta.size != nb:
-        raise ConfigError(f"eta has {eta.size} entries, boundary has {nb}")
+    else:
+        eta = np.asarray(spec, dtype=float)
+        if eta.size != nb:
+            raise ConfigError(f"eta has {eta.size} entries, boundary has {nb}")
+    if not np.all(np.isfinite(eta)):
+        raise ConfigError("eta must be finite")
     return eta
 
 
@@ -126,7 +162,8 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
     # Side operators are principal submatrices of this one and the summed
     # interface response is its Schur complement: they inherit positivity.
     check_positive_spectrum(assemble(mesh, operator))
-    interaction = InteractionSpec({int(k): v for k, v in raw["interaction"].items()})
+    interaction = InteractionSpec({int(k): _build_coupling(mesh, int(k), v)
+                                   for k, v in raw["interaction"].items()})
 
     shape = raw.get("kernel", {}).get("shape", "uniform")
     if shape not in SHAPES:
@@ -147,7 +184,7 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
         raise ConfigError(f"unknown suites: {unknown}")
 
     return ScenarioConfig(
-        name=str(raw["name"]),
+        name=_build_name(raw["name"]),
         mesh=mesh,
         cut=cut,
         operator=operator,

@@ -1,15 +1,18 @@
 """Interacting theory: vertices, Wick combinatorics, and the moment engine.
 
-The partition function of a polynomial interaction under a Gaussian field is
-computed exactly at each order of the coupling expansion.  The Wick
-topologies of a tuple of vertex powers (which legs sit on the mean, the self
-loops, the propagator multiplicities between vertices, and the multiplicity
-counted in rational arithmetic) are enumerated once per tuple and cached.
-Each topology is then contracted as a dense tensor sum along a greedy einsum
-path, cached per subscripts and region size, so the cost follows the diagram
-rather than the number of vertices.  A brute-force matching enumerator is
-kept alongside the counting formulas as an independent route; the two must
-never be merged.
+Minus the log of the partition function of a polynomial interaction under a
+Gaussian field is computed exactly at each order of the coupling expansion,
+as the sum of connected diagrams (the linked-cluster theorem): each vertex
+multiset weighs the joint cumulant of its instances.  The Wick topologies of
+a tuple of vertex powers (which legs sit on the mean, the self loops, the
+propagator multiplicities between vertices, and the multiplicity counted in
+rational arithmetic) are enumerated once per tuple and cached, with the
+connected ones apart.  Each topology is contracted by replaying a pairwise
+plan cached per subscripts and region size: matrix-product steps run through
+BLAS, every other step through plain einsum, so the cost follows the diagram
+rather than the number of vertices.  The partition series, its log, and a
+brute-force matching enumerator are kept alongside as independent routes;
+they must never be merged.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .green import GreenBundle, green_bundle, quadratic_form_S0
 from .kernels import KernelMatrix, regularized_green
 from .meshes import Mesh
 from .operators import OperatorSpec
-from .series import PerturbationSeries, series_exp, series_log
+from .series import PerturbationSeries, series_exp
 
 #: hard ceiling on simultaneously contracted field legs
 LEG_CAP = 12
@@ -224,16 +227,93 @@ def _topologies(powers: tuple) -> tuple:
     return tuple(terms)
 
 
-@functools.lru_cache(maxsize=1024)
-def _contraction_path(subs: str, n: int) -> tuple:
-    """Greedy einsum path for subscripts over region size n.
+def _linked(j: int, cross) -> bool:
+    """Whether the cross propagators link all j instances into one graph."""
+    linked = {0}
+    for _ in range(j):
+        linked |= {b for (a, b), _ in cross if a in linked}
+        linked |= {a for (a, b), _ in cross if b in linked}
+    return len(linked) == j
 
-    The search reads only shapes.  Caching it spares the search on every call
-    and makes equal inputs contract in the same order, hence bitwise equal.
-    """
+
+@functools.lru_cache(maxsize=None)
+def _connected_topologies(powers: tuple) -> tuple:
+    """The terms of `_topologies` whose instance graph is connected."""
+    return tuple(t for t in _topologies(powers) if _linked(len(powers), t.cross))
+
+
+def _contraction_path(subs: str, n: int) -> tuple:
+    """Greedy einsum path for subscripts over region size n (reads only shapes)."""
     shapes = [(n,) * len(s) for s in subs[:-2].split(",")]
     ops = [np.broadcast_to(0.0, shape) for shape in shapes]
     return tuple(np.einsum_path(subs, *ops, optimize="greedy")[0])
+
+
+@functools.lru_cache(maxsize=1024)
+def _contraction_plan(subs: str, n: int) -> tuple:
+    """The greedy path of subs over region size n as replayable steps.
+
+    Each step is (operand positions, step subscripts, tensordot axes).  A
+    two-operand step over three or more distinct indices, with at least one
+    index summed between the two and every other one kept for later steps, is
+    a matrix product: it carries its tensordot axes, so it runs through BLAS,
+    and its result keeps tensordot's index order.  Every other step runs
+    through plain einsum.  Caching the plan spares numpy's path search on
+    every call and makes equal inputs contract in the same order, hence
+    bitwise equal.
+    """
+    inputs = subs[:-2].split(",")
+    plan = []
+    for step in _contraction_path(subs, n)[1:]:
+        positions = tuple(sorted(step, reverse=True))
+        taken = [inputs.pop(i) for i in positions]
+        kept = set("".join(inputs))
+        axes = None
+        if len(taken) == 2 and len(set("".join(taken))) >= 3:
+            x, y = taken
+            shared = [c for c in x if c in y]  # in x's order: not hash order
+            if shared and not kept & set(shared) and set(x) ^ set(y) <= kept:
+                axes = ([x.index(c) for c in shared], [y.index(c) for c in shared])
+                out = "".join(c for c in x + y if c not in shared)
+        if axes is None:
+            out = "".join(sorted(set("".join(taken)) & kept))
+        inputs.append(out)
+        plan.append((positions, ",".join(taken) + "->" + out, axes))
+    return tuple(plan)
+
+
+def _contract(subs: str, ops: list, n: int) -> float:
+    """Scalar einsum of subs over ops along the cached plan for region size n."""
+    for positions, step, axes in _contraction_plan(subs, n):
+        args = [ops.pop(i) for i in positions]
+        ops.append(np.einsum(step, *args) if axes is None
+                   else np.tensordot(*args, axes=axes))
+    return float(ops[0])
+
+
+def _instance_powers(instances) -> tuple:
+    powers = tuple(k for k, _ in instances)
+    if sum(powers) > LEG_CAP:
+        raise PerturbationError("order cap exceeded")
+    return powers
+
+
+def _wick_sum(instances, mean: np.ndarray, cov: np.ndarray, terms) -> float:
+    """Sum of the given Wick topologies of the instances, in their order."""
+    diag = np.diag(cov)
+    cov_powers = {1: cov}  # elementwise powers, one per propagator multiplicity
+    total = 0.0
+    for t in terms:
+        ops = []
+        for (_, w), u, c in zip(instances, t.us, t.loops):
+            v = w * mean**u if u else w
+            ops.append(v * diag**c if c else v)
+        for _, c in t.cross:
+            if c not in cov_powers:
+                cov_powers[c] = cov**c
+            ops.append(cov_powers[c])
+        total += t.mult * _contract(t.subs, ops, mean.size)
+    return total
 
 
 def gaussian_expectation(instances, mean: np.ndarray, cov: np.ndarray) -> float:
@@ -242,22 +322,20 @@ def gaussian_expectation(instances, mean: np.ndarray, cov: np.ndarray) -> float:
     instances: list of (power k_i, weight vector over region nodes).
     mean, cov: background values and leg covariance over the same nodes.
     """
-    powers = tuple(k for k, _ in instances)
-    if sum(powers) > LEG_CAP:
-        raise PerturbationError("order cap exceeded")
+    powers = _instance_powers(instances)
     if not powers:
         return 1.0
-    diag = np.diag(cov)
-    total = 0.0
-    for t in _topologies(powers):
-        ops = []
-        for (_, w), u, c in zip(instances, t.us, t.loops):
-            v = w * mean**u
-            ops.append(v * diag**c if c else v)
-        ops.extend(cov**c for _, c in t.cross)
-        path = _contraction_path(t.subs, mean.size)
-        total += t.mult * float(np.einsum(t.subs, *ops, optimize=path))
-    return total
+    return _wick_sum(instances, mean, cov, _topologies(powers))
+
+
+def gaussian_cumulant(instances, mean: np.ndarray, cov: np.ndarray) -> float:
+    """Joint cumulant of the instance sums of `gaussian_expectation`.
+
+    By the linked-cluster theorem it is the sum of the connected Wick
+    topologies only: those whose cross propagators link every instance.
+    """
+    return _wick_sum(instances, mean, cov,
+                     _connected_topologies(_instance_powers(instances)))
 
 
 def _vertex_counts(xpowers, xmax: int):
@@ -277,17 +355,16 @@ def leg_budget(powers, max_order: float) -> int:
                default=0)
 
 
-def interaction_z_series(vertices, mean: np.ndarray, cov: np.ndarray,
-                         max_order: float) -> PerturbationSeries:
-    """Series of E[exp(-V)] in x = sqrt(hbar), truncated at x^(2 max_order).
+def _vertex_series(vertices, mean: np.ndarray, cov: np.ndarray,
+                   max_order: float, moment) -> np.ndarray:
+    """Coefficients in x of the sum over vertex-type multisets within the order
+    budget of prod_v (-1)^(c_v) / c_v! times moment(instances).
 
-    Enumerates vertex-type multisets within the order budget (the moment
-    engine enforces the leg budget); the 1/n! of the exponential and the
-    minus signs enter as exact rationals.
+    The 1/n! of the exponential and the minus signs enter as exact rationals;
+    the moment engine enforces the leg budget.  Order 0 is left at zero.
     """
     xmax = int(round(2 * max_order))
     coeffs = np.zeros(xmax + 1)
-    coeffs[0] = 1.0
     for counts, xpow in _vertex_counts([v.xpower for v in vertices], xmax):
         pref = Fraction((-1) ** sum(counts))
         for c in counts:
@@ -295,7 +372,28 @@ def interaction_z_series(vertices, mean: np.ndarray, cov: np.ndarray,
         instances = []
         for v, c in zip(vertices, counts):
             instances.extend([(v.power, v.weights)] * c)
-        coeffs[xpow] += float(pref) * gaussian_expectation(instances, mean, cov)
+        coeffs[xpow] += float(pref) * moment(instances, mean, cov)
+    return coeffs
+
+
+def interaction_z_series(vertices, mean: np.ndarray, cov: np.ndarray,
+                         max_order: float) -> PerturbationSeries:
+    """Series of E[exp(-V)] in x = sqrt(hbar), truncated at x^(2 max_order)."""
+    coeffs = _vertex_series(vertices, mean, cov, max_order, gaussian_expectation)
+    coeffs[0] = 1.0
+    return PerturbationSeries.from_array(coeffs, max_order)
+
+
+def interaction_w_series(vertices, mean: np.ndarray, cov: np.ndarray,
+                         max_order: float) -> PerturbationSeries:
+    """Series of -log E[exp(-V)] in x = sqrt(hbar), truncated at x^(2 max_order).
+
+    Linked-cluster route: the same vertex multisets and prefactors as
+    `interaction_z_series`, each weighing the joint cumulant of its
+    instances, so only connected diagrams are summed.
+    """
+    coeffs = -_vertex_series(vertices, mean, cov, max_order, gaussian_cumulant)
+    coeffs[0] = 0.0  # log of the constant term 1
     return PerturbationSeries.from_array(coeffs, max_order)
 
 
@@ -313,9 +411,9 @@ class NodeGaussian:
         """Minus log of E[exp(-V)] with vertices on region, plus order 0."""
         region = np.asarray(region, dtype=int)
         vertices = vertex_terms(interaction, region, volumes)
-        z = interaction_z_series(vertices, self.mean[region],
-                                 self.cov[np.ix_(region, region)], max_order)
-        w = -series_log(z).to_array()
+        w = interaction_w_series(vertices, self.mean[region],
+                                 self.cov[np.ix_(region, region)],
+                                 max_order).to_array()
         w[0] += self.order0
         return PerturbationSeries.from_array(w, max_order)
 

@@ -149,8 +149,10 @@ def suite_renormalization(cfg: ScenarioConfig, seed: int) -> Report:
     report = Report("renormalization")
     lam = cfg.lambdas[0]
     data = scale_data(_scenario(cfg, lam))
+    # Per node, so that a coupling given by node id shifts like a constant.
+    quartic = cfg.interaction.coupling_at(4, np.arange(cfg.mesh.n_nodes))
     shift = renormalization_commutes(
-        data, lambda k, t: np.asarray(t) + 0.5 * lam if k == 4 else t)
+        data, lambda k, t: quartic + 0.5 * lam if k == 4 else t)
     for c in shift.checks:
         c.details["redefinition"] = "quartic-scale-shift"
     report.extend(shift.checks)

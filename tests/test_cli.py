@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cutglue
@@ -54,14 +55,41 @@ def test_run_fast_suites(tmp_path, capsys):
     ({"operator": {"mass_squared": -5}}, "non-positive spectrum"),
     ({"lambdas": ["x"]}, "could not convert"),
     ({"max_order": 3.0}, "above the cap"),
+    ({"interaction": {"3": [0.1, 0.2]}}, "has 2 entries, mesh has 9 nodes"),
+    ({"interaction": {"3": "x"}}, "must be a finite number"),
+    ({"interaction": {"3": float("nan")}}, "must be a finite number"),
+    ({"interaction": {"3": None}}, "must be a finite number"),
+    ({"interaction": {"3": {"x": 0.1}}}, "not a node id"),
+    ({"interaction": {"3": {"9": 0.1}}}, "not a node id"),
+    ({"eta": [float("nan"), 0.0]}, "eta must be finite"),
+    ({"name": "../../etc/x"}, "must be a plain file name"),
+    ({"name": ""}, "must be a plain file name"),
+    ({"name": "."}, "must be a plain file name"),
+    ({"name": ".."}, "must be a plain file name"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
-        "leg-cap-exceeded"])
+        "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
+        "coupling-nan", "coupling-null", "coupling-node-not-an-id",
+        "coupling-node-out-of-range", "eta-nan", "name-leaves-out-dir",
+        "name-empty", "name-dot", "name-dot-dot"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     bad = path9_with(tmp_path, **changes)
     assert cli.main(["run", bad, "--out-dir", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert message in err and err.count("config error:") == 1
     assert not (tmp_path / "r").exists()
+
+
+def test_coupling_by_node_reaches_the_vertices(tmp_path, capsys):
+    """Node ids arrive as JSON strings; the coupling must see them as nodes,
+    and the quartic shift of the renormalization suite must accept them."""
+    from cutglue.config import load_config
+    path = path9_with(tmp_path, interaction={"3": 0.3, "4": {"4": 0.5}})
+    cfg = load_config(path, suites.SUITES)
+    np.testing.assert_array_equal(cfg.interaction.coupling_at(4, np.arange(9)),
+                                  [0.0] * 4 + [0.5] + [0.0] * 4)
+    code = cli.main(["run", path, "--out-dir", str(tmp_path / "r"),
+                     "--suite", "renormalization"])
+    assert code == 0
 
 
 def test_unknown_suite_exits_two(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import gc
 import itertools
 import weakref
-from math import comb, prod
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from cutglue.meshes import Mesh, build_interval_mesh
 from cutglue.operators import OperatorSpec
 from cutglue.perturbation import (LEG_CAP, InteractionSpec, PerturbationError,
                                   VertexType, effective_action_series,
-                                  gaussian_expectation, interaction_z_series,
+                                  gaussian_cumulant, gaussian_expectation,
+                                  interaction_w_series, interaction_z_series,
                                   leg_budget, partition_series, vertex_terms,
                                   wick_pairings)
 from cutglue.series import series_log
@@ -75,19 +76,35 @@ def test_wick_leg_cap():
         wick_pairings(range(14))
 
 
-def brute_expectation(instances, mean, cov):
-    """Independent route: explicit node sums over every labeled matching."""
+def links_all(pairs, j):
+    """Whether the pairs between legs (instance, slot) link all j instances."""
+    linked = {0}
+    for _ in range(j):
+        for (i1, _), (i2, _) in pairs:
+            if i1 in linked or i2 in linked:
+                linked |= {i1, i2}
+    return len(linked) == j
+
+
+def brute_expectation(instances, mean, cov, connected=False):
+    """Independent route: explicit node sums over every labeled matching.
+
+    With connected=True only the matchings that link every instance count,
+    which is the joint cumulant.
+    """
     n = mean.size
     legs = []
     for i, (k, _) in enumerate(instances):
         legs.extend((i, s) for s in range(k))
+    pairings = [(pairs, unpaired) for pairs, unpaired in wick_pairings(legs)
+                if not connected or links_all(pairs, len(instances))]
     grids = [range(n)] * len(instances)
     total = 0.0
     for nodes in itertools.product(*grids):
         weight = 1.0
         for (k, w), p in zip(instances, nodes):
             weight *= w[p]
-        for pairs, unpaired in wick_pairings(legs):
+        for pairs, unpaired in pairings:
             term = weight
             for (i1, _), (i2, _) in pairs:
                 term *= cov[nodes[i1], nodes[i2]]
@@ -108,6 +125,74 @@ def test_engine_matches_brute_force():
         got = gaussian_expectation(instances, mean, cov)
         want = brute_expectation(instances, mean, cov)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_cumulant_matches_connected_brute_force():
+    rng = np.random.default_rng(4)
+    n = 3
+    mean = rng.standard_normal(n)
+    root = rng.standard_normal((n, n))
+    cov = root @ root.T
+    for powers in [(3,), (4,), (3, 3), (3, 4), (3, 3, 3), (4, 4)]:
+        instances = [(k, rng.standard_normal(n)) for k in powers]
+        got = gaussian_cumulant(instances, mean, cov)
+        want = brute_expectation(instances, mean, cov, connected=True)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), powers
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def test_cumulant_is_the_moment_cumulant_sum():
+    """kappa(X_1..X_j) = sum over set partitions of (-1)^(b-1) (b-1)! times
+    the product of block moments, for every multiset of cubic and quartic
+    instances within LEG_CAP."""
+    rng = np.random.default_rng(6)
+    n = 3
+    mean = rng.standard_normal(n)
+    root = rng.standard_normal((n, n))
+    cov = root @ root.T / n
+    weights = {3: rng.standard_normal(n), 4: rng.standard_normal(n)}
+    for c3, c4 in itertools.product(range(5), range(4)):
+        if not 0 < 3 * c3 + 4 * c4 <= LEG_CAP:
+            continue
+        instances = [(k, weights[k]) for k in [3] * c3 + [4] * c4]
+        want = 0.0
+        for part in set_partitions(list(range(len(instances)))):
+            b = len(part)
+            want += (-1) ** (b - 1) * factorial(b - 1) * prod(
+                gaussian_expectation([instances[i] for i in block], mean, cov)
+                for block in part)
+        got = gaussian_cumulant(instances, mean, cov)
+        assert got == pytest.approx(want, rel=1e-10), (c3, c4)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_w_series_is_minus_log_of_z_series(n):
+    """The linked-cluster route agrees with log of the partition series at
+    every order.  Cubics and quartics through order 2 and quartics through
+    order 3 reach every vertex multiset a series within LEG_CAP holds."""
+    rng = np.random.default_rng(n)
+    mean = rng.standard_normal(n)
+    root = rng.standard_normal((n, n))
+    cov = root @ root.T / n
+    w3, w4 = 0.2 * rng.standard_normal(n), 0.1 * rng.standard_normal(n)
+    for vertices, max_order in [
+            ([VertexType(3, 1, w3), VertexType(4, 2, w4)], 2.0),
+            ([VertexType(4, 2, w4)], 3.0)]:
+        got = interaction_w_series(vertices, mean, cov, max_order)
+        want = -series_log(interaction_z_series(vertices, mean, cov, max_order))
+        for o in want.orders():
+            assert got.coeff(o) == pytest.approx(want.coeff(o), rel=1e-12,
+                                                 abs=0.0), (max_order, o)
 
 
 def test_engine_single_node_closed_form():
@@ -143,11 +228,12 @@ def test_leg_budget_decides_the_engine_cap(powers):
     vertices = [VertexType(power=k, xpower=k - 2, weights=one) for k in powers]
     for twice in range(9):
         max_order = twice / 2
-        if leg_budget(powers, max_order) <= LEG_CAP:
-            interaction_z_series(vertices, mean, cov, max_order)
-        else:
-            with pytest.raises(PerturbationError, match="order cap"):
-                interaction_z_series(vertices, mean, cov, max_order)
+        for series in (interaction_z_series, interaction_w_series):
+            if leg_budget(powers, max_order) <= LEG_CAP:
+                series(vertices, mean, cov, max_order)
+            else:
+                with pytest.raises(PerturbationError, match="order cap"):
+                    series(vertices, mean, cov, max_order)
 
 
 def test_engine_is_bitwise_repeatable():
@@ -157,8 +243,9 @@ def test_engine_is_bitwise_repeatable():
     root = rng.standard_normal((n, n))
     cov = root @ root.T
     instances = [(k, rng.standard_normal(n)) for k in (3, 4, 3)]
-    first = gaussian_expectation(instances, mean, cov)
-    assert gaussian_expectation(instances, mean, cov) == first
+    for moment in (gaussian_expectation, gaussian_cumulant):
+        first = moment(instances, mean, cov)
+        assert moment(instances, mean, cov) == first
 
 
 def test_z_series_releases_its_inputs():
@@ -168,13 +255,14 @@ def test_z_series_releases_its_inputs():
                             mesh.node_volumes)
     rng = np.random.default_rng(7)
     mean = rng.standard_normal(region.size)
-    cov = np.eye(region.size)
-    ref = weakref.ref(cov)
     gc.disable()
     try:
-        interaction_z_series(vertices, mean, cov, 1.5)
-        del cov
-        assert ref() is None
+        for series in (interaction_z_series, interaction_w_series):
+            cov = np.eye(region.size)
+            ref = weakref.ref(cov)
+            series(vertices, mean, cov, 1.5)
+            del cov
+            assert ref() is None, series.__name__
     finally:
         gc.enable()
 
