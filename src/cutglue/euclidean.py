@@ -6,13 +6,16 @@ solution of the Laplacian.  Inside the averaging ball the result collapses to
 a rescaled universal profile f with f(1) = 0; outside it reproduces the
 fundamental solution unchanged (the shell property).  Everything here is
 numerical quadrature against those structural facts.
+
+Radial functions, radius densities and their compositions map an array of
+radii to an array of values, so each quadrature panel is one numpy call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gamma, log, pi, sqrt
+from math import gamma, pi, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +33,13 @@ def sphere_area(dim: int) -> float:
     return 2.0 * pi ** (dim / 2.0) / gamma(dim / 2.0)
 
 
+def _radial_green(dim: int, r: np.ndarray) -> np.ndarray:
+    """Fundamental solution of -Laplace in R^dim on an array of radii r > 0."""
+    if dim == 2:
+        return -np.log(r) / (2.0 * pi)
+    return r ** (2 - dim) / ((dim - 2) * sphere_area(dim))
+
+
 def fundamental_solution(dim: int, x: np.ndarray | float) -> float:
     """Rotation-invariant fundamental solution of -Laplace in R^dim.
 
@@ -41,9 +51,7 @@ def fundamental_solution(dim: int, x: np.ndarray | float) -> float:
     r = float(np.linalg.norm(x)) if np.ndim(x) else float(abs(x))
     if r == 0.0:
         raise AveragingError("on-diagonal singularity")
-    if dim == 2:
-        return -log(r) / (2.0 * pi)
-    return r ** (2 - dim) / ((dim - 2) * sphere_area(dim))
+    return float(_radial_green(dim, np.float64(r)))
 
 
 @lru_cache(maxsize=None)
@@ -66,13 +74,14 @@ class RadialProfile:
     """Probability distribution of a displacement length on [0, support].
 
     atoms   : ((radius, mass), ...) point masses (spherical shells).
-    density : continuous part, a callable on (0, support]; may be None.
+    density : continuous part, maps an array of radii in (0, support] to an
+              array of values; may be None.
     breakpoints : sorted knots bracketing every smooth piece of the density,
                   so piecewise Gauss-Legendre integrates it accurately.
     """
 
     atoms: tuple = ()
-    density: Callable[[float], float] | None = None
+    density: Callable[[np.ndarray], np.ndarray] | None = None
     breakpoints: tuple = ()
     support: float = 1.0
 
@@ -82,7 +91,7 @@ class RadialProfile:
             pts = sorted(set((0.0, self.support) + tuple(self.breakpoints)))
             for a, b in zip(pts[:-1], pts[1:]):
                 xs, ws = _gl(order, a, b)
-                total += float(ws @ np.array([self.density(x) for x in xs]))
+                total += float(ws @ self.density(xs))
         return total
 
     def nodes(self, order: int = 32) -> list[tuple[float, float]]:
@@ -92,7 +101,7 @@ class RadialProfile:
             pts = sorted(set((0.0, self.support) + tuple(self.breakpoints)))
             for a, b in zip(pts[:-1], pts[1:]):
                 xs, ws = _gl(order, a, b)
-                out.extend((float(x), float(w * self.density(x))) for x, w in zip(xs, ws))
+                out.extend(zip(xs.tolist(), (ws * self.density(xs)).tolist()))
         return out
 
     def scaled(self, c: float) -> "RadialProfile":
@@ -109,12 +118,6 @@ class RadialProfile:
             support=self.support * c,
         )
 
-    def omega(self, dim: int, r: float) -> float:
-        """Kernel shape: distribution density divided by the shell area r^(n-1) S."""
-        if r <= 0 or r > self.support or self.density is None:
-            return 0.0
-        return self.density(r) / (sphere_area(dim) * r ** (dim - 1))
-
 
 def sphere_shell(radius: float = 1.0) -> RadialProfile:
     return RadialProfile(atoms=((radius, 1.0),), support=radius)
@@ -123,18 +126,24 @@ def sphere_shell(radius: float = 1.0) -> RadialProfile:
 def uniform_ball(dim: int) -> RadialProfile:
     """Uniform density on the unit ball, as a radius distribution."""
     return RadialProfile(
-        density=lambda r, n=dim: n * r ** (n - 1) if 0 < r <= 1 else 0.0,
+        density=lambda r, n=dim: np.where((r > 0) & (r <= 1), n * r ** (n - 1), 0.0),
         breakpoints=(),
         support=1.0,
     )
 
 
-def _angle_density(dim: int, u: float) -> float:
-    """Density of cos(angle) between independent uniform directions in R^dim."""
-    if abs(u) >= 1.0:
-        return 0.0
+def _angle_density(dim: int, u: np.ndarray) -> np.ndarray:
+    """Density of cos(angle) between independent uniform directions in R^dim.
+
+    Zero for |u| >= 1; the power is taken only inside, where its base is
+    positive (dim = 2 has exponent -1/2).
+    """
     c = gamma(dim / 2.0) / (sqrt(pi) * gamma((dim - 1) / 2.0))
-    return c * (1.0 - u * u) ** ((dim - 3) / 2.0)
+    inside = np.abs(u) < 1.0
+    out = np.zeros(np.shape(u))
+    v = u[inside]
+    out[inside] = c * (1.0 - v * v) ** ((dim - 3) / 2.0)
+    return out
 
 
 def compose_profiles(p1: RadialProfile, p2: RadialProfile, dim: int,
@@ -147,21 +156,18 @@ def compose_profiles(p1: RadialProfile, p2: RadialProfile, dim: int,
     """
     if dim < 2:
         raise AveragingError("dim must be >= 2")
-    n1 = p1.nodes(order)
-    n2 = p2.nodes(order)
+    n1 = np.array([nd for nd in p1.nodes(order) if nd[0] > 0]).reshape(-1, 2)
+    n2 = np.array([nd for nd in p2.nodes(order) if nd[0] > 0]).reshape(-1, 2)
+    # every pair (a, b) of positive node radii, flattened
+    a, b = np.repeat(n1[:, 0], len(n2)), np.tile(n2[:, 0], len(n1))
+    wab = np.outer(n1[:, 1], n2[:, 1]).ravel()
+    aa, bb, ab, two_ab = a * a, b * b, a * b, 2.0 * a * b
 
-    def dens(rho: float) -> float:
-        if rho <= 0:
-            return 0.0
-        total = 0.0
-        for a, wa in n1:
-            for b, wb in n2:
-                if a <= 0 or b <= 0:
-                    continue
-                u = (rho * rho - a * a - b * b) / (2.0 * a * b)
-                if -1.0 < u < 1.0:
-                    total += wa * wb * _angle_density(dim, u) * rho / (a * b)
-        return total
+    def dens(rho: np.ndarray) -> np.ndarray:
+        r = np.asarray(rho, dtype=float)[..., None]
+        u = (r * r - aa - bb) / two_ab
+        total = (wab * _angle_density(dim, u) * r / ab).sum(axis=-1)
+        return np.where(r[..., 0] > 0, total, 0.0)
 
     # knots where the pairwise supports |a-b|, a+b change for the atoms
     knots = {0.0, p1.support + p2.support}
@@ -207,39 +213,16 @@ class EuclideanKernelSpec:
         object.__setattr__(self, "profiles", profiles)
 
 
-def sphere_directions(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions and weights averaging to the uniform sphere measure.
-
-    dim = 2: uniform angles on the circle (spectrally accurate for smooth
-    integrands).  dim = 3: Gauss-Legendre in the polar cosine crossed with
-    uniform azimuth.  Higher dim is not provided.
-    """
-    if dim == 2:
-        th = 2.0 * pi * np.arange(order) / order
-        pts = np.column_stack([np.cos(th), np.sin(th)])
-        return pts, np.full(order, 1.0 / order)
-    if dim == 3:
-        ct, wt = _leggauss(order)
-        st = np.sqrt(1.0 - ct * ct)
-        ph = 2.0 * pi * np.arange(order) / order
-        pts, ws = [], []
-        for c, s, w in zip(ct, st, wt):
-            for p in ph:
-                pts.append([s * np.cos(p), s * np.sin(p), c])
-                ws.append(w / (2.0 * order))
-        return np.asarray(pts), np.asarray(ws)
-    raise AveragingError(f"sphere quadrature not provided for dim={dim}")
-
-
 @dataclass(frozen=True)
 class _RadialFn:
     """A rotation-invariant function known through its radial restriction.
 
-    breaks lists the radii where the restriction is not smooth, so nested
-    averages can keep their quadrature piecewise.
+    fn maps an array of radii to an array of values.  breaks lists the radii
+    where the restriction is not smooth, so nested averages can keep their
+    quadrature piecewise.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     breaks: tuple = ()
 
 
@@ -253,22 +236,20 @@ def _shell_integral(u: _RadialFn, dim: int, rho: float, r: float, order: int) ->
     times the Jacobian is smooth.  Even dim >= 4 is not provided.
     """
     if rho == 0.0:
-        return u.fn(r)
+        return float(u.fn(np.array([r]))[0])
     lo, hi = abs(rho - r), rho + r
     if dim == 2:
-        def cuts_theta():
-            th = [0.0, pi]
-            for b in u.breaks:
-                if lo < b < hi:
-                    v = (b * b - rho * rho - r * r) / (2.0 * rho * r)
-                    th.append(float(np.arccos(np.clip(v, -1.0, 1.0))))
-            return sorted(th)
-
+        th = [0.0, pi]
+        for b in u.breaks:
+            if lo < b < hi:
+                v = (b * b - rho * rho - r * r) / (2.0 * rho * r)
+                th.append(float(np.arccos(np.clip(v, -1.0, 1.0))))
+        th.sort()
         total = 0.0
-        for a, b in zip(cuts_theta()[:-1], cuts_theta()[1:]):
+        for a, b in zip(th[:-1], th[1:]):
             xs, ws = _gl(order, a, b)
             s = np.sqrt(rho * rho + r * r + 2.0 * rho * r * np.cos(xs))
-            total += float(ws @ np.array([u.fn(si) for si in s])) / pi
+            total += float(ws @ u.fn(s)) / pi
         return total
     if dim % 2 == 0:
         raise AveragingError(f"sphere quadrature not provided for dim={dim}")
@@ -276,11 +257,8 @@ def _shell_integral(u: _RadialFn, dim: int, rho: float, r: float, order: int) ->
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         xs, ws = _gl(order, a, b)
-        vals = []
-        for s in xs:
-            v = (s * s - rho * rho - r * r) / (2.0 * rho * r)
-            vals.append(_angle_density(dim, v) * s / (rho * r) * u.fn(s))
-        total += float(ws @ np.array(vals))
+        v = (xs * xs - rho * rho - r * r) / (2.0 * rho * r)
+        total += float(ws @ (_angle_density(dim, v) * xs / (rho * r) * u.fn(xs)))
     return total
 
 
@@ -296,18 +274,21 @@ def _averaged_fn(u: _RadialFn, factor: RadialProfile, dim: int, order: int) -> _
         # continuous radius spread smears the kinks; keep only the support edge
         breaks.add(factor.support + (max(u.breaks) if u.breaks else 0.0))
 
-    def fn(rho: float) -> float:
-        return sum(w * _shell_integral(u, dim, rho, r, order) for r, w in nodes)
+    def fn(rhos: np.ndarray) -> np.ndarray:
+        return np.array([
+            sum(w * _shell_integral(u, dim, rho, r, order) for r, w in nodes)
+            for rho in rhos.tolist()
+        ])
 
     return _RadialFn(fn=fn, breaks=tuple(sorted(breaks)))
 
 
 def _averaged_value(dim: int, s: float, factors: Sequence[RadialProfile],
                     order: int) -> float:
-    u = _RadialFn(fn=lambda r: fundamental_solution(dim, r))
+    u = _RadialFn(fn=lambda r: _radial_green(dim, r))
     for factor in reversed(factors):
         u = _averaged_fn(u, factor, dim, order)
-    return u.fn(s)
+    return float(u.fn(np.array([s]))[0])
 
 
 def sphere_average(dim: int, x, lam: float, spec: EuclideanKernelSpec,

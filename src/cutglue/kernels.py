@@ -5,6 +5,10 @@ of radius 1/lam.  Applied on both legs of the Green's matrix it produces a
 regularized propagator with a finite diagonal.  Once 1/lam drops below the
 minimum edge length the kernel is the exact identity matrix and every
 regularized quantity coincides bitwise with its unregularized original.
+
+A kernel shape maps an array of scaled distances t = d lam in [0, 1] to an
+array of nonnegative weights; each kernel is built from one shape call over
+every node pair inside the balls.
 """
 
 from __future__ import annotations
@@ -23,15 +27,15 @@ class KernelError(ValueError):
     pass
 
 
-def shape_uniform(t: float) -> float:
-    return 1.0
+def shape_uniform(t: np.ndarray) -> np.ndarray:
+    return np.ones_like(t)
 
 
-def shape_bump(t: float) -> float:
+def shape_bump(t: np.ndarray) -> np.ndarray:
     return (1.0 - t * t) ** 2
 
 
-def shape_triangle(t: float) -> float:
+def shape_triangle(t: np.ndarray) -> np.ndarray:
     return 1.0 - t
 
 
@@ -47,8 +51,11 @@ def shape_from_profile(profile: RadialProfile):
     if profile.density is None:
         raise KernelError("composed shape needs a continuous radius density")
 
-    def shape(t: float) -> float:
-        return profile.density(t) if 0.0 < t <= profile.support else 0.0
+    def shape(t: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(t)
+        live = (t > 0.0) & (t <= profile.support)
+        out[live] = profile.density(t[live])
+        return out
 
     return shape
 
@@ -105,19 +112,15 @@ def build_mesh_kernel(mesh: Mesh, lam: float, shape="uniform",
     if radius < float(mesh.edge_lengths.min()) * (1.0 - _DIST_RTOL):
         return KernelMatrix(matrix=np.eye(n), lam=lam)
     d = mesh.distance_matrix()
-    m = np.zeros((n, n))
-    for p in range(n):
-        inside = d[p] <= radius * (1.0 + _DIST_RTOL)
-        w = np.zeros(n)
-        for q in np.nonzero(inside)[0]:
-            t = min(d[p, q] / radius, 1.0)
-            w[q] = shape(t) * mesh.node_volumes[q]
-        total = w.sum()
-        if total <= 0.0:
-            # degenerate row (shape vanishing on the whole ball): identity
-            m[p, p] = 1.0
-        else:
-            m[p] = w / total
+    rows, cols = np.nonzero(d <= radius * (1.0 + _DIST_RTOL))
+    w = np.zeros((n, n))
+    w[rows, cols] = (shape(np.minimum(d[rows, cols] / radius, 1.0))
+                     * mesh.node_volumes[cols])
+    total = w.sum(axis=1)
+    live = total > 0.0
+    # degenerate rows (shape vanishing on the whole ball) stay identity rows
+    m = np.eye(n)
+    m[live] = w[live] / total[live, None]
     return KernelMatrix(matrix=m, lam=lam)
 
 
@@ -131,20 +134,19 @@ def restrict_kernel_to_submesh(kernel: KernelMatrix, keep_nodes) -> KernelMatrix
     """
     keep = np.zeros(kernel.matrix.shape[0], dtype=bool)
     keep[np.asarray(list(keep_nodes), dtype=int)] = True
+    kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
     m = np.array(kernel.matrix)
-    for p in range(m.shape[0]):
-        if not keep[p]:
-            m[p] = 0.0
-            m[p, p] = 1.0
-            continue
-        outside = m[p, ~keep].sum()
-        if outside == 0.0:
-            continue
-        mass = m[p, keep].sum()
-        if mass <= 0.0:
-            raise KernelError(f"zero surviving row mass at node {p}")
-        m[p, ~keep] = 0.0
-        m[p, keep] /= mass
+    # take() keeps each row's gathered columns contiguous, so every row mass
+    # is summed in the same order as the row on its own
+    mass = m.take(kept, axis=1).sum(axis=1)
+    leaks = np.flatnonzero(keep & m[:, dropped].any(axis=1))
+    empty = leaks[mass[leaks] <= 0.0]
+    if empty.size:
+        raise KernelError(f"zero surviving row mass at node {empty[0]}")
+    m[np.ix_(leaks, dropped)] = 0.0
+    m[np.ix_(leaks, kept)] /= mass[leaks, None]
+    m[dropped] = 0.0
+    m[dropped, dropped] = 1.0
     return KernelMatrix(matrix=m, lam=kernel.lam)
 
 
@@ -186,14 +188,11 @@ def deformed_side_nodes(mesh: Mesh, sb: SideBundle, lam: float) -> np.ndarray:
     radius = 1.0 / lam
     d = mesh.distance_matrix()
     bdry = np.concatenate([sb.outer, sb.sigma])
-    out = []
-    for p in sb.interior:
-        if outside.size and d[p, outside].min() <= radius * (1.0 + _DIST_RTOL):
-            continue
-        if d[p, bdry].min() < radius * (1.0 - _DIST_RTOL):
-            continue
-        out.append(int(p))
-    return np.asarray(out, dtype=int)
+    rows = d[sb.interior]
+    deep = rows[:, bdry].min(axis=1) >= radius * (1.0 - _DIST_RTOL)
+    if outside.size:
+        deep &= rows[:, outside].min(axis=1) > radius * (1.0 + _DIST_RTOL)
+    return sb.interior[deep].astype(int)
 
 
 @dataclass(frozen=True)

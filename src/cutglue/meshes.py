@@ -135,10 +135,6 @@ class Mesh:
             self._cache["d"] = np.ascontiguousarray(to.T)
         return self._cache["d"]
 
-    def geodesic_distance(self, p: int, q: int) -> float:
-        """Shortest weighted path length; +inf for disconnected pairs."""
-        return float(self.distance_matrix()[p, q])
-
     def boundary_distance(self) -> np.ndarray:
         """Per-node geodesic distance to the nearest boundary node."""
         if self.boundary.size == 0:

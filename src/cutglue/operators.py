@@ -45,17 +45,6 @@ class OperatorMatrix:
     interior: np.ndarray
     boundary: np.ndarray
 
-    def to_coo_text(self) -> str:
-        """Interior block in (row, col, value) coordinate text form."""
-        lines = []
-        n = self.interior_matrix.shape[0]
-        for i in range(n):
-            for j in range(n):
-                v = self.interior_matrix[i, j]
-                if v != 0.0:
-                    lines.append(f"{i} {j} {float(v)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def assemble(mesh: Mesh, spec: OperatorSpec) -> OperatorMatrix:
     """Assemble A_ij = -w_ij off-diagonal, A_ii = sum_j w_ij + m^2 vol_i.

@@ -7,9 +7,10 @@ from cutglue import kernels as kn
 from cutglue.euclidean import EuclideanKernelSpec, compose_kernels
 from cutglue.gluing import gluing_context, side_kernels
 from cutglue.green import green_bundle, side_bundle
-from cutglue.meshes import (LEFT, build_grid_mesh, build_interval_mesh,
-                            cut_along_interface)
+from cutglue.meshes import (LEFT, RIGHT, _DIST_RTOL, build_grid_mesh,
+                            build_interval_mesh, cut_along_interface)
 from cutglue.operators import OperatorSpec, assemble
+from test_meshes import _bumpy, _scrambled
 
 M0 = OperatorSpec(0.0)
 
@@ -180,3 +181,123 @@ def test_kernel_rows_stochastic_property(lam, shape, n):
     np.testing.assert_allclose(kernel.matrix.sum(axis=1), 1.0, atol=1e-12)
     d = mesh.distance_matrix()
     assert np.all(kernel.matrix[d > kernel.support_radius * (1 + 1e-9)] == 0.0)
+
+
+# -- scalar references: per-node loops, the oracles for the array builders ---
+
+def _loop_mesh_kernel(mesh, lam, shape):
+    """build_mesh_kernel row by row and pair by pair, shape on one t at a time."""
+    shape = kn.resolve_shape(shape)
+    radius = 1.0 / lam
+    n = mesh.n_nodes
+    if radius < float(mesh.edge_lengths.min()) * (1.0 - _DIST_RTOL):
+        return np.eye(n)
+    d = mesh.distance_matrix()
+    m = np.zeros((n, n))
+    for p in range(n):
+        inside = d[p] <= radius * (1.0 + _DIST_RTOL)
+        w = np.zeros(n)
+        for q in np.nonzero(inside)[0]:
+            t = min(d[p, q] / radius, 1.0)
+            w[q] = shape(np.array([t]))[0] * mesh.node_volumes[q]
+        total = w.sum()
+        if total <= 0.0:
+            m[p, p] = 1.0
+        else:
+            m[p] = w / total
+    return m
+
+
+def _loop_restrict(matrix, keep_nodes):
+    keep = np.zeros(matrix.shape[0], dtype=bool)
+    keep[np.asarray(list(keep_nodes), dtype=int)] = True
+    m = np.array(matrix)
+    for p in range(m.shape[0]):
+        if not keep[p]:
+            m[p] = 0.0
+            m[p, p] = 1.0
+            continue
+        outside = m[p, ~keep].sum()
+        if outside == 0.0:
+            continue
+        mass = m[p, keep].sum()
+        if mass <= 0.0:
+            raise kn.KernelError(f"zero surviving row mass at node {p}")
+        m[p, ~keep] = 0.0
+        m[p, keep] /= mass
+    return m
+
+
+def _loop_deformed_side_nodes(mesh, sb, lam):
+    outside = np.setdiff1d(np.arange(mesh.n_nodes), sb.nodes)
+    radius = 1.0 / lam
+    d = mesh.distance_matrix()
+    bdry = np.concatenate([sb.outer, sb.sigma])
+    out = []
+    for p in sb.interior:
+        if outside.size and d[p, outside].min() <= radius * (1.0 + _DIST_RTOL):
+            continue
+        if d[p, bdry].min() < radius * (1.0 - _DIST_RTOL):
+            continue
+        out.append(int(p))
+    return np.asarray(out, dtype=int)
+
+
+def _middle_cut(mesh):
+    x = mesh.positions[:, 0]
+    mid = np.sort(np.unique(x))[len(np.unique(x)) // 2]
+    return cut_along_interface(mesh, lambda q: mesh.positions[q][0] == mid)
+
+
+# (mesh, scales): each list reaches from a few-node ball to a wide one
+ORACLE_MESHES = {
+    "interval-403": (lambda: build_interval_mesh(401, 1.0), (0.05, 0.2, 0.7)),
+    "grid-11": (lambda: build_grid_mesh(11, 11, 1.0), (0.3, 0.6, 0.9)),
+    "grid-21": (lambda: build_grid_mesh(21, 21, 1.0), (0.25, 0.5, 0.9)),
+    "interval-curved": (lambda: build_interval_mesh(101, 0.1, _bumpy), (0.3, 1.0, 4.0)),
+    "grid-11-curved": (lambda: build_grid_mesh(11, 11, 0.3, _bumpy), (0.8, 1.5, 2.5)),
+    "grid-11-scrambled": (lambda: _scrambled(build_grid_mesh(11, 11, 1.0), 4)[0],
+                          (0.3, 0.6, 0.9)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MESHES))
+def test_kernel_builders_match_loops_bitwise(name):
+    make, lams = ORACLE_MESHES[name]
+    mesh = make()
+    cut = _middle_cut(mesh)
+    sides = {side: side_bundle(mesh, M0, cut, side) for side in (LEFT, RIGHT)}
+    for lam in lams:
+        for shape in kn.SHAPES:
+            kernel = kn.build_mesh_kernel(mesh, lam, shape)
+            assert not kernel.is_identity
+            assert np.array_equal(kernel.matrix, _loop_mesh_kernel(mesh, lam, shape))
+            for sb in sides.values():
+                got = kn.restrict_kernel_to_submesh(kernel, sb.nodes).matrix
+                assert np.array_equal(got, _loop_restrict(kernel.matrix, sb.nodes))
+        for sb in sides.values():
+            assert np.array_equal(kn.deformed_side_nodes(mesh, sb, lam),
+                                  _loop_deformed_side_nodes(mesh, sb, lam))
+
+
+def test_degenerate_rows_are_identity_rows():
+    # edges 1.5, 2.5, 3.5, 4.5: at radius 2 the balls of nodes 3 and 4 hold
+    # only the node itself, where a composed shape (zero at t = 0) vanishes
+    mesh = build_interval_mesh(3, 1.0, metric_profile=lambda x: 1.0 + x[0])
+    composed = kn.shape_from_profile(compose_kernels(
+        EuclideanKernelSpec(dim=3, alphas=(0.5, 0.5))))
+    zero = lambda t: np.zeros_like(t)  # noqa: E731
+    for shape, degenerate in ((zero, range(5)), (composed, [3, 4])):
+        kernel = kn.build_mesh_kernel(mesh, 0.5, shape)
+        assert np.array_equal(kernel.matrix, _loop_mesh_kernel(mesh, 0.5, shape))
+        for p in degenerate:
+            assert np.array_equal(kernel.matrix[p], np.eye(5)[p])
+        assert np.all(kernel.matrix >= 0.0)
+        np.testing.assert_allclose(kernel.matrix.sum(axis=1), 1.0, atol=1e-14)
+    mixed = kernel
+    assert not mixed.is_identity
+    # node 0 keeps mass only at node 1: dropping node 1 still refuses
+    for impl in (kn.restrict_kernel_to_submesh,
+                 lambda k, keep: _loop_restrict(k.matrix, keep)):
+        with pytest.raises(kn.KernelError, match="zero surviving row mass at node 0"):
+            impl(mixed, {0, 2, 3, 4})

@@ -39,11 +39,3 @@ def test_negative_mass_can_break_positivity():
     op = assemble(mesh, OperatorSpec(mass_squared=-10.0))
     with pytest.raises(OperatorError, match="non-positive spectrum"):
         check_positive_spectrum(op)
-
-
-def test_coo_text_dump():
-    mesh = build_interval_mesh(2, 1.0)
-    op = assemble(mesh, OperatorSpec(0.0))
-    lines = op.to_coo_text().strip().splitlines()
-    assert "0 0 2.0" in lines and "0 1 -1.0" in lines
-    assert len(lines) == 4  # two diagonal and two off-diagonal entries
