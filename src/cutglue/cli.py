@@ -56,6 +56,8 @@ def list_suites(stream=None) -> int:
 
 def run(args) -> int:
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         cfg = load_config(args.config, SUITES)
         if args.max_order is not None:
             cfg = replace(cfg, max_order=check_max_order(cfg.interaction,
@@ -66,11 +68,14 @@ def run(args) -> int:
             if unknown:
                 raise ConfigError(f"unknown suites: {unknown}")
             selected = tuple(args.suite)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out-dir: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    os.makedirs(args.out_dir, exist_ok=True)
     all_passed = True
     summary = Report(cfg.name)
     for name in selected:

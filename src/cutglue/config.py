@@ -47,8 +47,12 @@ def _build_mesh(spec: dict) -> Mesh:
     if kind == "grid":
         return build_grid_mesh(int(spec["nx"]), int(spec["ny"]), float(spec["spacing"]))
     if kind == "file":
-        with open(spec["path"], encoding="utf-8") as fh:
-            return Mesh.from_text(fh.read())
+        try:
+            with open(spec["path"], encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read mesh file: {exc}") from exc
+        return Mesh.from_text(text)
     raise ConfigError(f"unknown mesh type {kind!r}")
 
 
@@ -108,8 +112,9 @@ def _build_eta(mesh: Mesh, spec) -> np.ndarray:
             eta[pos[int(node)]] = float(value)
     else:
         eta = np.asarray(spec, dtype=float)
-        if eta.size != nb:
-            raise ConfigError(f"eta has {eta.size} entries, boundary has {nb}")
+        if eta.shape != (nb,):
+            raise ConfigError(f"eta must be a flat list of {nb} boundary values, "
+                              f"got shape {eta.shape}")
     if not np.all(np.isfinite(eta)):
         raise ConfigError("eta must be finite")
     return eta

@@ -4,10 +4,10 @@ The glued object integrates the product of the two side partition functions
 against a Gaussian in the interface values, with covariance equal to the
 interface block of the whole Green's matrix.  Here that integral is evaluated
 exactly: the three independent Gaussian fields (two side fluctuations and
-the interface variable) are assembled into one node-level mean and
-covariance built purely from side quantities, and the moment engine of the
-perturbation module does the rest.  Agreement with the whole-manifold series
-is then a matter of exact linear algebra, order by order.
+the interface variable) add up to one node-level field with covariance
+`green.glued_green`, built purely from side quantities, and the moment
+engine of the perturbation module does the rest.  Agreement with the
+whole-manifold series is then a matter of exact linear algebra, order by order.
 
 Green data is built once per cut (`GluingContext`), kernels and Gaussian
 data once per scale (`ScaleData`); vertex regions are index subsets of it.
@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .green import GreenBundle, green_bundle, interface_green, side_bundle
+from .green import (GreenBundle, glued_green, green_bundle, interface_green,
+                    side_bundle)
 from .kernels import (KernelMatrix, SideKernels, build_mesh_kernel,
                       deformed_side_nodes, restrict_kernel_to_submesh)
 from .meshes import LEFT, RIGHT, Cut, Mesh, lambda_one
@@ -119,40 +120,24 @@ def glued_gaussian(scenario: GluingScenario, kernels: SideKernels,
 def _glued_fields(scenario: GluingScenario, assembly: str, side_order: tuple):
     """Order-0 action, background and covariance of the glued field, unaveraged."""
     ctx = scenario.context
-    mesh, cut, g_sigma, sides = ctx.mesh, ctx.cut, ctx.g_sigma, ctx.sides
+    sides, g_sigma = {s: ctx.sides[s] for s in side_order}, ctx.g_sigma
 
-    etas = {s: _side_eta(scenario, sides[s]) for s in side_order}
-    c = sum(sides[s].dtn_cross.T @ etas[s] for s in side_order)
+    etas = {s: _side_eta(scenario, sb) for s, sb in sides.items()}
+    c = sum(sb.dtn_cross.T @ etas[s] for s, sb in sides.items())
     mu = -g_sigma @ c
-    s0 = sum(0.5 * etas[s] @ sides[s].dtn_outer @ etas[s] for s in side_order)
+    s0 = sum(0.5 * etas[s] @ sb.dtn_outer @ etas[s] for s, sb in sides.items())
     order0 = float(s0 - 0.5 * c @ g_sigma @ c)
 
-    n = mesh.n_nodes
-    ns = cut.interface.size
-    sizes = [sides[s].interior.size for s in side_order]
-    t_map = np.zeros((n, sum(sizes) + ns))
-    cov_blocks = np.zeros((sum(sizes) + ns, sum(sizes) + ns))
-    offset = 0
-    for s, sz in zip(side_order, sizes):
-        sb = sides[s]
-        t_map[sb.interior, offset:offset + sz] = np.eye(sz)
-        t_map[sb.interior, -ns:] = sb.poisson_sigma
-        cov_blocks[offset:offset + sz, offset:offset + sz] = sb.green
-        offset += sz
-    t_map[cut.interface, -ns:] = np.eye(ns)
-    cov_blocks[-ns:, -ns:] = g_sigma
-    cov_nodes = t_map @ cov_blocks @ t_map.T
-
-    b = np.zeros(n)
-    sigma_value = mu if assembly == "fold" else np.zeros(ns)
-    for s in side_order:
-        sb = sides[s]
+    cov_nodes, to_sigma = glued_green(sides, g_sigma, ctx.mesh.n_nodes)
+    b = np.zeros(ctx.mesh.n_nodes)
+    sigma_value = mu if assembly == "fold" else np.zeros_like(mu)
+    for s, sb in sides.items():
         b[sb.outer] = etas[s]
         b[sb.interior] = sb.poisson @ np.concatenate([etas[s], sigma_value])
     if assembly == "fold":
-        b[cut.interface] = mu
+        b[ctx.cut.interface] = mu
     else:
-        b = b + t_map[:, -ns:] @ mu
+        b = b + to_sigma @ mu
     return order0, b, cov_nodes
 
 
@@ -215,9 +200,7 @@ def verify_gluing_theorem(data: ScaleData, tolerance: float = 1e-10,
     at every step.
     """
     ctx = data.scenario.context
-    pos = {int(p): k for k, p in enumerate(ctx.bundle.interior)}
-    loc = [pos[int(p)] for p in ctx.cut.interface]
-    block = ctx.bundle.green[np.ix_(loc, loc)]
+    block = ctx.bundle.green_block(ctx.cut.interface, ctx.cut.interface)
 
     report = Report("gluing-theorem")
     report.add(Check("interface-covariance-two-paths",

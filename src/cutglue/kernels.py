@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euclidean import RadialProfile
-from .green import GreenBundle, SideBundle
+from .green import GreenBundle, SideBundle, glued_green
 from .meshes import LEFT, RIGHT, _DIST_RTOL, Cut, Mesh, lambda_one
 from .reports import Check, Report
 
@@ -150,16 +150,14 @@ def restrict_kernel_to_submesh(kernel: KernelMatrix, keep_nodes) -> KernelMatrix
     return KernelMatrix(matrix=m, lam=kernel.lam)
 
 
-def regularized_green(kernel_a: KernelMatrix, kernel_b: KernelMatrix,
-                      green: np.ndarray, interior: np.ndarray) -> np.ndarray:
-    """Averaged propagator between all node pairs: H_a G H_b' on interior legs.
+def regularized_green(kernel: KernelMatrix, bundle: GreenBundle) -> np.ndarray:
+    """Averaged propagator between all node pairs: H G H' on interior legs.
 
-    Boundary columns of the kernels meet the zero boundary values of the
+    Boundary columns of the kernel meet the zero boundary values of the
     fluctuation field and drop out.
     """
-    ha = kernel_a.matrix[:, interior]
-    hb = kernel_b.matrix[:, interior]
-    return ha @ green @ hb.T
+    h = kernel.matrix[:, bundle.interior]
+    return h @ bundle.green @ h.T
 
 
 def spectral_regularized_green(mesh: Mesh, eigenpairs: tuple[np.ndarray, np.ndarray],
@@ -205,59 +203,35 @@ class SideKernels:
     deep_rows: dict
 
 
-def _extended_side(sb: SideBundle):
-    """Side Green and interface map over (side interior + interface) nodes.
-
-    Interface nodes carry zero side Green and an identity interface map, so
-    the gluing decomposition holds verbatim on the extended index set.
-    """
-    ids = np.concatenate([sb.interior, sb.sigma])
-    ni, ns = sb.interior.size, sb.sigma.size
-    green_ext = np.zeros((ni + ns, ni + ns))
-    green_ext[:ni, :ni] = sb.green
-    to_sigma = np.zeros((ni + ns, ns))
-    to_sigma[:ni] = sb.poisson_sigma
-    to_sigma[ni:] = np.eye(ns)
-    return ids, green_ext, to_sigma
-
-
 def verify_deformed_gluing(kernels: SideKernels, bundle: GreenBundle,
                            sides: dict, g_sigma: np.ndarray,
                            tolerance: float = 1e-10) -> Report:
     """Decomposition of the averaged propagator across a cut.
 
     For nodes deep inside each side the whole-mesh averaged propagator must
-    split into the side-regularized propagator plus an interface round trip
-    (same side), and into the pure interface round trip (across sides), all
-    built from restricted kernels and side Green data only.
+    equal the glued Green's matrix (`green.glued_green`) averaged with each
+    side's restricted kernel rows: the side-regularized propagator plus an
+    interface round trip on one side, the pure interface round trip across
+    sides, all built from restricted kernels and side Green data only.
     """
-    kernel, deep = kernels.kernel, kernels.deep
-    g_reg = regularized_green(kernel, kernel, bundle.green, bundle.interior)
+    kernel, deep, rows = kernels.kernel, kernels.deep, kernels.deep_rows
+    g_reg = regularized_green(kernel, bundle)
+    glued, _ = glued_green(sides, g_sigma, bundle.mesh.n_nodes)
 
     report = Report("deformed-gluing")
-    parts = {}
-    for side, sb in sides.items():
-        nodes, rows = deep[side], kernels.deep_rows[side]
-        diff = np.abs(kernel.matrix[nodes] - rows).max() if nodes.size else 0.0
+    for side in sides:
+        nodes = deep[side]
+        diff = np.abs(kernel.matrix[nodes] - rows[side]).max() if nodes.size else 0.0
         report.add(Check(f"restricted-rows-match-{side}", float(diff), tolerance,
                          {"deep_nodes": nodes.size}))
-        ids, green_ext, to_sigma = _extended_side(sb)
-        h = rows.take(ids, axis=1)  # C order; rows[:, ids] would be F order
-        parts[side] = (h @ green_ext @ h.T, h @ to_sigma)
-
-    for side in (LEFT, RIGHT):
-        nodes = deep[side]
-        if nodes.size == 0:
+    for a, b, name in ((LEFT, LEFT, f"same-side-{LEFT}"),
+                       (RIGHT, RIGHT, f"same-side-{RIGHT}"),
+                       (LEFT, RIGHT, "cross-side")):
+        if deep[a].size == 0 or deep[b].size == 0:
             continue
-        own, hsig = parts[side]
-        whole = g_reg[np.ix_(nodes, nodes)]
-        glued = own + hsig @ g_sigma @ hsig.T
-        report.add(Check(f"same-side-{side}", float(np.abs(whole - glued).max()),
-                         tolerance))
-    if deep[LEFT].size and deep[RIGHT].size:
-        whole = g_reg[np.ix_(deep[LEFT], deep[RIGHT])]
-        glued = parts[LEFT][1] @ g_sigma @ parts[RIGHT][1].T
-        report.add(Check("cross-side", float(np.abs(whole - glued).max()), tolerance))
+        whole = g_reg[np.ix_(deep[a], deep[b])]
+        averaged = rows[a] @ glued @ rows[b].T
+        report.add(Check(name, float(np.abs(whole - averaged).max()), tolerance))
     return report
 
 
@@ -265,7 +239,7 @@ def verify_regularization(bundle: GreenBundle, eigenpairs: tuple[np.ndarray, np.
                           kernel: KernelMatrix, tolerance: float = 1e-12) -> Report:
     """Finiteness of the averaged diagonal and the two-route consistency check;
     eigenpairs must be those of the interior operator bundle inverts."""
-    g_reg = regularized_green(kernel, kernel, bundle.green, bundle.interior)
+    g_reg = regularized_green(kernel, bundle)
     spectral = spectral_regularized_green(bundle.mesh, eigenpairs, kernel)
     report = Report("regularization")
     diag = np.diag(g_reg)

@@ -55,6 +55,9 @@ class Mesh:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        for ids in (self.edges, self.boundary):
+            if ids.size and (ids.min() < 0 or ids.max() >= self.n_nodes):
+                raise MeshError(f"node index out of range 0..{self.n_nodes - 1}")
         if np.any(self.edge_weights <= 0) or np.any(self.edge_lengths <= 0):
             raise MeshError("edge weights and lengths must be positive")
         if np.any(self.node_volumes <= 0):
@@ -181,21 +184,24 @@ class Mesh:
         edges, weights, lengths = [], [], []
         for ln in rows:
             parts = ln.split()
-            if parts[0] == "node":
-                if parts[2] == "boundary":
-                    boundary.append(int(parts[1]))
-                volumes.append(float(parts[3].split("=")[1]))
-                k = parts.index("pos")
-                positions.append([float(x) for x in parts[k + 1:]])
-            elif parts[0] == "edge":
-                edges.append([int(parts[1]), int(parts[2])])
-                weights.append(float(parts[3].split("=")[1]))
-                lengths.append(float(parts[4].split("=")[1]))
-            else:
-                raise MeshError(f"unrecognized line: {ln!r}")
+            try:
+                if parts[0] == "node":
+                    if parts[2] == "boundary":
+                        boundary.append(int(parts[1]))
+                    volumes.append(float(parts[3].split("=")[1]))
+                    k = parts.index("pos")
+                    positions.append([float(x) for x in parts[k + 1:]])
+                elif parts[0] == "edge":
+                    edges.append([int(parts[1]), int(parts[2])])
+                    weights.append(float(parts[3].split("=")[1]))
+                    lengths.append(float(parts[4].split("=")[1]))
+                else:
+                    raise MeshError(f"unrecognized line: {ln!r}")
+            except IndexError:
+                raise MeshError(f"truncated line: {ln!r}") from None
         return Mesh(
             positions=np.asarray(positions, dtype=float),
-            edges=np.asarray(edges, dtype=int),
+            edges=np.asarray(edges, dtype=int).reshape(-1, 2),
             edge_weights=np.asarray(weights, dtype=float),
             edge_lengths=np.asarray(lengths, dtype=float),
             node_volumes=np.asarray(volumes, dtype=float),

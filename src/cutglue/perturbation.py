@@ -425,7 +425,7 @@ def averaged_gaussian(kernel: KernelMatrix, eta: np.ndarray | None,
     phi_bg = bundle.extend(eta)
     return NodeGaussian(quadratic_form_S0(bundle.mesh, bundle.spec, phi_bg),
                         kernel.matrix @ phi_bg,
-                        regularized_green(kernel, kernel, bundle.green, bundle.interior))
+                        regularized_green(kernel, bundle))
 
 
 def effective_action_series(mesh: Mesh, spec: OperatorSpec, kernel: KernelMatrix,

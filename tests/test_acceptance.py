@@ -237,7 +237,7 @@ def test_criterion_10_saturation_bitwise():
     kernel = kn.build_mesh_kernel(mesh, 2.5)
     identity_ok = np.array_equal(kernel.matrix, np.eye(mesh.n_nodes))
     bundle = green_bundle(mesh, OperatorSpec(0.0))
-    g_reg = kn.regularized_green(kernel, kernel, bundle.green, bundle.interior)
+    g_reg = kn.regularized_green(kernel, bundle)
     green_ok = np.array_equal(
         g_reg[np.ix_(bundle.interior, bundle.interior)], bundle.green)
     sc = GluingScenario(context=gluing_context(mesh, OperatorSpec(0.0), cut),

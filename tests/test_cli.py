@@ -24,6 +24,15 @@ def path9_with(tmp_path, **changes):
     return str(path)
 
 
+def mesh_file(text):
+    """A `file` mesh entry; its text is written under the test's tmp_path."""
+    def write(tmp_path):
+        path = tmp_path / "mesh.txt"
+        path.write_text(text)
+        return {"type": "file", "path": str(path)}
+    return write
+
+
 def test_list_suites(capsys):
     assert cli.main(["list-suites"]) == 0
     out = capsys.readouterr().out
@@ -66,17 +75,46 @@ def test_run_fast_suites(tmp_path, capsys):
     ({"name": ""}, "must be a plain file name"),
     ({"name": "."}, "must be a plain file name"),
     ({"name": ".."}, "must be a plain file name"),
+    ({"mesh": {"type": "file", "path": "no/such/mesh.txt"}},
+     "cannot read mesh file"),
+    ({"mesh": mesh_file("mesh dim=1 spacing=1.0 nodes=1\nnode 0\n")},
+     "truncated line: 'node 0'"),
+    ({"mesh": mesh_file("mesh dim=1 spacing=1.0 nodes=2\n"
+                        "node 0 boundary vol=0.5 pos 0.0\n"
+                        "node 1 interior vol=1.0 pos 1.0\n"
+                        "edge 1 7 w=1.0 len=1.0\n")},
+     "node index out of range"),
+    ({"eta": [[1.0, -0.5]]}, "eta must be a flat list of 2 boundary values"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
         "coupling-node-out-of-range", "eta-nan", "name-leaves-out-dir",
-        "name-empty", "name-dot", "name-dot-dot"])
+        "name-empty", "name-dot", "name-dot-dot", "mesh-file-missing",
+        "mesh-line-truncated", "mesh-edge-to-missing-node", "eta-nested"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
+    changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
     assert cli.main(["run", bad, "--out-dir", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert message in err and err.count("config error:") == 1
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seed", "-1"], "--seed must be nonnegative"),
+    (["--out-dir", "{file}/x"], "cannot create --out-dir"),
+], ids=["negative-seed", "out-dir-under-a-file"])
+def test_bad_argument_exits_two(tmp_path, capsys, args, message):
+    """Checked before any suite runs, so nothing is written."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = [a.format(file=blocker) for a in args]
+    code = cli.main(["run", CONFIG, "--suite", "quadratic-decomposition",
+                     "--out-dir", str(tmp_path / "r"), *args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("config error:") == 1
+    assert sorted(os.listdir(tmp_path)) == ["file"]
 
 
 def test_coupling_by_node_reaches_the_vertices(tmp_path, capsys):

@@ -180,6 +180,6 @@ def test_regularized_diagonal_nondecreasing_in_lam():
     diags = []
     for lam in (0.5, 1.0, 2.5):
         kernel = build_mesh_kernel(mesh, lam)
-        g_reg = regularized_green(kernel, kernel, bundle.green, bundle.interior)
+        g_reg = regularized_green(kernel, bundle)
         diags.append(g_reg[4, 4])
     assert diags[0] <= diags[1] + 1e-12 <= diags[2] + 1e-12

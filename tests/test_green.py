@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutglue.green import (GreenError, cross_form, green_bundle,
+from cutglue.green import (GreenError, cross_form, glued_green, green_bundle,
                            interface_green, quadratic_form_S0, side_bundle,
                            verify_dtn_difference, verify_green_gluing,
                            verify_quadratic_decomposition)
@@ -173,6 +173,42 @@ def test_green_gluing_reports():
         rep = verify_green_gluing(green_bundle(mesh, spec), sides,
                                   interface_green(sides[LEFT], sides[RIGHT]))
         assert rep.passed and rep.max_residual <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["path9", "grid5", "grid7-curved"])
+def test_glued_green_is_the_padded_whole_green(case):
+    """Side Green's matrices plus the interface round trip rebuild the whole
+    Green's matrix on every interior pair, and nothing elsewhere."""
+    if case == "path9":
+        mesh, spec, mid = build_interval_mesh(7, 1.0), M0, 4.0
+    elif case == "grid5":
+        mesh, spec, mid = build_grid_mesh(5, 5, 1.0), OperatorSpec(0.1), 2.0
+    else:
+        mesh = build_grid_mesh(
+            7, 7, 1.0,
+            metric_profile=lambda x: 1.0 + 0.4 * np.sin(x[0]) ** 2 + 0.1 * x[1])
+        spec, mid = OperatorSpec(0.1), 3.0
+        assert np.ptp(mesh.edge_weights) > 0.1 and np.ptp(mesh.node_volumes) > 0.1
+    cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == mid)
+    sides = {s: side_bundle(mesh, spec, cut, s) for s in (LEFT, RIGHT)}
+    glued, to_sigma = glued_green(sides, interface_green(sides[LEFT], sides[RIGHT]),
+                                  mesh.n_nodes)
+    bundle = green_bundle(mesh, spec)
+    padded = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    padded[np.ix_(bundle.interior, bundle.interior)] = bundle.green
+    assert np.abs(glued - padded).max() <= 1e-12 * np.abs(padded).max()
+    np.testing.assert_array_equal(to_sigma[cut.interface], np.eye(cut.interface.size))
+    assert not to_sigma[mesh.boundary].any()
+
+
+def test_green_block_reads_by_node_id():
+    mesh, _ = path5()
+    bundle = green_bundle(mesh, M0)
+    # interior nodes 1, 2, 3 sit at positions 0, 1, 2 of the Green's matrix
+    np.testing.assert_array_equal(bundle.green_block([3, 1], [2]),
+                                  bundle.green[[2, 0]][:, [1]])
+    with pytest.raises(KeyError):
+        bundle.green_block([0], [1])  # node 0 is a boundary node
 
 
 def test_dtn_difference_bounded_under_refinement():

@@ -103,7 +103,7 @@ def test_regularized_green_identity_kernel_bitwise():
     mesh = build_interval_mesh(7, 1.0)
     bundle = green_bundle(mesh, M0)
     kernel = kn.build_mesh_kernel(mesh, 2.5)
-    g_reg = kn.regularized_green(kernel, kernel, bundle.green, bundle.interior)
+    g_reg = kn.regularized_green(kernel, bundle)
     assert np.array_equal(g_reg[np.ix_(bundle.interior, bundle.interior)],
                           bundle.green)
 
@@ -115,7 +115,7 @@ def test_regularized_green_far_pair_unchanged():
     mesh = build_interval_mesh(13, 1.0)
     bundle = green_bundle(mesh, M0)
     kernel = kn.build_mesh_kernel(mesh, 1.0)
-    g_reg = kn.regularized_green(kernel, kernel, bundle.green, bundle.interior)
+    g_reg = kn.regularized_green(kernel, bundle)
     pos = {int(n): k for k, n in enumerate(bundle.interior)}
     p, q = 4, 9
     assert g_reg[p, q] == pytest.approx(bundle.green[pos[p], pos[q]], abs=1e-13)
@@ -127,7 +127,7 @@ def test_spectral_route_agrees():
     op = assemble(mesh, spec)
     bundle = green_bundle(mesh, spec, op=op)
     kernel = kn.build_mesh_kernel(mesh, 1.2, "triangle")
-    g_reg = kn.regularized_green(kernel, kernel, bundle.green, bundle.interior)
+    g_reg = kn.regularized_green(kernel, bundle)
     spectral = kn.spectral_regularized_green(
         mesh, np.linalg.eigh(op.interior_matrix), kernel)
     np.testing.assert_allclose(g_reg, spectral, atol=1e-12)

@@ -287,7 +287,7 @@ def test_cubic_tadpole_coefficient():
                                 eta, 1.5)
     region = mesh.trim_to_deformed(1.0)
     mean = (kernel.matrix @ bundle.extend(eta))[region]
-    g_reg = regularized_green(kernel, kernel, bundle.green, bundle.interior)
+    g_reg = regularized_green(kernel, bundle)
     diag = np.diag(g_reg)[region]
     oracle = t3 * np.sum(mesh.node_volumes[region] * (mean**3 + 3 * mean * diag))
     assert w.coeff(0.5) == pytest.approx(oracle, abs=1e-13)
@@ -301,7 +301,7 @@ def test_quartic_vacuum_coefficient():
     w = effective_action_series(mesh, M0, kernel, InteractionSpec({4: t4}),
                                 np.zeros(2), 1.0)
     region = mesh.trim_to_deformed(1.0)
-    g_reg = regularized_green(kernel, kernel, bundle.green, bundle.interior)
+    g_reg = regularized_green(kernel, bundle)
     diag = np.diag(g_reg)[region]
     oracle = 3 * t4 * np.sum(mesh.node_volumes[region] * diag**2)
     assert w.coeff(1.0) == pytest.approx(oracle, abs=1e-13)
