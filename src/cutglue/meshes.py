@@ -177,20 +177,22 @@ class Mesh:
 
     @staticmethod
     def from_text(text: str) -> "Mesh":
+        """Inverse of `to_text`.  Node lines may come in any order, but their
+        ids must be exactly 0..N-1 for N node lines; each node sits at its id."""
         header, *rows = [ln for ln in text.splitlines() if ln.strip()]
         fields = dict(kv.split("=") for kv in header.split()[1:])
         dim, spacing = int(fields["dim"]), float(fields["spacing"])
-        positions, volumes, boundary = [], [], []
+        nodes = {}  # id -> (is boundary, volume, position)
         edges, weights, lengths = [], [], []
         for ln in rows:
             parts = ln.split()
             try:
                 if parts[0] == "node":
-                    if parts[2] == "boundary":
-                        boundary.append(int(parts[1]))
-                    volumes.append(float(parts[3].split("=")[1]))
-                    k = parts.index("pos")
-                    positions.append([float(x) for x in parts[k + 1:]])
+                    k, role, vol = int(parts[1]), parts[2], parts[3]
+                    if k in nodes:
+                        raise MeshError(f"duplicate node id {k}")
+                    nodes[k] = (role == "boundary", float(vol.split("=")[1]),
+                                [float(x) for x in parts[parts.index("pos") + 1:]])
                 elif parts[0] == "edge":
                     edges.append([int(parts[1]), int(parts[2])])
                     weights.append(float(parts[3].split("=")[1]))
@@ -199,13 +201,18 @@ class Mesh:
                     raise MeshError(f"unrecognized line: {ln!r}")
             except IndexError:
                 raise MeshError(f"truncated line: {ln!r}") from None
+        for k in sorted(nodes):
+            if not 0 <= k < len(nodes):
+                raise MeshError(f"node id {k} out of range 0..{len(nodes) - 1}")
+        ordered = [nodes[k] for k in range(len(nodes))]
         return Mesh(
-            positions=np.asarray(positions, dtype=float),
+            positions=np.asarray([pos for _, _, pos in ordered], dtype=float),
             edges=np.asarray(edges, dtype=int).reshape(-1, 2),
             edge_weights=np.asarray(weights, dtype=float),
             edge_lengths=np.asarray(lengths, dtype=float),
-            node_volumes=np.asarray(volumes, dtype=float),
-            boundary=np.asarray(sorted(boundary), dtype=int),
+            node_volumes=np.asarray([vol for _, vol, _ in ordered], dtype=float),
+            boundary=np.asarray([k for k, (b, _, _) in enumerate(ordered) if b],
+                                dtype=int),
             dim=dim,
             spacing=spacing,
         )

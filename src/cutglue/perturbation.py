@@ -8,18 +8,27 @@ a tuple of vertex powers (which legs sit on the mean, the self loops, the
 propagator multiplicities between vertices, and the multiplicity counted in
 rational arithmetic) are enumerated once per tuple and cached, with the
 connected ones apart.  Each topology is contracted by replaying a pairwise
-plan cached per subscripts and region size: matrix-product steps run through
-BLAS, every other step through plain einsum, so the cost follows the diagram
-rather than the number of vertices.  The partition series, its log, and a
-brute-force matching enumerator are kept alongside as independent routes;
-they must never be merged.
+plan cached per subscripts and region size: from `BLAS_MIN_NODES` nodes on,
+matrix-product steps run through BLAS, every other step through plain
+einsum, so the cost follows the diagram rather than the number of vertices.
+A term over very few node tuples is one einsum call instead.
+
+One engine pass serves a whole family of vertex regions
+(`NodeGaussian.series`): mean and covariance are gathered once on the union
+of the regions, and each vertex type carries one weight column per region,
+zero off it.  Every instance operand carries that column axis, so a Wick
+term is contracted once for all regions and its matrix-vector products
+become one matrix product.  A single region is a family of one.
+
+The partition series, its log, and a brute-force matching enumerator are
+kept alongside as independent routes; they must never be merged.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -33,6 +42,15 @@ from .series import PerturbationSeries, series_exp
 
 #: hard ceiling on simultaneously contracted field legs
 LEG_CAP = 12
+#: einsum letter of the weight-column axis that every instance operand carries
+BATCH = "z"
+#: smallest region at which a matrix-product step runs through BLAS; below
+#: it numpy's call overhead costs more than the arithmetic, and einsum is cheaper
+BLAS_MIN_NODES = 32
+#: most vertex-node tuples (region size to the number of instances) a Wick
+#: term may span to be contracted in one einsum step, with no pairwise plan:
+#: below it the per-step overhead of a plan costs more than the arithmetic
+ONE_STEP_TUPLES = 256
 
 
 class PerturbationError(ValueError):
@@ -97,7 +115,8 @@ class VertexType:
 
     power  : number of field legs k.
     xpower : k - 2, the power of sqrt(hbar) the vertex carries.
-    weights: t_k(p) vol(p) over the region nodes.
+    weights: t_k(p) vol(p) over the region nodes; in a family of regions,
+             one column per region, zero off it (see `NodeGaussian.series`).
     """
 
     power: int
@@ -251,25 +270,32 @@ def _contraction_path(subs: str, n: int) -> tuple:
 
 @functools.lru_cache(maxsize=1024)
 def _contraction_plan(subs: str, n: int) -> tuple:
-    """The greedy path of subs over region size n as replayable steps.
+    """The greedy path of subs over region size n as replayable batched steps.
 
-    Each step is (operand positions, step subscripts, tensordot axes).  A
+    Every instance operand carries the weight-column letter BATCH, kept to
+    the end, so one replay contracts all columns; the path is searched on
+    subs without it.  Each step is (operand positions, step subscripts,
+    tensordot axes).  A term over at most ONE_STEP_TUPLES node tuples is a
+    single einsum step.  Otherwise the steps follow the greedy path: a
     two-operand step over three or more distinct indices, with at least one
     index summed between the two and every other one kept for later steps, is
-    a matrix product: it carries its tensordot axes, so it runs through BLAS,
-    and its result keeps tensordot's index order.  Every other step runs
-    through plain einsum.  Caching the plan spares numpy's path search on
-    every call and makes equal inputs contract in the same order, hence
-    bitwise equal.
+    a matrix product, and from BLAS_MIN_NODES nodes on it carries its
+    tensordot axes, so it runs through BLAS and its result keeps tensordot's
+    index order.  Every other step runs through plain einsum.  Caching the
+    plan spares numpy's path search and these choices on every call, and
+    makes equal inputs contract in the same order, hence bitwise equal.
     """
-    inputs = subs[:-2].split(",")
+    inputs = [s if len(s) == 2 else s + BATCH for s in subs[:-2].split(",")]
+    if n ** sum(BATCH in s for s in inputs) <= ONE_STEP_TUPLES:
+        return ((tuple(reversed(range(len(inputs)))),
+                 ",".join(reversed(inputs)) + "->" + BATCH, None),)
     plan = []
     for step in _contraction_path(subs, n)[1:]:
         positions = tuple(sorted(step, reverse=True))
         taken = [inputs.pop(i) for i in positions]
-        kept = set("".join(inputs))
+        kept = set("".join(inputs)) | {BATCH}
         axes = None
-        if len(taken) == 2 and len(set("".join(taken))) >= 3:
+        if len(taken) == 2 and len(set("".join(taken))) >= 3 and n >= BLAS_MIN_NODES:
             x, y = taken
             shared = [c for c in x if c in y]  # in x's order: not hash order
             if shared and not kept & set(shared) and set(x) ^ set(y) <= kept:
@@ -282,13 +308,13 @@ def _contraction_plan(subs: str, n: int) -> tuple:
     return tuple(plan)
 
 
-def _contract(subs: str, ops: list, n: int) -> float:
-    """Scalar einsum of subs over ops along the cached plan for region size n."""
+def _contract(subs: str, ops: list, n: int) -> np.ndarray:
+    """Per-column einsum of subs over ops along the cached plan for region size n."""
     for positions, step, axes in _contraction_plan(subs, n):
         args = [ops.pop(i) for i in positions]
         ops.append(np.einsum(step, *args) if axes is None
                    else np.tensordot(*args, axes=axes))
-    return float(ops[0])
+    return ops[0]
 
 
 def _instance_powers(instances) -> tuple:
@@ -298,28 +324,45 @@ def _instance_powers(instances) -> tuple:
     return powers
 
 
-def _wick_sum(instances, mean: np.ndarray, cov: np.ndarray, terms) -> float:
-    """Sum of the given Wick topologies of the instances, in their order."""
-    diag = np.diag(cov)
+def _wick_sum(instances, mean: np.ndarray, cov: np.ndarray, terms):
+    """Sum of the given Wick topologies of the instances.
+
+    Instance weights of shape (n, K) hold K weightings of the same instances,
+    one per column; every topology is contracted once for all columns and the
+    result has shape (K,).  Weights of shape (n,) are one column, and the
+    result is a float.  The terms are summed as one matrix-vector product of
+    their multiplicities with their per-column values.
+    """
+    ws = [w if np.ndim(w) == 2 else np.asarray(w)[:, None] for _, w in instances]
+    mean, diag = mean[:, None], np.diag(cov)[:, None]
     cov_powers = {1: cov}  # elementwise powers, one per propagator multiplicity
-    total = 0.0
+    legs = {}  # instance operands, one per (weights, mean legs, self loops)
+    # per-term multiplicities and contractions; the zero row keeps an empty
+    # sum well formed
+    mults, values = [0.0], [np.zeros(ws[0].shape[1] if ws else 1)]
     for t in terms:
         ops = []
-        for (_, w), u, c in zip(instances, t.us, t.loops):
-            v = w * mean**u if u else w
-            ops.append(v * diag**c if c else v)
+        for (_, given), w, u, c in zip(instances, ws, t.us, t.loops):
+            key = (id(given), u, c)
+            if key not in legs:
+                v = w * mean**u if u else w
+                legs[key] = v * diag**c if c else v
+            ops.append(legs[key])
         for _, c in t.cross:
             if c not in cov_powers:
                 cov_powers[c] = cov**c
             ops.append(cov_powers[c])
-        total += t.mult * _contract(t.subs, ops, mean.size)
-    return total
+        mults.append(t.mult)
+        values.append(_contract(t.subs, ops, mean.size))
+    total = np.array(mults) @ np.array(values)
+    return total if instances and np.ndim(instances[0][1]) == 2 else float(total[0])
 
 
-def gaussian_expectation(instances, mean: np.ndarray, cov: np.ndarray) -> float:
+def gaussian_expectation(instances, mean: np.ndarray, cov: np.ndarray):
     """E[prod_i sum_p w_i(p) (mean(p) + g(p))^(k_i)] for centered Gaussian g.
 
-    instances: list of (power k_i, weight vector over region nodes).
+    instances: list of (power k_i, weights over region nodes), the weights of
+    shape (n,) for one vertex region or (n, K) for K at once, see `_wick_sum`.
     mean, cov: background values and leg covariance over the same nodes.
     """
     powers = _instance_powers(instances)
@@ -328,7 +371,7 @@ def gaussian_expectation(instances, mean: np.ndarray, cov: np.ndarray) -> float:
     return _wick_sum(instances, mean, cov, _topologies(powers))
 
 
-def gaussian_cumulant(instances, mean: np.ndarray, cov: np.ndarray) -> float:
+def gaussian_cumulant(instances, mean: np.ndarray, cov: np.ndarray):
     """Joint cumulant of the instance sums of `gaussian_expectation`.
 
     By the linked-cluster theorem it is the sum of the connected Wick
@@ -356,15 +399,16 @@ def leg_budget(powers, max_order: float) -> int:
 
 
 def _vertex_series(vertices, mean: np.ndarray, cov: np.ndarray,
-                   max_order: float, moment) -> np.ndarray:
+                   max_order: float, moment, columns: int = 1) -> np.ndarray:
     """Coefficients in x of the sum over vertex-type multisets within the order
-    budget of prod_v (-1)^(c_v) / c_v! times moment(instances).
+    budget of prod_v (-1)^(c_v) / c_v! times moment(instances), one column per
+    weight column of the vertices (see `_wick_sum`).
 
     The 1/n! of the exponential and the minus signs enter as exact rationals;
     the moment engine enforces the leg budget.  Order 0 is left at zero.
     """
     xmax = int(round(2 * max_order))
-    coeffs = np.zeros(xmax + 1)
+    coeffs = np.zeros((xmax + 1, columns))
     for counts, xpow in _vertex_counts([v.xpower for v in vertices], xmax):
         pref = Fraction((-1) ** sum(counts))
         for c in counts:
@@ -379,7 +423,7 @@ def _vertex_series(vertices, mean: np.ndarray, cov: np.ndarray,
 def interaction_z_series(vertices, mean: np.ndarray, cov: np.ndarray,
                          max_order: float) -> PerturbationSeries:
     """Series of E[exp(-V)] in x = sqrt(hbar), truncated at x^(2 max_order)."""
-    coeffs = _vertex_series(vertices, mean, cov, max_order, gaussian_expectation)
+    coeffs = _vertex_series(vertices, mean, cov, max_order, gaussian_expectation)[:, 0]
     coeffs[0] = 1.0
     return PerturbationSeries.from_array(coeffs, max_order)
 
@@ -390,9 +434,10 @@ def interaction_w_series(vertices, mean: np.ndarray, cov: np.ndarray,
 
     Linked-cluster route: the same vertex multisets and prefactors as
     `interaction_z_series`, each weighing the joint cumulant of its
-    instances, so only connected diagrams are summed.
+    instances, so only connected diagrams are summed.  It is the one-region
+    case of `NodeGaussian.series`.
     """
-    coeffs = -_vertex_series(vertices, mean, cov, max_order, gaussian_cumulant)
+    coeffs = -_vertex_series(vertices, mean, cov, max_order, gaussian_cumulant)[:, 0]
     coeffs[0] = 0.0  # log of the constant term 1
     return PerturbationSeries.from_array(coeffs, max_order)
 
@@ -406,16 +451,26 @@ class NodeGaussian:
     mean: np.ndarray
     cov: np.ndarray
 
-    def series(self, interaction: InteractionSpec, region: np.ndarray,
-               volumes: np.ndarray, max_order: float) -> PerturbationSeries:
-        """Minus log of E[exp(-V)] with vertices on region, plus order 0."""
-        region = np.asarray(region, dtype=int)
-        vertices = vertex_terms(interaction, region, volumes)
-        w = interaction_w_series(vertices, self.mean[region],
-                                 self.cov[np.ix_(region, region)],
-                                 max_order).to_array()
+    def series(self, interaction: InteractionSpec, regions, volumes: np.ndarray,
+               max_order: float) -> list[PerturbationSeries]:
+        """Minus log of E[exp(-V)] plus order 0, one series per vertex region.
+
+        The family is one engine pass: mean and covariance are gathered once
+        on the union of the regions, and each vertex type carries one weight
+        column per region, zero off that region, so every Wick topology is
+        contracted once for all regions.  One region is a family of one.
+        """
+        regions = [np.asarray(r, dtype=int) for r in regions]
+        union = np.unique(np.concatenate(regions))
+        inside = np.stack([np.isin(union, r) for r in regions], axis=1)
+        vertices = [replace(v, weights=np.where(inside, v.weights[:, None], 0.0))
+                    for v in vertex_terms(interaction, union, volumes)]
+        w = -_vertex_series(vertices, self.mean.take(union),
+                            self.cov.take(union, 0).take(union, 1), max_order,
+                            gaussian_cumulant, len(regions))
+        w[0] = 0.0  # log of the constant term 1
         w[0] += self.order0
-        return PerturbationSeries.from_array(w, max_order)
+        return [PerturbationSeries.from_array(c, max_order) for c in w.T]
 
 
 def averaged_gaussian(kernel: KernelMatrix, eta: np.ndarray | None,
@@ -445,7 +500,7 @@ def effective_action_series(mesh: Mesh, spec: OperatorSpec, kernel: KernelMatrix
     if region is None:
         region = mesh.trim_to_deformed(kernel.lam)
     gaussian = averaged_gaussian(kernel, eta, bundle)
-    return gaussian.series(interaction, region, mesh.node_volumes, max_order)
+    return gaussian.series(interaction, [region], mesh.node_volumes, max_order)[0]
 
 
 def partition_series(mesh: Mesh, spec: OperatorSpec, kernel: KernelMatrix,

@@ -84,13 +84,24 @@ def test_run_fast_suites(tmp_path, capsys):
                         "node 1 interior vol=1.0 pos 1.0\n"
                         "edge 1 7 w=1.0 len=1.0\n")},
      "node index out of range"),
+    ({"mesh": mesh_file("mesh dim=1 spacing=1.0 nodes=2\n"
+                        "node 0 boundary vol=0.5 pos 0.0\n"
+                        "node 0 boundary vol=0.5 pos 1.0\n"
+                        "edge 0 1 w=1.0 len=1.0\n")},
+     "duplicate node id 0"),
+    ({"mesh": mesh_file("mesh dim=1 spacing=1.0 nodes=2\n"
+                        "node 0 boundary vol=0.5 pos 0.0\n"
+                        "node 5 boundary vol=0.5 pos 1.0\n"
+                        "edge 0 1 w=1.0 len=1.0\n")},
+     "node id 5 out of range 0..1"),
     ({"eta": [[1.0, -0.5]]}, "eta must be a flat list of 2 boundary values"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
         "coupling-node-out-of-range", "eta-nan", "name-leaves-out-dir",
         "name-empty", "name-dot", "name-dot-dot", "mesh-file-missing",
-        "mesh-line-truncated", "mesh-edge-to-missing-node", "eta-nested"])
+        "mesh-line-truncated", "mesh-edge-to-missing-node",
+        "mesh-node-id-duplicate", "mesh-node-id-out-of-range", "eta-nested"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
@@ -245,6 +256,59 @@ def test_reports_byte_identical_across_reruns(tmp_path, capsys):
         a = open(os.path.join(dirs[0], fname), "rb").read()
         b = open(os.path.join(dirs[1], fname), "rb").read()
         assert a == b, fname
+
+
+def test_reports_byte_identical_across_hash_seeds(tmp_path):
+    """Set and dict iteration orders must not reach the numbers: two
+    processes with different string hashing write the same bytes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cutglue.__file__)))
+    dirs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cutglue", "run", CONFIG, "--out-dir", str(out),
+             "--suite", "gluing-theorem", "--suite", "lambda-sweep",
+             "--suite", "renormalization"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        dirs.append(out)
+    names = sorted(os.listdir(dirs[0]))
+    assert names == sorted(os.listdir(dirs[1])) and len(names) == 7
+    for fname in names:
+        assert ((dirs[0] / fname).read_bytes()
+                == (dirs[1] / fname).read_bytes()), fname
+
+
+def test_engine_passes_per_lambda_do_not_grow_with_widening(tmp_path, monkeypatch,
+                                                           capsys):
+    """All widening steps of one scale share one engine pass per Gaussian, so
+    every scale costs the same number of passes however far it widens."""
+    from cutglue.perturbation import NodeGaussian
+    passes = []
+    series = NodeGaussian.series
+
+    def counted(self, *args, **kwargs):
+        passes[-1] += 1
+        return series(self, *args, **kwargs)
+
+    verify = suites.verify_gluing_theorem
+
+    def per_lambda(*args, **kwargs):
+        passes.append(0)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(NodeGaussian, "series", counted)
+    monkeypatch.setattr(suites, "verify_gluing_theorem", per_lambda)
+    assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
+                     "--suite", "gluing-theorem"]) == 0
+    checks = json.loads((tmp_path / "path9_cubic-gluing-theorem.json").read_text())
+    lambdas = list(dict.fromkeys(c["lam"] for c in checks["checks"]))
+    steps = [sum(c["lam"] == lam and c["check"].startswith("widened-step-")
+                 for c in checks["checks"]) for lam in lambdas]
+    assert len(passes) == len(lambdas) and min(steps) >= 1
+    assert len(set(steps)) > 1  # the scales widen by different amounts
+    assert len(set(passes)) == 1, dict(zip(lambdas, passes))
 
 
 def test_max_order_override_applies(tmp_path, capsys):

@@ -87,6 +87,22 @@ def test_text_round_trip():
     assert back.dim == mesh.dim and back.spacing == mesh.spacing
 
 
+def test_node_lines_in_any_order_read_back_equal():
+    """Each node sits at its id, not at the position of its line."""
+    mesh = build_grid_mesh(4, 3, 0.5, metric_profile=lambda x: 1.0 + 0.1 * x[0])
+    header, *rows = mesh.to_text().splitlines()
+    nodes = [ln for ln in rows if ln.startswith("node ")]
+    edges = [ln for ln in rows if ln.startswith("edge ")]
+    order = np.random.default_rng(0).permutation(len(nodes))
+    assert list(order) != sorted(order)
+    shuffled = Mesh.from_text("\n".join([header, *(nodes[k] for k in order), *edges]))
+    in_order = Mesh.from_text(mesh.to_text())
+    for name in ("positions", "edges", "edge_weights", "edge_lengths",
+                 "node_volumes", "boundary"):
+        np.testing.assert_array_equal(getattr(shuffled, name),
+                                      getattr(in_order, name), err_msg=name)
+
+
 def test_cut_five_node_path():
     mesh = build_interval_mesh(3, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 2)

@@ -8,10 +8,11 @@ import pytest
 
 from cutglue.green import green_bundle
 from cutglue.kernels import build_mesh_kernel, regularized_green
-from cutglue.meshes import Mesh, build_interval_mesh
+from cutglue.meshes import Mesh, build_grid_mesh, build_interval_mesh
 from cutglue.operators import OperatorSpec
-from cutglue.perturbation import (LEG_CAP, InteractionSpec, PerturbationError,
-                                  VertexType, effective_action_series,
+from cutglue.perturbation import (BLAS_MIN_NODES, LEG_CAP, InteractionSpec,
+                                  NodeGaussian, PerturbationError, VertexType,
+                                  averaged_gaussian, effective_action_series,
                                   gaussian_cumulant, gaussian_expectation,
                                   interaction_w_series, interaction_z_series,
                                   leg_budget, partition_series, vertex_terms,
@@ -243,16 +244,20 @@ def test_engine_is_bitwise_repeatable():
     root = rng.standard_normal((n, n))
     cov = root @ root.T
     instances = [(k, rng.standard_normal(n)) for k in (3, 4, 3)]
+    columns = [(k, rng.standard_normal((n, 5))) for k in (3, 4, 3)]
     for moment in (gaussian_expectation, gaussian_cumulant):
         first = moment(instances, mean, cov)
         assert moment(instances, mean, cov) == first
+        batch = moment(columns, mean, cov)
+        assert batch.shape == (5,)
+        assert np.array_equal(moment(columns, mean, cov), batch)
 
 
 def test_z_series_releases_its_inputs():
     mesh = build_interval_mesh(5, 1.0)
     region = mesh.interior
-    vertices = vertex_terms(InteractionSpec({3: 0.3, 4: 0.2}), region,
-                            mesh.node_volumes)
+    inter = InteractionSpec({3: 0.3, 4: 0.2})
+    vertices = vertex_terms(inter, region, mesh.node_volumes)
     rng = np.random.default_rng(7)
     mean = rng.standard_normal(region.size)
     gc.disable()
@@ -263,8 +268,87 @@ def test_z_series_releases_its_inputs():
             series(vertices, mean, cov, 1.5)
             del cov
             assert ref() is None, series.__name__
+        # a family of regions: gathered covariance, weight columns, plans
+        cov = np.eye(mesh.n_nodes)
+        gaussian = NodeGaussian(0.0, rng.standard_normal(mesh.n_nodes), cov)
+        refs = [weakref.ref(cov), weakref.ref(gaussian)]
+        family = gaussian.series(inter, [region[:2], region, region[1:]],
+                                 mesh.node_volumes, 1.5)
+        assert len(family) == 3
+        del cov, gaussian
+        assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def _path9(couplings, max_order=1.5):
+    mesh = build_interval_mesh(7, 1.0)
+    gaussian = averaged_gaussian(build_mesh_kernel(mesh, 1.0), np.array([1.0, -0.5]),
+                                 green_bundle(mesh, M0))
+    return gaussian, InteractionSpec(couplings), mesh, max_order
+
+
+def _grid(nx, lam):
+    mesh = build_grid_mesh(nx, nx, 1.0)
+    eta = 0.2 * np.arange(mesh.boundary.size)
+    gaussian = averaged_gaussian(build_mesh_kernel(mesh, lam, "bump"), eta,
+                                 green_bundle(mesh, OperatorSpec(0.1)))
+    return gaussian, InteractionSpec({3: 0.2, 4: 0.1}), mesh, 1.5
+
+
+def _interval401():
+    mesh = build_interval_mesh(401, 1.0)
+    gaussian = averaged_gaussian(build_mesh_kernel(mesh, 0.05, "bump"),
+                                 np.array([0.4, -0.9]),
+                                 green_bundle(mesh, OperatorSpec(0.1)))
+    return gaussian, InteractionSpec({3: 0.3, 4: 0.2}), mesh, 1.0
+
+
+def _widening(start, nodes):
+    """Regions grown from start by one node at a time, like the widening."""
+    return [np.union1d(start, nodes[:k]) for k in range(1, len(nodes) + 1)]
+
+
+FAMILIES = {
+    "path9-nested-order-1.5": lambda: (
+        _path9({3: 0.3, 4: 0.2}), _widening([3, 4], [5, 2, 6, 1, 7])),
+    "grid5-nested-order-1.5": lambda: (
+        _grid(5, 1.0), _widening([12], [7, 11, 13, 17, 6, 8, 16, 18])),
+    # past BLAS_MIN_NODES, so the triangles' matrix products run through BLAS
+    "grid9-nested-order-1.5": lambda: (
+        _grid(9, 1.0), _widening(np.arange(20, 61), [10, 11, 12, 13, 14, 15, 16])),
+    "interval401-nested-order-1": lambda: (
+        _interval401(), _widening(np.arange(30, 370), [29, 370, 28, 371, 27, 372])),
+    "path9-non-nested-node-couplings": lambda: (
+        _path9({3: {1: 0.1, 2: -0.3, 4: 0.5, 6: 0.2, 7: 0.05}, 4: 0.2}),
+        [np.array(r) for r in ([1, 2, 3], [3, 4, 5, 6], [2, 7], [6], [1, 7])]),
+    # four cubic vertices reach the K4 topology
+    "path9-order-2": lambda: (
+        _path9({3: 0.3, 4: 0.2}, max_order=2.0), _widening([4], [3, 5, 2, 6, 1, 7])),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_columns_match_single_regions(name):
+    """Each column of one batched engine pass equals the one-region call per
+    order, and at n <= 6 also the expectation-and-log route."""
+    (gaussian, inter, mesh, max_order), regions = FAMILIES[name]()
+    vols = mesh.node_volumes
+    family = gaussian.series(inter, regions, vols, max_order)
+    assert len(family) == len(regions)
+    if name.startswith("grid9"):
+        assert min(r.size for r in regions) >= BLAS_MIN_NODES
+    for r, got in zip(regions, family):
+        single = gaussian.series(inter, [r], vols, max_order)[0]
+        np.testing.assert_allclose(got.to_array(), single.to_array(), rtol=1e-12,
+                                   atol=0.0, err_msg=f"region {r.tolist()}")
+        if r.size <= 6:
+            z = interaction_z_series(vertex_terms(inter, r, vols), gaussian.mean[r],
+                                     gaussian.cov[np.ix_(r, r)], max_order)
+            oracle = -series_log(z).to_array()
+            oracle[0] += gaussian.order0
+            np.testing.assert_allclose(got.to_array(), oracle, rtol=1e-12, atol=0.0,
+                                       err_msg=f"region {r.tolist()}")
 
 
 def test_free_series_is_order_zero_only():
