@@ -166,7 +166,8 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
         raise ConfigError("mass_squared and lambdas must be finite")
     # Side operators are principal submatrices of this one and the summed
     # interface response is its Schur complement: they inherit positivity.
-    check_positive_spectrum(assemble(mesh, operator))
+    interior = mesh.interior
+    check_positive_spectrum(assemble(mesh, operator)[np.ix_(interior, interior)])
     interaction = InteractionSpec({int(k): _build_coupling(mesh, int(k), v)
                                    for k, v in raw["interaction"].items()})
 

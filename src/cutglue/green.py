@@ -6,8 +6,11 @@ operator mapping boundary data to its harmonic extension, and the
 boundary-to-boundary response (Dirichlet-to-Neumann) realized as a Schur
 complement.  Normal-derivative kernels are never formed pointwise; every
 boundary operator is a finite matrix obtained by block elimination, which
-keeps all gluing identities exact up to rounding.  `glued_green` rebuilds
-the whole Green's matrix from side data alone; every gluing check reads it.
+keeps all gluing identities exact up to rounding.  The whole mesh and each
+side of a cut take their operator from the one assembly,
+`operators.operator_matrix`, and eliminate it the same way.  `glued_green`
+rebuilds the whole Green's matrix from side data alone; every gluing check
+reads it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meshes import LEFT, RIGHT, Cut, Mesh
-from .operators import OperatorMatrix, OperatorSpec, assemble
+from .operators import OperatorSpec, assemble, operator_matrix
 from .reports import Check, Report
 
 
@@ -34,15 +37,18 @@ def _inverse_spd(m: np.ndarray, what: str) -> np.ndarray:
     return inv.T @ inv
 
 
-def _eliminate(a_ii: np.ndarray, a_ib: np.ndarray, a_bb: np.ndarray, what: str):
-    """Block elimination of the interior unknowns.
+def _eliminate(a: np.ndarray, interior: np.ndarray, boundary: np.ndarray,
+               what: str):
+    """Block elimination of the interior unknowns of the operator `a`.
 
-    Returns the Green's matrix inv(a_ii), the Poisson map -G a_ib and the
-    Schur complement a_bb - a_ib' G a_ib onto the boundary.  An empty interior
-    leaves a_bb as it is.
+    Returns the Green's matrix G = inv(a_ii), the Poisson map -G a_ib and the
+    Schur complement a_bb - a_ib' G a_ib onto the boundary, with i and b the
+    node ids `interior` and `boundary`.  An empty interior leaves a_bb as it
+    is.
     """
-    green = _inverse_spd(a_ii, what)
-    return green, -green @ a_ib, a_bb - a_ib.T @ green @ a_ib
+    a_ib = a[np.ix_(interior, boundary)]
+    green = _inverse_spd(a[np.ix_(interior, interior)], what)
+    return green, -green @ a_ib, a[np.ix_(boundary, boundary)] - a_ib.T @ green @ a_ib
 
 
 def _block(matrix: np.ndarray, labels: np.ndarray, ids_a, ids_b) -> np.ndarray:
@@ -86,17 +92,15 @@ class GreenBundle:
         return _block(self.dtn, self.boundary, ids_a, ids_b)
 
 
-def green_bundle(mesh: Mesh, spec: OperatorSpec, op: OperatorMatrix | None = None) -> GreenBundle:
-    if op is None:
-        op = assemble(mesh, spec)
-    green, poisson, dtn = _eliminate(
-        op.interior_matrix, op.boundary_coupling,
-        op.matrix[np.ix_(mesh.boundary, mesh.boundary)], "interior operator")
+def green_bundle(mesh: Mesh, spec: OperatorSpec) -> GreenBundle:
+    interior, boundary = mesh.interior, mesh.boundary
+    green, poisson, dtn = _eliminate(assemble(mesh, spec), interior, boundary,
+                                     "interior operator")
     return GreenBundle(
         mesh=mesh,
         spec=spec,
-        interior=op.interior,
-        boundary=op.boundary,
+        interior=interior,
+        boundary=boundary,
         green=green,
         poisson=poisson,
         dtn=dtn,
@@ -108,10 +112,13 @@ class SideBundle:
     """Green data of one side of a cut, with the cut surface as boundary.
 
     The side boundary is ordered [outer..., sigma...]; `outer` includes the
-    shared nodes sitting on the cut line.  The surface block of the side
-    operator uses the declared edge attribution of the cut, so the two sides'
-    interface responses add up exactly to the inverse interface Green's
-    matrix of the whole mesh.
+    shared nodes sitting on the cut line.  The side operator is assembled
+    like the whole one, from the mesh conductances scaled by the cut's edge
+    attribution to this side; it carries the full mass term on the side
+    interior, half of it on the interface and none on the outer boundary.
+    Its interior and interior-to-surface blocks are therefore the whole
+    operator's, and the two sides' interface responses add up exactly to the
+    inverse interface Green's matrix of the whole mesh.
     """
 
     side: str
@@ -153,45 +160,16 @@ class SideBundle:
         return self.dtn[:k, k:]
 
 
-def side_surface_matrix(mesh: Mesh, spec: OperatorSpec, cut: Cut, side: str,
-                        surf: np.ndarray) -> np.ndarray:
-    """Surface block of the side operator over the nodes `surf`.
-
-    Edge conductances enter with the side's attribution fraction; interface
-    nodes contribute half their mass term to each side, outer boundary nodes
-    carry none.
-    """
-    pos = {int(n): k for k, n in enumerate(surf)}
-    frac = cut.edge_fraction(side)
-    m = np.zeros((surf.size, surf.size))
-    for e, (i, j) in enumerate(mesh.edges):
-        w = mesh.edge_weights[e] * frac[e]
-        if w == 0.0:
-            continue
-        ii, jj = pos.get(int(i)), pos.get(int(j))
-        if ii is not None:
-            m[ii, ii] += w
-        if jj is not None:
-            m[jj, jj] += w
-        if ii is not None and jj is not None:
-            m[ii, jj] -= w
-            m[jj, ii] -= w
-    sigma_local = [pos[int(n)] for n in cut.interface if int(n) in pos]
-    for k, n in zip(sigma_local, [n for n in cut.interface if int(n) in pos]):
-        m[k, k] += 0.5 * spec.mass_squared * mesh.node_volumes[int(n)]
-    return m
-
-
-def side_bundle(mesh: Mesh, spec: OperatorSpec, cut: Cut, side: str,
-                op: OperatorMatrix | None = None) -> SideBundle:
-    op = assemble(mesh, spec) if op is None else op
+def side_bundle(mesh: Mesh, spec: OperatorSpec, cut: Cut, side: str) -> SideBundle:
     interior = cut.side_interior(side)
     outer = cut.side_outer_boundary(side)
     sigma = cut.interface
-    surf = np.concatenate([outer, sigma])
-    green, poisson, dtn = _eliminate(
-        op.matrix[np.ix_(interior, interior)], op.matrix[np.ix_(interior, surf)],
-        side_surface_matrix(mesh, spec, cut, side, surf), f"{side} side operator")
+    mass = np.zeros(mesh.n_nodes)
+    mass[interior] = spec.mass_squared * mesh.node_volumes[interior]
+    mass[sigma] = 0.5 * spec.mass_squared * mesh.node_volumes[sigma]
+    a = operator_matrix(mesh, mesh.edge_weights * cut.edge_fraction(side), mass)
+    green, poisson, dtn = _eliminate(a, interior, np.concatenate([outer, sigma]),
+                                     f"{side} side operator")
     return SideBundle(
         side=side,
         interior=interior,

@@ -164,9 +164,9 @@ def spectral_regularized_green(mesh: Mesh, eigenpairs: tuple[np.ndarray, np.ndar
                                kernel: KernelMatrix) -> np.ndarray:
     """Independent route to H G H': eigen-decomposition of the interior operator.
 
-    eigenpairs is `np.linalg.eigh(interior_matrix)`; it does not depend on lam,
-    so one decomposition serves every scale.  Sums (H psi)(H psi)' / eigenvalue
-    over the full spectrum.
+    eigenpairs is `np.linalg.eigh` of the interior block of `operators.assemble`;
+    it does not depend on lam, so one decomposition serves every scale.  Sums
+    (H psi)(H psi)' / eigenvalue over the full spectrum.
     """
     vals, vecs = eigenpairs
     interior = mesh.interior

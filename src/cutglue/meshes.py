@@ -177,8 +177,9 @@ class Mesh:
 
     @staticmethod
     def from_text(text: str) -> "Mesh":
-        """Inverse of `to_text`.  Node lines may come in any order, but their
-        ids must be exactly 0..N-1 for N node lines; each node sits at its id."""
+        """Inverse of `to_text`.  Node lines may come in any order, but there
+        must be as many as the header's nodes=N and their ids must be exactly
+        0..N-1; each node sits at its id."""
         header, *rows = [ln for ln in text.splitlines() if ln.strip()]
         fields = dict(kv.split("=") for kv in header.split()[1:])
         dim, spacing = int(fields["dim"]), float(fields["spacing"])
@@ -201,6 +202,9 @@ class Mesh:
                     raise MeshError(f"unrecognized line: {ln!r}")
             except IndexError:
                 raise MeshError(f"truncated line: {ln!r}") from None
+        if int(fields["nodes"]) != len(nodes):
+            raise MeshError(f"header says nodes={fields['nodes']}, "
+                            f"file has {len(nodes)} node lines")
         for k in sorted(nodes):
             if not 0 <= k < len(nodes):
                 raise MeshError(f"node id {k} out of range 0..{len(nodes) - 1}")

@@ -1,7 +1,9 @@
-"""Discrete Laplace-plus-mass operator with Dirichlet bookkeeping.
+"""Discrete Laplace-plus-mass operator.
 
-Dense numpy throughout: the spectrum check is one symmetric LAPACK eigensolve
-(`np.linalg.eigvalsh`).
+`operator_matrix` is the one assembly path: the whole mesh's operator and
+each side operator of a cut are built by it, from their own per-edge
+conductances and per-node mass.  Dense numpy throughout: the spectrum check
+is one symmetric LAPACK eigensolve (`np.linalg.eigvalsh`).
 """
 
 from __future__ import annotations
@@ -28,59 +30,44 @@ class OperatorSpec:
     mass_squared: float = 0.0
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Operator over all nodes and its Dirichlet-eliminated blocks.
+def operator_matrix(mesh: Mesh, conductances: np.ndarray,
+                    mass: np.ndarray) -> np.ndarray:
+    """Dense (N, N) matrix A_ij = -c_ij off-diagonal, A_ii = sum_j c_ij + mass_i.
 
-    matrix            : (N, N) operator over every node; boundary rows carry
-                        no mass term.
-    interior_matrix   : symmetric (I, I) block over interior nodes.
-    boundary_coupling : (I, B) block; Dirichlet data enters through it.
-    interior / boundary : global node indices labelling rows and columns.
-    """
-
-    matrix: np.ndarray
-    interior_matrix: np.ndarray
-    boundary_coupling: np.ndarray
-    interior: np.ndarray
-    boundary: np.ndarray
-
-
-def assemble(mesh: Mesh, spec: OperatorSpec) -> OperatorMatrix:
-    """Assemble A_ij = -w_ij off-diagonal, A_ii = sum_j w_ij + m^2 vol_i.
-
-    Boundary columns are separated into the coupling block; boundary nodes
-    carry no mass term.
+    conductances has one entry per mesh edge, mass one per node.
     """
     n = mesh.n_nodes
-    a = -mesh.adjacency()
-    degree = -a.sum(axis=1)
-    np.fill_diagonal(a, degree)
-    mass = spec.mass_squared * mesh.node_volumes
-    mass_mask = np.zeros(n)
-    mass_mask[mesh.interior] = 1.0
-    a += np.diag(mass * mass_mask)
-    interior, boundary = mesh.interior, mesh.boundary
-    return OperatorMatrix(
-        matrix=a,
-        interior_matrix=a[np.ix_(interior, interior)],
-        boundary_coupling=a[np.ix_(interior, boundary)],
-        interior=interior,
-        boundary=boundary,
-    )
+    a = np.zeros((n, n))
+    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
+    a[i, j] -= conductances
+    a[j, i] -= conductances
+    np.fill_diagonal(a, mass - a.sum(axis=1))
+    return a
 
 
-def smallest_eigenvalue(op: OperatorMatrix) -> float:
-    """Smallest eigenvalue of the interior block (dense solve, desk scale)."""
-    m = op.interior_matrix
+def assemble(mesh: Mesh, spec: OperatorSpec) -> np.ndarray:
+    """Operator over every node of the mesh; boundary nodes carry no mass term.
+
+    Dirichlet blocks are slices: rows `mesh.interior`, columns
+    `mesh.interior` (the interior operator) or `mesh.boundary` (the coupling
+    through which boundary data enters).
+    """
+    mass = np.zeros(mesh.n_nodes)
+    interior = mesh.interior
+    mass[interior] = spec.mass_squared * mesh.node_volumes[interior]
+    return operator_matrix(mesh, mesh.edge_weights, mass)
+
+
+def smallest_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of an interior block (dense solve, desk scale)."""
     if not np.allclose(m, m.T, atol=1e-12):
         raise OperatorError("interior matrix lost symmetry")
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def check_positive_spectrum(op: OperatorMatrix) -> float:
+def check_positive_spectrum(interior_matrix: np.ndarray) -> float:
     """Return the smallest eigenvalue, raising if the spectrum is not positive."""
-    lam = smallest_eigenvalue(op)
+    lam = smallest_eigenvalue(interior_matrix)
     if lam <= 0:
         raise OperatorError(f"non-positive spectrum: smallest eigenvalue {lam:g}")
     return lam

@@ -121,9 +121,10 @@ def _per_lam(name: str, lambdas, checks_at) -> Report:
 
 
 def suite_regularization(cfg: ScenarioConfig, seed: int) -> Report:
-    op = assemble(cfg.mesh, cfg.operator)
-    bundle = green_bundle(cfg.mesh, cfg.operator, op=op)
-    eigenpairs = np.linalg.eigh(op.interior_matrix)
+    interior = cfg.mesh.interior
+    bundle = green_bundle(cfg.mesh, cfg.operator)
+    eigenpairs = np.linalg.eigh(
+        assemble(cfg.mesh, cfg.operator)[np.ix_(interior, interior)])
     return _per_lam("regularization", cfg.lambdas,
                     lambda lam: verify_regularization(
                         bundle, eigenpairs,
@@ -146,24 +147,18 @@ def suite_gluing_theorem(cfg: ScenarioConfig, seed: int) -> Report:
 
 
 def suite_renormalization(cfg: ScenarioConfig, seed: int) -> Report:
-    report = Report("renormalization")
     lam = cfg.lambdas[0]
-    data = scale_data(_scenario(cfg, lam))
     # Per node, so that a coupling given by node id shifts like a constant.
     quartic = cfg.interaction.coupling_at(4, np.arange(cfg.mesh.n_nodes))
-    shift = renormalization_commutes(
-        data, lambda k, t: quartic + 0.5 * lam if k == 4 else t)
-    for c in shift.checks:
-        c.details["redefinition"] = "quartic-scale-shift"
-    report.extend(shift.checks)
     nodes = range(cfg.mesh.n_nodes)
-    position_dependent = renormalization_commutes(
-        data,
-        lambda k, t: {p: 0.1 * (p + 1) for p in nodes} if k == 3 else t)
-    for c in position_dependent.checks:
-        c.details["redefinition"] = "cubic-position-dependent"
-    report.extend(position_dependent.checks)
-    return report
+    redefinitions = {
+        "quartic-scale-shift":
+            lambda k, t: quartic + 0.5 * lam if k == 4 else t,
+        "cubic-position-dependent":
+            lambda k, t: {p: 0.1 * (p + 1) for p in nodes} if k == 3 else t,
+    }
+    commutes = renormalization_commutes(scale_data(_scenario(cfg, lam)), redefinitions)
+    return Report("renormalization", commutes.checks)
 
 
 def suite_lambda_sweep(cfg: ScenarioConfig, seed: int) -> Report:

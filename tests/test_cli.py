@@ -94,6 +94,13 @@ def test_run_fast_suites(tmp_path, capsys):
                         "node 5 boundary vol=0.5 pos 1.0\n"
                         "edge 0 1 w=1.0 len=1.0\n")},
      "node id 5 out of range 0..1"),
+    ({"mesh": mesh_file("mesh dim=1 spacing=1.0 nodes=5\n"
+                        "node 0 boundary vol=0.5 pos 0.0\n"
+                        "node 1 interior vol=1.0 pos 1.0\n"
+                        "node 2 boundary vol=0.5 pos 2.0\n"
+                        "edge 0 1 w=1.0 len=1.0\n"
+                        "edge 1 2 w=1.0 len=1.0\n")},
+     "header says nodes=5, file has 3 node lines"),
     ({"eta": [[1.0, -0.5]]}, "eta must be a flat list of 2 boundary values"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
@@ -101,7 +108,8 @@ def test_run_fast_suites(tmp_path, capsys):
         "coupling-node-out-of-range", "eta-nan", "name-leaves-out-dir",
         "name-empty", "name-dot", "name-dot-dot", "mesh-file-missing",
         "mesh-line-truncated", "mesh-edge-to-missing-node",
-        "mesh-node-id-duplicate", "mesh-node-id-out-of-range", "eta-nested"])
+        "mesh-node-id-duplicate", "mesh-node-id-out-of-range",
+        "mesh-header-node-count", "eta-nested"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
@@ -309,6 +317,23 @@ def test_engine_passes_per_lambda_do_not_grow_with_widening(tmp_path, monkeypatc
     assert len(passes) == len(lambdas) and min(steps) >= 1
     assert len(set(steps)) > 1  # the scales widen by different amounts
     assert len(set(passes)) == 1, dict(zip(lambdas, passes))
+
+
+def test_renormalization_computes_its_base_once(tmp_path, monkeypatch, capsys):
+    """Both coupling redefinitions are compared against one base report:
+    one gluing-theorem verification for the base and one per redefinition."""
+    from cutglue import gluing
+    calls = []
+    verify = gluing.verify_gluing_theorem
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(gluing, "verify_gluing_theorem", counted)
+    assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
+                     "--suite", "renormalization"]) == 0
+    assert len(calls) == 3
 
 
 def test_max_order_override_applies(tmp_path, capsys):

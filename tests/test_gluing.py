@@ -138,23 +138,23 @@ def test_whole_data_matches_effective_action_series():
 
 def test_renormalization_scale_shift():
     sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
-    rep = renormalization_commutes(scale_data(sc),
-                                   lambda k, t: t + 0.5 * sc.lam if k == 4 else t)
+    rep = renormalization_commutes(
+        scale_data(sc), {"scale-shift": lambda k, t: t + 0.5 * sc.lam if k == 4 else t})
     assert rep.passed and rep.max_residual <= 1e-10
 
 
 def test_renormalization_position_dependent():
     sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
-    rep = renormalization_commutes(
-        scale_data(sc),
-        lambda k, t: {p: 0.1 * (p + 1) for p in range(9)} if k == 3 else t)
+    rep = renormalization_commutes(scale_data(sc), {
+        "position-dependent":
+            lambda k, t: {p: 0.1 * (p + 1) for p in range(9)} if k == 3 else t})
     assert rep.passed and rep.max_residual <= 1e-10
 
 
 def test_renormalization_identity_is_noop():
     data = scale_data(path9_scenario({3: 0.3}))
     base = verify_gluing_theorem(data)
-    rep = renormalization_commutes(data, lambda k, t: t)
+    rep = renormalization_commutes(data, {"identity": lambda k, t: t})
     base_rows = [(c.name, c.residual) for c in base.checks]
     rep_rows = [(c.name, c.residual) for c in rep.checks[:len(base.checks)]]
     assert base_rows == rep_rows

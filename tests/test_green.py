@@ -1,15 +1,20 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutglue import green
+from cutglue.config import load_config
 from cutglue.green import (GreenError, cross_form, glued_green, green_bundle,
                            interface_green, quadratic_form_S0, side_bundle,
                            verify_dtn_difference, verify_green_gluing,
                            verify_quadratic_decomposition)
 from cutglue.meshes import (LEFT, RIGHT, build_grid_mesh, build_interval_mesh,
                             cut_along_interface)
-from cutglue.operators import OperatorSpec
+from cutglue.operators import OperatorSpec, assemble, operator_matrix
+from cutglue.suites import SUITES
 
 M0 = OperatorSpec(mass_squared=0.0)
 
@@ -225,3 +230,67 @@ def test_dtn_difference_bounded_under_refinement():
         norms.append(float(rep.checks[0].details["max_entry"]))
     assert all(np.isfinite(v) for v in norms)
     assert max(norms) <= 2.0 * max(norms[0], 1e-12)  # no blow-up trend
+
+
+def reference_surface_matrix(mesh, spec, cut, side, surf):
+    """Surface block of a side operator, one edge at a time: the loop that
+    built it before every operator came from `operator_matrix`."""
+    pos = {int(n): k for k, n in enumerate(surf)}
+    frac = cut.edge_fraction(side)
+    m = np.zeros((surf.size, surf.size))
+    for e, (i, j) in enumerate(mesh.edges):
+        w = mesh.edge_weights[e] * frac[e]
+        if w == 0.0:
+            continue
+        ii, jj = pos.get(int(i)), pos.get(int(j))
+        if ii is not None:
+            m[ii, ii] += w
+        if jj is not None:
+            m[jj, jj] += w
+        if ii is not None and jj is not None:
+            m[ii, jj] -= w
+            m[jj, ii] -= w
+    for n in cut.interface:
+        m[pos[int(n)], pos[int(n)]] += 0.5 * spec.mass_squared * mesh.node_volumes[int(n)]
+    return m
+
+
+def assert_bitwise(x, y):
+    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("case", ["path9_cubic", "grid5_quartic", "grid9-curved"])
+def test_side_operators_come_from_the_one_assembly(monkeypatch, case):
+    """Each side operator is built like the whole one, from side-attributed
+    conductances: its surface block matches the per-edge reference, and its
+    interior and interior-to-surface blocks are the whole operator's."""
+    if case == "grid9-curved":
+        mesh = build_grid_mesh(
+            9, 9, 1.0,
+            metric_profile=lambda x: 1.0 + 0.4 * np.sin(x[0]) ** 2 + 0.1 * x[1])
+        spec, surface_tolerance = OperatorSpec(0.1), 1e-15
+        cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == 4.0)
+    else:
+        cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                       f"{case}.json"), SUITES)
+        mesh, spec, cut, surface_tolerance = cfg.mesh, cfg.operator, cfg.cut, 0.0
+    built = []
+
+    def recorded(*args):
+        built.append(operator_matrix(*args))
+        return built[-1]
+
+    monkeypatch.setattr(green, "operator_matrix", recorded)
+    whole = assemble(mesh, spec)
+    for side in (LEFT, RIGHT):
+        side_bundle(mesh, spec, cut, side)
+        a = built.pop()
+        interior = cut.side_interior(side)
+        surf = np.concatenate([cut.side_outer_boundary(side), cut.interface])
+        reference = reference_surface_matrix(mesh, spec, cut, side, surf)
+        if surface_tolerance:
+            assert np.abs(a[np.ix_(surf, surf)] - reference).max() <= surface_tolerance
+        else:
+            assert_bitwise(a[np.ix_(surf, surf)], reference)
+        for cols in (interior, surf):
+            assert_bitwise(a[np.ix_(interior, cols)], whole[np.ix_(interior, cols)])
