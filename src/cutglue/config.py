@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .gluing import GluingContext, gluing_context
 from .kernels import SHAPES
 from .meshes import Mesh, build_grid_mesh, build_interval_mesh, \
     cut_along_interface, lambda_one
@@ -39,13 +41,22 @@ class ScenarioConfig:
     max_order: float
     suites: tuple
 
+    @cached_property
+    def context(self) -> GluingContext:
+        """Green data of (mesh, operator, cut), built on first use and then
+        shared by every suite of the run; its arrays are read-only."""
+        return gluing_context(self.mesh, self.operator, self.cut)
+
 
 def _build_mesh(spec: dict) -> Mesh:
     kind = spec.get("type")
     if kind == "interval":
-        return build_interval_mesh(int(spec["n_interior"]), float(spec["spacing"]))
+        return build_interval_mesh(_integer(spec["n_interior"], "mesh n_interior"),
+                                   _finite(spec["spacing"], "mesh spacing"))
     if kind == "grid":
-        return build_grid_mesh(int(spec["nx"]), int(spec["ny"]), float(spec["spacing"]))
+        return build_grid_mesh(_integer(spec["nx"], "mesh nx"),
+                               _integer(spec["ny"], "mesh ny"),
+                               _finite(spec["spacing"], "mesh spacing"))
     if kind == "file":
         try:
             with open(spec["path"], encoding="utf-8") as fh:
@@ -57,7 +68,8 @@ def _build_mesh(spec: dict) -> Mesh:
 
 
 def _build_cut(mesh: Mesh, spec: dict):
-    axis, value = int(spec["axis"]), float(spec["value"])
+    axis = _integer(spec["axis"], "cut axis")
+    value = _finite(spec["value"], "cut value")
     if axis < 0 or axis >= mesh.positions.shape[1]:
         raise ConfigError(f"cut axis {axis} out of range")
     return cut_along_interface(
@@ -70,6 +82,13 @@ def _finite(value, what: str) -> float:
             or not math.isfinite(value)):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer: no float, however round, and no boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _build_coupling(mesh: Mesh, power: int, spec):
@@ -160,10 +179,11 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
 
     mesh = _build_mesh(raw["mesh"])
     cut = _build_cut(mesh, raw["cut"])
-    operator = OperatorSpec(float(raw["operator"].get("mass_squared", 0.0)))
-    lambdas = tuple(float(x) for x in raw["lambdas"])
-    if not all(map(math.isfinite, (operator.mass_squared, *lambdas))):
-        raise ConfigError("mass_squared and lambdas must be finite")
+    operator = OperatorSpec(_finite(raw["operator"].get("mass_squared", 0.0),
+                                    "mass_squared"))
+    if not isinstance(raw["lambdas"], list):
+        raise ConfigError("lambdas must be a list of numbers")
+    lambdas = tuple(_finite(x, "lambdas entry") for x in raw["lambdas"])
     # Side operators are principal submatrices of this one and the summed
     # interface response is its Schur complement: they inherit positivity.
     interior = mesh.interior
@@ -182,7 +202,7 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
         if lam <= lam1:
             raise ConfigError(f"lam below lambda_1: {lam} <= {lam1}")
 
-    max_order = check_max_order(interaction, float(raw["max_order"]))
+    max_order = check_max_order(interaction, _finite(raw["max_order"], "max_order"))
 
     suites = tuple(raw.get("suites", sorted(known_suites)))
     unknown = [s for s in suites if s not in known_suites]

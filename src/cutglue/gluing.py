@@ -52,9 +52,17 @@ class GluingContext:
 
 
 def gluing_context(mesh: Mesh, operator: OperatorSpec, cut: Cut) -> GluingContext:
+    """Build the Green data of one cut.  Its Green, Poisson and response
+    matrices and g_sigma are read-only: every reader shares them, so an
+    in-place write raises instead of corrupting the readers after it."""
     sides = {s: side_bundle(mesh, operator, cut, s) for s in (LEFT, RIGHT)}
-    return GluingContext(mesh, cut, operator, green_bundle(mesh, operator),
-                         sides, interface_green(sides[LEFT], sides[RIGHT]))
+    ctx = GluingContext(mesh, cut, operator, green_bundle(mesh, operator),
+                        sides, interface_green(sides[LEFT], sides[RIGHT]))
+    for b in (ctx.bundle, *sides.values()):
+        for array in (b.green, b.poisson, b.dtn):
+            array.flags.writeable = False
+    ctx.g_sigma.flags.writeable = False
+    return ctx
 
 
 def side_kernels(ctx: GluingContext, lam: float, shape="uniform") -> SideKernels:

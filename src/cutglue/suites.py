@@ -1,6 +1,8 @@
 """Named verification suites runnable from a scenario config.
 
-A suite builds its Green data once; data of one scale lives for that scale.
+A run builds its Green data once (`ScenarioConfig.context`, on first use)
+and every suite reads it; data of one scale lives for that scale.
+kernel-properties builds its own left side bundle.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ import numpy as np
 
 from . import euclidean as eu
 from .config import ScenarioConfig
-from .gluing import (GluingScenario, gluing_context, lambda_sweep,
-                     renormalization_commutes, scale_data, side_kernels,
-                     verify_gluing_theorem)
-from .green import (green_bundle, side_bundle, verify_dtn_difference,
-                    verify_green_gluing, verify_quadratic_decomposition)
+from .gluing import (GluingScenario, lambda_sweep, renormalization_commutes,
+                     scale_data, side_kernels, verify_gluing_theorem)
+from .green import (side_bundle, verify_dtn_difference, verify_green_gluing,
+                    verify_quadratic_decomposition)
 from .kernels import (build_mesh_kernel, restrict_kernel_to_submesh,
                       verify_deformed_gluing, verify_regularization)
 from .meshes import LEFT, RIGHT
@@ -26,7 +27,7 @@ from .reports import Check, Report
 
 def _scenario(cfg: ScenarioConfig, lam: float) -> GluingScenario:
     return GluingScenario(
-        context=gluing_context(cfg.mesh, cfg.operator, cfg.cut),
+        context=cfg.context,
         interaction=cfg.interaction, lam=lam,
         shape=cfg.shape, eta=cfg.eta, max_order=cfg.max_order,
     )
@@ -34,7 +35,7 @@ def _scenario(cfg: ScenarioConfig, lam: float) -> GluingScenario:
 
 def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
     report = Report("green-identities")
-    ctx = gluing_context(cfg.mesh, cfg.operator, cfg.cut)
+    ctx = cfg.context
     bundle, left, right = ctx.bundle, ctx.sides[LEFT], ctx.sides[RIGHT]
     k = left.dtn_sigma + right.dtn_sigma
     report.add(Check("interface-response-sum-inverse",
@@ -54,8 +55,8 @@ def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
 
 
 def suite_quadratic_decomposition(cfg: ScenarioConfig, seed: int) -> Report:
-    return verify_quadratic_decomposition(green_bundle(cfg.mesh, cfg.operator),
-                                          cfg.cut, trials=120, seed=seed)
+    return verify_quadratic_decomposition(cfg.context.bundle, cfg.cut,
+                                          trials=120, seed=seed)
 
 
 def suite_averaging_closed_form(cfg: ScenarioConfig, seed: int) -> Report:
@@ -122,7 +123,7 @@ def _per_lam(name: str, lambdas, checks_at) -> Report:
 
 def suite_regularization(cfg: ScenarioConfig, seed: int) -> Report:
     interior = cfg.mesh.interior
-    bundle = green_bundle(cfg.mesh, cfg.operator)
+    bundle = cfg.context.bundle
     eigenpairs = np.linalg.eigh(
         assemble(cfg.mesh, cfg.operator)[np.ix_(interior, interior)])
     return _per_lam("regularization", cfg.lambdas,
@@ -132,7 +133,7 @@ def suite_regularization(cfg: ScenarioConfig, seed: int) -> Report:
 
 
 def suite_deformed_gluing(cfg: ScenarioConfig, seed: int) -> Report:
-    ctx = gluing_context(cfg.mesh, cfg.operator, cfg.cut)
+    ctx = cfg.context
     return _per_lam("deformed-gluing", cfg.lambdas,
                     lambda lam: verify_deformed_gluing(
                         side_kernels(ctx, lam, cfg.shape), ctx.bundle, ctx.sides,

@@ -12,6 +12,8 @@ from cutglue.reports import Check, Report
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                       "path9_cubic.json")
+GRID_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "grid5_quartic.json")
 
 
 def path9_with(tmp_path, **changes):
@@ -62,7 +64,7 @@ def test_run_fast_suites(tmp_path, capsys):
 @pytest.mark.parametrize("changes, message", [
     ({"lambdas": [0.1]}, "lam below lambda_1"),
     ({"operator": {"mass_squared": -5}}, "non-positive spectrum"),
-    ({"lambdas": ["x"]}, "could not convert"),
+    ({"lambdas": ["x"]}, "lambdas entry must be a finite number, got 'x'"),
     ({"max_order": 3.0}, "above the cap"),
     ({"interaction": {"3": [0.1, 0.2]}}, "has 2 entries, mesh has 9 nodes"),
     ({"interaction": {"3": "x"}}, "must be a finite number"),
@@ -102,6 +104,19 @@ def test_run_fast_suites(tmp_path, capsys):
                         "edge 1 2 w=1.0 len=1.0\n")},
      "header says nodes=5, file has 3 node lines"),
     ({"eta": [[1.0, -0.5]]}, "eta must be a flat list of 2 boundary values"),
+    ({"cut": {"axis": 0.7, "value": 4.0}}, "cut axis must be an integer, got 0.7"),
+    ({"cut": {"axis": True, "value": 4.0}}, "cut axis must be an integer, got True"),
+    ({"cut": {"axis": 0, "value": "4"}}, "cut value must be a finite number"),
+    ({"mesh": {"type": "interval", "n_interior": 7.0, "spacing": 1.0}},
+     "mesh n_interior must be an integer, got 7.0"),
+    ({"mesh": {"type": "grid", "nx": 5, "ny": "5", "spacing": 1.0}},
+     "mesh ny must be an integer, got '5'"),
+    ({"mesh": {"type": "interval", "n_interior": 7, "spacing": False}},
+     "mesh spacing must be a finite number"),
+    ({"operator": {"mass_squared": "0.1"}}, "mass_squared must be a finite number"),
+    ({"lambdas": [True, 2.5]}, "lambdas entry must be a finite number, got True"),
+    ({"lambdas": 2.5}, "lambdas must be a list of numbers"),
+    ({"max_order": "1.5"}, "max_order must be a finite number, got '1.5'"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
@@ -109,7 +124,10 @@ def test_run_fast_suites(tmp_path, capsys):
         "name-empty", "name-dot", "name-dot-dot", "mesh-file-missing",
         "mesh-line-truncated", "mesh-edge-to-missing-node",
         "mesh-node-id-duplicate", "mesh-node-id-out-of-range",
-        "mesh-header-node-count", "eta-nested"])
+        "mesh-header-node-count", "eta-nested", "cut-axis-float",
+        "cut-axis-bool", "cut-value-string", "mesh-size-float",
+        "mesh-size-string", "mesh-spacing-bool", "mass-string",
+        "lambda-bool", "lambdas-not-a-list", "max-order-string"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
@@ -170,10 +188,10 @@ def test_max_order_override_checks_leg_cap(tmp_path, capsys):
     assert "above the cap" in capsys.readouterr().err
 
 
-def test_suites_build_green_data_once(tmp_path, monkeypatch, capsys):
-    """One gluing context per suite and one kernel per lam, however many
-    checks and widening steps read them."""
-    calls = {"green_bundle": 0, "side_bundle": 0, "build_mesh_kernel": 0}
+def count_calls(monkeypatch, names) -> dict:
+    """Count calls of the named cutglue functions through every module alias,
+    as taken by `from .x import y`; the returned dict fills as they run."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -181,14 +199,20 @@ def test_suites_build_green_data_once(tmp_path, monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    # Patch every module alias, as taken by `from .x import y`.
     for mod_name, module in list(sys.modules.items()):
         if mod_name.startswith("cutglue."):
             for name in calls:
                 if name in vars(module):
                     monkeypatch.setattr(module, name,
                                         counted(name, vars(module)[name]))
+    return calls
 
+
+def test_suites_build_green_data_once(tmp_path, monkeypatch, capsys):
+    """One gluing context per run and one kernel per lam, however many
+    checks and widening steps read them."""
+    calls = count_calls(monkeypatch,
+                        ("green_bundle", "side_bundle", "build_mesh_kernel"))
     code = cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
                      "--suite", "gluing-theorem"])
     assert code == 0
@@ -199,6 +223,50 @@ def test_suites_build_green_data_once(tmp_path, monkeypatch, capsys):
     assert n_lambdas >= 2
     assert calls == {"green_bundle": 1, "side_bundle": 2,
                      "build_mesh_kernel": n_lambdas}
+
+
+def test_run_builds_green_data_once(tmp_path, monkeypatch, capsys):
+    """Every suite that reads Green data shares one gluing context per run.
+    kernel-properties, which builds its own left side bundle, is left out."""
+    calls = count_calls(monkeypatch,
+                        ("gluing_context", "green_bundle", "side_bundle"))
+    selected = [s for s in suites.SUITES if s != "kernel-properties"]
+    code = cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
+                     *(a for s in selected for a in ("--suite", s))])
+    assert code == 0
+    assert calls == {"gluing_context": 1, "green_bundle": 1, "side_bundle": 2}
+
+
+@pytest.mark.parametrize("config", [CONFIG, GRID_CONFIG],
+                         ids=["path9_cubic", "grid5_quartic"])
+def test_suite_alone_writes_the_same_report(tmp_path, capsys, config):
+    """A suite must leave nothing in the shared context that changes the
+    suites after it: alone, each writes the bytes it writes among all."""
+    together = tmp_path / "together"
+    names = sorted(suites.SUITES)
+    assert cli.main(["run", config, "--out-dir", str(together),
+                     *(a for s in names for a in ("--suite", s))]) == 0
+    for name in names:
+        alone = tmp_path / name
+        assert cli.main(["run", config, "--out-dir", str(alone),
+                         "--suite", name]) == 0
+        written = sorted(alone.glob(f"*-{name}.*"))
+        assert [p.suffix for p in written] == [".csv", ".json"]
+        for path in written:
+            assert path.read_bytes() == (together / path.name).read_bytes(), path.name
+
+
+def test_context_arrays_are_read_only():
+    from cutglue.config import load_config
+    cfg = load_config(CONFIG, suites.SUITES)
+    ctx = cfg.context
+    assert cfg.context is ctx
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.bundle.green[0, 0] = 1.0
+    for array in (ctx.bundle.poisson, ctx.bundle.dtn, ctx.g_sigma,
+                  *(a for sb in ctx.sides.values()
+                    for a in (sb.green, sb.poisson, sb.dtn))):
+        assert not array.flags.writeable
 
 
 def test_numerical_failure_exits_one(tmp_path, monkeypatch, capsys):
