@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gluing import GluingContext, gluing_context
+from .gluing import GluingContext, ScaleData, gluing_context
 from .kernels import SHAPES
 from .meshes import Mesh, build_grid_mesh, build_interval_mesh, \
     cut_along_interface, lambda_one
@@ -28,7 +28,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated inputs of one batch run."""
+    """Validated inputs of one batch run; scale is set only on a one-scale
+    view of it (`suites.scale_view`)."""
 
     name: str
     mesh: Mesh
@@ -40,11 +41,15 @@ class ScenarioConfig:
     eta: np.ndarray
     max_order: float
     suites: tuple
+    scale: ScaleData | None = None
 
     @cached_property
     def context(self) -> GluingContext:
         """Green data of (mesh, operator, cut), built on first use and then
-        shared by every suite of the run; its arrays are read-only."""
+        shared by every suite of the run; its arrays are read-only.  A
+        one-scale view reads the run's context from its scale."""
+        if self.scale is not None:
+            return self.scale.scenario.context
         return gluing_context(self.mesh, self.operator, self.cut)
 
 
@@ -128,15 +133,12 @@ def _build_eta(mesh: Mesh, spec) -> np.ndarray:
         for node, value in spec.items():
             if int(node) not in pos:
                 raise ConfigError(f"eta node {node} is not a boundary node")
-            eta[pos[int(node)]] = float(value)
-    else:
-        eta = np.asarray(spec, dtype=float)
-        if eta.shape != (nb,):
-            raise ConfigError(f"eta must be a flat list of {nb} boundary values, "
-                              f"got shape {eta.shape}")
-    if not np.all(np.isfinite(eta)):
-        raise ConfigError("eta must be finite")
-    return eta
+            eta[pos[int(node)]] = _finite(value, "eta value")
+        return eta
+    if not isinstance(spec, list) or len(spec) != nb:
+        raise ConfigError(f"eta must be a flat list of {nb} boundary values, "
+                          f"got {spec!r}")
+    return np.array([_finite(value, "eta value") for value in spec])
 
 
 def check_max_order(interaction: InteractionSpec, max_order: float) -> float:
@@ -204,7 +206,10 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
 
     max_order = check_max_order(interaction, _finite(raw["max_order"], "max_order"))
 
-    suites = tuple(raw.get("suites", sorted(known_suites)))
+    suites = raw.get("suites", sorted(known_suites))
+    if not isinstance(suites, list):
+        raise ConfigError("suites must be a list of suite names")
+    suites = tuple(suites)
     unknown = [s for s in suites if s not in known_suites]
     if unknown:
         raise ConfigError(f"unknown suites: {unknown}")

@@ -11,14 +11,19 @@ whole-manifold series is then a matter of exact linear algebra, order by order.
 
 Green data is built once per cut (`GluingContext`), kernels and Gaussian
 data once per scale (`ScaleData`); vertex regions are index subsets of it.
-The widening evaluates all its regions of one scale in a single engine pass
-per Gaussian (glued and whole); the base comparison and the assembly and
-side-order checks are one-region passes on the union region.
+A run is lambda-major: it builds one `ScaleData` at a time, every check of
+that scale reads it, and it is dropped before the next scale is built.  The
+glued assemblies share one covariance, and the glued and whole series on the
+union region are computed once per scale.  The widening evaluates all its
+regions of one scale in a single engine pass per Gaussian (glued and whole);
+the base comparison and the assembly and side-order checks are one-region
+passes on the union region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from .green import (GreenBundle, glued_green, green_bundle, interface_green,
 from .kernels import (KernelMatrix, SideKernels, build_mesh_kernel,
                       deformed_side_nodes, restrict_kernel_to_submesh)
 from .meshes import LEFT, RIGHT, Cut, Mesh, lambda_one
-from .operators import OperatorSpec
+from .operators import OperatorSpec, assemble
 from .perturbation import (InteractionSpec, NodeGaussian, averaged_gaussian,
                            effective_action_series)
 from .reports import Check, Report
@@ -40,8 +45,9 @@ class GluingError(ValueError):
 
 @dataclass(frozen=True)
 class GluingContext:
-    """Whole and side Green bundles of one (mesh, operator, cut), and the
-    interface Green's matrix g_sigma from the summed side responses."""
+    """Whole and side Green bundles of one (mesh, operator, cut), the
+    interface Green's matrix g_sigma from the summed side responses, and
+    `green.glued_green` of the sides (glued, to_sigma)."""
 
     mesh: Mesh
     cut: Cut
@@ -49,19 +55,32 @@ class GluingContext:
     bundle: GreenBundle
     sides: dict
     g_sigma: np.ndarray
+    glued: np.ndarray
+    to_sigma: np.ndarray
+
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """`np.linalg.eigh` of the interior operator, built on first use."""
+        interior = self.mesh.interior
+        pairs = np.linalg.eigh(assemble(self.mesh, self.operator)[np.ix_(interior, interior)])
+        for array in pairs:
+            array.flags.writeable = False
+        return pairs
 
 
 def gluing_context(mesh: Mesh, operator: OperatorSpec, cut: Cut) -> GluingContext:
-    """Build the Green data of one cut.  Its Green, Poisson and response
-    matrices and g_sigma are read-only: every reader shares them, so an
-    in-place write raises instead of corrupting the readers after it."""
+    """Build the Green data of one cut.  Its matrices are read-only: every
+    reader shares them, so an in-place write raises instead of corrupting
+    the readers after it."""
     sides = {s: side_bundle(mesh, operator, cut, s) for s in (LEFT, RIGHT)}
+    g_sigma = interface_green(sides[LEFT], sides[RIGHT])
     ctx = GluingContext(mesh, cut, operator, green_bundle(mesh, operator),
-                        sides, interface_green(sides[LEFT], sides[RIGHT]))
+                        sides, g_sigma, *glued_green(sides, g_sigma, mesh.n_nodes))
     for b in (ctx.bundle, *sides.values()):
         for array in (b.green, b.poisson, b.dtn):
             array.flags.writeable = False
-    ctx.g_sigma.flags.writeable = False
+    for array in (ctx.g_sigma, ctx.glued, ctx.to_sigma):
+        array.flags.writeable = False
     return ctx
 
 
@@ -106,29 +125,26 @@ def _side_eta(scenario: GluingScenario, sb) -> np.ndarray:
     return np.array([scenario.eta[pos[int(n)]] for n in sb.outer])
 
 
-def glued_gaussian(scenario: GluingScenario, kernels: SideKernels,
-                   assembly: str = "fold",
-                   side_order: tuple = (LEFT, RIGHT)) -> NodeGaussian:
+def glued_gaussian(scenario: GluingScenario, kernels: SideKernels) -> NodeGaussian:
     """Node-level Gaussian data of the glued theory, from side data only.
 
     Built exclusively from side Green's matrices, side Poisson operators,
-    and the interface covariance from the summed interface responses.
-    assembly picks how the interface mean enters: "fold" bakes it into the
-    background field before averaging, "carry" adds it through the
-    interface map afterwards; the two must agree identically.  Rows of
-    nodes deep inside a side average with that side's restricted kernel.
+    and the interface covariance from the summed interface responses, with
+    the interface mean folded into the background field.  Rows of nodes deep
+    inside a side average with that side's restricted kernel.
     """
+    order0, mean, rows = _glued_mean(scenario, kernels, "fold", (LEFT, RIGHT))
+    return NodeGaussian(order0, mean, rows @ scenario.context.glued @ rows.T)
+
+
+def _glued_mean(scenario: GluingScenario, kernels: SideKernels, assembly: str,
+                side_order: tuple):
+    """Order-0 action, averaged mean and averaging rows of the glued field.
+    "fold" bakes the interface mean into the background before averaging,
+    "carry" adds it through the interface map afterwards; the two must agree
+    identically."""
     if assembly not in ("fold", "carry"):
         raise GluingError(f"unknown assembly {assembly!r}")
-    order0, b, cov_nodes = _glued_fields(scenario, assembly, side_order)
-    rows = np.array(kernels.kernel.matrix)
-    for s in side_order:
-        rows[kernels.deep[s]] = kernels.deep_rows[s]
-    return NodeGaussian(order0, rows @ b, rows @ cov_nodes @ rows.T)
-
-
-def _glued_fields(scenario: GluingScenario, assembly: str, side_order: tuple):
-    """Order-0 action, background and covariance of the glued field, unaveraged."""
     ctx = scenario.context
     sides, g_sigma = {s: ctx.sides[s] for s in side_order}, ctx.g_sigma
 
@@ -138,7 +154,6 @@ def _glued_fields(scenario: GluingScenario, assembly: str, side_order: tuple):
     s0 = sum(0.5 * etas[s] @ sb.dtn_outer @ etas[s] for s, sb in sides.items())
     order0 = float(s0 - 0.5 * c @ g_sigma @ c)
 
-    cov_nodes, to_sigma = glued_green(sides, g_sigma, ctx.mesh.n_nodes)
     b = np.zeros(ctx.mesh.n_nodes)
     sigma_value = mu if assembly == "fold" else np.zeros_like(mu)
     for s, sb in sides.items():
@@ -147,15 +162,19 @@ def _glued_fields(scenario: GluingScenario, assembly: str, side_order: tuple):
     if assembly == "fold":
         b[ctx.cut.interface] = mu
     else:
-        b = b + to_sigma @ mu
-    return order0, b, cov_nodes
+        b = b + ctx.to_sigma @ mu
+    rows = np.array(kernels.kernel.matrix)
+    for s, deep in kernels.deep.items():
+        rows[deep] = kernels.deep_rows[s]
+    return order0, rows @ b, rows
 
 
 @dataclass(frozen=True)
 class ScaleData:
     """What every check at one scale reads; build it per lam, drop it after.
     region: union of the sides' deep nodes; trimmed: where widening ends;
-    glued, whole: node-level Gaussian data that vertex regions index into."""
+    glued, whole: node-level Gaussian data that vertex regions index into
+    (whole.cov is the averaged propagator H G H')."""
 
     scenario: GluingScenario
     kernels: SideKernels
@@ -163,6 +182,11 @@ class ScaleData:
     trimmed: np.ndarray
     glued: NodeGaussian
     whole: NodeGaussian
+
+    @cached_property
+    def base(self) -> list[PerturbationSeries]:
+        """Glued and whole series on the union region, computed on first read."""
+        return [_series(self, g, [self.region])[0] for g in (self.glued, self.whole)]
 
 
 def scale_data(scenario: GluingScenario) -> ScaleData:
@@ -182,22 +206,20 @@ def _series(data: ScaleData, gaussian: NodeGaussian,
                            sc.max_order)
 
 
-def glued_series(data: ScaleData, region: np.ndarray | None = None,
-                 assembly: str = "fold",
+def glued_series(data: ScaleData, assembly: str = "fold",
                  side_order: tuple = (LEFT, RIGHT)) -> PerturbationSeries:
     """Minus log of the glued partition function, order by order, with
-    vertices on region (default data.region).  Assemblies other than the
-    default build their own Gaussian data, see `glued_gaussian`."""
+    vertices on the union region.  Other assemblies build their own order 0
+    and mean; the covariance of data.glued depends on neither choice."""
     if (assembly, tuple(side_order)) == ("fold", (LEFT, RIGHT)):
-        gaussian = data.glued
-    else:
-        gaussian = glued_gaussian(data.scenario, data.kernels, assembly, side_order)
-    return _series(data, gaussian, [data.region if region is None else region])[0]
+        return data.base[0]
+    order0, mean = _glued_mean(data.scenario, data.kernels, assembly, side_order)[:2]
+    return _series(data, NodeGaussian(order0, mean, data.glued.cov), [data.region])[0]
 
 
 def whole_series(data: ScaleData, region: np.ndarray | None = None) -> PerturbationSeries:
     """Whole-manifold comparison target, through the whole-mesh Green path."""
-    return _series(data, data.whole, [data.region if region is None else region])[0]
+    return data.base[1] if region is None else _series(data, data.whole, [region])[0]
 
 
 def verify_gluing_theorem(data: ScaleData, tolerance: float = 1e-10,
@@ -272,37 +294,34 @@ def renormalization_commutes(data: ScaleData, mappings: dict,
     return report
 
 
-def lambda_sweep(scenario: GluingScenario, lams) -> Report:
-    """Coefficients and gluing residuals across a grid of scales.
+def lambda_sweep(data: ScaleData) -> Report:
+    """Coefficients and gluing residuals at one scale of a sweep.
 
     Flags kernel saturation; past the inverse minimum edge length the
     coefficients must coincide bitwise with the identity-kernel values.
     """
-    ctx = scenario.context
+    sc = data.scenario
+    ctx, lam = sc.context, sc.lam
     report = Report("lambda-sweep")
-    for lam in lams:
-        data = scale_data(replace(scenario, lam=float(lam)))
-        glued = glued_series(data)
-        whole = whole_series(data)
-        details = {
-            "lam": float(lam),
-            "saturated": data.kernels.kernel.is_identity,
-            "trimmed_nodes": data.trimmed.size,
-            "region_size": data.region.size,
-        }
-        for o in glued.orders():
-            d = dict(details)
-            d["order"] = o
-            d["glued"] = glued.coeff(o)
-            report.add(Check(f"lam-{lam}-order-{o}",
-                             abs(glued.coeff(o) - whole.coeff(o)), 1e-10, d))
-        if details["saturated"]:
-            identity = KernelMatrix(matrix=np.eye(ctx.mesh.n_nodes), lam=float(lam))
-            w_id = effective_action_series(
-                ctx.mesh, ctx.operator, identity, scenario.interaction,
-                scenario.eta, scenario.max_order, region=data.region,
-                bundle=ctx.bundle)
-            exact = 0.0 if np.array_equal(whole.to_array(), w_id.to_array()) else 1.0
-            report.add(Check(f"lam-{lam}-saturation-bitwise", exact, 0.0, details))
-        del data  # this lam's arrays must not overlap the next lam's
+    glued = glued_series(data)
+    whole = whole_series(data)
+    details = {
+        "lam": lam,
+        "saturated": data.kernels.kernel.is_identity,
+        "trimmed_nodes": data.trimmed.size,
+        "region_size": data.region.size,
+    }
+    for o in glued.orders():
+        d = dict(details)
+        d["order"] = o
+        d["glued"] = glued.coeff(o)
+        report.add(Check(f"lam-{lam}-order-{o}",
+                         abs(glued.coeff(o) - whole.coeff(o)), 1e-10, d))
+    if details["saturated"]:
+        identity = KernelMatrix(matrix=np.eye(ctx.mesh.n_nodes), lam=lam)
+        w_id = effective_action_series(
+            ctx.mesh, ctx.operator, identity, sc.interaction, sc.eta,
+            sc.max_order, region=data.region, bundle=ctx.bundle)
+        exact = 0.0 if np.array_equal(whole.to_array(), w_id.to_array()) else 1.0
+        report.add(Check(f"lam-{lam}-saturation-bitwise", exact, 0.0, details))
     return report

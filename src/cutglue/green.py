@@ -9,8 +9,8 @@ boundary operator is a finite matrix obtained by block elimination, which
 keeps all gluing identities exact up to rounding.  The whole mesh and each
 side of a cut take their operator from the one assembly,
 `operators.operator_matrix`, and eliminate it the same way.  `glued_green`
-rebuilds the whole Green's matrix from side data alone; every gluing check
-reads it.
+rebuilds the whole Green's matrix from side data alone; a run builds it once
+and every gluing check reads it.
 """
 
 from __future__ import annotations
@@ -270,11 +270,12 @@ def verify_quadratic_decomposition(bundle: GreenBundle, cut: Cut,
 
 
 def verify_green_gluing(bundle: GreenBundle, sides: dict, g_sigma: np.ndarray,
-                        tolerance: float = 1e-10) -> Report:
+                        glued: np.ndarray, tolerance: float = 1e-10) -> Report:
     """Entrywise check of the same-side and cross-side gluing relations.
 
     Each named block of the whole-mesh Green's matrix must equal the same
-    block of `glued_green`: the side Green's matrix plus the interface round
+    block of glued, the matrix of `glued_green(sides, g_sigma, ...)`: the
+    side Green's matrix plus the interface round
     trip on one side, the pure interface round trip across sides.  The
     interface Green's block is computed both as a block of the dense whole
     inverse and as the inverse summed side response g_sigma; their agreement
@@ -282,7 +283,6 @@ def verify_green_gluing(bundle: GreenBundle, sides: dict, g_sigma: np.ndarray,
     """
     left, right = sides[LEFT], sides[RIGHT]
     interface = left.sigma  # the cut interface, shared by both sides
-    glued, _ = glued_green(sides, g_sigma, bundle.mesh.n_nodes)
     report = Report("green-gluing")
 
     def residual(ids_a, ids_b) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euclidean import RadialProfile
-from .green import GreenBundle, SideBundle, glued_green
+from .green import GreenBundle, SideBundle
 from .meshes import LEFT, RIGHT, _DIST_RTOL, Cut, Mesh, lambda_one
 from .reports import Check, Report
 
@@ -169,9 +169,7 @@ def spectral_regularized_green(mesh: Mesh, eigenpairs: tuple[np.ndarray, np.ndar
     (H psi)(H psi)' / eigenvalue over the full spectrum.
     """
     vals, vecs = eigenpairs
-    interior = mesh.interior
-    h = kernel.matrix[:, interior]
-    hv = h @ vecs
+    hv = kernel.matrix[:, mesh.interior] @ vecs
     return (hv / vals) @ hv.T
 
 
@@ -203,23 +201,20 @@ class SideKernels:
     deep_rows: dict
 
 
-def verify_deformed_gluing(kernels: SideKernels, bundle: GreenBundle,
-                           sides: dict, g_sigma: np.ndarray,
-                           tolerance: float = 1e-10) -> Report:
+def verify_deformed_gluing(kernels: SideKernels, g_reg: np.ndarray,
+                           glued: np.ndarray, tolerance: float = 1e-10) -> Report:
     """Decomposition of the averaged propagator across a cut.
 
-    For nodes deep inside each side the whole-mesh averaged propagator must
-    equal the glued Green's matrix (`green.glued_green`) averaged with each
-    side's restricted kernel rows: the side-regularized propagator plus an
-    interface round trip on one side, the pure interface round trip across
-    sides, all built from restricted kernels and side Green data only.
+    For nodes deep inside each side the whole-mesh averaged propagator g_reg
+    must equal the glued Green's matrix (`green.glued_green`) averaged with
+    each side's restricted kernel rows: the side-regularized propagator plus
+    an interface round trip on one side, the pure interface round trip
+    across sides, all built from restricted kernels and side Green data only.
     """
     kernel, deep, rows = kernels.kernel, kernels.deep, kernels.deep_rows
-    g_reg = regularized_green(kernel, bundle)
-    glued, _ = glued_green(sides, g_sigma, bundle.mesh.n_nodes)
 
     report = Report("deformed-gluing")
-    for side in sides:
+    for side in deep:
         nodes = deep[side]
         diff = np.abs(kernel.matrix[nodes] - rows[side]).max() if nodes.size else 0.0
         report.add(Check(f"restricted-rows-match-{side}", float(diff), tolerance,
@@ -235,12 +230,11 @@ def verify_deformed_gluing(kernels: SideKernels, bundle: GreenBundle,
     return report
 
 
-def verify_regularization(bundle: GreenBundle, eigenpairs: tuple[np.ndarray, np.ndarray],
-                          kernel: KernelMatrix, tolerance: float = 1e-12) -> Report:
-    """Finiteness of the averaged diagonal and the two-route consistency check;
-    eigenpairs must be those of the interior operator bundle inverts."""
-    g_reg = regularized_green(kernel, bundle)
-    spectral = spectral_regularized_green(bundle.mesh, eigenpairs, kernel)
+def verify_regularization(g_reg: np.ndarray, spectral: np.ndarray,
+                          tolerance: float = 1e-12) -> Report:
+    """Finiteness of the averaged diagonal and the two-route consistency
+    check: g_reg by `regularized_green`, spectral by
+    `spectral_regularized_green`, of the same kernel."""
     report = Report("regularization")
     diag = np.diag(g_reg)
     report.add(Check("finite-diagonal",

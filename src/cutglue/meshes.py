@@ -80,16 +80,6 @@ class Mesh:
         mask[self.boundary] = False
         return np.nonzero(mask)[0]
 
-    def adjacency(self, values: np.ndarray | None = None) -> np.ndarray:
-        """Dense symmetric adjacency filled with `values` (weights by default)."""
-        if values is None:
-            values = self.edge_weights
-        a = np.zeros((self.n_nodes, self.n_nodes))
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        a[i, j] = values
-        a[j, i] = values
-        return a
-
     def neighbors(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-node neighbour indices and the lengths of the joining edges."""
         if "nbrs" not in self._cache:

@@ -3,7 +3,8 @@
 `operator_matrix` is the one assembly path: the whole mesh's operator and
 each side operator of a cut are built by it, from their own per-edge
 conductances and per-node mass.  Dense numpy throughout: the spectrum check
-is one symmetric LAPACK eigensolve (`np.linalg.eigvalsh`).
+is one Cholesky factorization, and a symmetric eigensolve
+(`np.linalg.eigvalsh`) only words its error.
 """
 
 from __future__ import annotations
@@ -65,9 +66,13 @@ def smallest_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def check_positive_spectrum(interior_matrix: np.ndarray) -> float:
-    """Return the smallest eigenvalue, raising if the spectrum is not positive."""
-    lam = smallest_eigenvalue(interior_matrix)
-    if lam <= 0:
-        raise OperatorError(f"non-positive spectrum: smallest eigenvalue {lam:g}")
-    return lam
+def check_positive_spectrum(interior_matrix: np.ndarray) -> None:
+    """Raise unless the symmetric interior block is positive definite: a
+    Cholesky test, with the smallest eigenvalue only in the error."""
+    if not np.allclose(interior_matrix, interior_matrix.T, atol=1e-12):
+        raise OperatorError("interior matrix lost symmetry")
+    try:
+        np.linalg.cholesky(interior_matrix)
+    except np.linalg.LinAlgError:
+        lam = smallest_eigenvalue(interior_matrix)
+        raise OperatorError(f"non-positive spectrum: smallest eigenvalue {lam:g}") from None

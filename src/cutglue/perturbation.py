@@ -38,7 +38,7 @@ from .green import GreenBundle, green_bundle, quadratic_form_S0
 from .kernels import KernelMatrix, regularized_green
 from .meshes import Mesh
 from .operators import OperatorSpec
-from .series import PerturbationSeries, series_exp
+from .series import PerturbationSeries
 
 #: hard ceiling on simultaneously contracted field legs
 LEG_CAP = 12
@@ -428,20 +428,6 @@ def interaction_z_series(vertices, mean: np.ndarray, cov: np.ndarray,
     return PerturbationSeries.from_array(coeffs, max_order)
 
 
-def interaction_w_series(vertices, mean: np.ndarray, cov: np.ndarray,
-                         max_order: float) -> PerturbationSeries:
-    """Series of -log E[exp(-V)] in x = sqrt(hbar), truncated at x^(2 max_order).
-
-    Linked-cluster route: the same vertex multisets and prefactors as
-    `interaction_z_series`, each weighing the joint cumulant of its
-    instances, so only connected diagrams are summed.  It is the one-region
-    case of `NodeGaussian.series`.
-    """
-    coeffs = -_vertex_series(vertices, mean, cov, max_order, gaussian_cumulant)[:, 0]
-    coeffs[0] = 0.0  # log of the constant term 1
-    return PerturbationSeries.from_array(coeffs, max_order)
-
-
 @dataclass(frozen=True)
 class NodeGaussian:
     """Free data over every node: order-0 action, averaged mean leg and
@@ -501,13 +487,3 @@ def effective_action_series(mesh: Mesh, spec: OperatorSpec, kernel: KernelMatrix
         region = mesh.trim_to_deformed(kernel.lam)
     gaussian = averaged_gaussian(kernel, eta, bundle)
     return gaussian.series(interaction, [region], mesh.node_volumes, max_order)[0]
-
-
-def partition_series(mesh: Mesh, spec: OperatorSpec, kernel: KernelMatrix,
-                     interaction: InteractionSpec, eta: np.ndarray,
-                     max_order: float, region: np.ndarray | None = None,
-                     bundle: GreenBundle | None = None) -> PerturbationSeries:
-    """Regularized partition function as a series: exp of minus the action series."""
-    w = effective_action_series(mesh, spec, kernel, interaction, eta,
-                                max_order, region=region, bundle=bundle)
-    return series_exp(-w)

@@ -1,8 +1,10 @@
 """Named verification suites runnable from a scenario config.
 
 A run builds its Green data once (`ScenarioConfig.context`, on first use)
-and every suite reads it; data of one scale lives for that scale.
-kernel-properties builds its own left side bundle.
+and every suite reads it.  A run is lambda-major: per scale, the suites of
+PER_SCALE (and FIRST_SCALE, at the first) read a one-scale view carrying that
+scale's data (`scale_view`), dropped before the next.  kernel-properties
+builds its own left side bundle and kernels.
 """
 
 from __future__ import annotations
@@ -14,23 +16,27 @@ import numpy as np
 
 from . import euclidean as eu
 from .config import ScenarioConfig
-from .gluing import (GluingScenario, lambda_sweep, renormalization_commutes,
-                     scale_data, side_kernels, verify_gluing_theorem)
+from .gluing import (GluingScenario, ScaleData, lambda_sweep,
+                     renormalization_commutes, scale_data, verify_gluing_theorem)
 from .green import (side_bundle, verify_dtn_difference, verify_green_gluing,
                     verify_quadratic_decomposition)
 from .kernels import (build_mesh_kernel, restrict_kernel_to_submesh,
-                      verify_deformed_gluing, verify_regularization)
+                      spectral_regularized_green, verify_deformed_gluing,
+                      verify_regularization)
 from .meshes import LEFT, RIGHT
-from .operators import assemble
 from .reports import Check, Report
 
+PER_SCALE = ("regularization", "deformed-gluing", "gluing-theorem", "lambda-sweep")
+FIRST_SCALE = ("renormalization",)
 
-def _scenario(cfg: ScenarioConfig, lam: float) -> GluingScenario:
-    return GluingScenario(
-        context=cfg.context,
-        interaction=cfg.interaction, lam=lam,
-        shape=cfg.shape, eta=cfg.eta, max_order=cfg.max_order,
-    )
+
+def scale_view(cfg: ScenarioConfig, lam: float) -> ScenarioConfig:
+    """The config at scale lam, carrying that scale's data and sharing the
+    run's context: what the runners of PER_SCALE and FIRST_SCALE read."""
+    scenario = GluingScenario(context=cfg.context, interaction=cfg.interaction,
+                              lam=lam, shape=cfg.shape, eta=cfg.eta,
+                              max_order=cfg.max_order)
+    return replace(cfg, lambdas=(lam,), scale=scale_data(scenario))
 
 
 def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
@@ -41,7 +47,8 @@ def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
     report.add(Check("interface-response-sum-inverse",
                      float(np.abs(k @ ctx.g_sigma - np.eye(k.shape[0])).max()),
                      1e-10))
-    report.extend(verify_green_gluing(bundle, ctx.sides, ctx.g_sigma).checks)
+    report.extend(verify_green_gluing(bundle, ctx.sides, ctx.g_sigma,
+                                      ctx.glued).checks)
     report.extend(verify_dtn_difference(bundle, left).checks)
     report.add(Check("green-symmetry",
                      float(np.abs(bundle.green - bundle.green.T).max()), 1e-12))
@@ -110,45 +117,33 @@ def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
     return report
 
 
-def _per_lam(name: str, lambdas, checks_at) -> Report:
-    """Checks of every scale, tagged with it; checks_at(lam) returns a Report."""
-    report = Report(name)
-    for lam in lambdas:
-        sub = checks_at(lam)
-        for c in sub.checks:
-            c.details["lam"] = lam
-        report.extend(sub.checks)
+def _at_scale(report: Report, data: ScaleData) -> Report:
+    """The report with every check tagged with the scale of data."""
+    for c in report.checks:
+        c.details["lam"] = data.scenario.lam
     return report
 
 
 def suite_regularization(cfg: ScenarioConfig, seed: int) -> Report:
-    interior = cfg.mesh.interior
-    bundle = cfg.context.bundle
-    eigenpairs = np.linalg.eigh(
-        assemble(cfg.mesh, cfg.operator)[np.ix_(interior, interior)])
-    return _per_lam("regularization", cfg.lambdas,
-                    lambda lam: verify_regularization(
-                        bundle, eigenpairs,
-                        build_mesh_kernel(cfg.mesh, lam, cfg.shape)))
+    data = cfg.scale
+    spectral = spectral_regularized_green(cfg.mesh, cfg.context.eigenpairs,
+                                          data.kernels.kernel)
+    return _at_scale(verify_regularization(data.whole.cov, spectral), data)
 
 
 def suite_deformed_gluing(cfg: ScenarioConfig, seed: int) -> Report:
-    ctx = cfg.context
-    return _per_lam("deformed-gluing", cfg.lambdas,
-                    lambda lam: verify_deformed_gluing(
-                        side_kernels(ctx, lam, cfg.shape), ctx.bundle, ctx.sides,
-                        ctx.g_sigma))
+    data = cfg.scale
+    return _at_scale(verify_deformed_gluing(data.kernels, data.whole.cov,
+                                            cfg.context.glued), data)
 
 
 def suite_gluing_theorem(cfg: ScenarioConfig, seed: int) -> Report:
-    scenario = _scenario(cfg, cfg.lambdas[0])
-    return _per_lam("gluing-theorem", cfg.lambdas,
-                    lambda lam: verify_gluing_theorem(
-                        scale_data(replace(scenario, lam=lam)), widen=True))
+    return _at_scale(verify_gluing_theorem(cfg.scale, widen=True), cfg.scale)
 
 
 def suite_renormalization(cfg: ScenarioConfig, seed: int) -> Report:
-    lam = cfg.lambdas[0]
+    data = cfg.scale
+    lam = data.scenario.lam
     # Per node, so that a coupling given by node id shifts like a constant.
     quartic = cfg.interaction.coupling_at(4, np.arange(cfg.mesh.n_nodes))
     nodes = range(cfg.mesh.n_nodes)
@@ -158,12 +153,12 @@ def suite_renormalization(cfg: ScenarioConfig, seed: int) -> Report:
         "cubic-position-dependent":
             lambda k, t: {p: 0.1 * (p + 1) for p in nodes} if k == 3 else t,
     }
-    commutes = renormalization_commutes(scale_data(_scenario(cfg, lam)), redefinitions)
+    commutes = renormalization_commutes(data, redefinitions)
     return Report("renormalization", commutes.checks)
 
 
 def suite_lambda_sweep(cfg: ScenarioConfig, seed: int) -> Report:
-    return lambda_sweep(_scenario(cfg, cfg.lambdas[0]), cfg.lambdas)
+    return lambda_sweep(cfg.scale)
 
 
 SUITES = {

@@ -5,6 +5,7 @@ line so the run log doubles as a checklist.
 """
 
 import sys
+from dataclasses import replace
 from math import pi, sqrt
 
 import numpy as np
@@ -21,6 +22,7 @@ from cutglue.meshes import (LEFT, RIGHT, build_grid_mesh, build_interval_mesh,
                             cut_along_interface)
 from cutglue.operators import OperatorSpec, assemble
 from cutglue.perturbation import InteractionSpec, wick_pairings
+from cutglue.reports import Report
 from cutglue.series import PerturbationSeries, series_exp, series_log
 
 
@@ -88,7 +90,7 @@ def test_criterion_2_green_gluing_relations():
     worst = 0.0
     for mesh, cut in _cases():
         ctx = gluing_context(mesh, OperatorSpec(0.0), cut)
-        rep = verify_green_gluing(ctx.bundle, ctx.sides, ctx.g_sigma)
+        rep = verify_green_gluing(ctx.bundle, ctx.sides, ctx.g_sigma, ctx.glued)
         worst = max(worst, rep.max_residual)
     small = build_interval_mesh(3, 1.0)
     g = green_bundle(small, OperatorSpec(0.0)).green
@@ -134,13 +136,20 @@ def test_criterion_5_regularization_finiteness():
         interior = np.ix_(mesh.interior, mesh.interior)
         eigenpairs = np.linalg.eigh(assemble(mesh, OperatorSpec(0.1))[interior])
         for lam in (1.5, 2.5):
-            rep = kn.verify_regularization(bundle, eigenpairs,
-                                           kn.build_mesh_kernel(mesh, lam))
+            kernel = kn.build_mesh_kernel(mesh, lam)
+            rep = kn.verify_regularization(
+                kn.regularized_green(kernel, bundle),
+                kn.spectral_regularized_green(mesh, eigenpairs, kernel))
             finite &= rep.passed
             worst = max(worst, max(c.residual for c in rep.checks
                                    if "spectral" in c.name))
     _emit(5, finite and worst <= 1e-12,
           f"finite averaged diagonal, spectral-vs-matrix {worst:.3e}")
+
+
+def _deformed(ctx, kernels):
+    g_reg = kn.regularized_green(kernels.kernel, ctx.bundle)
+    return kn.verify_deformed_gluing(kernels, g_reg, ctx.glued)
 
 
 def test_criterion_6_deformed_gluing():
@@ -153,15 +162,11 @@ def test_criterion_6_deformed_gluing():
     gctx = gluing_context(grid5, OperatorSpec(0.1), gcut)
     for shape in ("uniform", "bump"):
         for lam in (0.5, 1.0):
-            rep = kn.verify_deformed_gluing(side_kernels(pctx, lam, shape),
-                                            pctx.bundle, pctx.sides,
-                                            pctx.g_sigma)
+            rep = _deformed(pctx, side_kernels(pctx, lam, shape))
             assert rep.passed
             worst = max(worst, rep.max_residual)
         for lam in (1.5, 2.5):
-            rep = kn.verify_deformed_gluing(side_kernels(gctx, lam, shape),
-                                            gctx.bundle, gctx.sides,
-                                            gctx.g_sigma)
+            rep = _deformed(gctx, side_kernels(gctx, lam, shape))
             assert rep.passed
             worst = max(worst, rep.max_residual)
     _emit(6, worst <= 1e-10,
@@ -244,7 +249,9 @@ def test_criterion_10_saturation_bitwise():
     sc = GluingScenario(context=gluing_context(mesh, OperatorSpec(0.0), cut),
                         interaction=InteractionSpec({3: 0.3, 4: 0.2}),
                         lam=1.0, eta=np.array([1.0, -0.5]), max_order=1.5)
-    rep = lambda_sweep(sc, [0.5, 1.0, 2.5])
+    rep = Report("lambda-sweep")
+    for lam in (0.5, 1.0, 2.5):
+        rep.extend(lambda_sweep(scale_data(replace(sc, lam=lam))).checks)
     sat = [c for c in rep.checks if "saturation-bitwise" in c.name]
     sweep_ok = rep.passed and len(sat) == 1 and sat[0].residual == 0.0
     _emit(10, identity_ok and green_ok and sweep_ok,

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,17 @@ CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                       "path9_cubic.json")
 GRID_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                            "grid5_quartic.json")
+# Changes to path9_cubic: three scales whose kernels all average over several
+# nodes, so that data of one scale reaching the next would change a report.
+INTERVAL_CHANGES = {
+    "name": "interval41",
+    "mesh": {"type": "interval", "n_interior": 41, "spacing": 1.0},
+    "cut": {"axis": 0, "value": 21.0},
+    "operator": {"mass_squared": 0.1},
+    "kernel": {"shape": "bump"},
+    "lambdas": [0.2, 0.3, 0.5],
+    "eta": [0.3, -0.7],
+}
 
 
 def path9_with(tmp_path, **changes):
@@ -72,7 +85,7 @@ def test_run_fast_suites(tmp_path, capsys):
     ({"interaction": {"3": None}}, "must be a finite number"),
     ({"interaction": {"3": {"x": 0.1}}}, "not a node id"),
     ({"interaction": {"3": {"9": 0.1}}}, "not a node id"),
-    ({"eta": [float("nan"), 0.0]}, "eta must be finite"),
+    ({"eta": [float("nan"), 0.0]}, "eta value must be a finite number, got nan"),
     ({"name": "../../etc/x"}, "must be a plain file name"),
     ({"name": ""}, "must be a plain file name"),
     ({"name": "."}, "must be a plain file name"),
@@ -117,6 +130,10 @@ def test_run_fast_suites(tmp_path, capsys):
     ({"lambdas": [True, 2.5]}, "lambdas entry must be a finite number, got True"),
     ({"lambdas": 2.5}, "lambdas must be a list of numbers"),
     ({"max_order": "1.5"}, "max_order must be a finite number, got '1.5'"),
+    ({"eta": {"0": True}}, "eta value must be a finite number, got True"),
+    ({"eta": [True, False]}, "eta value must be a finite number, got True"),
+    ({"eta": {"0": "-0.5"}}, "eta value must be a finite number, got '-0.5'"),
+    ({"suites": "green-identities"}, "suites must be a list of suite names"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
@@ -127,7 +144,9 @@ def test_run_fast_suites(tmp_path, capsys):
         "mesh-header-node-count", "eta-nested", "cut-axis-float",
         "cut-axis-bool", "cut-value-string", "mesh-size-float",
         "mesh-size-string", "mesh-spacing-bool", "mass-string",
-        "lambda-bool", "lambdas-not-a-list", "max-order-string"])
+        "lambda-bool", "lambdas-not-a-list", "max-order-string",
+        "eta-value-bool", "eta-list-bool", "eta-value-string",
+        "suites-not-a-list"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
@@ -237,11 +256,19 @@ def test_run_builds_green_data_once(tmp_path, monkeypatch, capsys):
     assert calls == {"gluing_context": 1, "green_bundle": 1, "side_bundle": 2}
 
 
-@pytest.mark.parametrize("config", [CONFIG, GRID_CONFIG],
-                         ids=["path9_cubic", "grid5_quartic"])
+@pytest.mark.parametrize("config", [CONFIG, GRID_CONFIG, INTERVAL_CHANGES],
+                         ids=["path9_cubic", "grid5_quartic", "interval41"])
 def test_suite_alone_writes_the_same_report(tmp_path, capsys, config):
-    """A suite must leave nothing in the shared context that changes the
-    suites after it: alone, each writes the bytes it writes among all."""
+    """A suite must leave nothing in the shared context or the shared scale
+    data that changes the suites after it: alone, each writes the bytes it
+    writes among all."""
+    if isinstance(config, dict):
+        config = path9_with(tmp_path, **config)
+        from cutglue.config import load_config
+        from cutglue.kernels import build_mesh_kernel
+        cfg = load_config(config, suites.SUITES)
+        assert not any(build_mesh_kernel(cfg.mesh, lam, cfg.shape).is_identity
+                       for lam in cfg.lambdas)
     together = tmp_path / "together"
     names = sorted(suites.SUITES)
     assert cli.main(["run", config, "--out-dir", str(together),
@@ -256,6 +283,84 @@ def test_suite_alone_writes_the_same_report(tmp_path, capsys, config):
             assert path.read_bytes() == (together / path.name).read_bytes(), path.name
 
 
+def test_run_builds_each_scale_once(tmp_path, monkeypatch, capsys):
+    """Every suite that reads a scale shares its data: one kernel, one
+    averaged propagator H G H' and one glued covariance per scale, and one
+    glued Green's matrix and one interior eigendecomposition per run.
+    kernel-properties, which builds its own kernels, is left out; the
+    saturation oracle of lambda-sweep averages with its own identity kernel
+    at the one saturated scale (2.5)."""
+    calls = count_calls(monkeypatch, ("build_mesh_kernel", "regularized_green",
+                                      "glued_gaussian", "glued_green",
+                                      "gluing_context"))
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(*args, **kwargs):
+        eighs.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    selected = [s for s in suites.SUITES if s != "kernel-properties"]
+    assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
+                     *(a for s in selected for a in ("--suite", s))]) == 0
+    with open(CONFIG, encoding="utf-8") as fh:
+        n_lambdas = len(json.load(fh)["lambdas"])
+    assert calls == {"build_mesh_kernel": n_lambdas,
+                     "regularized_green": n_lambdas + 1,
+                     "glued_gaussian": n_lambdas, "glued_green": 1,
+                     "gluing_context": 1}
+    assert len(eighs) == 1
+
+
+def test_lambda_sweep_reads_the_base_series(tmp_path, monkeypatch, capsys):
+    """Beside gluing-theorem, lambda-sweep runs no engine pass of its own
+    but the identity-kernel oracle of each saturated scale."""
+    from cutglue.perturbation import NodeGaussian
+    passes = []
+    series = NodeGaussian.series
+
+    def counted(self, *args, **kwargs):
+        passes.append(1)
+        return series(self, *args, **kwargs)
+
+    monkeypatch.setattr(NodeGaussian, "series", counted)
+    counts = []
+    for selected in (["gluing-theorem"], ["gluing-theorem", "lambda-sweep"]):
+        passes.clear()
+        out = tmp_path / str(len(selected))
+        assert cli.main(["run", CONFIG, "--out-dir", str(out),
+                         *(a for s in selected for a in ("--suite", s))]) == 0
+        counts.append(len(passes))
+    sweep = json.loads((out / "path9_cubic-lambda-sweep.json").read_text())
+    saturated = sum(c["check"].endswith("-saturation-bitwise")
+                    for c in sweep["checks"])
+    assert saturated == 1
+    assert counts[1] - counts[0] == saturated
+
+
+def test_one_scale_alive_at_a_time(tmp_path, monkeypatch, capsys):
+    """The data of a scale is freed, by reference counting alone, before
+    the data of the next scale is built, and the last before reports are
+    written."""
+    built = []
+    build = suites.scale_data
+
+    def tracked(scenario):
+        assert all(ref() is None for ref in built), "an earlier scale is alive"
+        data = build(scenario)
+        built.append(weakref.ref(data))
+        return data
+
+    monkeypatch.setattr(suites, "scale_data", tracked)
+    gc.disable()
+    try:
+        assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path)]) == 0
+        assert len(built) == 3 and all(ref() is None for ref in built)
+    finally:
+        gc.enable()
+
+
 def test_context_arrays_are_read_only():
     from cutglue.config import load_config
     cfg = load_config(CONFIG, suites.SUITES)
@@ -263,7 +368,8 @@ def test_context_arrays_are_read_only():
     assert cfg.context is ctx
     with pytest.raises(ValueError, match="read-only"):
         ctx.bundle.green[0, 0] = 1.0
-    for array in (ctx.bundle.poisson, ctx.bundle.dtn, ctx.g_sigma,
+    for array in (ctx.bundle.poisson, ctx.bundle.dtn, ctx.g_sigma, ctx.glued,
+                  ctx.to_sigma, *ctx.eigenpairs,
                   *(a for sb in ctx.sides.values()
                     for a in (sb.green, sb.poisson, sb.dtn))):
         assert not array.flags.writeable

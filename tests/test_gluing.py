@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cutglue.meshes import (build_grid_mesh, build_interval_mesh,
                             cut_along_interface)
 from cutglue.operators import OperatorSpec
 from cutglue.perturbation import InteractionSpec, effective_action_series
+from cutglue.reports import Report
 
 M0 = OperatorSpec(0.0)
 
@@ -162,7 +165,9 @@ def test_renormalization_identity_is_noop():
 
 def test_lambda_sweep_saturation():
     sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
-    rep = lambda_sweep(sc, [0.5, 1.0, 2.5])
+    rep = Report("lambda-sweep")
+    for lam in (0.5, 1.0, 2.5):
+        rep.extend(lambda_sweep(scale_data(replace(sc, lam=lam))).checks)
     assert rep.passed
     saturated = [c for c in rep.checks if "saturation-bitwise" in c.name]
     assert len(saturated) == 1 and saturated[0].residual == 0.0

@@ -175,8 +175,9 @@ def test_green_gluing_reports():
             sel = lambda n, m=mesh: m.positions[n][0] == 2.0
         cut = cut_along_interface(mesh, sel)
         sides = {s: side_bundle(mesh, spec, cut, s) for s in (LEFT, RIGHT)}
-        rep = verify_green_gluing(green_bundle(mesh, spec), sides,
-                                  interface_green(sides[LEFT], sides[RIGHT]))
+        g_sigma = interface_green(sides[LEFT], sides[RIGHT])
+        glued, _ = glued_green(sides, g_sigma, mesh.n_nodes)
+        rep = verify_green_gluing(green_bundle(mesh, spec), sides, g_sigma, glued)
         assert rep.passed and rep.max_residual <= 1e-10
 
 

@@ -143,30 +143,35 @@ def test_deformed_side_nodes_nine_path():
     assert list(narrow) == [2]
 
 
+def deformed(ctx, kernels):
+    g_reg = kn.regularized_green(kernels.kernel, ctx.bundle)
+    return kn.verify_deformed_gluing(kernels, g_reg, ctx.glued)
+
+
 def test_deformed_gluing_reports():
     mesh = build_interval_mesh(7, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 4)
     ctx = gluing_context(mesh, M0, cut)
     for lam in (0.5, 1.0):
         for shape in ("uniform", "bump"):
-            rep = kn.verify_deformed_gluing(side_kernels(ctx, lam, shape),
-                                            ctx.bundle, ctx.sides, ctx.g_sigma)
+            rep = deformed(ctx, side_kernels(ctx, lam, shape))
             assert rep.passed and rep.max_residual <= 1e-10
     grid = build_grid_mesh(5, 5, 1.0)
     gcut = cut_along_interface(grid, lambda n: grid.positions[n][0] == 2.0)
     gctx = gluing_context(grid, OperatorSpec(0.1), gcut)
     for lam in (1.5, 2.5):
-        rep = kn.verify_deformed_gluing(side_kernels(gctx, lam), gctx.bundle,
-                                        gctx.sides, gctx.g_sigma)
+        rep = deformed(gctx, side_kernels(gctx, lam))
         assert rep.passed and rep.max_residual <= 1e-10
 
 
 def test_verify_regularization():
     mesh = build_interval_mesh(7, 1.0)
     interior = np.ix_(mesh.interior, mesh.interior)
-    rep = kn.verify_regularization(green_bundle(mesh, M0),
-                                   np.linalg.eigh(assemble(mesh, M0)[interior]),
-                                   kn.build_mesh_kernel(mesh, 1.0))
+    kernel = kn.build_mesh_kernel(mesh, 1.0)
+    rep = kn.verify_regularization(
+        kn.regularized_green(kernel, green_bundle(mesh, M0)),
+        kn.spectral_regularized_green(
+            mesh, np.linalg.eigh(assemble(mesh, M0)[interior]), kernel))
     assert rep.passed and rep.max_residual <= 1e-12
 
 

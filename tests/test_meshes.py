@@ -8,6 +8,17 @@ from cutglue.meshes import (LEFT, RIGHT, Mesh, MeshError, _node_side_labels,
                             cut_along_interface, lambda_one)
 
 
+def adjacency(mesh, values=None):
+    """Dense symmetric adjacency filled with `values` (weights by default)."""
+    if values is None:
+        values = mesh.edge_weights
+    a = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    i, j = mesh.edges[:, 0], mesh.edges[:, 1]
+    a[i, j] = values
+    a[j, i] = values
+    return a
+
+
 def test_interval_mesh_flat_unit():
     mesh = build_interval_mesh(3, 1.0)
     assert mesh.n_nodes == 5
@@ -236,7 +247,7 @@ GEODESIC_MESHES = {
 def test_geodesics_match_dijkstra_bitwise(name):
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     mesh = GEODESIC_MESHES[name]()
-    expected = csgraph.dijkstra(mesh.adjacency(mesh.edge_lengths), directed=False)
+    expected = csgraph.dijkstra(adjacency(mesh, mesh.edge_lengths), directed=False)
     d = mesh.distance_matrix()
     assert d.flags.c_contiguous
     np.testing.assert_array_equal(d, expected)
@@ -278,7 +289,7 @@ def test_three_component_split_matches_connected_components(scramble):
     iface = {int(n) for n in mesh.interior if xs[n] in (3.0, 5.0)}
     left, right = _node_side_labels(mesh, iface)
     interior = [int(n) for n in mesh.interior if n not in iface]
-    sub = mesh.adjacency()[np.ix_(interior, interior)]
+    sub = adjacency(mesh)[np.ix_(interior, interior)]
     ncomp, labels = csgraph.connected_components(sub, directed=False)
     assert ncomp == 3
     assert list(left) == [n for n, l in zip(interior, labels) if l == labels[0]]

@@ -35,7 +35,24 @@ def test_smallest_eigenvalue_path_oracle():
     # eigenvalues of tridiag(-1, 2, -1) at size 3: 2 - sqrt(2), 2, 2 + sqrt(2)
     m = interior_block(build_interval_mesh(3, 1.0), OperatorSpec(0.0))
     assert smallest_eigenvalue(m) == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-12)
-    assert check_positive_spectrum(m) > 0
+    check_positive_spectrum(m)
+
+
+@pytest.mark.parametrize("offset", [1e-9, -1e-9], ids=["above", "below"])
+def test_cholesky_and_eigenvalue_agree_at_the_threshold(offset):
+    """mass^2 just above and just below minus the smallest massless
+    eigenvalue: the Cholesky test passes exactly when the eigenvalue is
+    positive."""
+    mesh = build_interval_mesh(7, 1.0)
+    massless = smallest_eigenvalue(interior_block(mesh, OperatorSpec(0.0)))
+    m = interior_block(mesh, OperatorSpec(-massless + offset))
+    try:
+        check_positive_spectrum(m)
+        passed = True
+    except OperatorError as exc:
+        assert "non-positive spectrum" in str(exc)
+        passed = False
+    assert passed == (smallest_eigenvalue(m) > 0) == (offset > 0)
 
 
 def test_negative_mass_can_break_positivity():

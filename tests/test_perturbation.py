@@ -12,14 +12,29 @@ from cutglue.meshes import Mesh, build_grid_mesh, build_interval_mesh
 from cutglue.operators import OperatorSpec
 from cutglue.perturbation import (BLAS_MIN_NODES, LEG_CAP, InteractionSpec,
                                   NodeGaussian, PerturbationError, VertexType,
-                                  averaged_gaussian, effective_action_series,
-                                  gaussian_cumulant, gaussian_expectation,
-                                  interaction_w_series, interaction_z_series,
-                                  leg_budget, partition_series, vertex_terms,
-                                  wick_pairings)
-from cutglue.series import series_log
+                                  _vertex_series, averaged_gaussian,
+                                  effective_action_series, gaussian_cumulant,
+                                  gaussian_expectation, interaction_z_series,
+                                  leg_budget, vertex_terms, wick_pairings)
+from cutglue.series import PerturbationSeries, series_exp, series_log
 
 M0 = OperatorSpec(0.0)
+
+
+def interaction_w_series(vertices, mean, cov, max_order):
+    """Series of -log E[exp(-V)] by the linked-cluster route: the vertex
+    multisets and prefactors of `interaction_z_series`, each weighing the
+    joint cumulant of its instances.  The one-region case of
+    `NodeGaussian.series`, taking vertices instead of an interaction."""
+    coeffs = -_vertex_series(vertices, mean, cov, max_order, gaussian_cumulant)[:, 0]
+    coeffs[0] = 0.0  # log of the constant term 1
+    return PerturbationSeries.from_array(coeffs, max_order)
+
+
+def partition_series(mesh, spec, kernel, interaction, eta, max_order):
+    """Regularized partition function as a series: exp of minus the action series."""
+    return series_exp(-effective_action_series(mesh, spec, kernel, interaction,
+                                                eta, max_order))
 
 
 def test_interaction_spec_validation():
