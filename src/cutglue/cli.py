@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .config import ConfigError, check_max_order, load_config
 from .reports import Report
-from .suites import FIRST_SCALE, PER_SCALE, SUITES, scale_view
+from .suites import SUITES, run_suites
 
 logger = logging.getLogger(__name__)
 
@@ -76,24 +76,11 @@ def run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    reports, names = {}, list(dict.fromkeys(selected))
-    for name in names:
-        if name not in PER_SCALE + FIRST_SCALE:
-            reports[name] = SUITES[name][1](cfg, args.seed)
-    for k, lam in enumerate(cfg.lambdas):
-        scaled = [n for n in names if n in PER_SCALE or (k == 0 and n in FIRST_SCALE)]
-        if not scaled:
-            break
-        view = scale_view(cfg, lam)
-        for name in scaled:
-            part = SUITES[name][1](view, args.seed)
-            reports.setdefault(name, Report(part.name)).extend(part.checks)
-        del view  # one scale alive at a time: drop it before building the next
+    reports = run_suites(cfg, selected, args.seed)
 
     all_passed = True
     summary = Report(cfg.name)
-    for name in selected:
-        report = reports[name]
+    for name, report in reports.items():
         base = os.path.join(args.out_dir, f"{cfg.name}-{name}")
         with open(base + ".csv", "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())

@@ -2,7 +2,9 @@
 
 A config names a mesh, a cut, an operator, an interaction, a kernel shape,
 a scale grid, boundary data, and the suites to run.  All cross-references
-are checked here, before any numerics start.
+are checked here, before any numerics start.  A config holds the Green data
+of its cut (`ScenarioConfig.context`) but no per-scale data: that is a
+`gluing.ScaleData`, built by `suites.run_suites` one scale at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gluing import GluingContext, ScaleData, gluing_context
+from .gluing import GluingContext, gluing_context
 from .kernels import SHAPES
 from .meshes import Mesh, build_grid_mesh, build_interval_mesh, \
     cut_along_interface, lambda_one
@@ -28,8 +30,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated inputs of one batch run; scale is set only on a one-scale
-    view of it (`suites.scale_view`)."""
+    """Validated inputs of one batch run."""
 
     name: str
     mesh: Mesh
@@ -41,15 +42,11 @@ class ScenarioConfig:
     eta: np.ndarray
     max_order: float
     suites: tuple
-    scale: ScaleData | None = None
 
     @cached_property
     def context(self) -> GluingContext:
         """Green data of (mesh, operator, cut), built on first use and then
-        shared by every suite of the run; its arrays are read-only.  A
-        one-scale view reads the run's context from its scale."""
-        if self.scale is not None:
-            return self.scale.scenario.context
+        shared by every suite of the run; its arrays are read-only."""
         return gluing_context(self.mesh, self.operator, self.cut)
 
 

@@ -319,9 +319,8 @@ def lambda_sweep(data: ScaleData) -> Report:
                          abs(glued.coeff(o) - whole.coeff(o)), 1e-10, d))
     if details["saturated"]:
         identity = KernelMatrix(matrix=np.eye(ctx.mesh.n_nodes), lam=lam)
-        w_id = effective_action_series(
-            ctx.mesh, ctx.operator, identity, sc.interaction, sc.eta,
-            sc.max_order, region=data.region, bundle=ctx.bundle)
+        w_id = effective_action_series(ctx.bundle, identity, sc.interaction,
+                                       sc.eta, sc.max_order, region=data.region)
         exact = 0.0 if np.array_equal(whole.to_array(), w_id.to_array()) else 1.0
         report.add(Check(f"lam-{lam}-saturation-bitwise", exact, 0.0, details))
     return report

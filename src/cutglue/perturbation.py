@@ -34,10 +34,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .green import GreenBundle, green_bundle, quadratic_form_S0
+from .green import GreenBundle, quadratic_form_S0
 from .kernels import KernelMatrix, regularized_green
-from .meshes import Mesh
-from .operators import OperatorSpec
 from .series import PerturbationSeries
 
 #: hard ceiling on simultaneously contracted field legs
@@ -469,10 +467,10 @@ def averaged_gaussian(kernel: KernelMatrix, eta: np.ndarray | None,
                         regularized_green(kernel, bundle))
 
 
-def effective_action_series(mesh: Mesh, spec: OperatorSpec, kernel: KernelMatrix,
+def effective_action_series(bundle: GreenBundle, kernel: KernelMatrix,
                             interaction: InteractionSpec, eta: np.ndarray,
-                            max_order: float, region: np.ndarray | None = None,
-                            bundle: GreenBundle | None = None) -> PerturbationSeries:
+                            max_order: float,
+                            region: np.ndarray | None = None) -> PerturbationSeries:
     """Minus log of the regularized partition function, order by order.
 
     Order 0 is the free action of the harmonic extension of eta; higher
@@ -481,8 +479,7 @@ def effective_action_series(mesh: Mesh, spec: OperatorSpec, kernel: KernelMatrix
     propagator, and vertices live on the trimmed node set (or the explicit
     region if one is given).
     """
-    if bundle is None:
-        bundle = green_bundle(mesh, spec)
+    mesh = bundle.mesh
     if region is None:
         region = mesh.trim_to_deformed(kernel.lam)
     gaussian = averaged_gaussian(kernel, eta, bundle)

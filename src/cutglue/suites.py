@@ -1,15 +1,14 @@
 """Named verification suites runnable from a scenario config.
 
 A run builds its Green data once (`ScenarioConfig.context`, on first use)
-and every suite reads it.  A run is lambda-major: per scale, the suites of
-PER_SCALE (and FIRST_SCALE, at the first) read a one-scale view carrying that
-scale's data (`scale_view`), dropped before the next.  kernel-properties
-builds its own left side bundle and kernels.
+and every suite reads it.  `run_suites` is lambda-major: per scale it builds
+that scale's `ScaleData`, which the runners of PER_SCALE (and FIRST_SCALE, at
+the first) take in place of the config, and drops it before the next.
+kernel-properties builds its own left side bundle and kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -26,17 +25,9 @@ from .kernels import (build_mesh_kernel, restrict_kernel_to_submesh,
 from .meshes import LEFT, RIGHT
 from .reports import Check, Report
 
+# The runners of these take one scale's `ScaleData`; the others (cfg, seed).
 PER_SCALE = ("regularization", "deformed-gluing", "gluing-theorem", "lambda-sweep")
 FIRST_SCALE = ("renormalization",)
-
-
-def scale_view(cfg: ScenarioConfig, lam: float) -> ScenarioConfig:
-    """The config at scale lam, carrying that scale's data and sharing the
-    run's context: what the runners of PER_SCALE and FIRST_SCALE read."""
-    scenario = GluingScenario(context=cfg.context, interaction=cfg.interaction,
-                              lam=lam, shape=cfg.shape, eta=cfg.eta,
-                              max_order=cfg.max_order)
-    return replace(cfg, lambdas=(lam,), scale=scale_data(scenario))
 
 
 def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
@@ -124,29 +115,27 @@ def _at_scale(report: Report, data: ScaleData) -> Report:
     return report
 
 
-def suite_regularization(cfg: ScenarioConfig, seed: int) -> Report:
-    data = cfg.scale
-    spectral = spectral_regularized_green(cfg.mesh, cfg.context.eigenpairs,
+def suite_regularization(data: ScaleData) -> Report:
+    ctx = data.scenario.context
+    spectral = spectral_regularized_green(ctx.mesh, ctx.eigenpairs,
                                           data.kernels.kernel)
     return _at_scale(verify_regularization(data.whole.cov, spectral), data)
 
 
-def suite_deformed_gluing(cfg: ScenarioConfig, seed: int) -> Report:
-    data = cfg.scale
+def suite_deformed_gluing(data: ScaleData) -> Report:
     return _at_scale(verify_deformed_gluing(data.kernels, data.whole.cov,
-                                            cfg.context.glued), data)
+                                            data.scenario.context.glued), data)
 
 
-def suite_gluing_theorem(cfg: ScenarioConfig, seed: int) -> Report:
-    return _at_scale(verify_gluing_theorem(cfg.scale, widen=True), cfg.scale)
+def suite_gluing_theorem(data: ScaleData) -> Report:
+    return _at_scale(verify_gluing_theorem(data, widen=True), data)
 
 
-def suite_renormalization(cfg: ScenarioConfig, seed: int) -> Report:
-    data = cfg.scale
-    lam = data.scenario.lam
+def suite_renormalization(data: ScaleData) -> Report:
+    lam, n_nodes = data.scenario.lam, data.scenario.context.mesh.n_nodes
     # Per node, so that a coupling given by node id shifts like a constant.
-    quartic = cfg.interaction.coupling_at(4, np.arange(cfg.mesh.n_nodes))
-    nodes = range(cfg.mesh.n_nodes)
+    quartic = data.scenario.interaction.coupling_at(4, np.arange(n_nodes))
+    nodes = range(n_nodes)
     redefinitions = {
         "quartic-scale-shift":
             lambda k, t: quartic + 0.5 * lam if k == 4 else t,
@@ -157,8 +146,8 @@ def suite_renormalization(cfg: ScenarioConfig, seed: int) -> Report:
     return Report("renormalization", commutes.checks)
 
 
-def suite_lambda_sweep(cfg: ScenarioConfig, seed: int) -> Report:
-    return lambda_sweep(cfg.scale)
+def suite_lambda_sweep(data: ScaleData) -> Report:
+    return lambda_sweep(data)
 
 
 SUITES = {
@@ -199,3 +188,26 @@ SUITES = {
         suite_lambda_sweep,
     ),
 }
+
+
+def run_suites(cfg: ScenarioConfig, names, seed: int) -> dict:
+    """{name: Report} of each named suite, run once however often it is
+    named, in the order first named.  One scale's data is alive at a time:
+    it is dropped before the next is built."""
+    names = list(dict.fromkeys(names))
+    reports = {}
+    for name in names:
+        if name not in PER_SCALE + FIRST_SCALE:
+            reports[name] = SUITES[name][1](cfg, seed)
+    for k, lam in enumerate(cfg.lambdas):
+        scaled = [n for n in names if n in PER_SCALE or (k == 0 and n in FIRST_SCALE)]
+        if not scaled:
+            break
+        data = scale_data(GluingScenario(
+            context=cfg.context, interaction=cfg.interaction, lam=lam,
+            shape=cfg.shape, eta=cfg.eta, max_order=cfg.max_order))
+        for name in scaled:
+            part = SUITES[name][1](data)
+            reports.setdefault(name, Report(part.name)).extend(part.checks)
+        del data
+    return {name: reports[name] for name in names}

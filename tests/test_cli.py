@@ -361,6 +361,40 @@ def test_one_scale_alive_at_a_time(tmp_path, monkeypatch, capsys):
         gc.enable()
 
 
+def test_per_scale_runners_read_only_scale_data(tmp_path, capsys):
+    """The per-scale runners are library functions of one scale's data,
+    built here from path9 without a config: their parts, joined over the
+    scales, are the bytes `cutglue run` writes."""
+    from cutglue.gluing import GluingScenario, gluing_context, scale_data
+    from cutglue.meshes import build_interval_mesh, cut_along_interface
+    from cutglue.operators import OperatorSpec
+    from cutglue.perturbation import InteractionSpec
+    mesh = build_interval_mesh(7, 1.0)
+    ctx = gluing_context(mesh, OperatorSpec(0.0),
+                         cut_along_interface(mesh, lambda n: n == 4))
+    every_scale = {"regularization": suites.suite_regularization,
+                   "deformed-gluing": suites.suite_deformed_gluing,
+                   "gluing-theorem": suites.suite_gluing_theorem,
+                   "lambda-sweep": suites.suite_lambda_sweep}
+    reports = {}
+    for k, lam in enumerate((0.5, 1.0, 2.5)):
+        data = scale_data(GluingScenario(
+            context=ctx, interaction=InteractionSpec({3: 0.3, 4: 0.2}),
+            lam=lam, shape="uniform", eta=np.array([1.0, -0.5]), max_order=1.5))
+        runners = dict(every_scale)
+        if k == 0:
+            runners["renormalization"] = suites.suite_renormalization
+        for name, runner in runners.items():
+            part = runner(data)
+            reports.setdefault(name, Report(part.name)).extend(part.checks)
+    assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
+                     *(a for s in reports for a in ("--suite", s))]) == 0
+    for name, report in reports.items():
+        base = tmp_path / f"path9_cubic-{name}"
+        assert report.to_csv().encode() == base.with_suffix(".csv").read_bytes()
+        assert report.to_json().encode() == base.with_suffix(".json").read_bytes()
+
+
 def test_context_arrays_are_read_only():
     from cutglue.config import load_config
     cfg = load_config(CONFIG, suites.SUITES)
@@ -403,6 +437,7 @@ def test_pass_line_names_the_worst_check(tmp_path, monkeypatch, capsys):
 
     patched = dict(suites.SUITES, two=("two checks", two_checks),
                    empty=("no checks", lambda cfg, seed: Report("empty")))
+    monkeypatch.setattr(suites, "SUITES", patched)
     monkeypatch.setattr(cli, "SUITES", patched)
     code = cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
                      "--suite", "two", "--suite", "empty"])
@@ -410,6 +445,23 @@ def test_pass_line_names_the_worst_check(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out == ["two: pass (max residual 2.000e-12 at worst-one, 3 checks)",
                    "empty: pass (max residual 0.000e+00, 0 checks)"]
+
+
+@pytest.mark.parametrize("where", ["argument", "config"])
+def test_repeated_suite_runs_once(tmp_path, capsys, where):
+    """A suite named twice, on the command line or in the config, is run,
+    written, printed and summarized once."""
+    name = "green-identities"
+    if where == "argument":
+        config, args = CONFIG, ["--suite", name, "--suite", name]
+    else:
+        config, args = path9_with(tmp_path, suites=[name, name]), []
+    assert cli.main(["run", config, "--out-dir", str(tmp_path / "r"), *args]) == 0
+    assert capsys.readouterr().out.count(f"{name}: pass") == 1
+    report = json.loads((tmp_path / "r" / f"path9_cubic-{name}.json").read_text())
+    summary = json.loads((tmp_path / "r" / "path9_cubic-summary.json").read_text())
+    assert len(report["checks"]) > 0
+    assert len(summary["checks"]) == len(report["checks"])
 
 
 def test_run_keeps_scipy_off_the_import_path(tmp_path):

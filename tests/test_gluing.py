@@ -132,7 +132,7 @@ def test_whole_data_matches_effective_action_series():
     data = scale_data(sc)
     ctx = sc.context
     for region in (data.region, data.trimmed, data.trimmed[1:]):
-        fresh = effective_action_series(ctx.mesh, ctx.operator,
+        fresh = effective_action_series(green_bundle(ctx.mesh, ctx.operator),
                                         data.kernels.kernel, sc.interaction,
                                         sc.eta, sc.max_order, region=region)
         assert np.array_equal(whole_series(data, region).to_array(),

@@ -33,8 +33,8 @@ def interaction_w_series(vertices, mean, cov, max_order):
 
 def partition_series(mesh, spec, kernel, interaction, eta, max_order):
     """Regularized partition function as a series: exp of minus the action series."""
-    return series_exp(-effective_action_series(mesh, spec, kernel, interaction,
-                                                eta, max_order))
+    return series_exp(-effective_action_series(green_bundle(mesh, spec), kernel,
+                                                interaction, eta, max_order))
 
 
 def test_interaction_spec_validation():
@@ -370,7 +370,8 @@ def test_free_series_is_order_zero_only():
     mesh = build_interval_mesh(3, 1.0)
     kernel = build_mesh_kernel(mesh, 1.0)
     eta = np.array([1.0, 0.0])
-    w = effective_action_series(mesh, M0, kernel, InteractionSpec({}), eta, 1.5)
+    w = effective_action_series(green_bundle(mesh, M0), kernel, InteractionSpec({}),
+                                eta, 1.5)
     assert w.coeff(0.0) == pytest.approx(0.125, abs=1e-14)
     assert all(w.coeff(o) == 0.0 for o in w.orders() if o > 0)
 
@@ -382,8 +383,7 @@ def test_cubic_tadpole_coefficient():
     kernel = build_mesh_kernel(mesh, 1.0)
     eta = np.array([1.0, 0.0])
     t3 = 0.3
-    w = effective_action_series(mesh, spec, kernel, InteractionSpec({3: t3}),
-                                eta, 1.5)
+    w = effective_action_series(bundle, kernel, InteractionSpec({3: t3}), eta, 1.5)
     region = mesh.trim_to_deformed(1.0)
     mean = (kernel.matrix @ bundle.extend(eta))[region]
     g_reg = regularized_green(kernel, bundle)
@@ -397,7 +397,7 @@ def test_quartic_vacuum_coefficient():
     bundle = green_bundle(mesh, M0)
     kernel = build_mesh_kernel(mesh, 1.0)
     t4 = 0.2
-    w = effective_action_series(mesh, M0, kernel, InteractionSpec({4: t4}),
+    w = effective_action_series(bundle, kernel, InteractionSpec({4: t4}),
                                 np.zeros(2), 1.0)
     region = mesh.trim_to_deformed(1.0)
     g_reg = regularized_green(kernel, bundle)
@@ -412,7 +412,7 @@ def test_partition_and_action_are_exp_log_partners():
     kernel = build_mesh_kernel(mesh, 1.0)
     eta = np.array([0.7, -0.4])
     inter = InteractionSpec({3: 0.3, 4: 0.2})
-    w = effective_action_series(mesh, M0, kernel, inter, eta, 1.5)
+    w = effective_action_series(green_bundle(mesh, M0), kernel, inter, eta, 1.5)
     z = partition_series(mesh, M0, kernel, inter, eta, 1.5)
     back = -series_log(z)
     assert w.max_abs_diff(back) <= 1e-12
@@ -435,7 +435,7 @@ def test_identity_kernel_full_region_reduces_to_unregularized():
     assert identity.is_identity
     eta = np.array([1.0, 0.5])
     inter = InteractionSpec({3: 0.1})
-    w = effective_action_series(mesh, M0, identity, inter, eta, 1.5,
+    w = effective_action_series(bundle, identity, inter, eta, 1.5,
                                 region=mesh.interior)
     # unregularized tadpole: plain extension and plain Green diagonal
     phi = bundle.extend(eta)[mesh.interior]
@@ -462,13 +462,13 @@ def test_relabeling_invariance():
     inter = InteractionSpec({3: 0.3})
     eta = np.array([1.0, -0.5])  # ordered along mesh.boundary = [0, 4]
     k1 = build_mesh_kernel(mesh, 1.0)
-    w1 = effective_action_series(mesh, M0, k1, inter, eta, 1.5)
+    w1 = effective_action_series(green_bundle(mesh, M0), k1, inter, eta, 1.5)
     pos = {int(n): k for k, n in enumerate(np.sort(perm[mesh.boundary]))}
     eta2 = np.zeros(2)
     for old, val in zip(mesh.boundary, eta):
         eta2[pos[int(perm[old])]] = val
     k2 = build_mesh_kernel(shuffled, 1.0)
-    w2 = effective_action_series(shuffled, M0, k2, inter, eta2, 1.5)
+    w2 = effective_action_series(green_bundle(shuffled, M0), k2, inter, eta2, 1.5)
     assert w1.max_abs_diff(w2) <= 1e-12
 
 
@@ -476,5 +476,5 @@ def test_order_cap_exceeded_in_series():
     mesh = build_interval_mesh(3, 1.0)
     kernel = build_mesh_kernel(mesh, 1.0)
     with pytest.raises(PerturbationError, match="order cap"):
-        effective_action_series(mesh, M0, kernel, InteractionSpec({3: 0.1}),
-                                np.zeros(2), 6.0)
+        effective_action_series(green_bundle(mesh, M0), kernel,
+                                InteractionSpec({3: 0.1}), np.zeros(2), 6.0)
