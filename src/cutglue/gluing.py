@@ -222,8 +222,7 @@ def whole_series(data: ScaleData, region: np.ndarray | None = None) -> Perturbat
     return data.base[1] if region is None else _series(data, data.whole, [region])[0]
 
 
-def verify_gluing_theorem(data: ScaleData, tolerance: float = 1e-10,
-                          widen: bool = False) -> Report:
+def verify_gluing_theorem(data: ScaleData, widen: bool = False) -> Report:
     """Glued versus whole series, order by order, plus internal consistency.
 
     Checks, in order: the two routes to the interface covariance agree; the
@@ -240,13 +239,13 @@ def verify_gluing_theorem(data: ScaleData, tolerance: float = 1e-10,
 
     report = Report("gluing-theorem")
     report.add(Check("interface-covariance-two-paths",
-                     float(np.abs(block - ctx.g_sigma).max()), tolerance))
+                     float(np.abs(block - ctx.g_sigma).max()), 1e-10))
 
     glued = glued_series(data)
     whole = whole_series(data)
     for o in glued.orders():
         report.add(Check(f"glued-vs-whole-order-{o}",
-                         abs(glued.coeff(o) - whole.coeff(o)), tolerance,
+                         abs(glued.coeff(o) - whole.coeff(o)), 1e-10,
                          {"region_size": data.region.size, "order": o}))
 
     carried = glued_series(data, assembly="carry")
@@ -262,15 +261,14 @@ def verify_gluing_theorem(data: ScaleData, tolerance: float = 1e-10,
                         _series(data, data.whole, regions))
             for step, (p, r, g, w) in enumerate(steps, 1):
                 report.add(Check(f"widened-step-{step}", g.max_abs_diff(w),
-                                 tolerance, {"region_size": r.size, "added_node": p}))
+                                 1e-10, {"region_size": r.size, "added_node": p}))
         final = np.union1d(data.region, added)
         report.add(Check("widened-final-region-is-trimmed-set",
                          0.0 if np.array_equal(final, data.trimmed) else 1.0, 0.0))
     return report
 
 
-def renormalization_commutes(data: ScaleData, mappings: dict,
-                             tolerance: float = 1e-10) -> Report:
+def renormalization_commutes(data: ScaleData, mappings: dict) -> Report:
     """Gluing must be insensitive to redefinitions of the couplings.
 
     mappings maps a redefinition name to mapping(k, t_k), which produces the
@@ -280,14 +278,14 @@ def renormalization_commutes(data: ScaleData, mappings: dict,
     tagged with its redefinition name.  All read the same Gaussian data, which
     does not depend on the couplings.
     """
-    base = verify_gluing_theorem(data, tolerance=tolerance).max_residual
+    base = verify_gluing_theorem(data).max_residual
     report = Report("renormalization-commutes")
     for name, mapping in mappings.items():
         sc = replace(data.scenario,
                      interaction=data.scenario.interaction.redefined(mapping))
-        after = verify_gluing_theorem(replace(data, scenario=sc), tolerance=tolerance)
+        after = verify_gluing_theorem(replace(data, scenario=sc))
         after.add(Check("residual-magnitude-stable",
-                        abs(after.max_residual - base), tolerance))
+                        abs(after.max_residual - base), 1e-10))
         for c in after.checks:
             c.details["redefinition"] = name
         report.extend(after.checks)

@@ -202,7 +202,7 @@ class SideKernels:
 
 
 def verify_deformed_gluing(kernels: SideKernels, g_reg: np.ndarray,
-                           glued: np.ndarray, tolerance: float = 1e-10) -> Report:
+                           glued: np.ndarray) -> Report:
     """Decomposition of the averaged propagator across a cut.
 
     For nodes deep inside each side the whole-mesh averaged propagator g_reg
@@ -217,7 +217,7 @@ def verify_deformed_gluing(kernels: SideKernels, g_reg: np.ndarray,
     for side in deep:
         nodes = deep[side]
         diff = np.abs(kernel.matrix[nodes] - rows[side]).max() if nodes.size else 0.0
-        report.add(Check(f"restricted-rows-match-{side}", float(diff), tolerance,
+        report.add(Check(f"restricted-rows-match-{side}", float(diff), 1e-10,
                          {"deep_nodes": nodes.size}))
     for a, b, name in ((LEFT, LEFT, f"same-side-{LEFT}"),
                        (RIGHT, RIGHT, f"same-side-{RIGHT}"),
@@ -226,12 +226,11 @@ def verify_deformed_gluing(kernels: SideKernels, g_reg: np.ndarray,
             continue
         whole = g_reg[np.ix_(deep[a], deep[b])]
         averaged = rows[a] @ glued @ rows[b].T
-        report.add(Check(name, float(np.abs(whole - averaged).max()), tolerance))
+        report.add(Check(name, float(np.abs(whole - averaged).max()), 1e-10))
     return report
 
 
-def verify_regularization(g_reg: np.ndarray, spectral: np.ndarray,
-                          tolerance: float = 1e-12) -> Report:
+def verify_regularization(g_reg: np.ndarray, spectral: np.ndarray) -> Report:
     """Finiteness of the averaged diagonal and the two-route consistency
     check: g_reg by `regularized_green`, spectral by
     `spectral_regularized_green`, of the same kernel."""
@@ -241,6 +240,6 @@ def verify_regularization(g_reg: np.ndarray, spectral: np.ndarray,
                      0.0 if np.all(np.isfinite(diag)) else np.inf, 0.0,
                      {"max_diag": float(diag.max())}))
     report.add(Check("matrix-vs-spectral",
-                     float(np.abs(g_reg - spectral).max()), tolerance))
-    report.add(Check("symmetry", float(np.abs(g_reg - g_reg.T).max()), tolerance))
+                     float(np.abs(g_reg - spectral).max()), 1e-12))
+    report.add(Check("symmetry", float(np.abs(g_reg - g_reg.T).max()), 1e-12))
     return report

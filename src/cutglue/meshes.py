@@ -19,6 +19,7 @@ logger = logging.getLogger(__name__)
 
 LEFT = "left"
 RIGHT = "right"
+CUT = "cut"
 
 #: relative slack used when comparing geodesic distances against 1/Lambda,
 #: so that balls and trims behave predictably when a node sits exactly on
@@ -35,7 +36,8 @@ class Mesh:
     """Weighted graph discretizing a manifold with boundary.
 
     positions    : (N, d) embedding coordinates.
-    edges        : (E, 2) node index pairs, each pair listed once.
+    edges        : (E, 2) pairs of distinct node indices, each unordered pair
+                   listed once.
     edge_weights : (E,) conductances (> 0).
     edge_lengths : (E,) metric lengths used for geodesics (> 0).
     node_volumes : (N,) discrete volume elements (> 0).  Boundary nodes keep
@@ -58,6 +60,14 @@ class Mesh:
         for ids in (self.edges, self.boundary):
             if ids.size and (ids.min() < 0 or ids.max() >= self.n_nodes):
                 raise MeshError(f"node index out of range 0..{self.n_nodes - 1}")
+        pairs = np.sort(self.edges, axis=1)
+        loops = pairs[pairs[:, 0] == pairs[:, 1]]
+        if loops.size:
+            raise MeshError(f"self-loop edge at node {loops[0, 0]}")
+        unique, counts = np.unique(pairs, axis=0, return_counts=True)
+        if np.any(counts > 1):
+            i, j = unique[counts > 1][0]
+            raise MeshError(f"nodes {i} and {j} are joined by more than one edge")
         if np.any(self.edge_weights <= 0) or np.any(self.edge_lengths <= 0):
             raise MeshError("edge weights and lengths must be positive")
         if np.any(self.node_volumes <= 0):
@@ -66,7 +76,7 @@ class Mesh:
         if interior.size:
             allowed = np.zeros(self.n_nodes, dtype=bool)
             allowed[interior] = True
-            reached = _bfs(self.neighbors()[0], int(interior[0]), allowed)
+            reached = _bfs(self.neighbors()[0], [int(interior[0])], allowed)
             if len(reached) != interior.size:
                 raise MeshError("interior graph is not connected")
 
@@ -109,7 +119,7 @@ class Mesh:
             order, seen = [], np.zeros(n, dtype=bool)
             for start in range(n):
                 if not seen[start]:
-                    order += _bfs(nbrs, start, ~seen)
+                    order += _bfs(nbrs, [start], ~seen)
                     seen[order] = True
             to = np.full((n, n), np.inf)
             np.fill_diagonal(to, 0.0)
@@ -216,44 +226,42 @@ class Mesh:
 class Cut:
     """A codimension-one cut of a mesh into left and right submanifolds.
 
-    interface          : interior separator nodes (the cut surface).
-    left_nodes         : interior nodes strictly on the left.
-    right_nodes        : interior nodes strictly on the right.
-    left_boundary      : outer boundary nodes on the left side.
-    right_boundary     : outer boundary nodes on the right side.
-    shared_boundary    : outer boundary nodes touching the cut line; they
-                         appear in both side problems with a common value.
-    edge_left_fraction : per-edge share of the conductance attributed to the
-                         left side; shares of left and right sum to one, and
-                         edges lying on the cut line split half and half.
+    interface : interior separator nodes (the cut surface).
+    label     : (N,) side of each node.  LEFT or RIGHT for a side's interior
+                and outer boundary nodes; CUT for the interface and for the
+                outer boundary nodes touching it, which sit on the cut line
+                and appear in both side problems with a common value.
+    boundary  : (N,) mask of the mesh's outer boundary nodes.
+    edges     : (E, 2) the mesh's edges, in its order.
     """
 
     interface: np.ndarray
-    left_nodes: np.ndarray
-    right_nodes: np.ndarray
-    left_boundary: np.ndarray
-    right_boundary: np.ndarray
-    shared_boundary: np.ndarray
-    edge_left_fraction: np.ndarray
+    label: np.ndarray
+    boundary: np.ndarray
+    edges: np.ndarray
 
     def side_interior(self, side: str) -> np.ndarray:
-        return self.left_nodes if side == LEFT else self.right_nodes
+        return np.nonzero((self.label == side) & ~self.boundary)[0]
 
     def side_outer_boundary(self, side: str) -> np.ndarray:
         """Outer (non-interface) boundary of one side, shared nodes included."""
-        own = self.left_boundary if side == LEFT else self.right_boundary
-        return np.asarray(sorted(set(own) | set(self.shared_boundary)), dtype=int)
+        on_side = (self.label == side) | (self.label == CUT)
+        return np.nonzero(on_side & self.boundary)[0]
 
     def edge_fraction(self, side: str) -> np.ndarray:
-        f = self.edge_left_fraction
-        return f if side == LEFT else 1.0 - f
+        """Per-edge share of the conductance attributed to one side: 1 with an
+        end on the side, 1/2 with both ends on the cut line, else 0.  The
+        shares of the two sides sum to one."""
+        ends = self.label[self.edges]
+        return np.where((ends == side).any(axis=1), 1.0,
+                        np.where((ends == CUT).all(axis=1), 0.5, 0.0))
 
 
-def _bfs(nbrs: list[np.ndarray], start: int, allowed: np.ndarray) -> list[int]:
-    """Nodes reachable from `start` through `allowed` nodes, in BFS order."""
+def _bfs(nbrs: list[np.ndarray], starts: list[int], allowed: np.ndarray) -> list[int]:
+    """Nodes reachable from `starts` through `allowed` nodes, in BFS order."""
     allowed = allowed.copy()
-    allowed[start] = False
-    order, queue = [start], deque([start])
+    allowed[starts] = False
+    order, queue = list(starts), deque(starts)
     while queue:
         for u in nbrs[queue.popleft()].tolist():
             if allowed[u]:
@@ -276,7 +284,7 @@ def _node_side_labels(mesh: Mesh, interface: set[int]) -> tuple[np.ndarray, np.n
     allowed = np.zeros(mesh.n_nodes, dtype=bool)
     allowed[interior] = True
     in_first = np.zeros(mesh.n_nodes, dtype=bool)
-    in_first[_bfs(mesh.neighbors()[0], int(interior[0]), allowed)] = True
+    in_first[_bfs(mesh.neighbors()[0], [int(interior[0])], allowed)] = True
     left, right = interior[in_first[interior]], interior[~in_first[interior]]
     if right.size == 0:
         # one-sided cut: all remaining interior on one side, the other empty
@@ -292,87 +300,33 @@ def cut_along_interface(mesh: Mesh, selector) -> Cut:
     """Cut the mesh along the interior nodes picked by `selector`.
 
     `selector` is a predicate on node indices.  The selected nodes must
-    separate the interior graph; left and right interior components are
-    derived from the remaining connectivity, the outer boundary is
-    partitioned by adjacency, and each edge receives a left/right
-    conductance share (cut-line edges split evenly).
+    separate the interior graph; `_node_side_labels` splits the remaining
+    interior into left and right.  Outer boundary nodes touching the
+    interface sit on the cut line (CUT); every other boundary node takes the
+    side it reaches through unlabelled boundary nodes, left first, and
+    boundary pieces that reach neither side go left.  An edge joining the
+    two sides means the selection does not separate.
     """
     interface = np.array(
         sorted(n for n in mesh.interior if selector(n)), dtype=int
     )
     if interface.size == 0:
         raise MeshError("not a separator: empty selection")
-    iface = set(interface.tolist())
-    left, right = _node_side_labels(mesh, iface)
-    lset, rset = set(left.tolist()), set(right.tolist())
-
-    neighbors = [set(nb.tolist()) for nb in mesh.neighbors()[0]]
-
-    # Boundary nodes adjacent to the interface sit on the cut line and are
-    # shared; the rest take the side of their interior neighbors, falling
-    # back to boundary-graph proximity.
-    side_of: dict[int, str | None] = {}
-    shared = []
-    for b in mesh.boundary:
-        b = int(b)
-        nb = neighbors[b]
-        if nb & iface:
-            shared.append(b)
-            side_of[b] = None
-        elif nb & lset:
-            side_of[b] = LEFT
-        elif nb & rset:
-            side_of[b] = RIGHT
-        else:
-            side_of[b] = None
-    pending = [b for b in side_of if side_of[b] is None and b not in shared]
-    while pending:
-        progressed = False
-        for b in list(pending):
-            tags = {side_of.get(n) for n in neighbors[b] if n in side_of}
-            tags.discard(None)
-            if tags:
-                side_of[b] = LEFT if LEFT in tags else RIGHT
-                pending.remove(b)
-                progressed = True
-        if not progressed:
-            for b in pending:  # isolated boundary pieces default left
-                side_of[b] = LEFT
-            break
-    left_bdry = np.array(sorted(b for b, s in side_of.items() if s == LEFT), dtype=int)
-    right_bdry = np.array(sorted(b for b, s in side_of.items() if s == RIGHT), dtype=int)
-    shared_bdry = np.array(sorted(shared), dtype=int)
-
-    def node_tag(n: int) -> str:
-        if n in iface or n in shared:
-            return "cut"
-        if n in lset or side_of.get(n) == LEFT:
-            return LEFT
-        if n in rset or side_of.get(n) == RIGHT:
-            return RIGHT
-        raise MeshError(f"node {n} has no side")
-
-    frac = np.empty(len(mesh.edges))
-    for e, (i, j) in enumerate(mesh.edges):
-        ti, tj = node_tag(int(i)), node_tag(int(j))
-        tags = {ti, tj}
-        if tags == {"cut"}:
-            frac[e] = 0.5
-        elif LEFT in tags and RIGHT in tags:
-            raise MeshError("not a separator: edge crosses the cut")
-        elif LEFT in tags:
-            frac[e] = 1.0
-        else:
-            frac[e] = 0.0
-    return Cut(
-        interface=interface,
-        left_nodes=left,
-        right_nodes=right,
-        left_boundary=left_bdry,
-        right_boundary=right_bdry,
-        shared_boundary=shared_bdry,
-        edge_left_fraction=frac,
-    )
+    left, right = _node_side_labels(mesh, set(interface.tolist()))
+    nbrs = mesh.neighbors()[0]
+    label = np.full(mesh.n_nodes, "", dtype=object)
+    label[left], label[right], label[interface] = LEFT, RIGHT, CUT
+    touching = [b for b in mesh.boundary if (label[nbrs[b]] == CUT).any()]
+    label[touching] = CUT
+    for side in (LEFT, RIGHT):
+        label[_bfs(nbrs, np.nonzero(label == side)[0].tolist(), label == "")] = side
+    label[label == ""] = LEFT
+    ends = label[mesh.edges]
+    if np.any((ends == LEFT).any(axis=1) & (ends == RIGHT).any(axis=1)):
+        raise MeshError("not a separator: edge crosses the cut")
+    boundary = np.zeros(mesh.n_nodes, dtype=bool)
+    boundary[mesh.boundary] = True
+    return Cut(interface=interface, label=label, boundary=boundary, edges=mesh.edges)
 
 
 def lambda_one(mesh: Mesh, cut: Cut) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
 
@@ -65,12 +65,8 @@ class InteractionSpec:
     """
 
     couplings: dict
-    max_power: int = field(init=False)
 
     def __post_init__(self):
-        if not self.couplings:
-            object.__setattr__(self, "max_power", 0)
-            return
         for k, t in self.couplings.items():
             if int(k) != k or k < 0:
                 raise PerturbationError(f"bad interaction power {k}")
@@ -78,7 +74,6 @@ class InteractionSpec:
                 raise PerturbationError(
                     f"power {k} coupling must be zero (breaks the series grading)"
                 )
-        object.__setattr__(self, "max_power", max(int(k) for k in self.couplings))
 
     @staticmethod
     def _as_any(t):

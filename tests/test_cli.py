@@ -29,6 +29,14 @@ INTERVAL_CHANGES = {
 }
 
 
+# A 5-node path as a `file` mesh; cases append one more edge line.
+FIVE_NODES = "".join(
+    ["mesh dim=1 spacing=1.0 nodes=5\n"]
+    + [f"node {k} {'boundary' if k in (0, 4) else 'interior'} vol=1.0 pos {k}.0\n"
+       for k in range(5)]
+    + [f"edge {k} {k + 1} w=1.0 len=1.0\n" for k in range(4)])
+
+
 def path9_with(tmp_path, **changes):
     """The committed path9 config with some top-level entries replaced."""
     with open(CONFIG, encoding="utf-8") as fh:
@@ -116,6 +124,10 @@ def test_run_fast_suites(tmp_path, capsys):
                         "edge 0 1 w=1.0 len=1.0\n"
                         "edge 1 2 w=1.0 len=1.0\n")},
      "header says nodes=5, file has 3 node lines"),
+    ({"mesh": mesh_file(FIVE_NODES + "edge 1 1 w=1.0 len=1.0\n")},
+     "self-loop edge at node 1"),
+    ({"mesh": mesh_file(FIVE_NODES + "edge 2 1 w=1.0 len=1.0\n")},
+     "nodes 1 and 2 are joined by more than one edge"),
     ({"eta": [[1.0, -0.5]]}, "eta must be a flat list of 2 boundary values"),
     ({"cut": {"axis": 0.7, "value": 4.0}}, "cut axis must be an integer, got 0.7"),
     ({"cut": {"axis": True, "value": 4.0}}, "cut axis must be an integer, got True"),
@@ -141,7 +153,8 @@ def test_run_fast_suites(tmp_path, capsys):
         "name-empty", "name-dot", "name-dot-dot", "mesh-file-missing",
         "mesh-line-truncated", "mesh-edge-to-missing-node",
         "mesh-node-id-duplicate", "mesh-node-id-out-of-range",
-        "mesh-header-node-count", "eta-nested", "cut-axis-float",
+        "mesh-header-node-count", "mesh-self-loop", "mesh-edge-repeated",
+        "eta-nested", "cut-axis-float",
         "cut-axis-bool", "cut-value-string", "mesh-size-float",
         "mesh-size-string", "mesh-spacing-bool", "mass-string",
         "lambda-bool", "lambdas-not-a-list", "max-order-string",

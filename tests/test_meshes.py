@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutglue.meshes import (LEFT, RIGHT, Mesh, MeshError, _node_side_labels,
-                            build_grid_mesh, build_interval_mesh,
-                            cut_along_interface, lambda_one)
+from cutglue.meshes import (LEFT, RIGHT, Mesh, MeshError, build_grid_mesh,
+                            build_interval_mesh, cut_along_interface, lambda_one)
 
 
 def adjacency(mesh, values=None):
@@ -118,34 +117,48 @@ def test_cut_five_node_path():
     mesh = build_interval_mesh(3, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 2)
     assert list(cut.interface) == [2]
-    assert list(cut.left_nodes) == [1]
-    assert list(cut.right_nodes) == [3]
-    assert list(cut.left_boundary) == [0]
-    assert list(cut.right_boundary) == [4]
-    assert cut.shared_boundary.size == 0
-    # no edge lies on the cut line on a path
-    assert set(cut.edge_left_fraction.tolist()) == {0.0, 1.0}
+    assert list(cut.side_interior(LEFT)) == [1]
+    assert list(cut.side_interior(RIGHT)) == [3]
+    # no boundary node is shared, and no edge lies on the cut line on a path
+    assert list(cut.side_outer_boundary(LEFT)) == [0]
+    assert list(cut.side_outer_boundary(RIGHT)) == [4]
+    assert set(cut.edge_fraction(LEFT).tolist()) == {0.0, 1.0}
     assert lambda_one(mesh, cut) == pytest.approx(0.5)
 
 
 def test_cut_grid_shared_boundary_and_halved_edges():
-    mesh = build_grid_mesh(5, 5, 1.0)
-    cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == 2.0)
-    assert cut.interface.size == 3
-    assert cut.left_nodes.size == 3 and cut.right_nodes.size == 3
-    # boundary nodes straight above/below the interface column are shared
-    shared = {int(n) for n in cut.shared_boundary}
-    assert shared == {2, 22}
-    halved = cut.edge_left_fraction == 0.5
-    # the vertical edges along the cut column (interface-interface and
-    # interface-shared) split evenly
-    assert halved.sum() == 4
-    for e in np.nonzero(halved)[0]:
-        i, j = mesh.edges[e]
-        assert mesh.positions[i][0] == 2.0 and mesh.positions[j][0] == 2.0
-    frac_l = cut.edge_fraction(LEFT)
-    frac_r = cut.edge_fraction(RIGHT)
-    np.testing.assert_allclose(frac_l + frac_r, 1.0)
+    """Every interior column of three grids.  The first and the last interior
+    column leave one side without interior nodes, and the boundary column
+    next to them touches the interface too."""
+    for nx, ny in ((5, 5), (6, 4), (9, 6)):
+        mesh = build_grid_mesh(nx, ny, 1.0)
+        xs, ys = mesh.positions[:, 0], mesh.positions[:, 1]
+        for col in range(1, nx - 1):
+            cut = cut_along_interface(mesh, lambda n: xs[n] == col)
+            left, right = cut.side_interior(LEFT), cut.side_interior(RIGHT)
+            assert cut.interface.size == ny - 2
+            assert left.size == (col - 1) * (ny - 2)
+            assert right.size == (nx - 2 - col) * (ny - 2)
+            parts = np.concatenate([left, right, cut.interface])
+            assert sorted(parts.tolist()) == mesh.interior.tolist()
+            # boundary nodes next to an interface node are shared: those
+            # straight above/below the interface column, and the boundary
+            # column beside it
+            shared = (set(cut.side_outer_boundary(LEFT).tolist())
+                      & set(cut.side_outer_boundary(RIGHT).tolist()))
+            beside = (abs(xs - col) == 1) & (ys > 0) & (ys < ny - 1)
+            assert shared == {int(n) for n in mesh.boundary
+                              if xs[n] == col or beside[n]}
+            # edges between cut-line nodes (interface or shared) split evenly;
+            # away from the sides these are the vertical edges of the column
+            frac_l, frac_r = cut.edge_fraction(LEFT), cut.edge_fraction(RIGHT)
+            halved = frac_l == 0.5
+            on_line = np.isin(mesh.edges, [*shared, *cut.interface.tolist()])
+            assert np.array_equal(halved, on_line.all(axis=1))
+            if 1 < col < nx - 2:
+                assert halved.sum() == ny - 1
+                assert np.all(xs[mesh.edges[halved]] == col)
+            assert np.all(frac_l + frac_r == 1.0)
 
 
 def test_cut_side_outer_boundary_includes_shared():
@@ -274,9 +287,10 @@ def test_three_component_cut_on_interval():
     # the first node is left, the other two are right
     mesh = build_interval_mesh(9, 1.0)
     cut = cut_along_interface(mesh, lambda n: n in (3, 7))
-    assert list(cut.left_nodes) == [1, 2]
-    assert list(cut.right_nodes) == [4, 5, 6, 8, 9]
-    assert list(cut.left_boundary) == [0] and list(cut.right_boundary) == [10]
+    assert list(cut.side_interior(LEFT)) == [1, 2]
+    assert list(cut.side_interior(RIGHT)) == [4, 5, 6, 8, 9]
+    assert list(cut.side_outer_boundary(LEFT)) == [0]
+    assert list(cut.side_outer_boundary(RIGHT)) == [10]
 
 
 @pytest.mark.parametrize("scramble", [False, True])
@@ -287,7 +301,8 @@ def test_three_component_split_matches_connected_components(scramble):
         mesh = _scrambled(mesh, 4)[0]
     xs = mesh.positions[:, 0]
     iface = {int(n) for n in mesh.interior if xs[n] in (3.0, 5.0)}
-    left, right = _node_side_labels(mesh, iface)
+    cut = cut_along_interface(mesh, lambda n: n in iface)
+    left, right = cut.side_interior(LEFT), cut.side_interior(RIGHT)
     interior = [int(n) for n in mesh.interior if n not in iface]
     sub = adjacency(mesh)[np.ix_(interior, interior)]
     ncomp, labels = csgraph.connected_components(sub, directed=False)
@@ -296,6 +311,38 @@ def test_three_component_split_matches_connected_components(scramble):
     assert list(right) == [n for n, l in zip(interior, labels) if l != labels[0]]
     if not scramble:
         assert set(xs[left].tolist()) == {1.0, 2.0}
+
+
+def test_isolated_boundary_node_goes_left():
+    """A boundary piece that reaches neither side through boundary nodes
+    belongs to the left side only."""
+    mesh = _with_isolated_boundary_node(build_interval_mesh(7, 1.0))
+    lone = mesh.n_nodes - 1
+    cut = cut_along_interface(mesh, lambda n: n == 4)
+    assert list(cut.side_outer_boundary(LEFT)) == [0, lone]
+    assert list(cut.side_outer_boundary(RIGHT)) == [8]
+
+
+@pytest.mark.parametrize("nx, ny, seed", [(5, 5, 5), (9, 6, 6)])
+def test_cut_does_not_depend_on_node_labels(nx, ny, seed):
+    """Relabelled nodes and reordered edges give the same two-sided cut, up
+    to which side is called left: the side holding the smallest node id."""
+    mesh = build_grid_mesh(nx, ny, 1.0)
+    scrambled, perm = _scrambled(mesh, seed)
+    where = {frozenset(e): k for k, e in enumerate(scrambled.edges.tolist())}
+    moved = [where[frozenset(perm[e].tolist())] for e in mesh.edges]
+
+    def sides(cut, ids, edge_order):
+        return [(sorted(ids[cut.side_interior(s)].tolist()),
+                 sorted(ids[cut.side_outer_boundary(s)].tolist()),
+                 cut.edge_fraction(s)[edge_order].tolist()) for s in (LEFT, RIGHT)]
+
+    for col in range(2, nx - 2):
+        cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == col)
+        new = cut_along_interface(scrambled, lambda n: scrambled.positions[n][0] == col)
+        expected = sides(cut, perm, np.arange(len(mesh.edges)))
+        got = sides(new, np.arange(scrambled.n_nodes), moved)
+        assert got in (expected, expected[::-1])
 
 
 def test_disconnected_interior_rejected():

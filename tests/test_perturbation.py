@@ -40,7 +40,6 @@ def partition_series(mesh, spec, kernel, interaction, eta, max_order):
 def test_interaction_spec_validation():
     spec = InteractionSpec({3: 0.3, 4: 0.0})
     assert spec.powers() == [3]
-    assert spec.max_power == 4
     with pytest.raises(PerturbationError):
         InteractionSpec({2: 1.0})
     with pytest.raises(PerturbationError):
