@@ -60,8 +60,12 @@ def _build_mesh(spec: dict) -> Mesh:
                                _integer(spec["ny"], "mesh ny"),
                                _finite(spec["spacing"], "mesh spacing"))
     if kind == "file":
+        path = spec["path"]
+        if not isinstance(path, str):
+            # open() takes an integer (or a boolean) as a file descriptor
+            raise ConfigError(f"mesh path must be a string, got {path!r}")
         try:
-            with open(spec["path"], encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read mesh file: {exc}") from exc
@@ -143,7 +147,11 @@ def check_max_order(interaction: InteractionSpec, max_order: float) -> float:
     if not (math.isfinite(max_order) and max_order >= 0
             and round(2 * max_order) == 2 * max_order):
         raise ConfigError("max_order must be a nonnegative half-integer")
-    legs = leg_budget(interaction.powers(), max_order)
+    powers = interaction.powers()
+    # Copies of the lowest vertex alone bound the legs from below at no cost;
+    # the exact count enumerates every vertex multiset within the order.
+    low = powers[0] * (int(round(2 * max_order)) // (powers[0] - 2)) if powers else 0
+    legs = low if low > LEG_CAP else leg_budget(powers, max_order)
     if legs > LEG_CAP:
         raise ConfigError(f"max_order {max_order} needs terms with {legs} "
                           f"field legs, above the cap of {LEG_CAP}")

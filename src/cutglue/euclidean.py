@@ -20,8 +20,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-#: default quadrature tolerance: doubling the order must move nothing past this
+#: quadrature tolerance: doubling the order must move nothing past this
 QUAD_RTOL = 1e-8
+#: Gauss-Legendre points per panel when a profile's mass is summed or two
+#: profiles are composed
+_PROFILE_ORDER = 64
 
 
 class AveragingError(ValueError):
@@ -85,12 +88,12 @@ class RadialProfile:
     breakpoints: tuple = ()
     support: float = 1.0
 
-    def total_mass(self, order: int = 64) -> float:
+    def total_mass(self) -> float:
         total = sum(m for _, m in self.atoms)
         if self.density is not None:
             pts = sorted(set((0.0, self.support) + tuple(self.breakpoints)))
             for a, b in zip(pts[:-1], pts[1:]):
-                xs, ws = _gl(order, a, b)
+                xs, ws = _gl(_PROFILE_ORDER, a, b)
                 total += float(ws @ self.density(xs))
         return total
 
@@ -146,8 +149,7 @@ def _angle_density(dim: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose_profiles(p1: RadialProfile, p2: RadialProfile, dim: int,
-                     order: int = 64) -> RadialProfile:
+def compose_profiles(p1: RadialProfile, p2: RadialProfile, dim: int) -> RadialProfile:
     """Distribution of |y1 + y2| for independent radial displacements.
 
     The length of the sum is resolved through the cosine of the random angle
@@ -156,8 +158,8 @@ def compose_profiles(p1: RadialProfile, p2: RadialProfile, dim: int,
     """
     if dim < 2:
         raise AveragingError("dim must be >= 2")
-    n1 = np.array([nd for nd in p1.nodes(order) if nd[0] > 0]).reshape(-1, 2)
-    n2 = np.array([nd for nd in p2.nodes(order) if nd[0] > 0]).reshape(-1, 2)
+    n1 = np.array([nd for nd in p1.nodes(_PROFILE_ORDER) if nd[0] > 0]).reshape(-1, 2)
+    n2 = np.array([nd for nd in p2.nodes(_PROFILE_ORDER) if nd[0] > 0]).reshape(-1, 2)
     # every pair (a, b) of positive node radii, flattened
     a, b = np.repeat(n1[:, 0], len(n2)), np.tile(n2[:, 0], len(n1))
     wab = np.outer(n1[:, 1], n2[:, 1]).ravel()
@@ -292,7 +294,7 @@ def _averaged_value(dim: int, s: float, factors: Sequence[RadialProfile],
 
 
 def sphere_average(dim: int, x, lam: float, spec: EuclideanKernelSpec,
-                   order: int = 48, rtol: float = QUAD_RTOL) -> float:
+                   order: int = 48) -> float:
     """Averaged fundamental solution H(G)(x) at scale lam.
 
     Each factor i displaces by a vector of length at most alphas[i]/lam drawn
@@ -300,7 +302,7 @@ def sphere_average(dim: int, x, lam: float, spec: EuclideanKernelSpec,
     the integrand reduces every directional average to a one-dimensional
     piecewise Gauss-Legendre integral, so nested averages keep full accuracy
     across the kinks the inner averages introduce.  The value is recomputed
-    at doubled order; disagreement past rtol raises.
+    at doubled order; disagreement past QUAD_RTOL raises.
     """
     if lam <= 0:
         raise AveragingError("lam must be positive")
@@ -311,10 +313,10 @@ def sphere_average(dim: int, x, lam: float, spec: EuclideanKernelSpec,
     coarse = _averaged_value(dim, s, factors, order)
     fine = _averaged_value(dim, s, factors, 2 * order)
     scale = max(1.0, abs(fine))
-    if abs(fine - coarse) > rtol * scale:
+    if abs(fine - coarse) > QUAD_RTOL * scale:
         raise AveragingError(
             f"quadrature not converged: order {order} -> {2 * order} moved "
-            f"{abs(fine - coarse):.3e} (rtol {rtol:g})"
+            f"{abs(fine - coarse):.3e} (rtol {QUAD_RTOL:g})"
         )
     return fine
 
@@ -354,7 +356,7 @@ def extract_profile_f(dim: int, lam: float, spec: EuclideanKernelSpec,
     return DeformationProfile(ts=ts, values=np.asarray(vals))
 
 
-def compose_kernels(spec: EuclideanKernelSpec, order: int = 64) -> RadialProfile:
+def compose_kernels(spec: EuclideanKernelSpec) -> RadialProfile:
     """Fold the factor profiles into one radius distribution.
 
     The result is the distribution of the total displacement length; its
@@ -363,5 +365,5 @@ def compose_kernels(spec: EuclideanKernelSpec, order: int = 64) -> RadialProfile
     scaled = [p.scaled(a) for a, p in zip(spec.alphas, spec.profiles)]
     out = scaled[0]
     for nxt in scaled[1:]:
-        out = compose_profiles(out, nxt, spec.dim, order=order)
+        out = compose_profiles(out, nxt, spec.dim)
     return out

@@ -5,6 +5,11 @@ weights are finite-volume conductances, node volumes discretize the metric
 volume element, and shortest weighted paths stand in for geodesics.  Graph
 searches (geodesics, connectivity) are plain numpy: breadth-first search and
 Bellman's label-correcting relaxation, with no sparse-graph library.
+
+Interval and grid meshes are box lattices from one constructor, the only
+place a metric profile p enters: at spacing h in dimension n it gives
+conductances h^(n-2) p(edge midpoint), lengths h p(midpoint) and volumes
+h^n p(node).
 """
 
 from __future__ import annotations
@@ -347,80 +352,49 @@ def _flat(_):
     return 1.0
 
 
-def build_interval_mesh(n_interior: int, spacing: float, metric_profile=_flat) -> Mesh:
-    """Path graph: n_interior interior nodes flanked by 2 boundary nodes.
+def _box_lattice(shape: tuple[int, ...], spacing: float, metric_profile) -> Mesh:
+    """Box lattice with shape[a] nodes along axis a, `spacing` apart.
 
-    Conductance w_e = spacing^(n-2) * profile(edge midpoint), node volume
-    spacing^n * profile(node), edge length spacing * profile(midpoint).
+    Node ids put axis 0 fastest.  Edges join each node to its +1 neighbour
+    along each axis, in (node, axis) order, and the nodes on any face of the
+    box are boundary.  With n = len(shape), conductance w_e = spacing^(n-2) *
+    profile(edge midpoint), edge length spacing * profile(midpoint), node
+    volume spacing^n * profile(node).
     """
-    if n_interior < 1:
-        raise MeshError("need at least one interior node")
     if spacing <= 0:
         raise MeshError("nonpositive spacing")
-    n = n_interior + 2
-    xs = np.arange(n) * spacing
-    positions = xs[:, None]
-    edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    prof_mid = np.array([float(metric_profile(np.array([x]))) for x in mids])
-    prof_node = np.array([float(metric_profile(np.array([x]))) for x in xs])
+    dim, last = len(shape), np.array(shape) - 1
+    coords = np.column_stack(
+        np.unravel_index(np.arange(np.prod(shape)), shape, order="F"))
+    positions = coords * spacing
+    nodes, axes = np.nonzero(coords < last)
+    edges = np.column_stack([nodes, nodes + np.cumprod((1,) + shape[:-1])[axes]])
+    mids = 0.5 * (positions[edges[:, 0]] + positions[edges[:, 1]])
+    prof_mid = np.array([float(metric_profile(m)) for m in mids])
+    prof_node = np.array([float(metric_profile(p)) for p in positions])
     if np.any(prof_mid <= 0) or np.any(prof_node <= 0):
         raise MeshError("metric profile must be positive")
-    dim = 1
     return Mesh(
         positions=positions,
         edges=edges,
         edge_weights=spacing ** (dim - 2) * prof_mid,
         edge_lengths=spacing * prof_mid,
         node_volumes=spacing**dim * prof_node,
-        boundary=np.array([0, n - 1]),
+        boundary=np.nonzero(((coords == 0) | (coords == last)).any(axis=1))[0],
         dim=dim,
         spacing=spacing,
     )
+
+
+def build_interval_mesh(n_interior: int, spacing: float, metric_profile=_flat) -> Mesh:
+    """Path graph: n_interior interior nodes flanked by 2 boundary nodes."""
+    if n_interior < 1:
+        raise MeshError("need at least one interior node")
+    return _box_lattice((n_interior + 2,), spacing, metric_profile)
 
 
 def build_grid_mesh(nx: int, ny: int, spacing: float, metric_profile=_flat) -> Mesh:
     """Rectangular grid with 4-neighbor stencil; the outer ring is boundary."""
     if nx < 2 or ny < 2:
         raise MeshError("degenerate grid dimensions")
-    if spacing <= 0:
-        raise MeshError("nonpositive spacing")
-
-    def idx(ix, iy):
-        return iy * nx + ix
-
-    positions = np.array(
-        [[ix * spacing, iy * spacing] for iy in range(ny) for ix in range(nx)]
-    )
-    edges, mids = [], []
-    for iy in range(ny):
-        for ix in range(nx):
-            if ix + 1 < nx:
-                edges.append([idx(ix, iy), idx(ix + 1, iy)])
-                mids.append([(ix + 0.5) * spacing, iy * spacing])
-            if iy + 1 < ny:
-                edges.append([idx(ix, iy), idx(ix, iy + 1)])
-                mids.append([ix * spacing, (iy + 0.5) * spacing])
-    prof_mid = np.array([float(metric_profile(np.asarray(m))) for m in mids])
-    prof_node = np.array([float(metric_profile(p)) for p in positions])
-    if np.any(prof_mid <= 0) or np.any(prof_node <= 0):
-        raise MeshError("metric profile must be positive")
-    boundary = np.array(
-        sorted(
-            idx(ix, iy)
-            for iy in range(ny)
-            for ix in range(nx)
-            if ix in (0, nx - 1) or iy in (0, ny - 1)
-        )
-    )
-    dim = 2
-    return Mesh(
-        positions=positions,
-        edges=np.asarray(edges, dtype=int),
-        edge_weights=spacing ** (dim - 2) * prof_mid,
-        edge_lengths=spacing * prof_mid,
-        node_volumes=spacing**dim * prof_node,
-        boundary=boundary,
-        dim=dim,
-        spacing=spacing,
-    )
+    return _box_lattice((nx, ny), spacing, metric_profile)

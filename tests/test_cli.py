@@ -220,6 +220,38 @@ def test_max_order_override_checks_leg_cap(tmp_path, capsys):
     assert "above the cap" in capsys.readouterr().err
 
 
+def run_cutglue(*args, stdin=""):
+    """`python -m cutglue` in a fresh process, stdin fed from a pipe."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cutglue.__file__)))
+    return subprocess.run([sys.executable, "-m", "cutglue", *args],
+                          env=dict(os.environ, PYTHONPATH=src), input=stdin,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_huge_max_order_exits_two_at_once(tmp_path):
+    """The leg cap rejects before any vertex multiset is enumerated."""
+    proc = run_cutglue("run", CONFIG, "--out-dir", str(tmp_path / "r"),
+                       "--max-order", "1e7")
+    assert proc.returncode == 2, proc.stderr
+    assert "above the cap of 12" in proc.stderr
+    assert proc.stderr.count("config error:") == 1
+
+
+@pytest.mark.parametrize("path", [0, True], ids=["zero", "true"])
+def test_mesh_path_must_be_a_string(tmp_path, path):
+    """open() would take a number as a file descriptor: 0 reads the mesh
+    piped to stdin, True opens stdout.  A fresh process keeps this one's
+    descriptors out of reach."""
+    from cutglue.meshes import build_interval_mesh
+    config = path9_with(tmp_path, mesh={"type": "file", "path": path})
+    proc = run_cutglue("run", config, "--out-dir", str(tmp_path / "r"),
+                       stdin=build_interval_mesh(7, 1.0).to_text())
+    assert proc.returncode == 2, proc.stderr
+    assert f"mesh path must be a string, got {path!r}" in proc.stderr
+    assert proc.stderr.count("config error:") == 1 and proc.stdout == ""
+    assert not (tmp_path / "r").exists()
+
+
 def count_calls(monkeypatch, names) -> dict:
     """Count calls of the named cutglue functions through every module alias,
     as taken by `from .x import y`; the returned dict fills as they run."""

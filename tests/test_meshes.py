@@ -52,6 +52,37 @@ def test_grid_mesh_counts():
     np.testing.assert_allclose(mesh.edge_weights, 1.0)  # dim 2: h^0
 
 
+def test_grid_mesh_discretization_rule():
+    """Node iy * nx + ix sits at (ix, iy) * h; each node's +x edge comes
+    before its +y edge, in node order; w = h^(n-2) p(mid), length h p(mid)
+    and volume h^n p(node), with n = 2."""
+    nx, ny, h = 4, 3, 0.5
+
+    def profile(x):
+        return 1.0 + 0.1 * x[0]
+
+    mesh = build_grid_mesh(nx, ny, h, metric_profile=profile)
+    edges, mids = [], []
+    for iy in range(ny):
+        for ix in range(nx):
+            k = iy * nx + ix
+            np.testing.assert_array_equal(mesh.positions[k], [ix * h, iy * h])
+            if ix + 1 < nx:
+                edges.append([k, k + 1])
+                mids.append([(ix + 0.5) * h, iy * h])
+            if iy + 1 < ny:
+                edges.append([k, k + nx])
+                mids.append([ix * h, (iy + 0.5) * h])
+    np.testing.assert_array_equal(mesh.edges, edges)
+    p_mid = np.array([profile(m) for m in mids])
+    p_node = np.array([profile(x) for x in mesh.positions])
+    np.testing.assert_allclose(mesh.edge_weights, h ** 0 * p_mid, rtol=1e-15)
+    np.testing.assert_allclose(mesh.edge_lengths, h * p_mid, rtol=1e-15)
+    np.testing.assert_allclose(mesh.node_volumes, h ** 2 * p_node, rtol=1e-15)
+    assert list(mesh.boundary) == [0, 1, 2, 3, 4, 7, 8, 9, 10, 11]
+    assert mesh.dim == 2 and mesh.spacing == h
+
+
 def test_mesh_validation_errors():
     mesh = build_interval_mesh(3, 1.0)
     with pytest.raises(MeshError):
