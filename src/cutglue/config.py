@@ -50,7 +50,8 @@ class ScenarioConfig:
         return gluing_context(self.mesh, self.operator, self.cut)
 
 
-def _build_mesh(spec: dict) -> Mesh:
+def _build_mesh(spec) -> Mesh:
+    spec = _object(spec, "mesh")
     kind = spec.get("type")
     if kind == "interval":
         return build_interval_mesh(_integer(spec["n_interior"], "mesh n_interior"),
@@ -60,10 +61,8 @@ def _build_mesh(spec: dict) -> Mesh:
                                _integer(spec["ny"], "mesh ny"),
                                _finite(spec["spacing"], "mesh spacing"))
     if kind == "file":
-        path = spec["path"]
-        if not isinstance(path, str):
-            # open() takes an integer (or a boolean) as a file descriptor
-            raise ConfigError(f"mesh path must be a string, got {path!r}")
+        # open() takes an integer (or a boolean) as a file descriptor
+        path = _string(spec["path"], "mesh path")
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
@@ -73,7 +72,8 @@ def _build_mesh(spec: dict) -> Mesh:
     raise ConfigError(f"unknown mesh type {kind!r}")
 
 
-def _build_cut(mesh: Mesh, spec: dict):
+def _build_cut(mesh: Mesh, spec):
+    spec = _object(spec, "cut")
     axis = _integer(spec["axis"], "cut axis")
     value = _finite(spec["value"], "cut value")
     if axis < 0 or axis >= mesh.positions.shape[1]:
@@ -81,6 +81,18 @@ def _build_cut(mesh: Mesh, spec: dict):
     return cut_along_interface(
         mesh, lambda n: abs(mesh.positions[n][axis] - value) < 1e-12
     )
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def _finite(value, what: str) -> float:
@@ -118,7 +130,7 @@ def _build_coupling(mesh: Mesh, power: int, spec):
 
 def _build_name(name) -> str:
     """Report files are named after the config: keep them in --out-dir."""
-    name = str(name)
+    name = _string(name, "name")
     if name in ("", ".", "..") or any(sep in name for sep in ("/", "\\", "\0")):
         raise ConfigError(f"name {name!r} must be a plain file name")
     return name
@@ -186,8 +198,8 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
 
     mesh = _build_mesh(raw["mesh"])
     cut = _build_cut(mesh, raw["cut"])
-    operator = OperatorSpec(_finite(raw["operator"].get("mass_squared", 0.0),
-                                    "mass_squared"))
+    mass_squared = _object(raw["operator"], "operator").get("mass_squared", 0.0)
+    operator = OperatorSpec(_finite(mass_squared, "mass_squared"))
     if not isinstance(raw["lambdas"], list):
         raise ConfigError("lambdas must be a list of numbers")
     lambdas = tuple(_finite(x, "lambdas entry") for x in raw["lambdas"])
@@ -195,10 +207,12 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
     # interface response is its Schur complement: they inherit positivity.
     interior = mesh.interior
     check_positive_spectrum(assemble(mesh, operator)[np.ix_(interior, interior)])
+    couplings = _object(raw["interaction"], "interaction")
     interaction = InteractionSpec({int(k): _build_coupling(mesh, int(k), v)
-                                   for k, v in raw["interaction"].items()})
+                                   for k, v in couplings.items()})
 
-    shape = raw.get("kernel", {}).get("shape", "uniform")
+    kernel = _object(raw.get("kernel", {}), "kernel")
+    shape = _string(kernel.get("shape", "uniform"), "kernel shape")
     if shape not in SHAPES:
         raise ConfigError(f"unknown kernel shape {shape!r}")
 

@@ -189,11 +189,20 @@ class ScaleData:
         return [_series(self, g, [self.region])[0] for g in (self.glued, self.whole)]
 
 
+def _node_mask(n: int, *parts) -> np.ndarray:
+    """Boolean mask over n nodes, true on every node id in the parts."""
+    mask = np.zeros(n, dtype=bool)
+    for part in parts:
+        mask[part] = True
+    return mask
+
+
 def scale_data(scenario: GluingScenario) -> ScaleData:
     ctx = scenario.context
     kernels = side_kernels(ctx, scenario.lam, scenario.shape)
+    region = _node_mask(ctx.mesh.n_nodes, kernels.deep[LEFT], kernels.deep[RIGHT])
     return ScaleData(scenario=scenario, kernels=kernels,
-                     region=np.union1d(kernels.deep[LEFT], kernels.deep[RIGHT]),
+                     region=np.flatnonzero(region),
                      trimmed=ctx.mesh.trim_to_deformed(scenario.lam),
                      glued=glued_gaussian(scenario, kernels),
                      whole=averaged_gaussian(kernels.kernel, scenario.eta, ctx.bundle))
@@ -254,15 +263,20 @@ def verify_gluing_theorem(data: ScaleData, widen: bool = False) -> Report:
     report.add(Check("side-swap", glued.max_abs_diff(swapped), 1e-12))
 
     if widen:
-        added = sorted(set(data.trimmed.tolist()) - set(data.region.tolist()))
-        regions = [np.union1d(data.region, added[:k]) for k in range(1, len(added) + 1)]
+        n = ctx.mesh.n_nodes
+        inside = _node_mask(n, data.region)
+        added = np.flatnonzero(_node_mask(n, data.trimmed) & ~inside)
+        # row k marks the first k + 1 added nodes; the region joins every row
+        grown = np.zeros((added.size, n), dtype=bool)
+        grown[np.arange(added.size), added] = True
+        regions = [np.flatnonzero(m) for m in np.logical_or.accumulate(grown) | inside]
         if regions:
-            steps = zip(added, regions, _series(data, data.glued, regions),
+            steps = zip(added.tolist(), regions, _series(data, data.glued, regions),
                         _series(data, data.whole, regions))
             for step, (p, r, g, w) in enumerate(steps, 1):
                 report.add(Check(f"widened-step-{step}", g.max_abs_diff(w),
                                  1e-10, {"region_size": r.size, "added_node": p}))
-        final = np.union1d(data.region, added)
+        final = np.flatnonzero(_node_mask(n, data.region, added))
         report.add(Check("widened-final-region-is-trimmed-set",
                          0.0 if np.array_equal(final, data.trimmed) else 1.0, 0.0))
     return report

@@ -180,7 +180,9 @@ def deformed_side_nodes(mesh: Mesh, sb: SideBundle, lam: float) -> np.ndarray:
     by row, and additionally at distance >= 1/lam from the side's own
     boundary (so they survive the side's deformation too).
     """
-    outside = np.setdiff1d(np.arange(mesh.n_nodes), sb.nodes)
+    on_side = np.zeros(mesh.n_nodes, dtype=bool)
+    on_side[sb.nodes] = True
+    outside = np.flatnonzero(~on_side)
     radius = 1.0 / lam
     d = mesh.distance_matrix()
     bdry = np.concatenate([sb.outer, sb.sigma])

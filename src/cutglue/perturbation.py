@@ -6,7 +6,7 @@ as the sum of connected diagrams (the linked-cluster theorem): each vertex
 multiset weighs the joint cumulant of its instances.  The Wick topologies of
 a tuple of vertex powers (which legs sit on the mean, the self loops, the
 propagator multiplicities between vertices, and the multiplicity counted in
-rational arithmetic) are enumerated once per tuple and cached, with the
+integer arithmetic) are enumerated once per tuple and cached, with the
 connected ones apart.  Each topology is contracted by replaying a pairwise
 plan cached per subscripts and region size: from `BLAS_MIN_NODES` nodes on,
 matrix-product steps run through BLAS, every other step through plain
@@ -29,8 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -184,17 +183,11 @@ def _pair_matrices(residues):
             yield m
 
 
-def _pairing_count(residues, m) -> Fraction:
+def _pairing_count(residues, m) -> int:
     """Number of labeled-leg pairings realizing the pair-count matrix m."""
-    count = Fraction(1)
-    for r in residues:
-        count *= factorial(r)
-    for (a, b), c in m.items():
-        if a == b:
-            count /= Fraction(2**c * factorial(c))
-        else:
-            count /= factorial(c)
-    return count
+    return (prod(factorial(r) for r in residues)
+            // prod(2**c * factorial(c) if a == b else factorial(c)
+                   for (a, b), c in m.items()))
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,7 @@ class _Term:
     us    : legs of each instance set to the mean.
     loops : self-loop count of each instance.
     cross : ((a, b), c) propagator multiplicities between instances a < b.
-    mult  : exact count of labeled terms with this topology, as a float.
+    mult  : integer count of labeled terms with this topology, as a float.
     subs  : einsum subscripts contracting the per-instance vectors, then the
             cross propagators, to a scalar.
     """
@@ -397,19 +390,17 @@ def _vertex_series(vertices, mean: np.ndarray, cov: np.ndarray,
     budget of prod_v (-1)^(c_v) / c_v! times moment(instances), one column per
     weight column of the vertices (see `_wick_sum`).
 
-    The 1/n! of the exponential and the minus signs enter as exact rationals;
-    the moment engine enforces the leg budget.  Order 0 is left at zero.
+    The prefactor is one float division of exact integers, so it is correctly
+    rounded; the moment engine enforces the leg budget.  Order 0 is left at zero.
     """
     xmax = int(round(2 * max_order))
     coeffs = np.zeros((xmax + 1, columns))
     for counts, xpow in _vertex_counts([v.xpower for v in vertices], xmax):
-        pref = Fraction((-1) ** sum(counts))
-        for c in counts:
-            pref /= factorial(c)
+        pref = (-1) ** sum(counts) / prod(factorial(c) for c in counts)
         instances = []
         for v, c in zip(vertices, counts):
             instances.extend([(v.power, v.weights)] * c)
-        coeffs[xpow] += float(pref) * moment(instances, mean, cov)
+        coeffs[xpow] += pref * moment(instances, mean, cov)
     return coeffs
 
 
@@ -438,10 +429,14 @@ class NodeGaussian:
         on the union of the regions, and each vertex type carries one weight
         column per region, zero off that region, so every Wick topology is
         contracted once for all regions.  One region is a family of one.
+        A region is the set of its node ids, marked in a mask over the nodes,
+        so their order and repeats do not matter and regions may overlap.
         """
-        regions = [np.asarray(r, dtype=int) for r in regions]
-        union = np.unique(np.concatenate(regions))
-        inside = np.stack([np.isin(union, r) for r in regions], axis=1)
+        inside = np.zeros((volumes.size, len(regions)), dtype=bool)
+        for k, r in enumerate(regions):
+            inside[np.asarray(r, dtype=int), k] = True
+        union = np.flatnonzero(inside.any(axis=1))
+        inside = inside[union]
         vertices = [replace(v, weights=np.where(inside, v.weights[:, None], 0.0))
                     for v in vertex_terms(interaction, union, volumes)]
         w = -_vertex_series(vertices, self.mean.take(union),

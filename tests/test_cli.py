@@ -146,6 +146,14 @@ def test_run_fast_suites(tmp_path, capsys):
     ({"eta": [True, False]}, "eta value must be a finite number, got True"),
     ({"eta": {"0": "-0.5"}}, "eta value must be a finite number, got '-0.5'"),
     ({"suites": "green-identities"}, "suites must be a list of suite names"),
+    ({"name": None}, "name must be a string, got None"),
+    ({"name": 5}, "name must be a string, got 5"),
+    ({"kernel": {"shape": ["bump"]}}, "kernel shape must be a string, got ['bump']"),
+    ({"kernel": ["bump"]}, "kernel must be a JSON object, got ['bump']"),
+    ({"operator": None}, "operator must be a JSON object, got None"),
+    ({"mesh": None}, "mesh must be a JSON object, got None"),
+    ({"cut": [0, 4.0]}, "cut must be a JSON object, got [0, 4.0]"),
+    ({"interaction": [0.3]}, "interaction must be a JSON object, got [0.3]"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
@@ -159,7 +167,9 @@ def test_run_fast_suites(tmp_path, capsys):
         "mesh-size-string", "mesh-spacing-bool", "mass-string",
         "lambda-bool", "lambdas-not-a-list", "max-order-string",
         "eta-value-bool", "eta-list-bool", "eta-value-string",
-        "suites-not-a-list"])
+        "suites-not-a-list", "name-null", "name-number", "kernel-shape-list",
+        "kernel-list", "operator-null", "mesh-null", "cut-list",
+        "interaction-list"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
@@ -510,12 +520,22 @@ def test_repeated_suite_runs_once(tmp_path, capsys, where):
 
 
 def test_run_keeps_scipy_off_the_import_path(tmp_path):
-    """A full run imports no scipy module: numpy alone serves every layer."""
+    """A full run imports no scipy module: numpy alone serves every layer.
+
+    Nor does it load `numpy.ma` (numpy's set routines import it on first
+    call, so region sets are node masks), `fractions` or `decimal` (Wick
+    counts are integers).  `numpy.random`, for the seeded trials of
+    quadratic-decomposition, and `numpy.polynomial`, for the Gauss-Legendre
+    nodes of the flat-space quadrature, are allowed.
+    """
+    # a package and its submodules, not a sibling such as numpy.matrixlib
+    banned = tuple(f"{m}." for m in ("scipy", "numpy.ma", "fractions",
+                                     "decimal", "_decimal"))
     script = (
         "import sys\n"
         "from cutglue.cli import main\n"
         f"code = main(['run', {CONFIG!r}, '--out-dir', {str(tmp_path)!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        f"print(code, sorted(m for m in sys.modules if (m + '.').startswith({banned!r})))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(cutglue.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

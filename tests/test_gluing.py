@@ -1,14 +1,16 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cutglue.gluing import (GluingError, GluingScenario, gluing_context,
+from cutglue import gluing
+from cutglue.gluing import (GluingError, GluingScenario, _node_mask, gluing_context,
                             glued_gaussian, glued_series, lambda_sweep,
                             renormalization_commutes, scale_data,
                             verify_gluing_theorem, whole_series)
 from cutglue.green import green_bundle, quadratic_form_S0
-from cutglue.meshes import (build_grid_mesh, build_interval_mesh,
+from cutglue.meshes import (LEFT, RIGHT, build_grid_mesh, build_interval_mesh,
                             cut_along_interface)
 from cutglue.operators import OperatorSpec
 from cutglue.perturbation import InteractionSpec, effective_action_series
@@ -99,6 +101,77 @@ def test_widening_terminates_at_trimmed_set():
 def test_union_region_on_nine_path():
     data = scale_data(path9_scenario({}))
     assert list(data.region) == [1, 2, 3, 5, 6, 7]
+
+
+def interval41_scenario():
+    """A real (non-identity) bump kernel: deep sets well inside each side."""
+    mesh = build_interval_mesh(41, 1.0)
+    cut = cut_along_interface(mesh, lambda n: n == 21)
+    return GluingScenario(context=gluing_context(mesh, OperatorSpec(0.1), cut),
+                          interaction=InteractionSpec({3: 0.3}), lam=0.25,
+                          shape="bump", max_order=1.0)
+
+
+def interval41_sparse_start():
+    """Widening from every other union node: added nodes interleave with it."""
+    data = scale_data(interval41_scenario())
+    return replace(data, region=data.region[::2])
+
+
+SCALES = {
+    "path9": lambda: scale_data(path9_scenario({3: 0.3, 4: 0.2})),
+    "grid5": lambda: scale_data(grid_scenario({3: 0.2})),
+    "interval41": lambda: scale_data(interval41_scenario()),
+    "interval41-sparse-start": interval41_sparse_start,
+}
+
+
+def _same_ids(got, expected):
+    assert got.dtype == expected.dtype and np.array_equal(got, expected), (got, expected)
+
+
+@pytest.mark.parametrize("name", ["path9", "grid5", "interval41"])
+def test_scale_region_is_union1d_of_deep_sets(name):
+    data = SCALES[name]()
+    _same_ids(data.region, np.union1d(data.kernels.deep[LEFT], data.kernels.deep[RIGHT]))
+
+
+@pytest.mark.parametrize("name", list(SCALES))
+def test_widening_regions_are_union1d_steps(name, monkeypatch):
+    """The regions of one widening pass, checked against numpy's set
+    routines: the union region plus the first k nodes of the sorted
+    difference between the trimmed set and it, for k = 1 .. K."""
+    data = SCALES[name]()
+    added = np.setdiff1d(data.trimmed, data.region)
+    expected = [np.union1d(data.region, added[:k]) for k in range(1, added.size + 1)]
+    assert expected
+    passes = []
+    series = gluing._series
+
+    def spy(data, gaussian, regions):
+        passes.append(regions)
+        return series(data, gaussian, regions)
+
+    monkeypatch.setattr(gluing, "_series", spy)
+    rep = verify_gluing_theorem(data, widen=True)
+    # the last two engine passes are the glued and the whole widening
+    for regions in passes[-2:]:
+        assert len(regions) == len(expected)
+        for got, want in zip(regions, expected):
+            _same_ids(got, want)
+    steps = [c for c in rep.checks if c.name.startswith("widened-step")]
+    assert [c.details["added_node"] for c in steps] == added.tolist()
+    assert all(type(c.details["added_node"]) is int for c in steps)
+
+
+def test_node_mask_is_union1d():
+    """Overlapping, unsorted and repeated ids, empty parts included."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        parts = [rng.integers(0, 30, size=rng.integers(0, 12))
+                 for _ in range(rng.integers(1, 4))]
+        expected = functools.reduce(np.union1d, parts, np.array([], dtype=int))
+        _same_ids(np.flatnonzero(_node_mask(30, *parts)), expected)
 
 
 def test_assembly_orders_agree():

@@ -1,6 +1,8 @@
 import gc
 import itertools
 import weakref
+from collections import Counter
+from fractions import Fraction
 from math import comb, factorial, prod
 
 import numpy as np
@@ -12,6 +14,7 @@ from cutglue.meshes import Mesh, build_grid_mesh, build_interval_mesh
 from cutglue.operators import OperatorSpec
 from cutglue.perturbation import (BLAS_MIN_NODES, LEG_CAP, InteractionSpec,
                                   NodeGaussian, PerturbationError, VertexType,
+                                  _pair_matrices, _pairing_count,
                                   _vertex_series, averaged_gaussian,
                                   effective_action_series, gaussian_cumulant,
                                   gaussian_expectation, interaction_z_series,
@@ -70,6 +73,48 @@ def test_wick_pairing_counts():
     for m, expect in [(1, 1), (2, 3), (3, 15), (4, 105)]:
         pairings = wick_pairings(range(2 * m))
         assert sum(1 for p, u in pairings if not u) == expect
+
+
+def test_pairing_count_is_the_rational_count():
+    """The integer count equals r_a! over 2^c c! per self loop and c! per
+    cross multiplicity, evaluated in rationals, for every residue tuple of up
+    to LEG_CAP // 3 instances (each vertex has at least three legs) within
+    LEG_CAP legs, and every pair matrix of it."""
+    cases = 0
+    for j in range(1, LEG_CAP // 3 + 1):
+        for residues in itertools.product(range(LEG_CAP + 1), repeat=j):
+            if sum(residues) > LEG_CAP or sum(residues) % 2:
+                continue
+            for m in _pair_matrices(residues):
+                oracle = Fraction(prod(factorial(r) for r in residues))
+                for (a, b), c in m.items():
+                    oracle /= 2**c * factorial(c) if a == b else factorial(c)
+                got = _pairing_count(residues, m)
+                assert type(got) is int and got == oracle, (residues, m)
+                cases += 1
+    assert cases > 9000
+
+
+def test_vertex_prefactors_are_the_rounded_rationals():
+    """Each vertex multiset enters with (-1)^n / prod c_v! rounded once from
+    the exact rational: a moment that is 1 in its own column and 0 elsewhere
+    reads every prefactor back bitwise."""
+    weights = np.ones(1)
+    vertices = [VertexType(k, k - 2, weights) for k in (3, 4, 6)]
+    seen = []
+
+    def moment(instances, mean, cov):
+        seen.append(Counter(k for k, _ in instances))
+        return np.eye(128)[len(seen) - 1]
+
+    coeffs = _vertex_series(vertices, np.zeros(1), np.eye(1), 6.0, moment, 128)
+    assert len(seen) == 83
+    for column, counts in enumerate(seen):
+        xpow = sum((k - 2) * c for k, c in counts.items())
+        oracle = Fraction((-1) ** sum(counts.values()),
+                          prod(factorial(c) for c in counts.values()))
+        assert coeffs[xpow, column] == float(oracle), dict(counts)
+        assert np.count_nonzero(coeffs[:, column]) == 1
 
 
 def test_wick_four_leg_breakdown():
@@ -363,6 +408,45 @@ def test_family_columns_match_single_regions(name):
             oracle[0] += gaussian.order0
             np.testing.assert_allclose(got.to_array(), oracle, rtol=1e-12, atol=0.0,
                                        err_msg=f"region {r.tolist()}")
+
+
+_NODE_COUPLINGS = {3: {1: 0.1, 2: -0.3, 4: 0.5, 6: 0.2, 7: 0.05}, 4: 0.2}
+#: regions as callers may give them: the engine must read each as a node set
+ID_LIST_FAMILIES = {
+    "path9-overlapping": lambda: (
+        _path9(_NODE_COUPLINGS), [[1, 2, 3, 4], [3, 4, 5, 6], [2, 3, 7]]),
+    "path9-unsorted": lambda: (
+        _path9(_NODE_COUPLINGS), [[6, 3, 1], [7, 2, 5, 4], [4, 1]]),
+    "path9-duplicate-ids": lambda: (
+        _path9(_NODE_COUPLINGS), [[3, 3, 4, 1, 4], [5, 5], [7, 2, 7]]),
+    "path9-single-region": lambda: (_path9(_NODE_COUPLINGS), [[7, 1, 4, 1, 2]]),
+    # past BLAS_MIN_NODES: overlapping, reversed, with repeats
+    "grid9-unsorted-overlapping": lambda: (
+        _grid(9, 1.0), [list(range(60, 19, -1)) + [30, 31],
+                        list(range(25, 70)) + [25, 40]]),
+}
+
+
+@pytest.mark.parametrize("name", list(ID_LIST_FAMILIES))
+def test_family_regions_are_node_sets(name):
+    """Order and repeats of a region's ids do not matter, and regions may
+    overlap.  The family equals bitwise the family of the same regions as
+    `np.unique` ids; a family of one equals the one-region call bitwise, and
+    in a larger family each column matches the one-region call per order (a
+    batch of K columns rounds apart from K = 1)."""
+    (gaussian, inter, mesh, max_order), regions = ID_LIST_FAMILIES[name]()
+    vols = mesh.node_volumes
+    got = gaussian.series(inter, [np.array(r) for r in regions], vols, max_order)
+    sets = [np.unique(r) for r in regions]
+    oracle = gaussian.series(inter, sets, vols, max_order)
+    for r, g, o in zip(sets, got, oracle):
+        np.testing.assert_array_equal(g.to_array(), o.to_array())
+        single = gaussian.series(inter, [r], vols, max_order)[0]
+        if len(regions) == 1:
+            np.testing.assert_array_equal(g.to_array(), single.to_array())
+        else:
+            np.testing.assert_allclose(g.to_array(), single.to_array(), rtol=1e-12,
+                                       atol=0.0, err_msg=f"region {r.tolist()}")
 
 
 def test_free_series_is_order_zero_only():
