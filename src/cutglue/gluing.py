@@ -10,19 +10,19 @@ engine of the perturbation module does the rest.  Agreement with the
 whole-manifold series is then a matter of exact linear algebra, order by order.
 
 Green data is built once per cut (`GluingContext`), kernels and Gaussian
-data once per scale (`ScaleData`); vertex regions are index subsets of it.
-A run is lambda-major: it builds one `ScaleData` at a time, every check of
-that scale reads it, and it is dropped before the next scale is built.  The
-glued assemblies share one covariance, and the glued and whole series on the
-union region are computed once per scale.  The widening evaluates all its
-regions of one scale in a single engine pass per Gaussian (glued and whole);
-the base comparison and the assembly and side-order checks are one-region
-passes on the union region.
+data once per scale (`ScaleData`, each field on first read); vertex regions
+are index subsets of it.  A run is lambda-major: it builds one `ScaleData`
+at a time, every check of that scale reads it, and it is dropped before the
+next scale is built.  The glued assemblies and the coupling redefinitions
+share one covariance.  The glued and whole series on the union region are
+computed once per scale and couplings; the widening evaluates all its
+regions of one scale in a single engine pass per Gaussian (glued and whole).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -93,13 +93,25 @@ def side_kernels(ctx: GluingContext, lam: float, shape="uniform") -> SideKernels
     return SideKernels(kernel=kernel, deep=deep, deep_rows=deep_rows)
 
 
+def _node_mask(n: int, *parts) -> np.ndarray:
+    """Boolean mask over n nodes, true on every node id in the parts."""
+    mask = np.zeros(n, dtype=bool)
+    for part in parts:
+        mask[part] = True
+    return mask
+
+
 @dataclass(frozen=True)
-class GluingScenario:
-    """Everything one gluing experiment needs.
+class ScaleData:
+    """One gluing experiment at one scale, and what every check of it reads.
 
     eta is the Dirichlet data over the whole boundary (ordered like
     mesh.boundary); each side sees its own outer part, with cut-line nodes
-    shared.  lam must exceed the admissibility scale of the cut.
+    shared.  lam must exceed the admissibility scale of the cut.  The rest
+    is built on first read: region, the union of the sides' deep nodes;
+    trimmed, where widening ends; glued and whole, node-level Gaussian data
+    that vertex regions index into (whole.cov is the averaged propagator
+    H G H'); base, their series on the region.
     """
 
     context: GluingContext
@@ -119,13 +131,46 @@ class GluingScenario:
             raise GluingError("eta must cover the whole boundary")
         object.__setattr__(self, "eta", eta)
 
+    @cached_property
+    def kernels(self) -> SideKernels:
+        return side_kernels(self.context, self.lam, self.shape)
 
-def _side_eta(scenario: GluingScenario, sb) -> np.ndarray:
-    pos = {int(n): k for k, n in enumerate(scenario.context.mesh.boundary)}
-    return np.array([scenario.eta[pos[int(n)]] for n in sb.outer])
+    @cached_property
+    def region(self) -> np.ndarray:
+        deep = self.kernels.deep
+        return np.flatnonzero(_node_mask(self.context.mesh.n_nodes, *deep.values()))
+
+    @cached_property
+    def trimmed(self) -> np.ndarray:
+        return self.context.mesh.trim_to_deformed(self.lam)
+
+    @cached_property
+    def glued(self) -> NodeGaussian:
+        return glued_gaussian(self)
+
+    @cached_property
+    def whole(self) -> NodeGaussian:
+        return averaged_gaussian(self.kernels.kernel, self.eta, self.context.bundle)
+
+    @cached_property
+    def base(self) -> list[PerturbationSeries]:
+        return [_series(self, g, [self.region])[0] for g in (self.glued, self.whole)]
+
+    def redefined(self, mapping) -> ScaleData:
+        """This scale with couplings mapping(k, t_k), sharing every
+        coupling-free field built so far."""
+        other = copy(self)
+        object.__setattr__(other, "interaction", self.interaction.redefined(mapping))
+        vars(other).pop("base", None)
+        return other
 
 
-def glued_gaussian(scenario: GluingScenario, kernels: SideKernels) -> NodeGaussian:
+def _side_eta(data: ScaleData, sb) -> np.ndarray:
+    pos = {int(n): k for k, n in enumerate(data.context.mesh.boundary)}
+    return np.array([data.eta[pos[int(n)]] for n in sb.outer])
+
+
+def glued_gaussian(data: ScaleData) -> NodeGaussian:
     """Node-level Gaussian data of the glued theory, from side data only.
 
     Built exclusively from side Green's matrices, side Poisson operators,
@@ -133,22 +178,21 @@ def glued_gaussian(scenario: GluingScenario, kernels: SideKernels) -> NodeGaussi
     the interface mean folded into the background field.  Rows of nodes deep
     inside a side average with that side's restricted kernel.
     """
-    order0, mean, rows = _glued_mean(scenario, kernels, "fold", (LEFT, RIGHT))
-    return NodeGaussian(order0, mean, rows @ scenario.context.glued @ rows.T)
+    order0, mean, rows = _glued_mean(data, "fold", (LEFT, RIGHT))
+    return NodeGaussian(order0, mean, rows @ data.context.glued @ rows.T)
 
 
-def _glued_mean(scenario: GluingScenario, kernels: SideKernels, assembly: str,
-                side_order: tuple):
+def _glued_mean(data: ScaleData, assembly: str, side_order: tuple):
     """Order-0 action, averaged mean and averaging rows of the glued field.
     "fold" bakes the interface mean into the background before averaging,
     "carry" adds it through the interface map afterwards; the two must agree
     identically."""
     if assembly not in ("fold", "carry"):
         raise GluingError(f"unknown assembly {assembly!r}")
-    ctx = scenario.context
+    ctx, kernels = data.context, data.kernels
     sides, g_sigma = {s: ctx.sides[s] for s in side_order}, ctx.g_sigma
 
-    etas = {s: _side_eta(scenario, sb) for s, sb in sides.items()}
+    etas = {s: _side_eta(data, sb) for s, sb in sides.items()}
     c = sum(sb.dtn_cross.T @ etas[s] for s, sb in sides.items())
     mu = -g_sigma @ c
     s0 = sum(0.5 * etas[s] @ sb.dtn_outer @ etas[s] for s, sb in sides.items())
@@ -169,50 +213,9 @@ def _glued_mean(scenario: GluingScenario, kernels: SideKernels, assembly: str,
     return order0, rows @ b, rows
 
 
-@dataclass(frozen=True)
-class ScaleData:
-    """What every check at one scale reads; build it per lam, drop it after.
-    region: union of the sides' deep nodes; trimmed: where widening ends;
-    glued, whole: node-level Gaussian data that vertex regions index into
-    (whole.cov is the averaged propagator H G H')."""
-
-    scenario: GluingScenario
-    kernels: SideKernels
-    region: np.ndarray
-    trimmed: np.ndarray
-    glued: NodeGaussian
-    whole: NodeGaussian
-
-    @cached_property
-    def base(self) -> list[PerturbationSeries]:
-        """Glued and whole series on the union region, computed on first read."""
-        return [_series(self, g, [self.region])[0] for g in (self.glued, self.whole)]
-
-
-def _node_mask(n: int, *parts) -> np.ndarray:
-    """Boolean mask over n nodes, true on every node id in the parts."""
-    mask = np.zeros(n, dtype=bool)
-    for part in parts:
-        mask[part] = True
-    return mask
-
-
-def scale_data(scenario: GluingScenario) -> ScaleData:
-    ctx = scenario.context
-    kernels = side_kernels(ctx, scenario.lam, scenario.shape)
-    region = _node_mask(ctx.mesh.n_nodes, kernels.deep[LEFT], kernels.deep[RIGHT])
-    return ScaleData(scenario=scenario, kernels=kernels,
-                     region=np.flatnonzero(region),
-                     trimmed=ctx.mesh.trim_to_deformed(scenario.lam),
-                     glued=glued_gaussian(scenario, kernels),
-                     whole=averaged_gaussian(kernels.kernel, scenario.eta, ctx.bundle))
-
-
-def _series(data: ScaleData, gaussian: NodeGaussian,
-            regions) -> list[PerturbationSeries]:
-    sc = data.scenario
-    return gaussian.series(sc.interaction, regions, sc.context.mesh.node_volumes,
-                           sc.max_order)
+def _series(data: ScaleData, gaussian: NodeGaussian, regions) -> list[PerturbationSeries]:
+    return gaussian.series(data.interaction, regions, data.context.mesh.node_volumes,
+                           data.max_order)
 
 
 def glued_series(data: ScaleData, assembly: str = "fold",
@@ -222,7 +225,7 @@ def glued_series(data: ScaleData, assembly: str = "fold",
     and mean; the covariance of data.glued depends on neither choice."""
     if (assembly, tuple(side_order)) == ("fold", (LEFT, RIGHT)):
         return data.base[0]
-    order0, mean = _glued_mean(data.scenario, data.kernels, assembly, side_order)[:2]
+    order0, mean = _glued_mean(data, assembly, side_order)[:2]
     return _series(data, NodeGaussian(order0, mean, data.glued.cov), [data.region])[0]
 
 
@@ -243,7 +246,7 @@ def verify_gluing_theorem(data: ScaleData, widen: bool = False) -> Report:
     every step; all steps are one engine pass over the glued data and one
     over the whole data.
     """
-    ctx = data.scenario.context
+    ctx = data.context
     block = ctx.bundle.green_block(ctx.cut.interface, ctx.cut.interface)
 
     report = Report("gluing-theorem")
@@ -289,15 +292,13 @@ def renormalization_commutes(data: ScaleData, mappings: dict) -> Report:
     new coupling for each power.  Each redefined scenario must pass the same
     per-order match, and its residual magnitude must not move relative to the
     original, whose report is computed once for all of them.  Every check is
-    tagged with its redefinition name.  All read the same Gaussian data, which
-    does not depend on the couplings.
+    tagged with its redefinition name.  All share the Gaussian data of data,
+    which does not depend on the couplings.
     """
     base = verify_gluing_theorem(data).max_residual
     report = Report("renormalization-commutes")
     for name, mapping in mappings.items():
-        sc = replace(data.scenario,
-                     interaction=data.scenario.interaction.redefined(mapping))
-        after = verify_gluing_theorem(replace(data, scenario=sc))
+        after = verify_gluing_theorem(data.redefined(mapping))
         after.add(Check("residual-magnitude-stable",
                         abs(after.max_residual - base), 1e-10))
         for c in after.checks:
@@ -312,8 +313,7 @@ def lambda_sweep(data: ScaleData) -> Report:
     Flags kernel saturation; past the inverse minimum edge length the
     coefficients must coincide bitwise with the identity-kernel values.
     """
-    sc = data.scenario
-    ctx, lam = sc.context, sc.lam
+    ctx, lam = data.context, data.lam
     report = Report("lambda-sweep")
     glued = glued_series(data)
     whole = whole_series(data)
@@ -331,8 +331,8 @@ def lambda_sweep(data: ScaleData) -> Report:
                          abs(glued.coeff(o) - whole.coeff(o)), 1e-10, d))
     if details["saturated"]:
         identity = KernelMatrix(matrix=np.eye(ctx.mesh.n_nodes), lam=lam)
-        w_id = effective_action_series(ctx.bundle, identity, sc.interaction,
-                                       sc.eta, sc.max_order, region=data.region)
+        w_id = effective_action_series(ctx.bundle, identity, data.interaction,
+                                       data.eta, data.max_order, region=data.region)
         exact = 0.0 if np.array_equal(whole.to_array(), w_id.to_array()) else 1.0
         report.add(Check(f"lam-{lam}-saturation-bitwise", exact, 0.0, details))
     return report

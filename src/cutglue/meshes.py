@@ -280,8 +280,8 @@ def _node_side_labels(mesh: Mesh, interface: set[int]) -> tuple[np.ndarray, np.n
     """Split interior nodes minus the interface into two groups.
 
     The component containing the smallest node index becomes the left group;
-    any further components join the right group.  Raises if the selector does
-    not separate.
+    any further components join the right group, which is empty when the
+    remaining interior is connected.
     """
     interior = np.array([i for i in mesh.interior if i not in interface], dtype=int)
     if not interior.size:
@@ -290,15 +290,7 @@ def _node_side_labels(mesh: Mesh, interface: set[int]) -> tuple[np.ndarray, np.n
     allowed[interior] = True
     in_first = np.zeros(mesh.n_nodes, dtype=bool)
     in_first[_bfs(mesh.neighbors()[0], [int(interior[0])], allowed)] = True
-    left, right = interior[in_first[interior]], interior[~in_first[interior]]
-    if right.size == 0:
-        # one-sided cut: all remaining interior on one side, the other empty
-        if interior.min() > min(interface):
-            return right, interior
-        if interior.max() < max(interface):
-            return interior, right
-        raise MeshError("not a separator")
-    return left, right
+    return interior[in_first[interior]], interior[~in_first[interior]]
 
 
 def cut_along_interface(mesh: Mesh, selector) -> Cut:
@@ -311,6 +303,14 @@ def cut_along_interface(mesh: Mesh, selector) -> Cut:
     side it reaches through unlabelled boundary nodes, left first, and
     boundary pieces that reach neither side go left.  An edge joining the
     two sides means the selection does not separate.
+
+    When the remaining interior is connected, the cut is one-sided.  A
+    boundary node is cut off when the interior reaches neither it nor a
+    neighbour of it through unlabelled boundary nodes, and the interface
+    reaches it through cut-off nodes.  The cut separates only if some node
+    is cut off; the cut-off nodes off the cut line make the side without
+    interior nodes, and the left side is the one holding the smallest node
+    id outside the interface.
     """
     interface = np.array(
         sorted(n for n in mesh.interior if selector(n)), dtype=int
@@ -319,18 +319,32 @@ def cut_along_interface(mesh: Mesh, selector) -> Cut:
         raise MeshError("not a separator: empty selection")
     left, right = _node_side_labels(mesh, set(interface.tolist()))
     nbrs = mesh.neighbors()[0]
+    boundary = np.zeros(mesh.n_nodes, dtype=bool)
+    boundary[mesh.boundary] = True
     label = np.full(mesh.n_nodes, "", dtype=object)
     label[left], label[right], label[interface] = LEFT, RIGHT, CUT
     touching = [b for b in mesh.boundary if (label[nbrs[b]] == CUT).any()]
     label[touching] = CUT
     for side in (LEFT, RIGHT):
         label[_bfs(nbrs, np.nonzero(label == side)[0].tolist(), label == "")] = side
+    if right.size == 0:
+        near = label == LEFT
+        near[mesh.edges[near[mesh.edges].any(axis=1)]] = True
+        cut_off = np.zeros(mesh.n_nodes, dtype=bool)
+        cut_off[_bfs(nbrs, interface.tolist(), boundary & ~near)] = True
+        cut_off[interface] = False
+        if not cut_off.any():
+            raise MeshError("not a separator: no boundary node is cut off")
+        outside = np.ones(mesh.n_nodes, dtype=bool)
+        outside[interface] = False
+        if cut_off[np.argmax(outside)]:
+            label[label == LEFT] = RIGHT
+        else:
+            label[cut_off & (label == "")] = RIGHT
     label[label == ""] = LEFT
     ends = label[mesh.edges]
     if np.any((ends == LEFT).any(axis=1) & (ends == RIGHT).any(axis=1)):
         raise MeshError("not a separator: edge crosses the cut")
-    boundary = np.zeros(mesh.n_nodes, dtype=bool)
-    boundary[mesh.boundary] = True
     return Cut(interface=interface, label=label, boundary=boundary, edges=mesh.edges)
 
 

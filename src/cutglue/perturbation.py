@@ -106,14 +106,17 @@ class VertexType:
     """One interaction monomial summed over a vertex region.
 
     power  : number of field legs k.
-    xpower : k - 2, the power of sqrt(hbar) the vertex carries.
     weights: t_k(p) vol(p) over the region nodes; in a family of regions,
              one column per region, zero off it (see `NodeGaussian.series`).
     """
 
     power: int
-    xpower: int
     weights: np.ndarray
+
+    @property
+    def xpower(self) -> int:
+        """k - 2, the power of sqrt(hbar) the vertex carries."""
+        return self.power - 2
 
 
 def vertex_terms(interaction: InteractionSpec, region: np.ndarray,
@@ -123,7 +126,7 @@ def vertex_terms(interaction: InteractionSpec, region: np.ndarray,
     out = []
     for k in interaction.powers():
         w = interaction.coupling_at(k, region) * volumes[region]
-        out.append(VertexType(power=k, xpower=k - 2, weights=w))
+        out.append(VertexType(power=k, weights=w))
     return out
 
 

@@ -3,7 +3,8 @@
 A run builds its Green data once (`ScenarioConfig.context`, on first use)
 and every suite reads it.  `run_suites` is lambda-major: per scale it builds
 that scale's `ScaleData`, which the runners of PER_SCALE (and FIRST_SCALE, at
-the first) take in place of the config, and drops it before the next.
+the first) take in place of the config, and drops it before the next.  A
+scale builds only the fields its runners read.
 kernel-properties builds its own left side bundle and kernels.
 """
 
@@ -15,8 +16,8 @@ import numpy as np
 
 from . import euclidean as eu
 from .config import ScenarioConfig
-from .gluing import (GluingScenario, ScaleData, lambda_sweep,
-                     renormalization_commutes, scale_data, verify_gluing_theorem)
+from .gluing import (ScaleData, lambda_sweep, renormalization_commutes,
+                     verify_gluing_theorem)
 from .green import (side_bundle, verify_dtn_difference, verify_green_gluing,
                     verify_quadratic_decomposition)
 from .kernels import (build_mesh_kernel, restrict_kernel_to_submesh,
@@ -111,12 +112,12 @@ def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
 def _at_scale(report: Report, data: ScaleData) -> Report:
     """The report with every check tagged with the scale of data."""
     for c in report.checks:
-        c.details["lam"] = data.scenario.lam
+        c.details["lam"] = data.lam
     return report
 
 
 def suite_regularization(data: ScaleData) -> Report:
-    ctx = data.scenario.context
+    ctx = data.context
     spectral = spectral_regularized_green(ctx.mesh, ctx.eigenpairs,
                                           data.kernels.kernel)
     return _at_scale(verify_regularization(data.whole.cov, spectral), data)
@@ -124,7 +125,7 @@ def suite_regularization(data: ScaleData) -> Report:
 
 def suite_deformed_gluing(data: ScaleData) -> Report:
     return _at_scale(verify_deformed_gluing(data.kernels, data.whole.cov,
-                                            data.scenario.context.glued), data)
+                                            data.context.glued), data)
 
 
 def suite_gluing_theorem(data: ScaleData) -> Report:
@@ -132,9 +133,9 @@ def suite_gluing_theorem(data: ScaleData) -> Report:
 
 
 def suite_renormalization(data: ScaleData) -> Report:
-    lam, n_nodes = data.scenario.lam, data.scenario.context.mesh.n_nodes
+    lam, n_nodes = data.lam, data.context.mesh.n_nodes
     # Per node, so that a coupling given by node id shifts like a constant.
-    quartic = data.scenario.interaction.coupling_at(4, np.arange(n_nodes))
+    quartic = data.interaction.coupling_at(4, np.arange(n_nodes))
     nodes = range(n_nodes)
     redefinitions = {
         "quartic-scale-shift":
@@ -203,9 +204,7 @@ def run_suites(cfg: ScenarioConfig, names, seed: int) -> dict:
         scaled = [n for n in names if n in PER_SCALE or (k == 0 and n in FIRST_SCALE)]
         if not scaled:
             break
-        data = scale_data(GluingScenario(
-            context=cfg.context, interaction=cfg.interaction, lam=lam,
-            shape=cfg.shape, eta=cfg.eta, max_order=cfg.max_order))
+        data = ScaleData(cfg.context, cfg.interaction, lam, cfg.shape, cfg.eta, cfg.max_order)
         for name in scaled:
             part = SUITES[name][1](data)
             reports.setdefault(name, Report(part.name)).extend(part.checks)

@@ -13,9 +13,9 @@ import pytest
 
 from cutglue import euclidean as eu
 from cutglue import kernels as kn
-from cutglue.gluing import (GluingScenario, gluing_context, lambda_sweep,
-                            renormalization_commutes, scale_data,
-                            side_kernels, verify_gluing_theorem)
+from cutglue.gluing import (ScaleData, gluing_context, lambda_sweep,
+                            renormalization_commutes, side_kernels,
+                            verify_gluing_theorem)
 from cutglue.green import (green_bundle, interface_green, side_bundle,
                            verify_green_gluing, verify_quadratic_decomposition)
 from cutglue.meshes import (LEFT, RIGHT, build_grid_mesh, build_interval_mesh,
@@ -184,11 +184,11 @@ def _scenarios():
     for couplings in ({3: 0.3}, {4: 0.2}, {3: 0.3, 4: 0.2}):
         for eta_on in (False, True):
             p_eta = np.array([1.0, -0.5]) if eta_on else None
-            out.append(GluingScenario(
+            out.append(ScaleData(
                 context=pctx, interaction=InteractionSpec(couplings), lam=1.0,
                 eta=p_eta, max_order=1.5))
             g_eta = 0.2 * np.arange(grid5.boundary.size) if eta_on else None
-            out.append(GluingScenario(
+            out.append(ScaleData(
                 context=gctx, interaction=InteractionSpec(couplings), lam=2.5,
                 eta=g_eta, max_order=1.5))
     return out
@@ -198,7 +198,7 @@ def test_criterion_7_gluing_theorem():
     worst = 0.0
     widen_ok = True
     for sc in _scenarios():
-        rep = verify_gluing_theorem(scale_data(sc), widen=True)
+        rep = verify_gluing_theorem(sc, widen=True)
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
         worst = max(worst, rep.max_residual)
         widen_ok &= any(c.name == "widened-final-region-is-trimmed-set"
@@ -210,14 +210,13 @@ def test_criterion_7_gluing_theorem():
 def test_criterion_8_coupling_redefinitions():
     path9 = build_interval_mesh(7, 1.0)
     pcut = cut_along_interface(path9, lambda n: n == 4)
-    sc = GluingScenario(context=gluing_context(path9, OperatorSpec(0.0), pcut),
-                        interaction=InteractionSpec({3: 0.3, 4: 0.2}),
-                        lam=1.0, eta=np.array([1.0, -0.5]), max_order=1.5)
-    data = scale_data(sc)
+    data = ScaleData(context=gluing_context(path9, OperatorSpec(0.0), pcut),
+                     interaction=InteractionSpec({3: 0.3, 4: 0.2}),
+                     lam=1.0, eta=np.array([1.0, -0.5]), max_order=1.5)
     rep = renormalization_commutes(data, {
         "position-dependent":
             lambda k, t: {p: 0.1 * (p + 1) for p in range(9)} if k == 3 else t,
-        "scale-shift": lambda k, t: t + 0.5 * sc.lam if k == 4 else t,
+        "scale-shift": lambda k, t: t + 0.5 * data.lam if k == 4 else t,
     })
     worst = rep.max_residual
     _emit(8, rep.passed and worst <= 1e-10,
@@ -246,12 +245,12 @@ def test_criterion_10_saturation_bitwise():
     g_reg = kn.regularized_green(kernel, bundle)
     green_ok = np.array_equal(
         g_reg[np.ix_(bundle.interior, bundle.interior)], bundle.green)
-    sc = GluingScenario(context=gluing_context(mesh, OperatorSpec(0.0), cut),
-                        interaction=InteractionSpec({3: 0.3, 4: 0.2}),
-                        lam=1.0, eta=np.array([1.0, -0.5]), max_order=1.5)
+    sc = ScaleData(context=gluing_context(mesh, OperatorSpec(0.0), cut),
+                   interaction=InteractionSpec({3: 0.3, 4: 0.2}),
+                   lam=1.0, eta=np.array([1.0, -0.5]), max_order=1.5)
     rep = Report("lambda-sweep")
     for lam in (0.5, 1.0, 2.5):
-        rep.extend(lambda_sweep(scale_data(replace(sc, lam=lam))).checks)
+        rep.extend(lambda_sweep(replace(sc, lam=lam)).checks)
     sat = [c for c in rep.checks if "saturation-bitwise" in c.name]
     sweep_ok = rep.passed and len(sat) == 1 and sat[0].residual == 0.0
     _emit(10, identity_ok and green_ok and sweep_ok,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +369,20 @@ def test_run_builds_each_scale_once(tmp_path, monkeypatch, capsys):
     assert len(eighs) == 1
 
 
+@pytest.mark.parametrize("suite, reads_glued", [("regularization", False),
+                                               ("deformed-gluing", False),
+                                               ("gluing-theorem", True)])
+def test_scale_suite_alone_builds_only_what_it_reads(tmp_path, monkeypatch, capsys,
+                                                     suite, reads_glued):
+    """A scale's data is built field by field on first read: run alone, a
+    suite that reads no glued Gaussian builds none."""
+    calls = count_calls(monkeypatch, ("glued_gaussian",))
+    assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path), "--suite", suite]) == 0
+    with open(CONFIG, encoding="utf-8") as fh:
+        n_lambdas = len(json.load(fh)["lambdas"])
+    assert calls == {"glued_gaussian": n_lambdas if reads_glued else 0}
+
+
 def test_lambda_sweep_reads_the_base_series(tmp_path, monkeypatch, capsys):
     """Beside gluing-theorem, lambda-sweep runs no engine pass of its own
     but the identity-kernel oracle of each saturated scale."""
@@ -399,15 +414,15 @@ def test_one_scale_alive_at_a_time(tmp_path, monkeypatch, capsys):
     the data of the next scale is built, and the last before reports are
     written."""
     built = []
-    build = suites.scale_data
+    build = suites.ScaleData
 
-    def tracked(scenario):
+    def tracked(*args):
         assert all(ref() is None for ref in built), "an earlier scale is alive"
-        data = build(scenario)
+        data = build(*args)
         built.append(weakref.ref(data))
         return data
 
-    monkeypatch.setattr(suites, "scale_data", tracked)
+    monkeypatch.setattr(suites, "ScaleData", tracked)
     gc.disable()
     try:
         assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path)]) == 0
@@ -420,7 +435,7 @@ def test_per_scale_runners_read_only_scale_data(tmp_path, capsys):
     """The per-scale runners are library functions of one scale's data,
     built here from path9 without a config: their parts, joined over the
     scales, are the bytes `cutglue run` writes."""
-    from cutglue.gluing import GluingScenario, gluing_context, scale_data
+    from cutglue.gluing import ScaleData, gluing_context
     from cutglue.meshes import build_interval_mesh, cut_along_interface
     from cutglue.operators import OperatorSpec
     from cutglue.perturbation import InteractionSpec
@@ -433,9 +448,9 @@ def test_per_scale_runners_read_only_scale_data(tmp_path, capsys):
                    "lambda-sweep": suites.suite_lambda_sweep}
     reports = {}
     for k, lam in enumerate((0.5, 1.0, 2.5)):
-        data = scale_data(GluingScenario(
+        data = ScaleData(
             context=ctx, interaction=InteractionSpec({3: 0.3, 4: 0.2}),
-            lam=lam, shape="uniform", eta=np.array([1.0, -0.5]), max_order=1.5))
+            lam=lam, shape="uniform", eta=np.array([1.0, -0.5]), max_order=1.5)
         runners = dict(every_scale)
         if k == 0:
             runners["renormalization"] = suites.suite_renormalization
@@ -552,8 +567,8 @@ def test_reports_byte_identical_across_reruns(tmp_path, capsys):
         assert cli.main(args + ["--out-dir", d]) == 0
     capsys.readouterr()
     for fname in sorted(os.listdir(dirs[0])):
-        a = open(os.path.join(dirs[0], fname), "rb").read()
-        b = open(os.path.join(dirs[1], fname), "rb").read()
+        a = Path(dirs[0], fname).read_bytes()
+        b = Path(dirs[1], fname).read_bytes()
         assert a == b, fname
 
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from cutglue import gluing
-from cutglue.gluing import (GluingError, GluingScenario, _node_mask, gluing_context,
+from cutglue.gluing import (GluingError, ScaleData, _node_mask, gluing_context,
                             glued_gaussian, glued_series, lambda_sweep,
-                            renormalization_commutes, scale_data,
-                            verify_gluing_theorem, whole_series)
+                            renormalization_commutes, verify_gluing_theorem,
+                            whole_series)
 from cutglue.green import green_bundle, quadratic_form_S0
 from cutglue.meshes import (LEFT, RIGHT, build_grid_mesh, build_interval_mesh,
                             cut_along_interface)
@@ -22,17 +22,17 @@ M0 = OperatorSpec(0.0)
 def path9_scenario(couplings, eta=None, lam=1.0, max_order=1.5):
     mesh = build_interval_mesh(7, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 4)
-    return GluingScenario(context=gluing_context(mesh, M0, cut),
-                          interaction=InteractionSpec(couplings), lam=lam,
-                          eta=eta, max_order=max_order)
+    return ScaleData(context=gluing_context(mesh, M0, cut),
+                     interaction=InteractionSpec(couplings), lam=lam,
+                     eta=eta, max_order=max_order)
 
 
 def grid_scenario(couplings, eta=None, lam=2.5, mass=0.1):
     mesh = build_grid_mesh(5, 5, 1.0)
     cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == 2.0)
     ctx = gluing_context(mesh, OperatorSpec(mass), cut)
-    return GluingScenario(context=ctx, interaction=InteractionSpec(couplings),
-                          lam=lam, eta=eta, max_order=1.5)
+    return ScaleData(context=ctx, interaction=InteractionSpec(couplings),
+                     lam=lam, eta=eta, max_order=1.5)
 
 
 def test_scenario_validation():
@@ -40,20 +40,20 @@ def test_scenario_validation():
     cut = cut_along_interface(mesh, lambda n: n == 4)
     ctx = gluing_context(mesh, M0, cut)
     with pytest.raises(GluingError, match="lambda_1"):
-        GluingScenario(context=ctx, interaction=InteractionSpec({}), lam=0.2)
+        ScaleData(context=ctx, interaction=InteractionSpec({}), lam=0.2)
     with pytest.raises(GluingError, match="eta"):
-        GluingScenario(context=ctx, interaction=InteractionSpec({}), lam=1.0,
-                       eta=np.array([1.0]))
+        ScaleData(context=ctx, interaction=InteractionSpec({}), lam=1.0,
+                  eta=np.array([1.0]))
 
 
 def test_free_order_zero_equals_whole_action():
     mesh = build_interval_mesh(3, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 2)
     eta = np.array([1.0, -0.5])
-    sc = GluingScenario(context=gluing_context(mesh, M0, cut),
-                        interaction=InteractionSpec({}), lam=1.0, eta=eta,
-                        max_order=1.0)
-    glued = glued_series(scale_data(sc))
+    data = ScaleData(context=gluing_context(mesh, M0, cut),
+                     interaction=InteractionSpec({}), lam=1.0, eta=eta,
+                     max_order=1.0)
+    glued = glued_series(data)
     bundle = green_bundle(mesh, M0)
     s0 = quadratic_form_S0(mesh, M0, bundle.extend(eta))
     assert abs(glued.coeff(0.0) - s0) <= 1e-12
@@ -61,7 +61,7 @@ def test_free_order_zero_equals_whole_action():
 
 
 def test_cubic_tadpole_matches_whole():
-    data = scale_data(path9_scenario({3: 0.3}, eta=np.array([1.0, -0.5])))
+    data = path9_scenario({3: 0.3}, eta=np.array([1.0, -0.5]))
     glued = glued_series(data)
     whole = whole_series(data)
     assert abs(glued.coeff(0.5) - whole.coeff(0.5)) <= 1e-10
@@ -72,8 +72,7 @@ def test_cubic_tadpole_matches_whole():
 @pytest.mark.parametrize("with_eta", [False, True])
 def test_theorem_on_nine_path(couplings, with_eta):
     eta = np.array([1.0, -0.5]) if with_eta else None
-    sc = path9_scenario(couplings, eta=eta)
-    rep = verify_gluing_theorem(scale_data(sc), widen=True)
+    rep = verify_gluing_theorem(path9_scenario(couplings, eta=eta), widen=True)
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
     assert rep.max_residual <= 1e-10
 
@@ -83,14 +82,13 @@ def test_theorem_on_nine_path(couplings, with_eta):
 def test_theorem_on_grid(couplings, with_eta):
     mesh = build_grid_mesh(5, 5, 1.0)
     eta = 0.2 * np.arange(mesh.boundary.size) if with_eta else None
-    sc = grid_scenario(couplings, eta=eta)
-    rep = verify_gluing_theorem(scale_data(sc), widen=True)
+    rep = verify_gluing_theorem(grid_scenario(couplings, eta=eta), widen=True)
     assert rep.passed and rep.max_residual <= 1e-10
 
 
 def test_widening_terminates_at_trimmed_set():
-    sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
-    rep = verify_gluing_theorem(scale_data(sc), widen=True)
+    data = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
+    rep = verify_gluing_theorem(data, widen=True)
     final = [c for c in rep.checks if c.name == "widened-final-region-is-trimmed-set"]
     assert len(final) == 1 and final[0].passed
     widened = [c for c in rep.checks if c.name.startswith("widened-step")]
@@ -99,7 +97,7 @@ def test_widening_terminates_at_trimmed_set():
 
 
 def test_union_region_on_nine_path():
-    data = scale_data(path9_scenario({}))
+    data = path9_scenario({})
     assert list(data.region) == [1, 2, 3, 5, 6, 7]
 
 
@@ -107,21 +105,22 @@ def interval41_scenario():
     """A real (non-identity) bump kernel: deep sets well inside each side."""
     mesh = build_interval_mesh(41, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 21)
-    return GluingScenario(context=gluing_context(mesh, OperatorSpec(0.1), cut),
-                          interaction=InteractionSpec({3: 0.3}), lam=0.25,
-                          shape="bump", max_order=1.0)
+    return ScaleData(context=gluing_context(mesh, OperatorSpec(0.1), cut),
+                     interaction=InteractionSpec({3: 0.3}), lam=0.25,
+                     shape="bump", max_order=1.0)
 
 
 def interval41_sparse_start():
     """Widening from every other union node: added nodes interleave with it."""
-    data = scale_data(interval41_scenario())
-    return replace(data, region=data.region[::2])
+    data = interval41_scenario()
+    vars(data)["region"] = data.region[::2]
+    return data
 
 
 SCALES = {
-    "path9": lambda: scale_data(path9_scenario({3: 0.3, 4: 0.2})),
-    "grid5": lambda: scale_data(grid_scenario({3: 0.2})),
-    "interval41": lambda: scale_data(interval41_scenario()),
+    "path9": lambda: path9_scenario({3: 0.3, 4: 0.2}),
+    "grid5": lambda: grid_scenario({3: 0.2}),
+    "interval41": interval41_scenario,
     "interval41-sparse-start": interval41_sparse_start,
 }
 
@@ -175,7 +174,7 @@ def test_node_mask_is_union1d():
 
 
 def test_assembly_orders_agree():
-    data = scale_data(path9_scenario({3: 0.3}, eta=np.array([1.0, -0.5])))
+    data = path9_scenario({3: 0.3}, eta=np.array([1.0, -0.5]))
     fold = glued_series(data)
     carry = glued_series(data, assembly="carry")
     assert fold.max_abs_diff(carry) <= 1e-12
@@ -184,15 +183,15 @@ def test_assembly_orders_agree():
 
 
 def test_side_swap_invariance():
-    data = scale_data(path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([0.4, 0.9])))
+    data = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([0.4, 0.9]))
     a = glued_series(data)
     b = glued_series(data, side_order=("right", "left"))
     assert a.max_abs_diff(b) <= 1e-12
 
 
 def test_default_glued_data_is_the_fold_assembly():
-    data = scale_data(path9_scenario({3: 0.3}, eta=np.array([1.0, -0.5])))
-    fresh = glued_gaussian(data.scenario, data.kernels)
+    data = path9_scenario({3: 0.3}, eta=np.array([1.0, -0.5]))
+    fresh = glued_gaussian(data)
     assert fresh.order0 == data.glued.order0
     assert np.array_equal(fresh.mean, data.glued.mean)
     assert np.array_equal(fresh.cov, data.glued.cov)
@@ -201,13 +200,12 @@ def test_default_glued_data_is_the_fold_assembly():
 def test_whole_data_matches_effective_action_series():
     """Widening reads an index subset of the per-scale whole data; on any
     region that must equal the whole route built from scratch, bitwise."""
-    sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
-    data = scale_data(sc)
-    ctx = sc.context
+    data = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
+    ctx = data.context
     for region in (data.region, data.trimmed, data.trimmed[1:]):
         fresh = effective_action_series(green_bundle(ctx.mesh, ctx.operator),
-                                        data.kernels.kernel, sc.interaction,
-                                        sc.eta, sc.max_order, region=region)
+                                        data.kernels.kernel, data.interaction,
+                                        data.eta, data.max_order, region=region)
         assert np.array_equal(whole_series(data, region).to_array(),
                               fresh.to_array())
 
@@ -215,20 +213,20 @@ def test_whole_data_matches_effective_action_series():
 def test_renormalization_scale_shift():
     sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
     rep = renormalization_commutes(
-        scale_data(sc), {"scale-shift": lambda k, t: t + 0.5 * sc.lam if k == 4 else t})
+        sc, {"scale-shift": lambda k, t: t + 0.5 * sc.lam if k == 4 else t})
     assert rep.passed and rep.max_residual <= 1e-10
 
 
 def test_renormalization_position_dependent():
     sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
-    rep = renormalization_commutes(scale_data(sc), {
+    rep = renormalization_commutes(sc, {
         "position-dependent":
             lambda k, t: {p: 0.1 * (p + 1) for p in range(9)} if k == 3 else t})
     assert rep.passed and rep.max_residual <= 1e-10
 
 
 def test_renormalization_identity_is_noop():
-    data = scale_data(path9_scenario({3: 0.3}))
+    data = path9_scenario({3: 0.3})
     base = verify_gluing_theorem(data)
     rep = renormalization_commutes(data, {"identity": lambda k, t: t})
     base_rows = [(c.name, c.residual) for c in base.checks]
@@ -240,7 +238,7 @@ def test_lambda_sweep_saturation():
     sc = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]))
     rep = Report("lambda-sweep")
     for lam in (0.5, 1.0, 2.5):
-        rep.extend(lambda_sweep(scale_data(replace(sc, lam=lam))).checks)
+        rep.extend(lambda_sweep(replace(sc, lam=lam)).checks)
     assert rep.passed
     saturated = [c for c in rep.checks if "saturation-bitwise" in c.name]
     assert len(saturated) == 1 and saturated[0].residual == 0.0

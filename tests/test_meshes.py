@@ -207,6 +207,9 @@ def test_cut_not_a_separator():
         cut_along_interface(mesh, lambda n: n == 12)
     with pytest.raises(MeshError, match="not a separator"):
         cut_along_interface(mesh, lambda n: False)
+    # a boundary node no edge reaches is not cut off by the centre node
+    with pytest.raises(MeshError, match="not a separator"):
+        cut_along_interface(_with_isolated_boundary_node(mesh), lambda n: n == 12)
 
 
 def test_lambda_one_requires_boundary():
@@ -260,10 +263,12 @@ def _scrambled(mesh: Mesh, seed: int) -> tuple[Mesh, np.ndarray]:
 
 def _with_isolated_boundary_node(mesh: Mesh) -> Mesh:
     n = mesh.n_nodes
-    return Mesh(positions=np.vstack([mesh.positions, [[-5.0]]]), edges=mesh.edges,
-                edge_weights=mesh.edge_weights, edge_lengths=mesh.edge_lengths,
+    return Mesh(positions=np.vstack([mesh.positions, np.full((1, mesh.dim), -5.0)]),
+                edges=mesh.edges, edge_weights=mesh.edge_weights,
+                edge_lengths=mesh.edge_lengths,
                 node_volumes=np.append(mesh.node_volumes, 1.0),
-                boundary=np.append(mesh.boundary, n), dim=1, spacing=1.0)
+                boundary=np.append(mesh.boundary, n), dim=mesh.dim,
+                spacing=mesh.spacing)
 
 
 def _bumpy(x):
@@ -354,10 +359,12 @@ def test_isolated_boundary_node_goes_left():
     assert list(cut.side_outer_boundary(RIGHT)) == [8]
 
 
-@pytest.mark.parametrize("nx, ny, seed", [(5, 5, 5), (9, 6, 6)])
+@pytest.mark.parametrize("nx, ny, seed", [(5, 5, 3), (5, 5, 5), (9, 6, 6)])
 def test_cut_does_not_depend_on_node_labels(nx, ny, seed):
-    """Relabelled nodes and reordered edges give the same two-sided cut, up
-    to which side is called left: the side holding the smallest node id."""
+    """Relabelled nodes and reordered edges give the same cut, up to which
+    side is called left: the side holding the smallest node id.  The first
+    and the last interior column leave one side without interior nodes; the
+    centre node alone separates nothing and is refused."""
     mesh = build_grid_mesh(nx, ny, 1.0)
     scrambled, perm = _scrambled(mesh, seed)
     where = {frozenset(e): k for k, e in enumerate(scrambled.edges.tolist())}
@@ -368,12 +375,16 @@ def test_cut_does_not_depend_on_node_labels(nx, ny, seed):
                  sorted(ids[cut.side_outer_boundary(s)].tolist()),
                  cut.edge_fraction(s)[edge_order].tolist()) for s in (LEFT, RIGHT)]
 
-    for col in range(2, nx - 2):
+    for col in range(1, nx - 1):
         cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == col)
         new = cut_along_interface(scrambled, lambda n: scrambled.positions[n][0] == col)
         expected = sides(cut, perm, np.arange(len(mesh.edges)))
         got = sides(new, np.arange(scrambled.n_nodes), moved)
         assert got in (expected, expected[::-1])
+    centre = (nx // 2, ny // 2)
+    for m in (mesh, scrambled):
+        with pytest.raises(MeshError, match="not a separator"):
+            cut_along_interface(m, lambda n: tuple(m.positions[n]) == centre)
 
 
 def test_disconnected_interior_rejected():

@@ -100,7 +100,7 @@ def test_vertex_prefactors_are_the_rounded_rationals():
     the exact rational: a moment that is 1 in its own column and 0 elsewhere
     reads every prefactor back bitwise."""
     weights = np.ones(1)
-    vertices = [VertexType(k, k - 2, weights) for k in (3, 4, 6)]
+    vertices = [VertexType(k, weights) for k in (3, 4, 6)]
     seen = []
 
     def moment(instances, mean, cov):
@@ -246,8 +246,8 @@ def test_w_series_is_minus_log_of_z_series(n):
     cov = root @ root.T / n
     w3, w4 = 0.2 * rng.standard_normal(n), 0.1 * rng.standard_normal(n)
     for vertices, max_order in [
-            ([VertexType(3, 1, w3), VertexType(4, 2, w4)], 2.0),
-            ([VertexType(4, 2, w4)], 3.0)]:
+            ([VertexType(3, w3), VertexType(4, w4)], 2.0),
+            ([VertexType(4, w4)], 3.0)]:
         got = interaction_w_series(vertices, mean, cov, max_order)
         want = -series_log(interaction_z_series(vertices, mean, cov, max_order))
         for o in want.orders():
@@ -285,7 +285,7 @@ def test_leg_budget_mixed_powers():
 def test_leg_budget_decides_the_engine_cap(powers):
     """The budget is within LEG_CAP exactly when the z-series expands."""
     mean, cov, one = np.array([0.3]), np.array([[1.0]]), np.ones(1)
-    vertices = [VertexType(power=k, xpower=k - 2, weights=one) for k in powers]
+    vertices = [VertexType(power=k, weights=one) for k in powers]
     for twice in range(9):
         max_order = twice / 2
         for series in (interaction_z_series, interaction_w_series):
