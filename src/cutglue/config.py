@@ -2,8 +2,9 @@
 
 A config names a mesh, a cut, an operator, an interaction, a kernel shape,
 a scale grid, boundary data, and the suites to run.  All cross-references
-are checked here, before any numerics start.  A config holds the Green data
-of its cut (`ScenarioConfig.context`) but no per-scale data: that is a
+are checked here, before any numerics start.  The mesh, operator and cut are
+held by one `gluing.GluingContext`, which builds their Green data on first
+read, so loading a config builds none.  Per-scale data is a
 `gluing.ScaleData`, built by `suites.run_suites` one scale at a time.
 """
 
@@ -12,11 +13,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .gluing import GluingContext, gluing_context
+from .gluing import GluingContext
 from .kernels import SHAPES
 from .meshes import Mesh, build_grid_mesh, build_interval_mesh, \
     cut_along_interface, lambda_one
@@ -30,24 +30,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated inputs of one batch run."""
+    """Validated inputs of one batch run.  context holds the mesh, operator
+    and cut, and builds their Green data on first read."""
 
     name: str
-    mesh: Mesh
-    cut: object
-    operator: OperatorSpec
+    context: GluingContext
     interaction: InteractionSpec
     shape: str
     lambdas: tuple
     eta: np.ndarray
     max_order: float
     suites: tuple
-
-    @cached_property
-    def context(self) -> GluingContext:
-        """Green data of (mesh, operator, cut), built on first use and then
-        shared by every suite of the run; its arrays are read-only."""
-        return gluing_context(self.mesh, self.operator, self.cut)
 
 
 def _build_mesh(spec) -> Mesh:
@@ -235,9 +228,7 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
 
     return ScenarioConfig(
         name=_build_name(raw["name"]),
-        mesh=mesh,
-        cut=cut,
-        operator=operator,
+        context=GluingContext(mesh, operator, cut),
         interaction=interaction,
         shape=shape,
         lambdas=lambdas,

@@ -9,14 +9,15 @@ the interface variable) add up to one node-level field with covariance
 engine of the perturbation module does the rest.  Agreement with the
 whole-manifold series is then a matter of exact linear algebra, order by order.
 
-Green data is built once per cut (`GluingContext`), kernels and Gaussian
-data once per scale (`ScaleData`, each field on first read); vertex regions
-are index subsets of it.  A run is lambda-major: it builds one `ScaleData`
-at a time, every check of that scale reads it, and it is dropped before the
-next scale is built.  The glued assemblies and the coupling redefinitions
-share one covariance.  The glued and whole series on the union region are
-computed once per scale and couplings; the widening evaluates all its
-regions of one scale in a single engine pass per Gaussian (glued and whole).
+Green data is built once per cut (`GluingContext`), kernels, deformed nodes
+and Gaussian data once per scale (`ScaleData`); each builds a field on first
+read, and vertex regions are index subsets of it.  A run is lambda-major: it
+builds one `ScaleData` at a time, every check of that scale reads it, and it
+is dropped before the next scale is built.  The glued assemblies and the
+coupling redefinitions share one covariance.  The glued and whole series on
+the union region are computed once per scale and couplings; the widening
+evaluates all its regions of one scale in a single engine pass per Gaussian
+(glued and whole).
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .green import (GreenBundle, glued_green, green_bundle, interface_green,
-                    side_bundle)
-from .kernels import (KernelMatrix, SideKernels, build_mesh_kernel,
-                      deformed_side_nodes, restrict_kernel_to_submesh)
+from .green import (GreenBundle, _read_only, glued_green, green_bundle,
+                    interface_green, side_bundle)
+from .kernels import (KernelMatrix, build_mesh_kernel, deformed_side_nodes,
+                      restrict_kernel_to_submesh)
 from .meshes import LEFT, RIGHT, Cut, Mesh, lambda_one
 from .operators import OperatorSpec, assemble
-from .perturbation import (InteractionSpec, NodeGaussian, averaged_gaussian,
-                           effective_action_series)
+from .perturbation import InteractionSpec, NodeGaussian, averaged_gaussian
 from .reports import Check, Report
 from .series import PerturbationSeries
 
@@ -45,52 +45,44 @@ class GluingError(ValueError):
 
 @dataclass(frozen=True)
 class GluingContext:
-    """Whole and side Green bundles of one (mesh, operator, cut), the
-    interface Green's matrix g_sigma from the summed side responses, and
-    `green.glued_green` of the sides (glued, to_sigma)."""
+    """Green data of one (mesh, operator, cut), read-only, each field built on
+    first read: whole and side Green bundles, the interface Green's matrix
+    g_sigma, `green.glued_green` (glued, to_sigma) and interior eigenpairs."""
 
     mesh: Mesh
-    cut: Cut
     operator: OperatorSpec
-    bundle: GreenBundle
-    sides: dict
-    g_sigma: np.ndarray
-    glued: np.ndarray
-    to_sigma: np.ndarray
+    cut: Cut
+
+    @cached_property
+    def bundle(self) -> GreenBundle:
+        return green_bundle(self.mesh, self.operator)
+
+    @cached_property
+    def sides(self) -> dict:
+        return {s: side_bundle(self.mesh, self.operator, self.cut, s) for s in (LEFT, RIGHT)}
+
+    @cached_property
+    def g_sigma(self) -> np.ndarray:
+        return interface_green(self.sides[LEFT], self.sides[RIGHT])
+
+    @cached_property
+    def _glued_green(self) -> tuple[np.ndarray, np.ndarray]:
+        return glued_green(self.sides, self.g_sigma, self.mesh.n_nodes)
+
+    @property
+    def glued(self) -> np.ndarray:
+        return self._glued_green[0]
+
+    @property
+    def to_sigma(self) -> np.ndarray:
+        return self._glued_green[1]
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """`np.linalg.eigh` of the interior operator, built on first use."""
+        """`np.linalg.eigh` of the interior operator."""
         interior = self.mesh.interior
-        pairs = np.linalg.eigh(assemble(self.mesh, self.operator)[np.ix_(interior, interior)])
-        for array in pairs:
-            array.flags.writeable = False
-        return pairs
-
-
-def gluing_context(mesh: Mesh, operator: OperatorSpec, cut: Cut) -> GluingContext:
-    """Build the Green data of one cut.  Its matrices are read-only: every
-    reader shares them, so an in-place write raises instead of corrupting
-    the readers after it."""
-    sides = {s: side_bundle(mesh, operator, cut, s) for s in (LEFT, RIGHT)}
-    g_sigma = interface_green(sides[LEFT], sides[RIGHT])
-    ctx = GluingContext(mesh, cut, operator, green_bundle(mesh, operator),
-                        sides, g_sigma, *glued_green(sides, g_sigma, mesh.n_nodes))
-    for b in (ctx.bundle, *sides.values()):
-        for array in (b.green, b.poisson, b.dtn):
-            array.flags.writeable = False
-    for array in (ctx.g_sigma, ctx.glued, ctx.to_sigma):
-        array.flags.writeable = False
-    return ctx
-
-
-def side_kernels(ctx: GluingContext, lam: float, shape="uniform") -> SideKernels:
-    """Kernel at scale lam, restricted to each side bundle's submesh."""
-    kernel = build_mesh_kernel(ctx.mesh, lam, shape, cut=ctx.cut)
-    deep = {s: deformed_side_nodes(ctx.mesh, sb, lam) for s, sb in ctx.sides.items()}
-    deep_rows = {s: restrict_kernel_to_submesh(kernel, sb.nodes).matrix[deep[s]]
-                 for s, sb in ctx.sides.items()}
-    return SideKernels(kernel=kernel, deep=deep, deep_rows=deep_rows)
+        return _read_only(*np.linalg.eigh(
+            assemble(self.mesh, self.operator)[np.ix_(interior, interior)]))
 
 
 def _node_mask(n: int, *parts) -> np.ndarray:
@@ -108,10 +100,11 @@ class ScaleData:
     eta is the Dirichlet data over the whole boundary (ordered like
     mesh.boundary); each side sees its own outer part, with cut-line nodes
     shared.  lam must exceed the admissibility scale of the cut.  The rest
-    is built on first read: region, the union of the sides' deep nodes;
-    trimmed, where widening ends; glued and whole, node-level Gaussian data
-    that vertex regions index into (whole.cov is the averaged propagator
-    H G H'); base, their series on the region.
+    is built on first read: kernel, at lam; deep, each side's deformed nodes,
+    and deep_rows, their rows of the kernel restricted to that side; region,
+    the union of the deep nodes; trimmed, where widening ends; glued and
+    whole, node-level Gaussian data that vertex regions index into (whole.cov
+    is the averaged propagator H G H'); base, their series on the region.
     """
 
     context: GluingContext
@@ -132,13 +125,22 @@ class ScaleData:
         object.__setattr__(self, "eta", eta)
 
     @cached_property
-    def kernels(self) -> SideKernels:
-        return side_kernels(self.context, self.lam, self.shape)
+    def kernel(self) -> KernelMatrix:
+        return build_mesh_kernel(self.context.mesh, self.lam, self.shape, self.context.cut)
+
+    @cached_property
+    def deep(self) -> dict:
+        return {s: deformed_side_nodes(self.context.mesh, sb, self.lam)
+                for s, sb in self.context.sides.items()}
+
+    @cached_property
+    def deep_rows(self) -> dict:
+        return {s: restrict_kernel_to_submesh(self.kernel, sb.nodes).matrix[self.deep[s]]
+                for s, sb in self.context.sides.items()}
 
     @cached_property
     def region(self) -> np.ndarray:
-        deep = self.kernels.deep
-        return np.flatnonzero(_node_mask(self.context.mesh.n_nodes, *deep.values()))
+        return np.flatnonzero(_node_mask(self.context.mesh.n_nodes, *self.deep.values()))
 
     @cached_property
     def trimmed(self) -> np.ndarray:
@@ -150,7 +152,7 @@ class ScaleData:
 
     @cached_property
     def whole(self) -> NodeGaussian:
-        return averaged_gaussian(self.kernels.kernel, self.eta, self.context.bundle)
+        return averaged_gaussian(self.kernel, self.eta, self.context.bundle)
 
     @cached_property
     def base(self) -> list[PerturbationSeries]:
@@ -189,7 +191,7 @@ def _glued_mean(data: ScaleData, assembly: str, side_order: tuple):
     identically."""
     if assembly not in ("fold", "carry"):
         raise GluingError(f"unknown assembly {assembly!r}")
-    ctx, kernels = data.context, data.kernels
+    ctx = data.context
     sides, g_sigma = {s: ctx.sides[s] for s in side_order}, ctx.g_sigma
 
     etas = {s: _side_eta(data, sb) for s, sb in sides.items()}
@@ -207,9 +209,9 @@ def _glued_mean(data: ScaleData, assembly: str, side_order: tuple):
         b[ctx.cut.interface] = mu
     else:
         b = b + ctx.to_sigma @ mu
-    rows = np.array(kernels.kernel.matrix)
-    for s, deep in kernels.deep.items():
-        rows[deep] = kernels.deep_rows[s]
+    rows = np.array(data.kernel.matrix)
+    for s, deep in data.deep.items():
+        rows[deep] = data.deep_rows[s]
     return order0, rows @ b, rows
 
 
@@ -232,6 +234,36 @@ def glued_series(data: ScaleData, assembly: str = "fold",
 def whole_series(data: ScaleData, region: np.ndarray | None = None) -> PerturbationSeries:
     """Whole-manifold comparison target, through the whole-mesh Green path."""
     return data.base[1] if region is None else _series(data, data.whole, [region])[0]
+
+
+def verify_deformed_gluing(data: ScaleData) -> Report:
+    """Decomposition of the averaged propagator across a cut.
+
+    For nodes deep inside each side the whole-mesh averaged propagator
+    (data.whole.cov) must equal the glued Green's matrix (`green.glued_green`)
+    averaged with each side's restricted kernel rows: the side-regularized
+    propagator plus an interface round trip on one side, the pure interface
+    round trip across sides, all built from restricted kernels and side Green
+    data only.
+    """
+    kernel, deep, rows = data.kernel, data.deep, data.deep_rows
+    g_reg, glued = data.whole.cov, data.context.glued
+
+    report = Report("deformed-gluing")
+    for side in deep:
+        nodes = deep[side]
+        diff = np.abs(kernel.matrix[nodes] - rows[side]).max() if nodes.size else 0.0
+        report.add(Check(f"restricted-rows-match-{side}", float(diff), 1e-10,
+                         {"deep_nodes": nodes.size}))
+    for a, b, name in ((LEFT, LEFT, f"same-side-{LEFT}"),
+                       (RIGHT, RIGHT, f"same-side-{RIGHT}"),
+                       (LEFT, RIGHT, "cross-side")):
+        if deep[a].size == 0 or deep[b].size == 0:
+            continue
+        whole = g_reg[np.ix_(deep[a], deep[b])]
+        averaged = rows[a] @ glued @ rows[b].T
+        report.add(Check(name, float(np.abs(whole - averaged).max()), 1e-10))
+    return report
 
 
 def verify_gluing_theorem(data: ScaleData, widen: bool = False) -> Report:
@@ -311,7 +343,9 @@ def lambda_sweep(data: ScaleData) -> Report:
     """Coefficients and gluing residuals at one scale of a sweep.
 
     Flags kernel saturation; past the inverse minimum edge length the
-    coefficients must coincide bitwise with the identity-kernel values.
+    coefficients must coincide bitwise with those of the unaveraged theory:
+    mean the harmonic extension of eta, covariance the Green's matrix on the
+    interior block and zero elsewhere.
     """
     ctx, lam = data.context, data.lam
     report = Report("lambda-sweep")
@@ -319,7 +353,7 @@ def lambda_sweep(data: ScaleData) -> Report:
     whole = whole_series(data)
     details = {
         "lam": lam,
-        "saturated": data.kernels.kernel.is_identity,
+        "saturated": data.kernel.is_identity,
         "trimmed_nodes": data.trimmed.size,
         "region_size": data.region.size,
     }
@@ -330,9 +364,11 @@ def lambda_sweep(data: ScaleData) -> Report:
         report.add(Check(f"lam-{lam}-order-{o}",
                          abs(glued.coeff(o) - whole.coeff(o)), 1e-10, d))
     if details["saturated"]:
-        identity = KernelMatrix(matrix=np.eye(ctx.mesh.n_nodes), lam=lam)
-        w_id = effective_action_series(ctx.bundle, identity, data.interaction,
-                                       data.eta, data.max_order, region=data.region)
-        exact = 0.0 if np.array_equal(whole.to_array(), w_id.to_array()) else 1.0
+        bundle, n = ctx.bundle, ctx.mesh.n_nodes
+        cov = np.zeros((n, n))
+        cov[np.ix_(bundle.interior, bundle.interior)] = bundle.green
+        bare = NodeGaussian(data.whole.order0, bundle.extend(data.eta), cov)
+        w_bare = _series(data, bare, [data.region])[0]
+        exact = 0.0 if np.array_equal(whole.to_array(), w_bare.to_array()) else 1.0
         report.add(Check(f"lam-{lam}-saturation-bitwise", exact, 0.0, details))
     return report

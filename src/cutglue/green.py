@@ -9,8 +9,8 @@ boundary operator is a finite matrix obtained by block elimination, which
 keeps all gluing identities exact up to rounding.  The whole mesh and each
 side of a cut take their operator from the one assembly,
 `operators.operator_matrix`, and eliminate it the same way.  `glued_green`
-rebuilds the whole Green's matrix from side data alone; a run builds it once
-and every gluing check reads it.
+rebuilds the whole Green's matrix from side data alone.  Every matrix made
+here is read-only, since a run shares each one among its checks.
 """
 
 from __future__ import annotations
@@ -28,13 +28,20 @@ class GreenError(ValueError):
     pass
 
 
+def _read_only(*arrays):
+    """The arrays, read-only: an in-place write raises, not corrupts a reader."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _inverse_spd(m: np.ndarray, what: str) -> np.ndarray:
     try:
         c = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise GreenError(f"non-positive spectrum in {what}") from exc
     inv = np.linalg.inv(c)
-    return inv.T @ inv
+    return _read_only(inv.T @ inv)[0]
 
 
 def _eliminate(a: np.ndarray, interior: np.ndarray, boundary: np.ndarray,
@@ -48,7 +55,8 @@ def _eliminate(a: np.ndarray, interior: np.ndarray, boundary: np.ndarray,
     """
     a_ib = a[np.ix_(interior, boundary)]
     green = _inverse_spd(a[np.ix_(interior, interior)], what)
-    return green, -green @ a_ib, a[np.ix_(boundary, boundary)] - a_ib.T @ green @ a_ib
+    return _read_only(green, -green @ a_ib,
+                      a[np.ix_(boundary, boundary)] - a_ib.T @ green @ a_ib)
 
 
 def _block(matrix: np.ndarray, labels: np.ndarray, ids_a, ids_b) -> np.ndarray:
@@ -202,7 +210,7 @@ def glued_green(sides: dict, g_sigma: np.ndarray, n_nodes: int):
     glued = to_sigma @ g_sigma @ to_sigma.T
     for sb in sides.values():
         glued[np.ix_(sb.interior, sb.interior)] += sb.green
-    return glued, to_sigma
+    return _read_only(glued, to_sigma)
 
 
 def quadratic_form_S0(mesh: Mesh, spec: OperatorSpec, field: np.ndarray) -> float:
@@ -246,7 +254,7 @@ def verify_quadratic_decomposition(bundle: GreenBundle, cut: Cut,
     ids_l, ids_r = bundle.boundary[loc_l], bundle.boundary[loc_r]
     report = Report("quadratic-decomposition")
     scale = max(1.0, float(np.abs(bundle.green).max()))
-    worst = 0.0
+    errors = []
     for _ in range(trials):
         phi = np.zeros(mesh.n_nodes)
         phi[mesh.interior] = rng.standard_normal(mesh.interior.size)
@@ -262,8 +270,9 @@ def verify_quadratic_decomposition(bundle: GreenBundle, cut: Cut,
             + quadratic_form_S0(mesh, spec, bundle.extend(eta_r))
             - cross_form(bundle, ids_l, eta_l[loc_l], ids_r, eta_r[loc_r])
         )
-        worst = max(worst, abs(total - parts) / scale)
-    report.add(Check("free-action-split", worst, 1e-12,
+        errors.append(abs(total - parts) / scale)
+    # np.max, unlike max, keeps a NaN trial: it must fail, not vanish
+    report.add(Check("free-action-split", float(np.max(errors, initial=0.0)), 1e-12,
                      {"trials": trials, "mesh_nodes": mesh.n_nodes}))
     return report
 

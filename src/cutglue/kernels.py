@@ -8,7 +8,8 @@ regularized quantity coincides bitwise with its unregularized original.
 
 A kernel shape maps an array of scaled distances t = d lam in [0, 1] to an
 array of nonnegative weights; each kernel is built from one shape call over
-every node pair inside the balls.
+every node pair inside the balls.  A run holds one kernel per scale, with each
+side's deformed nodes and their restricted rows, in `gluing.ScaleData`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .euclidean import RadialProfile
 from .green import GreenBundle, SideBundle
-from .meshes import LEFT, RIGHT, _DIST_RTOL, Cut, Mesh, lambda_one
+from .meshes import _DIST_RTOL, Cut, Mesh, lambda_one
 from .reports import Check, Report
 
 
@@ -191,45 +192,6 @@ def deformed_side_nodes(mesh: Mesh, sb: SideBundle, lam: float) -> np.ndarray:
     if outside.size:
         deep &= rows[:, outside].min(axis=1) > radius * (1.0 + _DIST_RTOL)
     return sb.interior[deep].astype(int)
-
-
-@dataclass(frozen=True)
-class SideKernels:
-    """A kernel with each side's deformed nodes (deep) and their rows of the
-    kernel restricted to that side (deep_rows).  See `gluing.side_kernels`."""
-
-    kernel: KernelMatrix
-    deep: dict
-    deep_rows: dict
-
-
-def verify_deformed_gluing(kernels: SideKernels, g_reg: np.ndarray,
-                           glued: np.ndarray) -> Report:
-    """Decomposition of the averaged propagator across a cut.
-
-    For nodes deep inside each side the whole-mesh averaged propagator g_reg
-    must equal the glued Green's matrix (`green.glued_green`) averaged with
-    each side's restricted kernel rows: the side-regularized propagator plus
-    an interface round trip on one side, the pure interface round trip
-    across sides, all built from restricted kernels and side Green data only.
-    """
-    kernel, deep, rows = kernels.kernel, kernels.deep, kernels.deep_rows
-
-    report = Report("deformed-gluing")
-    for side in deep:
-        nodes = deep[side]
-        diff = np.abs(kernel.matrix[nodes] - rows[side]).max() if nodes.size else 0.0
-        report.add(Check(f"restricted-rows-match-{side}", float(diff), 1e-10,
-                         {"deep_nodes": nodes.size}))
-    for a, b, name in ((LEFT, LEFT, f"same-side-{LEFT}"),
-                       (RIGHT, RIGHT, f"same-side-{RIGHT}"),
-                       (LEFT, RIGHT, "cross-side")):
-        if deep[a].size == 0 or deep[b].size == 0:
-            continue
-        whole = g_reg[np.ix_(deep[a], deep[b])]
-        averaged = rows[a] @ glued @ rows[b].T
-        report.add(Check(name, float(np.abs(whole - averaged).max()), 1e-10))
-    return report
 
 
 def verify_regularization(g_reg: np.ndarray, spectral: np.ndarray) -> Report:

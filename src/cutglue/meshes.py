@@ -40,12 +40,12 @@ class MeshError(ValueError):
 class Mesh:
     """Weighted graph discretizing a manifold with boundary.
 
-    positions    : (N, d) embedding coordinates.
+    positions    : (N, d) finite embedding coordinates.
     edges        : (E, 2) pairs of distinct node indices, each unordered pair
                    listed once.
-    edge_weights : (E,) conductances (> 0).
-    edge_lengths : (E,) metric lengths used for geodesics (> 0).
-    node_volumes : (N,) discrete volume elements (> 0).  Boundary nodes keep
+    edge_weights : (E,) finite conductances (> 0).
+    edge_lengths : (E,) finite metric lengths used for geodesics (> 0).
+    node_volumes : (N,) finite discrete volume elements (> 0).  Boundary nodes keep
                    a positive entry but carry no weight in bulk sums.
     boundary     : sorted indices of boundary nodes.
     dim          : manifold dimension n >= 1.
@@ -73,10 +73,12 @@ class Mesh:
         if np.any(counts > 1):
             i, j = unique[counts > 1][0]
             raise MeshError(f"nodes {i} and {j} are joined by more than one edge")
-        if np.any(self.edge_weights <= 0) or np.any(self.edge_lengths <= 0):
-            raise MeshError("edge weights and lengths must be positive")
-        if np.any(self.node_volumes <= 0):
-            raise MeshError("node volumes must be positive")
+        for name in ("edge_weights", "edge_lengths", "node_volumes"):
+            values = getattr(self, name)
+            if not (np.all(np.isfinite(values)) and np.all(values > 0)):
+                raise MeshError(f"{name} must be finite and positive")
+        if not np.all(np.isfinite(self.positions)):
+            raise MeshError("positions must be finite")
         interior = self.interior
         if interior.size:
             allowed = np.zeros(self.n_nodes, dtype=bool)
@@ -386,8 +388,6 @@ def _box_lattice(shape: tuple[int, ...], spacing: float, metric_profile) -> Mesh
     mids = 0.5 * (positions[edges[:, 0]] + positions[edges[:, 1]])
     prof_mid = np.array([float(metric_profile(m)) for m in mids])
     prof_node = np.array([float(metric_profile(p)) for p in positions])
-    if np.any(prof_mid <= 0) or np.any(prof_node <= 0):
-        raise MeshError("metric profile must be positive")
     return Mesh(
         positions=positions,
         edges=edges,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -54,12 +55,14 @@ class Report:
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        return 0.0 if self.worst is None else self.worst.residual
 
     @property
     def worst(self) -> Check | None:
-        """The check with the largest residual, the first one on ties."""
-        return max(self.checks, key=lambda c: c.residual, default=None)
+        """The check with the largest residual, the first one on ties.  A NaN
+        residual ranks above every number, so it is never hidden."""
+        return max(self.checks, key=lambda c: (math.isnan(c.residual), c.residual),
+                   default=None)
 
     def to_csv(self) -> str:
         keys = ["check", "residual", "tolerance", "passed"]

@@ -1,10 +1,11 @@
 """Named verification suites runnable from a scenario config.
 
-A run builds its Green data once (`ScenarioConfig.context`, on first use)
-and every suite reads it.  `run_suites` is lambda-major: per scale it builds
+A run's Green data belongs to its `gluing.GluingContext`
+(`ScenarioConfig.context`), which builds each field once, on first read, and
+every suite reads it.  `run_suites` is lambda-major: per scale it builds
 that scale's `ScaleData`, which the runners of PER_SCALE (and FIRST_SCALE, at
-the first) take in place of the config, and drops it before the next.  A
-scale builds only the fields its runners read.
+the first) take in place of the config, and drops it before the next.  The
+context and each scale build only the fields the selected runners read.
 kernel-properties builds its own left side bundle and kernels.
 """
 
@@ -17,12 +18,11 @@ import numpy as np
 from . import euclidean as eu
 from .config import ScenarioConfig
 from .gluing import (ScaleData, lambda_sweep, renormalization_commutes,
-                     verify_gluing_theorem)
+                     verify_deformed_gluing, verify_gluing_theorem)
 from .green import (side_bundle, verify_dtn_difference, verify_green_gluing,
                     verify_quadratic_decomposition)
 from .kernels import (build_mesh_kernel, restrict_kernel_to_submesh,
-                      spectral_regularized_green, verify_deformed_gluing,
-                      verify_regularization)
+                      spectral_regularized_green, verify_regularization)
 from .meshes import LEFT, RIGHT
 from .reports import Check, Report
 
@@ -44,7 +44,7 @@ def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
     report.extend(verify_dtn_difference(bundle, left).checks)
     report.add(Check("green-symmetry",
                      float(np.abs(bundle.green - bundle.green.T).max()), 1e-12))
-    if cfg.operator.mass_squared == 0.0:
+    if ctx.operator.mass_squared == 0.0:
         rows = bundle.poisson.sum(axis=1)
         report.add(Check("poisson-rows-sum-to-one",
                          float(np.abs(rows - 1.0).max()), 1e-12))
@@ -54,7 +54,7 @@ def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
 
 
 def suite_quadratic_decomposition(cfg: ScenarioConfig, seed: int) -> Report:
-    return verify_quadratic_decomposition(cfg.context.bundle, cfg.cut,
+    return verify_quadratic_decomposition(cfg.context.bundle, cfg.context.cut,
                                           trials=120, seed=seed)
 
 
@@ -89,10 +89,11 @@ def suite_averaging_closed_form(cfg: ScenarioConfig, seed: int) -> Report:
 
 def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
     report = Report("kernel-properties")
-    d = cfg.mesh.distance_matrix()
-    left = side_bundle(cfg.mesh, cfg.operator, cfg.cut, LEFT)
+    mesh, cut = cfg.context.mesh, cfg.context.cut
+    d = mesh.distance_matrix()
+    left = side_bundle(mesh, cfg.context.operator, cut, LEFT)
     for lam in cfg.lambdas:
-        kernel = build_mesh_kernel(cfg.mesh, lam, cfg.shape, cut=cfg.cut)
+        kernel = build_mesh_kernel(mesh, lam, cfg.shape, cut=cut)
         report.add(Check(f"rows-stochastic-lam-{lam}",
                          float(np.abs(kernel.matrix.sum(axis=1) - 1.0).max()),
                          1e-12))
@@ -102,7 +103,7 @@ def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
         report.add(Check(f"restricted-rows-stochastic-lam-{lam}",
                          float(np.abs(restricted.matrix.sum(axis=1) - 1.0).max()),
                          1e-12))
-        saturating = 1.0 / lam < float(cfg.mesh.edge_lengths.min())
+        saturating = 1.0 / lam < float(mesh.edge_lengths.min())
         if saturating:
             exact = 0.0 if kernel.is_identity else 1.0
             report.add(Check(f"saturation-identity-lam-{lam}", exact, 0.0))
@@ -118,14 +119,12 @@ def _at_scale(report: Report, data: ScaleData) -> Report:
 
 def suite_regularization(data: ScaleData) -> Report:
     ctx = data.context
-    spectral = spectral_regularized_green(ctx.mesh, ctx.eigenpairs,
-                                          data.kernels.kernel)
+    spectral = spectral_regularized_green(ctx.mesh, ctx.eigenpairs, data.kernel)
     return _at_scale(verify_regularization(data.whole.cov, spectral), data)
 
 
 def suite_deformed_gluing(data: ScaleData) -> Report:
-    return _at_scale(verify_deformed_gluing(data.kernels, data.whole.cov,
-                                            data.context.glued), data)
+    return _at_scale(verify_deformed_gluing(data), data)
 
 
 def suite_gluing_theorem(data: ScaleData) -> Report:

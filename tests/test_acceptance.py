@@ -13,8 +13,8 @@ import pytest
 
 from cutglue import euclidean as eu
 from cutglue import kernels as kn
-from cutglue.gluing import (ScaleData, gluing_context, lambda_sweep,
-                            renormalization_commutes, side_kernels,
+from cutglue.gluing import (GluingContext, ScaleData, lambda_sweep,
+                            renormalization_commutes, verify_deformed_gluing,
                             verify_gluing_theorem)
 from cutglue.green import (green_bundle, interface_green, side_bundle,
                            verify_green_gluing, verify_quadratic_decomposition)
@@ -89,7 +89,7 @@ def test_criterion_1_interface_response_sum():
 def test_criterion_2_green_gluing_relations():
     worst = 0.0
     for mesh, cut in _cases():
-        ctx = gluing_context(mesh, OperatorSpec(0.0), cut)
+        ctx = GluingContext(mesh, OperatorSpec(0.0), cut)
         rep = verify_green_gluing(ctx.bundle, ctx.sides, ctx.g_sigma, ctx.glued)
         worst = max(worst, rep.max_residual)
     small = build_interval_mesh(3, 1.0)
@@ -147,9 +147,8 @@ def test_criterion_5_regularization_finiteness():
           f"finite averaged diagonal, spectral-vs-matrix {worst:.3e}")
 
 
-def _deformed(ctx, kernels):
-    g_reg = kn.regularized_green(kernels.kernel, ctx.bundle)
-    return kn.verify_deformed_gluing(kernels, g_reg, ctx.glued)
+def _deformed(ctx, lam, shape):
+    return verify_deformed_gluing(ScaleData(ctx, InteractionSpec({}), lam, shape))
 
 
 def test_criterion_6_deformed_gluing():
@@ -158,15 +157,15 @@ def test_criterion_6_deformed_gluing():
     pcut = cut_along_interface(path9, lambda n: n == 4)
     grid5 = build_grid_mesh(5, 5, 1.0)
     gcut = cut_along_interface(grid5, lambda n: grid5.positions[n][0] == 2.0)
-    pctx = gluing_context(path9, OperatorSpec(0.0), pcut)
-    gctx = gluing_context(grid5, OperatorSpec(0.1), gcut)
+    pctx = GluingContext(path9, OperatorSpec(0.0), pcut)
+    gctx = GluingContext(grid5, OperatorSpec(0.1), gcut)
     for shape in ("uniform", "bump"):
         for lam in (0.5, 1.0):
-            rep = _deformed(pctx, side_kernels(pctx, lam, shape))
+            rep = _deformed(pctx, lam, shape)
             assert rep.passed
             worst = max(worst, rep.max_residual)
         for lam in (1.5, 2.5):
-            rep = _deformed(gctx, side_kernels(gctx, lam, shape))
+            rep = _deformed(gctx, lam, shape)
             assert rep.passed
             worst = max(worst, rep.max_residual)
     _emit(6, worst <= 1e-10,
@@ -178,8 +177,8 @@ def _scenarios():
     pcut = cut_along_interface(path9, lambda n: n == 4)
     grid5 = build_grid_mesh(5, 5, 1.0)
     gcut = cut_along_interface(grid5, lambda n: grid5.positions[n][0] == 2.0)
-    pctx = gluing_context(path9, OperatorSpec(0.0), pcut)
-    gctx = gluing_context(grid5, OperatorSpec(0.1), gcut)
+    pctx = GluingContext(path9, OperatorSpec(0.0), pcut)
+    gctx = GluingContext(grid5, OperatorSpec(0.1), gcut)
     out = []
     for couplings in ({3: 0.3}, {4: 0.2}, {3: 0.3, 4: 0.2}):
         for eta_on in (False, True):
@@ -210,7 +209,7 @@ def test_criterion_7_gluing_theorem():
 def test_criterion_8_coupling_redefinitions():
     path9 = build_interval_mesh(7, 1.0)
     pcut = cut_along_interface(path9, lambda n: n == 4)
-    data = ScaleData(context=gluing_context(path9, OperatorSpec(0.0), pcut),
+    data = ScaleData(context=GluingContext(path9, OperatorSpec(0.0), pcut),
                      interaction=InteractionSpec({3: 0.3, 4: 0.2}),
                      lam=1.0, eta=np.array([1.0, -0.5]), max_order=1.5)
     rep = renormalization_commutes(data, {
@@ -245,7 +244,7 @@ def test_criterion_10_saturation_bitwise():
     g_reg = kn.regularized_green(kernel, bundle)
     green_ok = np.array_equal(
         g_reg[np.ix_(bundle.interior, bundle.interior)], bundle.green)
-    sc = ScaleData(context=gluing_context(mesh, OperatorSpec(0.0), cut),
+    sc = ScaleData(context=GluingContext(mesh, OperatorSpec(0.0), cut),
                    interaction=InteractionSpec({3: 0.3, 4: 0.2}),
                    lam=1.0, eta=np.array([1.0, -0.5]), max_order=1.5)
     rep = Report("lambda-sweep")

@@ -37,6 +37,13 @@ FIVE_NODES = "".join(
        for k in range(5)]
     + [f"edge {k} {k + 1} w=1.0 len=1.0\n" for k in range(4)])
 
+# path9_cubic's own mesh as a `file` mesh; cases change one value in it.
+NINE_NODES = "".join(
+    ["mesh dim=1 spacing=1.0 nodes=9\n"]
+    + [f"node {k} {'boundary' if k in (0, 8) else 'interior'} vol=1.0 pos {k}.0\n"
+       for k in range(9)]
+    + [f"edge {k} {k + 1} w=1.0 len=1.0\n" for k in range(8)])
+
 
 def path9_with(tmp_path, **changes):
     """The committed path9 config with some top-level entries replaced."""
@@ -129,6 +136,18 @@ def test_run_fast_suites(tmp_path, capsys):
      "self-loop edge at node 1"),
     ({"mesh": mesh_file(FIVE_NODES + "edge 2 1 w=1.0 len=1.0\n")},
      "nodes 1 and 2 are joined by more than one edge"),
+    ({"mesh": mesh_file(NINE_NODES.replace("edge 2 3 w=1.0", "edge 2 3 w=inf"))},
+     "edge_weights must be finite and positive"),
+    ({"mesh": mesh_file(NINE_NODES.replace("2 3 w=1.0 len=1.0", "2 3 w=1.0 len=inf"))},
+     "edge_lengths must be finite and positive"),
+    ({"mesh": mesh_file(NINE_NODES.replace("node 0 boundary vol=1.0",
+                                           "node 0 boundary vol=nan"))},
+     "node_volumes must be finite and positive"),
+    ({"mesh": mesh_file(NINE_NODES.replace("node 2 interior vol=1.0",
+                                           "node 2 interior vol=nan"))},
+     "node_volumes must be finite and positive"),
+    ({"mesh": mesh_file(NINE_NODES.replace("pos 2.0", "pos nan"))},
+     "positions must be finite"),
     ({"eta": [[1.0, -0.5]]}, "eta must be a flat list of 2 boundary values"),
     ({"cut": {"axis": 0.7, "value": 4.0}}, "cut axis must be an integer, got 0.7"),
     ({"cut": {"axis": True, "value": 4.0}}, "cut axis must be an integer, got True"),
@@ -163,6 +182,8 @@ def test_run_fast_suites(tmp_path, capsys):
         "mesh-line-truncated", "mesh-edge-to-missing-node",
         "mesh-node-id-duplicate", "mesh-node-id-out-of-range",
         "mesh-header-node-count", "mesh-self-loop", "mesh-edge-repeated",
+        "mesh-weight-inf", "mesh-length-inf", "mesh-boundary-volume-nan",
+        "mesh-interior-volume-nan", "mesh-position-nan",
         "eta-nested", "cut-axis-float",
         "cut-axis-bool", "cut-value-string", "mesh-size-float",
         "mesh-size-string", "mesh-spacing-bool", "mass-string",
@@ -304,12 +325,12 @@ def test_run_builds_green_data_once(tmp_path, monkeypatch, capsys):
     """Every suite that reads Green data shares one gluing context per run.
     kernel-properties, which builds its own left side bundle, is left out."""
     calls = count_calls(monkeypatch,
-                        ("gluing_context", "green_bundle", "side_bundle"))
+                        ("GluingContext", "green_bundle", "side_bundle"))
     selected = [s for s in suites.SUITES if s != "kernel-properties"]
     code = cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
                      *(a for s in selected for a in ("--suite", s))])
     assert code == 0
-    assert calls == {"gluing_context": 1, "green_bundle": 1, "side_bundle": 2}
+    assert calls == {"GluingContext": 1, "green_bundle": 1, "side_bundle": 2}
 
 
 @pytest.mark.parametrize("config", [CONFIG, GRID_CONFIG, INTERVAL_CHANGES],
@@ -323,7 +344,7 @@ def test_suite_alone_writes_the_same_report(tmp_path, capsys, config):
         from cutglue.config import load_config
         from cutglue.kernels import build_mesh_kernel
         cfg = load_config(config, suites.SUITES)
-        assert not any(build_mesh_kernel(cfg.mesh, lam, cfg.shape).is_identity
+        assert not any(build_mesh_kernel(cfg.context.mesh, lam, cfg.shape).is_identity
                        for lam in cfg.lambdas)
     together = tmp_path / "together"
     names = sorted(suites.SUITES)
@@ -344,11 +365,10 @@ def test_run_builds_each_scale_once(tmp_path, monkeypatch, capsys):
     averaged propagator H G H' and one glued covariance per scale, and one
     glued Green's matrix and one interior eigendecomposition per run.
     kernel-properties, which builds its own kernels, is left out; the
-    saturation oracle of lambda-sweep averages with its own identity kernel
-    at the one saturated scale (2.5)."""
+    saturation oracle of lambda-sweep averages nothing."""
     calls = count_calls(monkeypatch, ("build_mesh_kernel", "regularized_green",
                                       "glued_gaussian", "glued_green",
-                                      "gluing_context"))
+                                      "GluingContext"))
     eighs = []
     eigh = np.linalg.eigh
 
@@ -363,9 +383,9 @@ def test_run_builds_each_scale_once(tmp_path, monkeypatch, capsys):
     with open(CONFIG, encoding="utf-8") as fh:
         n_lambdas = len(json.load(fh)["lambdas"])
     assert calls == {"build_mesh_kernel": n_lambdas,
-                     "regularized_green": n_lambdas + 1,
+                     "regularized_green": n_lambdas,
                      "glued_gaussian": n_lambdas, "glued_green": 1,
-                     "gluing_context": 1}
+                     "GluingContext": 1}
     assert len(eighs) == 1
 
 
@@ -383,9 +403,22 @@ def test_scale_suite_alone_builds_only_what_it_reads(tmp_path, monkeypatch, caps
     assert calls == {"glued_gaussian": n_lambdas if reads_glued else 0}
 
 
+@pytest.mark.parametrize("suite, unread", [
+    ("quadratic-decomposition", ("side_bundle",)),
+    ("regularization", ("side_bundle", "restrict_kernel_to_submesh",
+                        "deformed_side_nodes")),
+])
+def test_suite_alone_builds_no_side_data(tmp_path, monkeypatch, capsys, suite, unread):
+    """The run's Green data, like a scale's, is built field by field on
+    first read: run alone, a suite that reads no side data builds none."""
+    calls = count_calls(monkeypatch, unread)
+    assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path), "--suite", suite]) == 0
+    assert calls == dict.fromkeys(unread, 0)
+
+
 def test_lambda_sweep_reads_the_base_series(tmp_path, monkeypatch, capsys):
     """Beside gluing-theorem, lambda-sweep runs no engine pass of its own
-    but the identity-kernel oracle of each saturated scale."""
+    but the unaveraged oracle of each saturated scale."""
     from cutglue.perturbation import NodeGaussian
     passes = []
     series = NodeGaussian.series
@@ -435,13 +468,13 @@ def test_per_scale_runners_read_only_scale_data(tmp_path, capsys):
     """The per-scale runners are library functions of one scale's data,
     built here from path9 without a config: their parts, joined over the
     scales, are the bytes `cutglue run` writes."""
-    from cutglue.gluing import ScaleData, gluing_context
+    from cutglue.gluing import GluingContext, ScaleData
     from cutglue.meshes import build_interval_mesh, cut_along_interface
     from cutglue.operators import OperatorSpec
     from cutglue.perturbation import InteractionSpec
     mesh = build_interval_mesh(7, 1.0)
-    ctx = gluing_context(mesh, OperatorSpec(0.0),
-                         cut_along_interface(mesh, lambda n: n == 4))
+    ctx = GluingContext(mesh, OperatorSpec(0.0),
+                        cut_along_interface(mesh, lambda n: n == 4))
     every_scale = {"regularization": suites.suite_regularization,
                    "deformed-gluing": suites.suite_deformed_gluing,
                    "gluing-theorem": suites.suite_gluing_theorem,
@@ -515,6 +548,24 @@ def test_pass_line_names_the_worst_check(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out == ["two: pass (max residual 2.000e-12 at worst-one, 3 checks)",
                    "empty: pass (max residual 0.000e+00, 0 checks)"]
+
+
+def test_nan_residual_is_the_worst_check(tmp_path, monkeypatch, capsys):
+    """A NaN residual fails its check and ranks above every number, wherever
+    it stands among the checks."""
+    def with_nan(cfg, seed):
+        rep = Report("nan")
+        rep.add(Check("small", residual=1e-14, tolerance=1e-10))
+        rep.add(Check("nan-one", residual=float("nan"), tolerance=1e-10))
+        rep.add(Check("later", residual=2e-12, tolerance=1e-10))
+        return rep
+
+    patched = dict(suites.SUITES, nan=("a NaN check", with_nan))
+    monkeypatch.setattr(suites, "SUITES", patched)
+    monkeypatch.setattr(cli, "SUITES", patched)
+    assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path), "--suite", "nan"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["nan: FAIL (max residual nan at nan-one, 3 checks)"]
 
 
 @pytest.mark.parametrize("where", ["argument", "config"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cutglue import gluing
-from cutglue.gluing import (GluingError, ScaleData, _node_mask, gluing_context,
+from cutglue.gluing import (GluingContext, GluingError, ScaleData, _node_mask,
                             glued_gaussian, glued_series, lambda_sweep,
                             renormalization_commutes, verify_gluing_theorem,
                             whole_series)
@@ -22,7 +22,7 @@ M0 = OperatorSpec(0.0)
 def path9_scenario(couplings, eta=None, lam=1.0, max_order=1.5):
     mesh = build_interval_mesh(7, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 4)
-    return ScaleData(context=gluing_context(mesh, M0, cut),
+    return ScaleData(context=GluingContext(mesh, M0, cut),
                      interaction=InteractionSpec(couplings), lam=lam,
                      eta=eta, max_order=max_order)
 
@@ -30,7 +30,7 @@ def path9_scenario(couplings, eta=None, lam=1.0, max_order=1.5):
 def grid_scenario(couplings, eta=None, lam=2.5, mass=0.1):
     mesh = build_grid_mesh(5, 5, 1.0)
     cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == 2.0)
-    ctx = gluing_context(mesh, OperatorSpec(mass), cut)
+    ctx = GluingContext(mesh, OperatorSpec(mass), cut)
     return ScaleData(context=ctx, interaction=InteractionSpec(couplings),
                      lam=lam, eta=eta, max_order=1.5)
 
@@ -38,7 +38,7 @@ def grid_scenario(couplings, eta=None, lam=2.5, mass=0.1):
 def test_scenario_validation():
     mesh = build_interval_mesh(7, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 4)
-    ctx = gluing_context(mesh, M0, cut)
+    ctx = GluingContext(mesh, M0, cut)
     with pytest.raises(GluingError, match="lambda_1"):
         ScaleData(context=ctx, interaction=InteractionSpec({}), lam=0.2)
     with pytest.raises(GluingError, match="eta"):
@@ -50,7 +50,7 @@ def test_free_order_zero_equals_whole_action():
     mesh = build_interval_mesh(3, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 2)
     eta = np.array([1.0, -0.5])
-    data = ScaleData(context=gluing_context(mesh, M0, cut),
+    data = ScaleData(context=GluingContext(mesh, M0, cut),
                      interaction=InteractionSpec({}), lam=1.0, eta=eta,
                      max_order=1.0)
     glued = glued_series(data)
@@ -105,7 +105,7 @@ def interval41_scenario():
     """A real (non-identity) bump kernel: deep sets well inside each side."""
     mesh = build_interval_mesh(41, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 21)
-    return ScaleData(context=gluing_context(mesh, OperatorSpec(0.1), cut),
+    return ScaleData(context=GluingContext(mesh, OperatorSpec(0.1), cut),
                      interaction=InteractionSpec({3: 0.3}), lam=0.25,
                      shape="bump", max_order=1.0)
 
@@ -132,7 +132,7 @@ def _same_ids(got, expected):
 @pytest.mark.parametrize("name", ["path9", "grid5", "interval41"])
 def test_scale_region_is_union1d_of_deep_sets(name):
     data = SCALES[name]()
-    _same_ids(data.region, np.union1d(data.kernels.deep[LEFT], data.kernels.deep[RIGHT]))
+    _same_ids(data.region, np.union1d(data.deep[LEFT], data.deep[RIGHT]))
 
 
 @pytest.mark.parametrize("name", list(SCALES))
@@ -204,7 +204,7 @@ def test_whole_data_matches_effective_action_series():
     ctx = data.context
     for region in (data.region, data.trimmed, data.trimmed[1:]):
         fresh = effective_action_series(green_bundle(ctx.mesh, ctx.operator),
-                                        data.kernels.kernel, data.interaction,
+                                        data.kernel, data.interaction,
                                         data.eta, data.max_order, region=region)
         assert np.array_equal(whole_series(data, region).to_array(),
                               fresh.to_array())
@@ -247,6 +247,19 @@ def test_lambda_sweep_saturation():
         if "trimmed_nodes" in c.details:
             sizes[c.details["lam"]] = c.details["trimmed_nodes"]
     assert sizes[0.5] <= sizes[1.0] <= sizes[2.5]
+
+
+def test_saturation_oracle_is_independent_of_the_averaging(monkeypatch):
+    """At a saturated scale the whole series is compared with the unaveraged
+    theory, which no averaged propagator enters: one scaled by 1 + 2^-40
+    fails the check."""
+    from cutglue import perturbation
+    averaged = perturbation.regularized_green
+    monkeypatch.setattr(perturbation, "regularized_green",
+                        lambda kernel, bundle: averaged(kernel, bundle) * (1 + 2.0 ** -40))
+    data = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]), lam=2.5)
+    [check] = [c for c in lambda_sweep(data).checks if "saturation-bitwise" in c.name]
+    assert check.residual == 1.0 and not check.passed
 
 
 def test_regularized_diagonal_nondecreasing_in_lam():

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,6 +151,15 @@ def test_quadratic_decomposition_reports():
     assert rep.passed and rep.max_residual <= 1e-12
 
 
+def test_quadratic_decomposition_keeps_a_nan_trial():
+    """A bundle whose Poisson map is all NaN must fail, not read 0.0."""
+    mesh, cut = path5()
+    bundle = green_bundle(mesh, M0)
+    broken = replace(bundle, poisson=np.full_like(bundle.poisson, np.nan))
+    [check] = verify_quadratic_decomposition(broken, cut, trials=3).checks
+    assert np.isnan(check.residual) and not check.passed
+
+
 def test_green_gluing_hand_values():
     mesh, cut = path5()
     bundle = green_bundle(mesh, M0)
@@ -274,7 +284,8 @@ def test_side_operators_come_from_the_one_assembly(monkeypatch, case):
     else:
         cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
                                        f"{case}.json"), SUITES)
-        mesh, spec, cut, surface_tolerance = cfg.mesh, cfg.operator, cfg.cut, 0.0
+        ctx, surface_tolerance = cfg.context, 0.0
+        mesh, spec, cut = ctx.mesh, ctx.operator, ctx.cut
     built = []
 
     def recorded(*args):

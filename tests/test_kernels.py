@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from cutglue import kernels as kn
 from cutglue.euclidean import EuclideanKernelSpec, compose_kernels
-from cutglue.gluing import gluing_context, side_kernels
+from cutglue.gluing import GluingContext, ScaleData, verify_deformed_gluing
 from cutglue.green import green_bundle, side_bundle
 from cutglue.meshes import (LEFT, RIGHT, _DIST_RTOL, build_grid_mesh,
                             build_interval_mesh, cut_along_interface)
 from cutglue.operators import OperatorSpec, assemble
+from cutglue.perturbation import InteractionSpec
 from test_meshes import _bumpy, _scrambled
 
 M0 = OperatorSpec(0.0)
@@ -143,24 +144,23 @@ def test_deformed_side_nodes_nine_path():
     assert list(narrow) == [2]
 
 
-def deformed(ctx, kernels):
-    g_reg = kn.regularized_green(kernels.kernel, ctx.bundle)
-    return kn.verify_deformed_gluing(kernels, g_reg, ctx.glued)
+def deformed(ctx, lam, shape="uniform"):
+    return verify_deformed_gluing(ScaleData(ctx, InteractionSpec({}), lam, shape))
 
 
 def test_deformed_gluing_reports():
     mesh = build_interval_mesh(7, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 4)
-    ctx = gluing_context(mesh, M0, cut)
+    ctx = GluingContext(mesh, M0, cut)
     for lam in (0.5, 1.0):
         for shape in ("uniform", "bump"):
-            rep = deformed(ctx, side_kernels(ctx, lam, shape))
+            rep = deformed(ctx, lam, shape)
             assert rep.passed and rep.max_residual <= 1e-10
     grid = build_grid_mesh(5, 5, 1.0)
     gcut = cut_along_interface(grid, lambda n: grid.positions[n][0] == 2.0)
-    gctx = gluing_context(grid, OperatorSpec(0.1), gcut)
+    gctx = GluingContext(grid, OperatorSpec(0.1), gcut)
     for lam in (1.5, 2.5):
-        rep = deformed(gctx, side_kernels(gctx, lam))
+        rep = deformed(gctx, lam)
         assert rep.passed and rep.max_residual <= 1e-10
 
 
