@@ -2,10 +2,12 @@
 
 A config names a mesh, a cut, an operator, an interaction, a kernel shape,
 a scale grid, boundary data, and the suites to run.  All cross-references
-are checked here, before any numerics start.  The mesh, operator and cut are
-held by one `gluing.GluingContext`, which builds their Green data on first
-read, so loading a config builds none.  Per-scale data is a
-`gluing.ScaleData`, built by `suites.run_suites` one scale at a time.
+are checked here, before any numerics start; no object may hold a key that
+nothing reads, and each scale must leave deep nodes to put vertices on.
+The mesh, operator and cut are held by one `gluing.GluingContext`, which
+builds their Green data on first read, so loading a config builds none.
+Per-scale data is a `gluing.ScaleData`, built by `suites.run_suites` one
+scale at a time.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gluing import GluingContext
-from .kernels import SHAPES
-from .meshes import Mesh, build_grid_mesh, build_interval_mesh, \
+from .kernels import SHAPES, deformed_side_nodes
+from .meshes import LEFT, RIGHT, Mesh, build_grid_mesh, build_interval_mesh, \
     cut_along_interface, lambda_one
 from .operators import OperatorSpec, assemble, check_positive_spectrum
 from .perturbation import LEG_CAP, InteractionSpec, leg_budget
@@ -26,6 +28,11 @@ from .perturbation import LEG_CAP, InteractionSpec, leg_budget
 
 class ConfigError(ValueError):
     pass
+
+
+REQUIRED_KEYS = {"name", "mesh", "cut", "operator", "interaction", "lambdas", "max_order"}
+MESH_KEYS = {"interval": {"type", "n_interior", "spacing"},
+             "grid": {"type", "nx", "ny", "spacing"}, "file": {"type", "path"}}
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,10 @@ class ScenarioConfig:
 
 
 def _build_mesh(spec) -> Mesh:
-    spec = _object(spec, "mesh")
-    kind = spec.get("type")
+    kind = _object(spec, "mesh").get("type")
+    if not (isinstance(kind, str) and kind in MESH_KEYS):
+        raise ConfigError(f"unknown mesh type {kind!r}")
+    _object(spec, f"{kind} mesh", MESH_KEYS[kind])
     if kind == "interval":
         return build_interval_mesh(_integer(spec["n_interior"], "mesh n_interior"),
                                    _finite(spec["spacing"], "mesh spacing"))
@@ -53,20 +62,18 @@ def _build_mesh(spec) -> Mesh:
         return build_grid_mesh(_integer(spec["nx"], "mesh nx"),
                                _integer(spec["ny"], "mesh ny"),
                                _finite(spec["spacing"], "mesh spacing"))
-    if kind == "file":
-        # open() takes an integer (or a boolean) as a file descriptor
-        path = _string(spec["path"], "mesh path")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read mesh file: {exc}") from exc
-        return Mesh.from_text(text)
-    raise ConfigError(f"unknown mesh type {kind!r}")
+    # open() takes an integer (or a boolean) as a file descriptor
+    path = _string(spec["path"], "mesh path")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read mesh file: {exc}") from exc
+    return Mesh.from_text(text)
 
 
 def _build_cut(mesh: Mesh, spec):
-    spec = _object(spec, "cut")
+    spec = _object(spec, "cut", {"axis", "value"})
     axis = _integer(spec["axis"], "cut axis")
     value = _finite(spec["value"], "cut value")
     if axis < 0 or axis >= mesh.positions.shape[1]:
@@ -76,10 +83,21 @@ def _build_cut(mesh: Mesh, spec):
     )
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, keys=None) -> dict:
+    """A JSON object; with keys, one holding no others (a misspelt key would
+    read as absent and fall back to its default)."""
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    unknown = sorted(value.keys() - keys) if keys else []
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
     return value
+
+
+def _canonical(key: str) -> bool:
+    """Whether a key writes an integer the one way str() does ("8", not "08",
+    "+8" or " 8"), so that no two keys name the same integer."""
+    return key.isascii() and key.isdecimal() and str(int(key)) == key
 
 
 def _string(value, what: str) -> str:
@@ -102,13 +120,13 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _build_coupling(mesh: Mesh, power: int, spec):
+def _build_coupling(mesh: Mesh, power: str, spec):
     """A constant, a list with one value per node, or {node id: value}."""
     what = f"interaction {power} coupling"
     if isinstance(spec, dict):
         by_node = {}
         for node, value in spec.items():
-            if not (str(node).isdecimal() and int(node) < mesh.n_nodes):
+            if not (_canonical(node) and int(node) < mesh.n_nodes):
                 raise ConfigError(f"{what} names {node!r}, not a node id "
                                   f"below {mesh.n_nodes}")
             by_node[int(node)] = _finite(value, what)
@@ -137,8 +155,8 @@ def _build_eta(mesh: Mesh, spec) -> np.ndarray:
         pos = {int(n): k for k, n in enumerate(mesh.boundary)}
         eta = np.zeros(nb)
         for node, value in spec.items():
-            if int(node) not in pos:
-                raise ConfigError(f"eta node {node} is not a boundary node")
+            if not (_canonical(node) and int(node) in pos):
+                raise ConfigError(f"eta names {node!r}, not a boundary node id")
             eta[pos[int(node)]] = _finite(value, "eta value")
         return eta
     if not isinstance(spec, list) or len(spec) != nb:
@@ -183,28 +201,33 @@ def load_config(path: str, known_suites) -> ScenarioConfig:
 
 
 def _interpret(raw: dict, known_suites) -> ScenarioConfig:
-    required = {"name", "mesh", "cut", "operator", "interaction",
-                "lambdas", "max_order"}
-    missing = required - raw.keys()
+    missing = REQUIRED_KEYS - raw.keys()
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
+    _object(raw, "config", REQUIRED_KEYS | {"kernel", "eta", "suites"})
 
     mesh = _build_mesh(raw["mesh"])
     cut = _build_cut(mesh, raw["cut"])
-    mass_squared = _object(raw["operator"], "operator").get("mass_squared", 0.0)
+    mass_squared = _object(raw["operator"], "operator",
+                           {"mass_squared"}).get("mass_squared", 0.0)
     operator = OperatorSpec(_finite(mass_squared, "mass_squared"))
     if not isinstance(raw["lambdas"], list):
         raise ConfigError("lambdas must be a list of numbers")
     lambdas = tuple(_finite(x, "lambdas entry") for x in raw["lambdas"])
+    if len(set(lambdas)) < len(lambdas):
+        raise ConfigError(f"lambdas repeat a scale: {list(lambdas)}")
     # Side operators are principal submatrices of this one and the summed
     # interface response is its Schur complement: they inherit positivity.
     interior = mesh.interior
     check_positive_spectrum(assemble(mesh, operator)[np.ix_(interior, interior)])
     couplings = _object(raw["interaction"], "interaction")
-    interaction = InteractionSpec({int(k): _build_coupling(mesh, int(k), v)
+    bad = [k for k in couplings if not _canonical(k)]
+    if bad:
+        raise ConfigError(f"interaction powers {bad} are not canonical decimals")
+    interaction = InteractionSpec({int(k): _build_coupling(mesh, k, v)
                                    for k, v in couplings.items()})
 
-    kernel = _object(raw.get("kernel", {}), "kernel")
+    kernel = _object(raw.get("kernel", {}), "kernel", {"shape"})
     shape = _string(kernel.get("shape", "uniform"), "kernel shape")
     if shape not in SHAPES:
         raise ConfigError(f"unknown kernel shape {shape!r}")
@@ -215,6 +238,10 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
     for lam in lambdas:
         if lam <= lam1:
             raise ConfigError(f"lam below lambda_1: {lam} <= {lam1}")
+        # Every vertex region holds the deep nodes: with none, checks compare 0 with 0.
+        if not sum(deformed_side_nodes(mesh, cut, s, lam).size for s in (LEFT, RIGHT)):
+            raise ConfigError(f"empty vertex region at lam {lam}: no side node "
+                              f"is 1/lam or more from its side's boundary")
 
     max_order = check_max_order(interaction, _finite(raw["max_order"], "max_order"))
 

@@ -101,10 +101,10 @@ class ScaleData:
     mesh.boundary); each side sees its own outer part, with cut-line nodes
     shared.  lam must exceed the admissibility scale of the cut.  The rest
     is built on first read: kernel, at lam; deep, each side's deformed nodes,
-    and deep_rows, their rows of the kernel restricted to that side; region,
-    the union of the deep nodes; trimmed, where widening ends; glued and
-    whole, node-level Gaussian data that vertex regions index into (whole.cov
-    is the averaged propagator H G H'); base, their series on the region.
+    read off the cut; deep_rows, their rows of the kernel restricted to that
+    side; region, the union of the deep nodes; trimmed, where widening ends;
+    glued and whole, node-level Gaussian data that vertex regions index into
+    (whole.cov is H G H'); base, their series on the region.
     """
 
     context: GluingContext
@@ -126,12 +126,12 @@ class ScaleData:
 
     @cached_property
     def kernel(self) -> KernelMatrix:
-        return build_mesh_kernel(self.context.mesh, self.lam, self.shape, self.context.cut)
+        return build_mesh_kernel(self.context.mesh, self.lam, self.shape)
 
     @cached_property
     def deep(self) -> dict:
-        return {s: deformed_side_nodes(self.context.mesh, sb, self.lam)
-                for s, sb in self.context.sides.items()}
+        return {s: deformed_side_nodes(self.context.mesh, self.context.cut, s, self.lam)
+                for s in (LEFT, RIGHT)}
 
     @cached_property
     def deep_rows(self) -> dict:

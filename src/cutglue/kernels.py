@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euclidean import RadialProfile
-from .green import GreenBundle, SideBundle
-from .meshes import _DIST_RTOL, Cut, Mesh, lambda_one
+from .green import GreenBundle
+from .meshes import _DIST_RTOL, CUT, Cut, Mesh
 from .reports import Check, Report
 
 
@@ -94,19 +94,16 @@ class KernelMatrix:
         return bool(np.array_equal(self.matrix, np.eye(n)))
 
 
-def build_mesh_kernel(mesh: Mesh, lam: float, shape="uniform",
-                      cut: Cut | None = None) -> KernelMatrix:
+def build_mesh_kernel(mesh: Mesh, lam: float, shape="uniform") -> KernelMatrix:
     """Averaging kernel at scale lam: weight(p,q) = shape(d(p,q) lam) vol(q).
 
     Rows are normalized to 1 over the geodesic ball of radius 1/lam; balls
-    truncated by the mesh edge are simply renormalized.  When a cut is given
-    lam must exceed the cut's admissibility scale.  A ball smaller than the
-    shortest edge yields the exact identity matrix.
+    truncated by the mesh edge are simply renormalized.  A ball smaller than
+    the shortest edge yields the exact identity matrix.  No cut is read:
+    `gluing.ScaleData` checks lam against the cut's lambda_1.
     """
     if lam <= 0:
         raise KernelError("lam must be positive")
-    if cut is not None and lam <= lambda_one(mesh, cut):
-        raise KernelError("lam below lambda_1")
     shape = resolve_shape(shape)
     radius = 1.0 / lam
     n = mesh.n_nodes
@@ -174,24 +171,23 @@ def spectral_regularized_green(mesh: Mesh, eigenpairs: tuple[np.ndarray, np.ndar
     return (hv / vals) @ hv.T
 
 
-def deformed_side_nodes(mesh: Mesh, sb: SideBundle, lam: float) -> np.ndarray:
+def deformed_side_nodes(mesh: Mesh, cut: Cut, side: str, lam: float) -> np.ndarray:
     """Side interior nodes whose 1/lam ball cannot leave the side submanifold.
 
     These are the nodes where the whole-mesh and restricted kernels agree row
     by row, and additionally at distance >= 1/lam from the side's own
-    boundary (so they survive the side's deformation too).
+    boundary, outer and interface (so they survive the side's deformation
+    too).  Read off the mesh and the cut alone.
     """
-    on_side = np.zeros(mesh.n_nodes, dtype=bool)
-    on_side[sb.nodes] = True
-    outside = np.flatnonzero(~on_side)
+    interior = cut.side_interior(side)
+    bdry = np.concatenate([cut.side_outer_boundary(side), cut.interface])
+    outside = np.flatnonzero((cut.label != side) & (cut.label != CUT))
     radius = 1.0 / lam
-    d = mesh.distance_matrix()
-    bdry = np.concatenate([sb.outer, sb.sigma])
-    rows = d[sb.interior]
+    rows = mesh.distance_matrix()[interior]
     deep = rows[:, bdry].min(axis=1) >= radius * (1.0 - _DIST_RTOL)
     if outside.size:
         deep &= rows[:, outside].min(axis=1) > radius * (1.0 + _DIST_RTOL)
-    return sb.interior[deep].astype(int)
+    return interior[deep].astype(int)
 
 
 def verify_regularization(g_reg: np.ndarray, spectral: np.ndarray) -> Report:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,6 @@ class Mesh:
     node_volumes : (N,) finite discrete volume elements (> 0).  Boundary nodes keep
                    a positive entry but carry no weight in bulk sums.
     boundary     : sorted indices of boundary nodes.
-    dim          : manifold dimension n >= 1.
     """
 
     positions: np.ndarray
@@ -57,9 +57,6 @@ class Mesh:
     edge_lengths: np.ndarray
     node_volumes: np.ndarray
     boundary: np.ndarray
-    dim: int
-    spacing: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for ids in (self.edges, self.boundary):
@@ -83,7 +80,7 @@ class Mesh:
         if interior.size:
             allowed = np.zeros(self.n_nodes, dtype=bool)
             allowed[interior] = True
-            reached = _bfs(self.neighbors()[0], [int(interior[0])], allowed)
+            reached = _bfs(self.neighbors[0], [int(interior[0])], allowed)
             if len(reached) != interior.size:
                 raise MeshError("interior graph is not connected")
 
@@ -97,22 +94,23 @@ class Mesh:
         mask[self.boundary] = False
         return np.nonzero(mask)[0]
 
+    @cached_property
     def neighbors(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-node neighbour indices and the lengths of the joining edges."""
-        if "nbrs" not in self._cache:
-            src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-            lengths = np.concatenate([self.edge_lengths, self.edge_lengths])
-            order = np.argsort(src, kind="stable")
-            cuts = np.searchsorted(src[order], np.arange(1, self.n_nodes))
-            self._cache["nbrs"] = (np.split(dst[order], cuts),
-                                        np.split(lengths[order], cuts))
-        return self._cache["nbrs"]
+        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        lengths = np.concatenate([self.edge_lengths, self.edge_lengths])
+        order = np.argsort(src, kind="stable")
+        cuts = np.searchsorted(src[order], np.arange(1, self.n_nodes))
+        return np.split(dst[order], cuts), np.split(lengths[order], cuts)
 
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs geodesic distances (shortest weighted paths).
+        """All-pairs geodesic distances (shortest weighted paths)."""
+        return self._distances
 
-        Label-correcting relaxation over all sources at once: row v of `to`
+    @cached_property
+    def _distances(self) -> np.ndarray:
+        """Label-correcting relaxation over all sources at once: row v of `to`
         holds the distances from every source to v, and each node in turn
         takes the best neighbour row plus the joining edge length.  Sweeps
         visit the nodes in breadth-first order, alternating direction, until
@@ -120,30 +118,28 @@ class Mesh:
         its source outward, so d[s, t] equals Dijkstra's value bitwise;
         unreachable pairs stay inf.
         """
-        if "d" not in self._cache:
-            n = self.n_nodes
-            nbrs, lengths = self.neighbors()
-            order, seen = [], np.zeros(n, dtype=bool)
-            for start in range(n):
-                if not seen[start]:
-                    order += _bfs(nbrs, [start], ~seen)
-                    seen[order] = True
-            to = np.full((n, n), np.inf)
-            np.fill_diagonal(to, 0.0)
-            for sweep in range(n):
-                changed = False
-                for v in order if sweep % 2 == 0 else order[::-1]:
-                    if nbrs[v].size == 0:
-                        continue
-                    best = (to[nbrs[v]] + lengths[v][:, None]).min(axis=0)
-                    shorter = best < to[v]
-                    if shorter.any():
-                        to[v, shorter] = best[shorter]
-                        changed = True
-                if not changed:
-                    break
-            self._cache["d"] = np.ascontiguousarray(to.T)
-        return self._cache["d"]
+        n = self.n_nodes
+        nbrs, lengths = self.neighbors
+        order, seen = [], np.zeros(n, dtype=bool)
+        for start in range(n):
+            if not seen[start]:
+                order += _bfs(nbrs, [start], ~seen)
+                seen[order] = True
+        to = np.full((n, n), np.inf)
+        np.fill_diagonal(to, 0.0)
+        for sweep in range(n):
+            changed = False
+            for v in order if sweep % 2 == 0 else order[::-1]:
+                if nbrs[v].size == 0:
+                    continue
+                best = (to[nbrs[v]] + lengths[v][:, None]).min(axis=0)
+                shorter = best < to[v]
+                if shorter.any():
+                    to[v, shorter] = best[shorter]
+                    changed = True
+            if not changed:
+                break
+        return np.ascontiguousarray(to.T)
 
     def boundary_distance(self) -> np.ndarray:
         """Per-node geodesic distance to the nearest boundary node."""
@@ -169,7 +165,7 @@ class Mesh:
 
     def to_text(self) -> str:
         """Line-oriented serialization (see README for the format)."""
-        lines = [f"mesh dim={self.dim} spacing={float(self.spacing)!r} nodes={self.n_nodes}"]
+        lines = [f"mesh nodes={self.n_nodes}"]
         bset = set(self.boundary.tolist())
         for i in range(self.n_nodes):
             role = "boundary" if i in bset else "interior"
@@ -184,12 +180,12 @@ class Mesh:
 
     @staticmethod
     def from_text(text: str) -> "Mesh":
-        """Inverse of `to_text`.  Node lines may come in any order, but there
-        must be as many as the header's nodes=N and their ids must be exactly
-        0..N-1; each node sits at its id."""
+        """Inverse of `to_text`.  The header's only read key is nodes=N; any
+        other key= is ignored.  Node lines may come in any order, but there
+        must be N of them and their ids must be exactly 0..N-1; each node sits
+        at its id."""
         header, *rows = [ln for ln in text.splitlines() if ln.strip()]
         fields = dict(kv.split("=") for kv in header.split()[1:])
-        dim, spacing = int(fields["dim"]), float(fields["spacing"])
         nodes = {}  # id -> (is boundary, volume, position)
         edges, weights, lengths = [], [], []
         for ln in rows:
@@ -224,8 +220,6 @@ class Mesh:
             node_volumes=np.asarray([vol for _, vol, _ in ordered], dtype=float),
             boundary=np.asarray([k for k, (b, _, _) in enumerate(ordered) if b],
                                 dtype=int),
-            dim=dim,
-            spacing=spacing,
         )
 
 
@@ -291,7 +285,7 @@ def _node_side_labels(mesh: Mesh, interface: set[int]) -> tuple[np.ndarray, np.n
     allowed = np.zeros(mesh.n_nodes, dtype=bool)
     allowed[interior] = True
     in_first = np.zeros(mesh.n_nodes, dtype=bool)
-    in_first[_bfs(mesh.neighbors()[0], [int(interior[0])], allowed)] = True
+    in_first[_bfs(mesh.neighbors[0], [int(interior[0])], allowed)] = True
     return interior[in_first[interior]], interior[~in_first[interior]]
 
 
@@ -320,7 +314,7 @@ def cut_along_interface(mesh: Mesh, selector) -> Cut:
     if interface.size == 0:
         raise MeshError("not a separator: empty selection")
     left, right = _node_side_labels(mesh, set(interface.tolist()))
-    nbrs = mesh.neighbors()[0]
+    nbrs = mesh.neighbors[0]
     boundary = np.zeros(mesh.n_nodes, dtype=bool)
     boundary[mesh.boundary] = True
     label = np.full(mesh.n_nodes, "", dtype=object)
@@ -395,8 +389,6 @@ def _box_lattice(shape: tuple[int, ...], spacing: float, metric_profile) -> Mesh
         edge_lengths=spacing * prof_mid,
         node_volumes=spacing**dim * prof_node,
         boundary=np.nonzero(((coords == 0) | (coords == last)).any(axis=1))[0],
-        dim=dim,
-        spacing=spacing,
     )
 
 

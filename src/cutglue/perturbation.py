@@ -459,21 +459,3 @@ def averaged_gaussian(kernel: KernelMatrix, eta: np.ndarray | None,
                         kernel.matrix @ phi_bg,
                         regularized_green(kernel, bundle))
 
-
-def effective_action_series(bundle: GreenBundle, kernel: KernelMatrix,
-                            interaction: InteractionSpec, eta: np.ndarray,
-                            max_order: float,
-                            region: np.ndarray | None = None) -> PerturbationSeries:
-    """Minus log of the regularized partition function, order by order.
-
-    Order 0 is the free action of the harmonic extension of eta; higher
-    orders come from the coupling expansion with averaged legs: background
-    legs carry the averaged extension, contractions carry the averaged
-    propagator, and vertices live on the trimmed node set (or the explicit
-    region if one is given).
-    """
-    mesh = bundle.mesh
-    if region is None:
-        region = mesh.trim_to_deformed(kernel.lam)
-    gaussian = averaged_gaussian(kernel, eta, bundle)
-    return gaussian.series(interaction, [region], mesh.node_volumes, max_order)[0]

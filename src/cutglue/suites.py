@@ -93,7 +93,7 @@ def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
     d = mesh.distance_matrix()
     left = side_bundle(mesh, cfg.context.operator, cut, LEFT)
     for lam in cfg.lambdas:
-        kernel = build_mesh_kernel(mesh, lam, cfg.shape, cut=cut)
+        kernel = build_mesh_kernel(mesh, lam, cfg.shape)
         report.add(Check(f"rows-stochastic-lam-{lam}",
                          float(np.abs(kernel.matrix.sum(axis=1) - 1.0).max()),
                          1e-12))

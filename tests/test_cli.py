@@ -174,6 +174,27 @@ def test_run_fast_suites(tmp_path, capsys):
     ({"mesh": None}, "mesh must be a JSON object, got None"),
     ({"cut": [0, 4.0]}, "cut must be a JSON object, got [0, 4.0]"),
     ({"interaction": [0.3]}, "interaction must be a JSON object, got [0.3]"),
+    # lambda_1 is 1/3, and no side node is 1/0.4 from its side's boundary
+    ({"mesh": {"type": "interval", "n_interior": 5, "spacing": 1.0},
+      "cut": {"axis": 0, "value": 3.0}, "lambdas": [0.4], "eta": None},
+     "empty vertex region at lam 0.4"),
+    ({"suits": ["green-identities"]}, "unknown config keys: ['suits']"),
+    ({"etaa": {"0": 1.0}}, "unknown config keys: ['etaa']"),
+    ({"kernel": {"shap": "bump"}}, "unknown kernel keys: ['shap']"),
+    ({"mesh": {"type": "interval", "n_interior": 7, "spacing": 1.0, "nx": 9}},
+     "unknown interval mesh keys: ['nx']"),
+    ({"mesh": {"type": "grid", "nx": 5, "ny": 5, "spacing": 1.0, "n_interior": 7},
+      "cut": {"axis": 0, "value": 2.0}, "lambdas": [1.5, 2.5], "eta": None},
+     "unknown grid mesh keys: ['n_interior']"),
+    ({"mesh": lambda tmp_path: {**mesh_file(NINE_NODES)(tmp_path), "spacing": 1.0}},
+     "unknown file mesh keys: ['spacing']"),
+    ({"cut": {"axis": 0, "value": 4.0, "side": "left"}}, "unknown cut keys: ['side']"),
+    ({"operator": {"mass": 0.1}}, "unknown operator keys: ['mass']"),
+    ({"interaction": {"3": 0.3, "03": 0.5}},
+     "interaction powers ['03'] are not canonical decimals"),
+    ({"interaction": {"3": {"4": 0.1, "04": 0.2}}}, "names '04', not a node id"),
+    ({"eta": {"8": -0.5, "08": 1.0}}, "eta names '08', not a boundary node id"),
+    ({"lambdas": [1.0, 1.0]}, "lambdas repeat a scale: [1.0, 1.0]"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
@@ -191,7 +212,12 @@ def test_run_fast_suites(tmp_path, capsys):
         "eta-value-bool", "eta-list-bool", "eta-value-string",
         "suites-not-a-list", "name-null", "name-number", "kernel-shape-list",
         "kernel-list", "operator-null", "mesh-null", "cut-list",
-        "interaction-list"])
+        "interaction-list", "empty-vertex-region", "key-unknown-top-level",
+        "key-unknown-eta", "key-unknown-kernel", "key-unknown-interval-mesh",
+        "key-unknown-grid-mesh", "key-unknown-file-mesh", "key-unknown-cut",
+        "key-unknown-operator", "power-key-not-canonical",
+        "coupling-node-key-not-canonical", "eta-node-key-not-canonical",
+        "lambda-repeated"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
@@ -410,10 +436,14 @@ def test_scale_suite_alone_builds_only_what_it_reads(tmp_path, monkeypatch, caps
 ])
 def test_suite_alone_builds_no_side_data(tmp_path, monkeypatch, capsys, suite, unread):
     """The run's Green data, like a scale's, is built field by field on
-    first read: run alone, a suite that reads no side data builds none."""
+    first read: run alone, a suite that reads no side data builds none.  The
+    only deep sets read are the two per scale that loading the config reads
+    to refuse an empty vertex region."""
     calls = count_calls(monkeypatch, unread)
     assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path), "--suite", suite]) == 0
-    assert calls == dict.fromkeys(unread, 0)
+    with open(CONFIG, encoding="utf-8") as fh:
+        at_load = {"deformed_side_nodes": 2 * len(json.load(fh)["lambdas"])}
+    assert calls == {name: at_load.get(name, 0) for name in unread}
 
 
 def test_lambda_sweep_reads_the_base_series(tmp_path, monkeypatch, capsys):

@@ -13,8 +13,9 @@ from cutglue.green import green_bundle, quadratic_form_S0
 from cutglue.meshes import (LEFT, RIGHT, build_grid_mesh, build_interval_mesh,
                             cut_along_interface)
 from cutglue.operators import OperatorSpec
-from cutglue.perturbation import InteractionSpec, effective_action_series
+from cutglue.perturbation import InteractionSpec
 from cutglue.reports import Report
+from test_perturbation import effective_action_series
 
 M0 = OperatorSpec(0.0)
 

@@ -51,13 +51,6 @@ def test_support_clipped_to_ball():
     assert np.all(kernel.matrix[d > 2.0 * (1 + 1e-9)] == 0.0)
 
 
-def test_lam_below_lambda_one_rejected():
-    mesh = build_interval_mesh(7, 1.0)
-    cut = cut_along_interface(mesh, lambda n: n == 4)
-    with pytest.raises(kn.KernelError, match="lambda_1"):
-        kn.build_mesh_kernel(mesh, 0.25, cut=cut)
-
-
 def test_unknown_shape_rejected():
     mesh = build_interval_mesh(3, 1.0)
     with pytest.raises(kn.KernelError, match="unknown kernel shape"):
@@ -74,8 +67,7 @@ def test_composed_shape_usable_on_mesh():
 
 def test_restriction_deep_rows_unchanged():
     mesh = build_interval_mesh(7, 1.0)
-    cut = cut_along_interface(mesh, lambda n: n == 4)
-    kernel = kn.build_mesh_kernel(mesh, 1.0, cut=cut)
+    kernel = kn.build_mesh_kernel(mesh, 1.0)
     left_nodes = {0, 1, 2, 3, 4}
     restricted = kn.restrict_kernel_to_submesh(kernel, left_nodes)
     for p in (1, 2, 3):  # balls {p-1, p, p+1} stay inside the left half
@@ -137,10 +129,9 @@ def test_spectral_route_agrees():
 def test_deformed_side_nodes_nine_path():
     mesh = build_interval_mesh(7, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 4)
-    sb = side_bundle(mesh, M0, cut, LEFT)
-    left = kn.deformed_side_nodes(mesh, sb, 1.0)
+    left = kn.deformed_side_nodes(mesh, cut, LEFT, 1.0)
     assert list(left) == [1, 2, 3]
-    narrow = kn.deformed_side_nodes(mesh, sb, 0.5)
+    narrow = kn.deformed_side_nodes(mesh, cut, LEFT, 0.5)
     assert list(narrow) == [2]
 
 
@@ -248,29 +239,36 @@ def _loop_deformed_side_nodes(mesh, sb, lam):
     return np.asarray(out, dtype=int)
 
 
-def _middle_cut(mesh):
-    x = mesh.positions[:, 0]
-    mid = np.sort(np.unique(x))[len(np.unique(x)) // 2]
-    return cut_along_interface(mesh, lambda q: mesh.positions[q][0] == mid)
+def _column_cut(mesh, k):
+    """Cut along the k-th smallest x coordinate; k None takes the middle one."""
+    xs = np.unique(mesh.positions[:, 0])
+    x = xs[len(xs) // 2 if k is None else k]
+    return cut_along_interface(mesh, lambda q: mesh.positions[q][0] == x)
 
 
-# (mesh, scales): each list reaches from a few-node ball to a wide one
+# (mesh, scales, cut column): each list reaches from a few-node ball to a
+# wide one.  Column 1 of a grid cuts one-sided: no left interior nodes.
 ORACLE_MESHES = {
-    "interval-403": (lambda: build_interval_mesh(401, 1.0), (0.05, 0.2, 0.7)),
-    "grid-11": (lambda: build_grid_mesh(11, 11, 1.0), (0.3, 0.6, 0.9)),
-    "grid-21": (lambda: build_grid_mesh(21, 21, 1.0), (0.25, 0.5, 0.9)),
-    "interval-curved": (lambda: build_interval_mesh(101, 0.1, _bumpy), (0.3, 1.0, 4.0)),
-    "grid-11-curved": (lambda: build_grid_mesh(11, 11, 0.3, _bumpy), (0.8, 1.5, 2.5)),
+    "interval-403": (lambda: build_interval_mesh(401, 1.0), (0.05, 0.2, 0.7), None),
+    "grid-11": (lambda: build_grid_mesh(11, 11, 1.0), (0.3, 0.6, 0.9), None),
+    "grid-21": (lambda: build_grid_mesh(21, 21, 1.0), (0.25, 0.5, 0.9), None),
+    "interval-curved": (lambda: build_interval_mesh(101, 0.1, _bumpy),
+                        (0.3, 1.0, 4.0), None),
+    "grid-11-curved": (lambda: build_grid_mesh(11, 11, 0.3, _bumpy),
+                       (0.8, 1.5, 2.5), None),
     "grid-11-scrambled": (lambda: _scrambled(build_grid_mesh(11, 11, 1.0), 4)[0],
-                          (0.3, 0.6, 0.9)),
+                          (0.3, 0.6, 0.9), None),
+    "grid-11-one-sided": (lambda: build_grid_mesh(11, 11, 1.0), (0.3, 0.6, 0.9), 1),
 }
 
 
 @pytest.mark.parametrize("name", list(ORACLE_MESHES))
 def test_kernel_builders_match_loops_bitwise(name):
-    make, lams = ORACLE_MESHES[name]
+    """Each builder against its loop; the deep sets, read off the cut, against
+    a loop over the side bundle's index arrays."""
+    make, lams, column = ORACLE_MESHES[name]
     mesh = make()
-    cut = _middle_cut(mesh)
+    cut = _column_cut(mesh, column)
     sides = {side: side_bundle(mesh, M0, cut, side) for side in (LEFT, RIGHT)}
     for lam in lams:
         for shape in kn.SHAPES:
@@ -280,8 +278,8 @@ def test_kernel_builders_match_loops_bitwise(name):
             for sb in sides.values():
                 got = kn.restrict_kernel_to_submesh(kernel, sb.nodes).matrix
                 assert np.array_equal(got, _loop_restrict(kernel.matrix, sb.nodes))
-        for sb in sides.values():
-            assert np.array_equal(kn.deformed_side_nodes(mesh, sb, lam),
+        for side, sb in sides.items():
+            assert np.array_equal(kn.deformed_side_nodes(mesh, cut, side, lam),
                                   _loop_deformed_side_nodes(mesh, sb, lam))
 
 

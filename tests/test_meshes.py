@@ -80,7 +80,6 @@ def test_grid_mesh_discretization_rule():
     np.testing.assert_allclose(mesh.edge_lengths, h * p_mid, rtol=1e-15)
     np.testing.assert_allclose(mesh.node_volumes, h ** 2 * p_node, rtol=1e-15)
     assert list(mesh.boundary) == [0, 1, 2, 3, 4, 7, 8, 9, 10, 11]
-    assert mesh.dim == 2 and mesh.spacing == h
 
 
 def test_mesh_validation_errors():
@@ -88,8 +87,7 @@ def test_mesh_validation_errors():
     with pytest.raises(MeshError):
         Mesh(positions=mesh.positions, edges=mesh.edges,
              edge_weights=-mesh.edge_weights, edge_lengths=mesh.edge_lengths,
-             node_volumes=mesh.node_volumes, boundary=mesh.boundary,
-             dim=1, spacing=1.0)
+             node_volumes=mesh.node_volumes, boundary=mesh.boundary)
     with pytest.raises(MeshError):
         build_interval_mesh(0, 1.0)
     with pytest.raises(MeshError):
@@ -123,9 +121,20 @@ def test_text_round_trip():
     np.testing.assert_array_equal(back.positions, mesh.positions)
     np.testing.assert_array_equal(back.edges, mesh.edges)
     np.testing.assert_array_equal(back.edge_weights, mesh.edge_weights)
+    np.testing.assert_array_equal(back.edge_lengths, mesh.edge_lengths)
     np.testing.assert_array_equal(back.node_volumes, mesh.node_volumes)
     np.testing.assert_array_equal(back.boundary, mesh.boundary)
-    assert back.dim == mesh.dim and back.spacing == mesh.spacing
+    assert back.to_text() == mesh.to_text()
+
+
+def test_header_reads_only_the_node_count():
+    """Files written with dim= and spacing= in the header still load, to the
+    same mesh: nothing reads those values, so none can contradict the mesh."""
+    mesh = build_interval_mesh(7, 1.0)
+    header, body = mesh.to_text().split("\n", 1)
+    assert header == "mesh nodes=9"
+    for old in ("mesh dim=1 spacing=1.0 nodes=9", "mesh dim=3 spacing=nan nodes=9"):
+        assert Mesh.from_text(f"{old}\n{body}").to_text() == mesh.to_text()
 
 
 def test_node_lines_in_any_order_read_back_equal():
@@ -218,7 +227,7 @@ def test_lambda_one_requires_boundary():
     free = Mesh(positions=mesh.positions, edges=mesh.edges,
                 edge_weights=mesh.edge_weights, edge_lengths=mesh.edge_lengths,
                 node_volumes=mesh.node_volumes,
-                boundary=np.array([], dtype=int), dim=1, spacing=1.0)
+                boundary=np.array([], dtype=int))
     with pytest.raises(MeshError, match="no boundary"):
         lambda_one(free, cut)
 
@@ -263,12 +272,12 @@ def _scrambled(mesh: Mesh, seed: int) -> tuple[Mesh, np.ndarray]:
 
 def _with_isolated_boundary_node(mesh: Mesh) -> Mesh:
     n = mesh.n_nodes
-    return Mesh(positions=np.vstack([mesh.positions, np.full((1, mesh.dim), -5.0)]),
+    return Mesh(positions=np.vstack([mesh.positions,
+                                     np.full((1, mesh.positions.shape[1]), -5.0)]),
                 edges=mesh.edges, edge_weights=mesh.edge_weights,
                 edge_lengths=mesh.edge_lengths,
                 node_volumes=np.append(mesh.node_volumes, 1.0),
-                boundary=np.append(mesh.boundary, n), dim=mesh.dim,
-                spacing=mesh.spacing)
+                boundary=np.append(mesh.boundary, n))
 
 
 def _bumpy(x):
@@ -394,5 +403,4 @@ def test_disconnected_interior_rejected():
         Mesh(positions=mesh.positions, edges=mesh.edges[keep],
              edge_weights=mesh.edge_weights[keep],
              edge_lengths=mesh.edge_lengths[keep],
-             node_volumes=mesh.node_volumes, boundary=mesh.boundary,
-             dim=1, spacing=1.0)
+             node_volumes=mesh.node_volumes, boundary=mesh.boundary)

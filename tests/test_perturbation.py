@@ -16,7 +16,7 @@ from cutglue.perturbation import (BLAS_MIN_NODES, LEG_CAP, InteractionSpec,
                                   NodeGaussian, PerturbationError, VertexType,
                                   _pair_matrices, _pairing_count,
                                   _vertex_series, averaged_gaussian,
-                                  effective_action_series, gaussian_cumulant,
+                                  gaussian_cumulant,
                                   gaussian_expectation, interaction_z_series,
                                   leg_budget, vertex_terms, wick_pairings)
 from cutglue.series import PerturbationSeries, series_exp, series_log
@@ -32,6 +32,19 @@ def interaction_w_series(vertices, mean, cov, max_order):
     coeffs = -_vertex_series(vertices, mean, cov, max_order, gaussian_cumulant)[:, 0]
     coeffs[0] = 0.0  # log of the constant term 1
     return PerturbationSeries.from_array(coeffs, max_order)
+
+
+def effective_action_series(bundle, kernel, interaction, eta, max_order,
+                            region=None):
+    """Minus log of the regularized partition function, order by order, on
+    the whole route built from scratch: the averaged Gaussian of
+    `averaged_gaussian` and vertices on the trimmed node set (or the
+    explicit region if one is given)."""
+    mesh = bundle.mesh
+    if region is None:
+        region = mesh.trim_to_deformed(kernel.lam)
+    gaussian = averaged_gaussian(kernel, eta, bundle)
+    return gaussian.series(interaction, [region], mesh.node_volumes, max_order)[0]
 
 
 def partition_series(mesh, spec, kernel, interaction, eta, max_order):
@@ -539,8 +552,6 @@ def test_relabeling_invariance():
         edge_lengths=mesh.edge_lengths,
         node_volumes=mesh.node_volumes[inv],
         boundary=np.sort(perm[mesh.boundary]),
-        dim=1,
-        spacing=1.0,
     )
     inter = InteractionSpec({3: 0.3})
     eta = np.array([1.0, -0.5])  # ordered along mesh.boundary = [0, 4]
