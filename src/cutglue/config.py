@@ -20,8 +20,8 @@ import numpy as np
 
 from .gluing import GluingContext
 from .kernels import SHAPES, deformed_side_nodes
-from .meshes import LEFT, RIGHT, Mesh, build_grid_mesh, build_interval_mesh, \
-    cut_along_interface, lambda_one
+from .meshes import LEFT, RIGHT, Mesh, MeshError, build_grid_mesh, \
+    build_interval_mesh, cut_along_interface, lambda_one
 from .operators import OperatorSpec, assemble, check_positive_spectrum
 from .perturbation import LEG_CAP, InteractionSpec, leg_budget
 
@@ -69,7 +69,10 @@ def _build_mesh(spec) -> Mesh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read mesh file: {exc}") from exc
-    return Mesh.from_text(text)
+    try:
+        return Mesh.from_text(text)
+    except MeshError as exc:
+        raise ConfigError(f"mesh file {path}: {exc}") from exc
 
 
 def _build_cut(mesh: Mesh, spec):
@@ -249,6 +252,8 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
     if not isinstance(suites, list):
         raise ConfigError("suites must be a list of suite names")
     suites = tuple(suites)
+    if not suites:
+        raise ConfigError("suites must be nonempty")
     unknown = [s for s in suites if s not in known_suites]
     if unknown:
         raise ConfigError(f"unknown suites: {unknown}")

@@ -6,8 +6,10 @@ interface block of the whole Green's matrix.  Here that integral is evaluated
 exactly: the three independent Gaussian fields (two side fluctuations and
 the interface variable) add up to one node-level field with covariance
 `green.glued_green`, built purely from side quantities, and the moment
-engine of the perturbation module does the rest.  Agreement with the
-whole-manifold series is then a matter of exact linear algebra, order by order.
+engine of the perturbation module does the rest.  The whole-manifold route
+(`averaged_gaussian`, from the whole mesh's Green bundle) sits beside the
+glued one (`glued_gaussian`); agreement of the two series is then a matter
+of exact linear algebra, order by order.
 
 Green data is built once per cut (`GluingContext`), kernels, deformed nodes
 and Gaussian data once per scale (`ScaleData`); each builds a field on first
@@ -29,12 +31,12 @@ from functools import cached_property
 import numpy as np
 
 from .green import (GreenBundle, _read_only, glued_green, green_bundle,
-                    interface_green, side_bundle)
+                    interface_green, quadratic_form_S0, side_bundle)
 from .kernels import (KernelMatrix, build_mesh_kernel, deformed_side_nodes,
-                      restrict_kernel_to_submesh)
+                      regularized_green, restrict_kernel_to_submesh)
 from .meshes import LEFT, RIGHT, Cut, Mesh, lambda_one
 from .operators import OperatorSpec, assemble
-from .perturbation import InteractionSpec, NodeGaussian, averaged_gaussian
+from .perturbation import InteractionSpec, NodeGaussian
 from .reports import Check, Report
 from .series import PerturbationSeries
 
@@ -165,6 +167,16 @@ class ScaleData:
         object.__setattr__(other, "interaction", self.interaction.redefined(mapping))
         vars(other).pop("base", None)
         return other
+
+
+def averaged_gaussian(kernel: KernelMatrix, eta: np.ndarray | None,
+                      bundle: GreenBundle) -> NodeGaussian:
+    """Whole-manifold route: averaged harmonic extension and propagator."""
+    eta = np.zeros(bundle.boundary.size) if eta is None else np.asarray(eta, dtype=float)
+    phi_bg = bundle.extend(eta)
+    return NodeGaussian(quadratic_form_S0(bundle.mesh, bundle.spec, phi_bg),
+                        kernel.matrix @ phi_bg,
+                        regularized_green(kernel, bundle))
 
 
 def _side_eta(data: ScaleData, sb) -> np.ndarray:

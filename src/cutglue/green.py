@@ -7,10 +7,12 @@ boundary-to-boundary response (Dirichlet-to-Neumann) realized as a Schur
 complement.  Normal-derivative kernels are never formed pointwise; every
 boundary operator is a finite matrix obtained by block elimination, which
 keeps all gluing identities exact up to rounding.  The whole mesh and each
-side of a cut take their operator from the one assembly,
-`operators.operator_matrix`, and eliminate it the same way.  `glued_green`
-rebuilds the whole Green's matrix from side data alone.  Every matrix made
-here is read-only, since a run shares each one among its checks.
+side of a cut are one kind of object, a `GreenBundle`: the Dirichlet problem
+of an operator from the one assembly, `operators.operator_matrix`, whose
+boundary is its outer part followed by the cut interface.  The whole mesh is
+the problem with an empty interface.  `glued_green` rebuilds the whole
+Green's matrix from side data alone.  Every matrix made here is read-only,
+since a run shares each one among its checks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshes import LEFT, RIGHT, Cut, Mesh
+from .meshes import RIGHT, Cut, Mesh
 from .operators import OperatorSpec, assemble, operator_matrix
 from .reports import Check, Report
 
@@ -44,21 +46,6 @@ def _inverse_spd(m: np.ndarray, what: str) -> np.ndarray:
     return _read_only(inv.T @ inv)[0]
 
 
-def _eliminate(a: np.ndarray, interior: np.ndarray, boundary: np.ndarray,
-               what: str):
-    """Block elimination of the interior unknowns of the operator `a`.
-
-    Returns the Green's matrix G = inv(a_ii), the Poisson map -G a_ib and the
-    Schur complement a_bb - a_ib' G a_ib onto the boundary, with i and b the
-    node ids `interior` and `boundary`.  An empty interior leaves a_bb as it
-    is.
-    """
-    a_ib = a[np.ix_(interior, boundary)]
-    green = _inverse_spd(a[np.ix_(interior, interior)], what)
-    return _read_only(green, -green @ a_ib,
-                      a[np.ix_(boundary, boundary)] - a_ib.T @ green @ a_ib)
-
-
 def _block(matrix: np.ndarray, labels: np.ndarray, ids_a, ids_b) -> np.ndarray:
     """Block of a matrix whose rows and columns are labelled by node ids."""
     pos = {int(n): k for k, n in enumerate(labels)}
@@ -67,22 +54,35 @@ def _block(matrix: np.ndarray, labels: np.ndarray, ids_a, ids_b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GreenBundle:
-    """Green's matrix, Poisson operator, and boundary response of one mesh.
+    """Dirichlet problem of the free operator: the whole mesh, or one side
+    of a cut, whose boundary holds the interface.
 
+    The boundary is ordered [outer..., sigma...]: outer is the mesh boundary
+    the problem sees and sigma the interface, empty for the whole mesh.
     green   : (I, I) inverse of the interior operator.
     poisson : (I, B); interior values of the harmonic extension of eta are
               poisson @ eta.
-    dtn     : (B, B) Schur complement of the full operator onto the boundary;
+    dtn     : (B, B) Schur complement of the operator onto the boundary;
               the energy of the harmonic extension is eta' dtn eta / 2.
     """
 
     mesh: Mesh
     spec: OperatorSpec
     interior: np.ndarray
-    boundary: np.ndarray
+    outer: np.ndarray
+    sigma: np.ndarray
     green: np.ndarray
     poisson: np.ndarray
     dtn: np.ndarray
+
+    @property
+    def boundary(self) -> np.ndarray:
+        return np.concatenate([self.outer, self.sigma])
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Every node of the problem: interior, outer boundary, interface."""
+        return np.concatenate([self.interior, self.outer, self.sigma])
 
     def extend(self, eta: np.ndarray) -> np.ndarray:
         """Full-node harmonic extension field of boundary data eta."""
@@ -99,97 +99,72 @@ class GreenBundle:
         """Boundary response between boundary node ids ids_a (rows) and ids_b."""
         return _block(self.dtn, self.boundary, ids_a, ids_b)
 
-
-def green_bundle(mesh: Mesh, spec: OperatorSpec) -> GreenBundle:
-    interior, boundary = mesh.interior, mesh.boundary
-    green, poisson, dtn = _eliminate(assemble(mesh, spec), interior, boundary,
-                                     "interior operator")
-    return GreenBundle(
-        mesh=mesh,
-        spec=spec,
-        interior=interior,
-        boundary=boundary,
-        green=green,
-        poisson=poisson,
-        dtn=dtn,
-    )
-
-
-@dataclass(frozen=True)
-class SideBundle:
-    """Green data of one side of a cut, with the cut surface as boundary.
-
-    The side boundary is ordered [outer..., sigma...]; `outer` includes the
-    shared nodes sitting on the cut line.  The side operator is assembled
-    like the whole one, from the mesh conductances scaled by the cut's edge
-    attribution to this side; it carries the full mass term on the side
-    interior, half of it on the interface and none on the outer boundary.
-    Its interior and interior-to-surface blocks are therefore the whole
-    operator's, and the two sides' interface responses add up exactly to the
-    inverse interface Green's matrix of the whole mesh.
-    """
-
-    side: str
-    interior: np.ndarray
-    outer: np.ndarray
-    sigma: np.ndarray
-    green: np.ndarray
-    poisson: np.ndarray
-    dtn: np.ndarray
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """Every node of the side submesh: interior, outer boundary, interface."""
-        return np.concatenate([self.interior, self.outer, self.sigma])
-
-    @property
-    def n_outer(self) -> int:
-        return self.outer.size
-
     @property
     def poisson_sigma(self) -> np.ndarray:
-        return self.poisson[:, self.n_outer:]
+        return self.poisson[:, self.outer.size:]
 
     @property
     def dtn_sigma(self) -> np.ndarray:
         """Interface response D(Sigma, side)."""
-        k = self.n_outer
+        k = self.outer.size
         return self.dtn[k:, k:]
 
     @property
     def dtn_outer(self) -> np.ndarray:
-        k = self.n_outer
+        k = self.outer.size
         return self.dtn[:k, :k]
 
     @property
     def dtn_cross(self) -> np.ndarray:
         """Outer-to-interface block (rows outer, columns sigma)."""
-        k = self.n_outer
+        k = self.outer.size
         return self.dtn[:k, k:]
 
 
-def side_bundle(mesh: Mesh, spec: OperatorSpec, cut: Cut, side: str) -> SideBundle:
-    interior = cut.side_interior(side)
-    outer = cut.side_outer_boundary(side)
-    sigma = cut.interface
+def _dirichlet(mesh: Mesh, spec: OperatorSpec, a: np.ndarray, interior: np.ndarray,
+               outer: np.ndarray, sigma: np.ndarray, what: str) -> GreenBundle:
+    """Block elimination of the interior unknowns of the operator `a`.
+
+    Green's matrix G = inv(a_ii), Poisson map -G a_ib and Schur complement
+    a_bb - a_ib' G a_ib onto the boundary, with i the node ids `interior`
+    and b those of outer then sigma.  An empty interior leaves a_bb as it is.
+    """
+    boundary = np.concatenate([outer, sigma])
+    a_ib = a[np.ix_(interior, boundary)]
+    green = _inverse_spd(a[np.ix_(interior, interior)], what)
+    poisson, dtn = _read_only(-green @ a_ib,
+                              a[np.ix_(boundary, boundary)] - a_ib.T @ green @ a_ib)
+    return GreenBundle(mesh, spec, interior, outer, sigma, green, poisson, dtn)
+
+
+def green_bundle(mesh: Mesh, spec: OperatorSpec) -> GreenBundle:
+    """The whole mesh: the Dirichlet problem with an empty interface."""
+    return _dirichlet(mesh, spec, assemble(mesh, spec), mesh.interior, mesh.boundary,
+                      np.empty(0, dtype=int), "interior operator")
+
+
+def side_bundle(mesh: Mesh, spec: OperatorSpec, cut: Cut, side: str) -> GreenBundle:
+    """One side of the cut, with the interface as part of its boundary.
+
+    Its outer boundary includes the shared nodes sitting on the cut line.
+    The side operator is assembled like the whole one, from the mesh
+    conductances scaled by the cut's edge attribution to this side; it
+    carries the full mass term on the side interior, half of it on the
+    interface and none on the outer boundary.  Its interior and
+    interior-to-surface blocks are therefore the whole operator's, and the
+    two sides' interface responses add up exactly to the inverse interface
+    Green's matrix of the whole mesh.
+    """
+    interior, sigma = cut.side_interior(side), cut.interface
     mass = np.zeros(mesh.n_nodes)
     mass[interior] = spec.mass_squared * mesh.node_volumes[interior]
     mass[sigma] = 0.5 * spec.mass_squared * mesh.node_volumes[sigma]
     a = operator_matrix(mesh, mesh.edge_weights * cut.edge_fraction(side), mass)
-    green, poisson, dtn = _eliminate(a, interior, np.concatenate([outer, sigma]),
-                                     f"{side} side operator")
-    return SideBundle(
-        side=side,
-        interior=interior,
-        outer=outer,
-        sigma=sigma,
-        green=green,
-        poisson=poisson,
-        dtn=dtn,
-    )
+    return _dirichlet(mesh, spec, a, interior, cut.side_outer_boundary(side), sigma,
+                      f"{side} side operator")
 
 
-def interface_green(left: SideBundle, right: SideBundle) -> np.ndarray:
+def interface_green(left: GreenBundle, right: GreenBundle) -> np.ndarray:
     """Interface Green's matrix: inverse of the summed interface responses."""
     return _inverse_spd(left.dtn_sigma + right.dtn_sigma, "interface response sum")
 
@@ -287,9 +262,10 @@ def verify_green_gluing(bundle: GreenBundle, sides: dict, g_sigma: np.ndarray,
     trip on one side, the pure interface round trip across sides.  The
     interface Green's block is computed both as a block of the dense whole
     inverse and as the inverse summed side response g_sigma; their agreement
-    is part of the report.
+    is part of the report.  Per-side checks are named after the keys of
+    sides.
     """
-    left, right = sides[LEFT], sides[RIGHT]
+    left, right = sides.values()
     interface = left.sigma  # the cut interface, shared by both sides
     report = Report("green-gluing")
 
@@ -305,12 +281,12 @@ def verify_green_gluing(bundle: GreenBundle, sides: dict, g_sigma: np.ndarray,
                                   - np.eye(block.shape[0])).max()),
                      1e-10))
 
-    for sb in (left, right):
+    for side, sb in sides.items():
         if sb.interior.size == 0:
             continue
-        report.add(Check(f"same-side-{sb.side}",
+        report.add(Check(f"same-side-{side}",
                          residual(sb.interior, sb.interior), 1e-10))
-        report.add(Check(f"side-to-interface-{sb.side}",
+        report.add(Check(f"side-to-interface-{side}",
                          residual(sb.interior, interface), 1e-10))
     if left.interior.size and right.interior.size:
         report.add(Check("cross-side", residual(left.interior, right.interior),
@@ -318,8 +294,9 @@ def verify_green_gluing(bundle: GreenBundle, sides: dict, g_sigma: np.ndarray,
     return report
 
 
-def verify_dtn_difference(bundle: GreenBundle, sb: SideBundle) -> Report:
-    """Difference between whole-mesh and one-side outer boundary responses.
+def verify_dtn_difference(bundle: GreenBundle, sb: GreenBundle, side: str) -> Report:
+    """Difference between whole-mesh and one-side outer boundary responses;
+    the check is named after side.
 
     The difference matrix is regular (finite entrywise); the report carries
     its max norm so refinement sweeps can confirm it stays bounded.
@@ -328,6 +305,6 @@ def verify_dtn_difference(bundle: GreenBundle, sb: SideBundle) -> Report:
     diff = whole_block - sb.dtn_outer
     norm = float(np.abs(diff).max()) if diff.size else 0.0
     report = Report("outer-response-difference")
-    report.add(Check(f"finite-difference-{sb.side}", 0.0 if np.isfinite(norm) else np.inf,
+    report.add(Check(f"finite-difference-{side}", 0.0 if np.isfinite(norm) else np.inf,
                      0.0, {"max_entry": norm, "outer_nodes": sb.outer.size}))
     return report

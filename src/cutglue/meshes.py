@@ -37,6 +37,18 @@ class MeshError(ValueError):
     pass
 
 
+def _header_nodes(header: str) -> int:
+    """N of a mesh-file header line `mesh nodes=N key=value ...`."""
+    kind, *tokens = header.split() or [""]
+    pairs = [token.split("=") for token in tokens]
+    if kind != "mesh" or any(len(pair) != 2 for pair in pairs):
+        raise MeshError(f"bad header {header!r}: want 'mesh nodes=N key=value ...'")
+    try:
+        return int(dict(pairs)["nodes"])
+    except (KeyError, ValueError):
+        raise MeshError(f"bad header {header!r}: nodes= must be an integer") from None
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Weighted graph discretizing a manifold with boundary.
@@ -180,12 +192,12 @@ class Mesh:
 
     @staticmethod
     def from_text(text: str) -> "Mesh":
-        """Inverse of `to_text`.  The header's only read key is nodes=N; any
-        other key= is ignored.  Node lines may come in any order, but there
-        must be N of them and their ids must be exactly 0..N-1; each node sits
-        at its id."""
-        header, *rows = [ln for ln in text.splitlines() if ln.strip()]
-        fields = dict(kv.split("=") for kv in header.split()[1:])
+        """Inverse of `to_text`.  The header is `mesh nodes=N key=value ...`;
+        its only read key is nodes=N, and any other key= is ignored.  Node
+        lines may come in any order, but there must be N of them and their
+        ids must be exactly 0..N-1; each node sits at its id."""
+        header, *rows = [ln for ln in text.splitlines() if ln.strip()] or [""]
+        n_nodes = _header_nodes(header)
         nodes = {}  # id -> (is boundary, volume, position)
         edges, weights, lengths = [], [], []
         for ln in rows:
@@ -205,8 +217,8 @@ class Mesh:
                     raise MeshError(f"unrecognized line: {ln!r}")
             except IndexError:
                 raise MeshError(f"truncated line: {ln!r}") from None
-        if int(fields["nodes"]) != len(nodes):
-            raise MeshError(f"header says nodes={fields['nodes']}, "
+        if n_nodes != len(nodes):
+            raise MeshError(f"header says nodes={n_nodes}, "
                             f"file has {len(nodes)} node lines")
         for k in sorted(nodes):
             if not 0 <= k < len(nodes):

@@ -22,6 +22,9 @@ become one matrix product.  A single region is a family of one.
 
 The partition series, its log, and a brute-force matching enumerator are
 kept alongside as independent routes; they must never be merged.
+
+The engine imports only `series`: Gaussian data arrive as a `NodeGaussian`
+of plain arrays, built in `gluing` from Green bundles and kernels.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from .green import GreenBundle, quadratic_form_S0
-from .kernels import KernelMatrix, regularized_green
 from .series import PerturbationSeries
 
 #: hard ceiling on simultaneously contracted field legs
@@ -448,14 +449,3 @@ class NodeGaussian:
         w[0] = 0.0  # log of the constant term 1
         w[0] += self.order0
         return [PerturbationSeries.from_array(c, max_order) for c in w.T]
-
-
-def averaged_gaussian(kernel: KernelMatrix, eta: np.ndarray | None,
-                      bundle: GreenBundle) -> NodeGaussian:
-    """Whole-manifold route: averaged harmonic extension and propagator."""
-    eta = np.zeros(bundle.boundary.size) if eta is None else np.asarray(eta, dtype=float)
-    phi_bg = bundle.extend(eta)
-    return NodeGaussian(quadratic_form_S0(bundle.mesh, bundle.spec, phi_bg),
-                        kernel.matrix @ phi_bg,
-                        regularized_green(kernel, bundle))
-

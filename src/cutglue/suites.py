@@ -23,7 +23,7 @@ from .green import (side_bundle, verify_dtn_difference, verify_green_gluing,
                     verify_quadratic_decomposition)
 from .kernels import (build_mesh_kernel, restrict_kernel_to_submesh,
                       spectral_regularized_green, verify_regularization)
-from .meshes import LEFT, RIGHT
+from .meshes import _DIST_RTOL, LEFT, RIGHT
 from .reports import Check, Report
 
 # The runners of these take one scale's `ScaleData`; the others (cfg, seed).
@@ -41,7 +41,7 @@ def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
                      1e-10))
     report.extend(verify_green_gluing(bundle, ctx.sides, ctx.g_sigma,
                                       ctx.glued).checks)
-    report.extend(verify_dtn_difference(bundle, left).checks)
+    report.extend(verify_dtn_difference(bundle, left, LEFT).checks)
     report.add(Check("green-symmetry",
                      float(np.abs(bundle.green - bundle.green.T).max()), 1e-12))
     if ctx.operator.mass_squared == 0.0:
@@ -97,7 +97,7 @@ def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
         report.add(Check(f"rows-stochastic-lam-{lam}",
                          float(np.abs(kernel.matrix.sum(axis=1) - 1.0).max()),
                          1e-12))
-        off = kernel.matrix * (d > kernel.support_radius * (1 + 1e-9))
+        off = kernel.matrix * (d > kernel.support_radius * (1 + _DIST_RTOL))
         report.add(Check(f"ball-support-lam-{lam}", float(np.abs(off).max()), 0.0))
         restricted = restrict_kernel_to_submesh(kernel, left.nodes)
         report.add(Check(f"restricted-rows-stochastic-lam-{lam}",

@@ -195,6 +195,19 @@ def test_run_fast_suites(tmp_path, capsys):
     ({"interaction": {"3": {"4": 0.1, "04": 0.2}}}, "names '04', not a node id"),
     ({"eta": {"8": -0.5, "08": 1.0}}, "eta names '08', not a boundary node id"),
     ({"lambdas": [1.0, 1.0]}, "lambdas repeat a scale: [1.0, 1.0]"),
+    ({"mesh": mesh_file("")}, "mesh.txt: bad header ''"),
+    ({"mesh": mesh_file(NINE_NODES.replace("mesh dim=1 spacing=1.0 nodes=9",
+                                           "grid nodes=9"))},
+     "mesh.txt: bad header 'grid nodes=9'"),
+    ({"mesh": mesh_file(NINE_NODES.replace("nodes=9", "nodes=9 dim"))},
+     "mesh.txt: bad header 'mesh dim=1 spacing=1.0 nodes=9 dim'"),
+    ({"mesh": mesh_file(NINE_NODES.replace("nodes=9", "nodes=9=9"))},
+     "mesh.txt: bad header 'mesh dim=1 spacing=1.0 nodes=9=9'"),
+    ({"mesh": mesh_file(NINE_NODES.replace(" nodes=9", ""))},
+     "mesh.txt: bad header 'mesh dim=1 spacing=1.0': nodes= must be an integer"),
+    ({"mesh": mesh_file(NINE_NODES.replace("nodes=9", "nodes=9.0"))},
+     "mesh.txt: bad header 'mesh dim=1 spacing=1.0 nodes=9.0': nodes= must be"),
+    ({"suites": []}, "suites must be nonempty"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
@@ -217,7 +230,10 @@ def test_run_fast_suites(tmp_path, capsys):
         "key-unknown-grid-mesh", "key-unknown-file-mesh", "key-unknown-cut",
         "key-unknown-operator", "power-key-not-canonical",
         "coupling-node-key-not-canonical", "eta-node-key-not-canonical",
-        "lambda-repeated"])
+        "lambda-repeated", "mesh-header-empty", "mesh-header-not-mesh",
+        "mesh-header-token-without-value", "mesh-header-token-two-values",
+        "mesh-header-nodes-missing", "mesh-header-nodes-not-integer",
+        "suites-empty"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)

@@ -254,9 +254,8 @@ def test_saturation_oracle_is_independent_of_the_averaging(monkeypatch):
     """At a saturated scale the whole series is compared with the unaveraged
     theory, which no averaged propagator enters: one scaled by 1 + 2^-40
     fails the check."""
-    from cutglue import perturbation
-    averaged = perturbation.regularized_green
-    monkeypatch.setattr(perturbation, "regularized_green",
+    averaged = gluing.regularized_green
+    monkeypatch.setattr(gluing, "regularized_green",
                         lambda kernel, bundle: averaged(kernel, bundle) * (1 + 2.0 ** -40))
     data = path9_scenario({3: 0.3, 4: 0.2}, eta=np.array([1.0, -0.5]), lam=2.5)
     [check] = [c for c in lambda_sweep(data).checks if "saturation-bitwise" in c.name]

@@ -83,6 +83,28 @@ def test_empty_side_interior_degenerates_to_diagonal_share():
     np.testing.assert_allclose(k, [[1.0 / bundle.green[0, 0]]], atol=1e-13)
 
 
+@pytest.mark.parametrize("make, column", [
+    (lambda: build_interval_mesh(7, 1.0), 4.0),
+    (lambda: build_grid_mesh(5, 5, 1.0), 2.0),
+], ids=["path9", "grid5"])
+def test_whole_mesh_is_the_problem_without_interface(make, column):
+    """One Dirichlet type: the whole mesh has an empty interface, and each
+    side's boundary is its outer part followed by the cut interface."""
+    mesh = make()
+    cut = cut_along_interface(mesh, lambda n: abs(mesh.positions[n][0] - column) < 1e-9)
+    whole = green_bundle(mesh, M0)
+    assert whole.sigma.size == 0
+    np.testing.assert_array_equal(whole.boundary, mesh.boundary)
+    np.testing.assert_array_equal(whole.dtn_outer, whole.dtn)
+    assert whole.dtn_sigma.shape == (0, 0)
+    for side in (LEFT, RIGHT):
+        sb = side_bundle(mesh, M0, cut, side)
+        outer = cut.side_outer_boundary(side)
+        np.testing.assert_array_equal(sb.boundary, np.concatenate([outer, cut.interface]))
+        np.testing.assert_array_equal(
+            sb.nodes, np.concatenate([cut.side_interior(side), outer, cut.interface]))
+
+
 def test_quadratic_form_hand_value():
     mesh, _ = path5()
     bundle = green_bundle(mesh, M0)
@@ -236,7 +258,7 @@ def test_dtn_difference_bounded_under_refinement():
         cut = cut_along_interface(
             mesh, lambda n, m=mesh: abs(m.positions[n][0] - mid) < 1e-9)
         rep = verify_dtn_difference(green_bundle(mesh, M0),
-                                    side_bundle(mesh, M0, cut, LEFT))
+                                    side_bundle(mesh, M0, cut, LEFT), LEFT)
         assert rep.passed
         norms.append(float(rep.checks[0].details["max_entry"]))
     assert all(np.isfinite(v) for v in norms)

@@ -8,6 +8,7 @@ from math import comb, factorial, prod
 import numpy as np
 import pytest
 
+from cutglue.gluing import averaged_gaussian
 from cutglue.green import green_bundle
 from cutglue.kernels import build_mesh_kernel, regularized_green
 from cutglue.meshes import Mesh, build_grid_mesh, build_interval_mesh
@@ -15,8 +16,7 @@ from cutglue.operators import OperatorSpec
 from cutglue.perturbation import (BLAS_MIN_NODES, LEG_CAP, InteractionSpec,
                                   NodeGaussian, PerturbationError, VertexType,
                                   _pair_matrices, _pairing_count,
-                                  _vertex_series, averaged_gaussian,
-                                  gaussian_cumulant,
+                                  _vertex_series, gaussian_cumulant,
                                   gaussian_expectation, interaction_z_series,
                                   leg_budget, vertex_terms, wick_pairings)
 from cutglue.series import PerturbationSeries, series_exp, series_log
