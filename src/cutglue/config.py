@@ -7,7 +7,9 @@ nothing reads, and each scale must leave deep nodes to put vertices on.
 The mesh, operator and cut are held by one `gluing.GluingContext`, which
 builds their Green data on first read, so loading a config builds none.
 Per-scale data is a `gluing.ScaleData`, built by `suites.run_suites` one
-scale at a time.
+scale at a time.  A coupling given as {node id: value} becomes the list of
+one value per node, zero at the nodes it does not name, so the interaction
+holds a constant or one value per node and nothing else.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def _build_coupling(mesh: Mesh, power: str, spec):
     """A constant, a list with one value per node, or {node id: value}."""
     what = f"interaction {power} coupling"
     if isinstance(spec, dict):
-        by_node = {}
+        by_node = np.zeros(mesh.n_nodes)
         for node, value in spec.items():
             if not (_canonical(node) and int(node) < mesh.n_nodes):
                 raise ConfigError(f"{what} names {node!r}, not a node id "

@@ -381,6 +381,6 @@ def lambda_sweep(data: ScaleData) -> Report:
         cov[np.ix_(bundle.interior, bundle.interior)] = bundle.green
         bare = NodeGaussian(data.whole.order0, bundle.extend(data.eta), cov)
         w_bare = _series(data, bare, [data.region])[0]
-        exact = 0.0 if np.array_equal(whole.to_array(), w_bare.to_array()) else 1.0
+        exact = 0.0 if np.array_equal(whole.coefficients, w_bare.coefficients) else 1.0
         report.add(Check(f"lam-{lam}-saturation-bitwise", exact, 0.0, details))
     return report

@@ -49,6 +49,27 @@ def _header_nodes(header: str) -> int:
         raise MeshError(f"bad header {header!r}: nodes= must be an integer") from None
 
 
+def _number(kind, token: str, ln: str):
+    """token read as kind (int or float), or a MeshError quoting its line."""
+    try:
+        return kind(token)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise MeshError(f"{token!r} is not {what} in line {ln!r}") from None
+
+
+def _keyed(tokens, keys: tuple, ln: str) -> list[float]:
+    """Values of the key=value tokens, in the order of keys: each key once,
+    and no other token."""
+    pairs = [token.split("=", 1) for token in tokens]
+    names = sorted(pair[0] for pair in pairs)
+    if any(len(pair) != 2 for pair in pairs) or names != sorted(keys):
+        want = " ".join(f"{k}=" for k in keys)
+        raise MeshError(f"want {want} once each and nothing else in line {ln!r}")
+    values = dict(pairs)
+    return [_number(float, values[k], ln) for k in keys]
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Weighted graph discretizing a manifold with boundary.
@@ -195,24 +216,40 @@ class Mesh:
         """Inverse of `to_text`.  The header is `mesh nodes=N key=value ...`;
         its only read key is nodes=N, and any other key= is ignored.  Node
         lines may come in any order, but there must be N of them and their
-        ids must be exactly 0..N-1; each node sits at its id."""
+        ids must be exactly 0..N-1; each node sits at its id.  vol=, w= and
+        len= are read by key, each once and in any order; a node's role is
+        boundary or interior, and every node has as many coordinates."""
         header, *rows = [ln for ln in text.splitlines() if ln.strip()] or [""]
         n_nodes = _header_nodes(header)
         nodes = {}  # id -> (is boundary, volume, position)
+        dim = None  # coordinate count of the first node line
         edges, weights, lengths = [], [], []
         for ln in rows:
             parts = ln.split()
             try:
                 if parts[0] == "node":
-                    k, role, vol = int(parts[1]), parts[2], parts[3]
+                    k, role = _number(int, parts[1], ln), parts[2]
+                    if role not in ("boundary", "interior"):
+                        raise MeshError(f"role {role!r} is not boundary or interior "
+                                        f"in line {ln!r}")
+                    if "pos" not in parts[3:]:
+                        raise MeshError(f"no pos in line {ln!r}")
+                    at = parts.index("pos", 3)
+                    (vol,) = _keyed(parts[3:at], ("vol",), ln)
+                    pos = [_number(float, x, ln) for x in parts[at + 1:]]
+                    dim = len(pos) if dim is None else dim
+                    if len(pos) != dim:
+                        raise MeshError(f"line {ln!r} has {len(pos)} coordinates, "
+                                        f"the first node line has {dim}")
                     if k in nodes:
                         raise MeshError(f"duplicate node id {k}")
-                    nodes[k] = (role == "boundary", float(vol.split("=")[1]),
-                                [float(x) for x in parts[parts.index("pos") + 1:]])
+                    nodes[k] = (role == "boundary", vol, pos)
                 elif parts[0] == "edge":
-                    edges.append([int(parts[1]), int(parts[2])])
-                    weights.append(float(parts[3].split("=")[1]))
-                    lengths.append(float(parts[4].split("=")[1]))
+                    i, j = _number(int, parts[1], ln), _number(int, parts[2], ln)
+                    w, length = _keyed(parts[3:], ("w", "len"), ln)
+                    edges.append([i, j])
+                    weights.append(w)
+                    lengths.append(length)
                 else:
                     raise MeshError(f"unrecognized line: {ln!r}")
             except IndexError:

@@ -24,7 +24,9 @@ The partition series, its log, and a brute-force matching enumerator are
 kept alongside as independent routes; they must never be merged.
 
 The engine imports only `series`: Gaussian data arrive as a `NodeGaussian`
-of plain arrays, built in `gluing` from Green bundles and kernels.
+of plain arrays, built in `gluing` from Green bundles and kernels.  Each
+datum has one form: a coupling is a constant or one value per node, and a
+series leaves the engine as its coefficient array.
 """
 
 from __future__ import annotations
@@ -59,47 +61,41 @@ class PerturbationError(ValueError):
 class InteractionSpec:
     """Polynomial interaction sum_k t_k phi^k (no 1/k! normalization).
 
-    couplings maps the power k to either a constant or a per-node array /
-    mapping.  Powers below 3 may be recorded but must carry zero coupling:
-    they would break the series grading of the expansion.
+    couplings maps the power k to a constant or to one value per node, each
+    held as a float array of zero or one dimension.  Powers below 3 may be
+    recorded but must carry zero coupling: they would break the series
+    grading of the expansion.
     """
 
     couplings: dict
 
     def __post_init__(self):
+        couplings = {}
         for k, t in self.couplings.items():
             if int(k) != k or k < 0:
                 raise PerturbationError(f"bad interaction power {k}")
-            if k < 3 and np.any(np.asarray(self._as_any(t)) != 0.0):
-                raise PerturbationError(
-                    f"power {k} coupling must be zero (breaks the series grading)"
-                )
-
-    @staticmethod
-    def _as_any(t):
-        return list(t.values()) if isinstance(t, dict) else t
+            t = np.asarray(t)
+            if t.dtype.kind not in "iuf" or t.ndim > 1:
+                raise PerturbationError(f"power {k} coupling {t!r}: want a constant "
+                                        "or one number per node")
+            if k < 3 and np.any(t != 0.0):
+                raise PerturbationError(f"power {k} coupling must be zero "
+                                        "(breaks the series grading)")
+            couplings[k] = t.astype(float)
+        object.__setattr__(self, "couplings", couplings)
 
     def coupling_at(self, k: int, nodes: np.ndarray) -> np.ndarray:
         """Per-node coupling values t_k(p) over the given nodes."""
-        t = self.couplings.get(k, 0.0)
-        if isinstance(t, dict):
-            return np.array([float(t.get(int(p), 0.0)) for p in nodes])
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return np.full(nodes.size, float(t))
-        return t[nodes]
+        t = self.couplings.get(k, np.zeros(()))
+        return np.full(nodes.size, float(t)) if t.ndim == 0 else t[nodes]
 
     def powers(self) -> list[int]:
-        return sorted(
-            int(k) for k, t in self.couplings.items()
-            if k >= 3 and np.any(np.asarray(self._as_any(t)) != 0.0)
-        )
+        return sorted(int(k) for k, t in self.couplings.items()
+                      if k >= 3 and np.any(t != 0.0))
 
     def redefined(self, mapping) -> "InteractionSpec":
         """New spec with couplings replaced by mapping(k, t_k)."""
-        return InteractionSpec(
-            couplings={k: mapping(k, t) for k, t in self.couplings.items()}
-        )
+        return InteractionSpec({k: mapping(k, t) for k, t in self.couplings.items()})
 
 
 @dataclass(frozen=True)
@@ -413,7 +409,7 @@ def interaction_z_series(vertices, mean: np.ndarray, cov: np.ndarray,
     """Series of E[exp(-V)] in x = sqrt(hbar), truncated at x^(2 max_order)."""
     coeffs = _vertex_series(vertices, mean, cov, max_order, gaussian_expectation)[:, 0]
     coeffs[0] = 1.0
-    return PerturbationSeries.from_array(coeffs, max_order)
+    return PerturbationSeries(coeffs)
 
 
 @dataclass(frozen=True)
@@ -448,4 +444,4 @@ class NodeGaussian:
                             gaussian_cumulant, len(regions))
         w[0] = 0.0  # log of the constant term 1
         w[0] += self.order0
-        return [PerturbationSeries.from_array(c, max_order) for c in w.T]
+        return [PerturbationSeries(c.copy()) for c in w.T]

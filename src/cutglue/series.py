@@ -1,8 +1,8 @@
 """Truncated formal power series in the square root of the loop parameter.
 
-Orders are half-integers: order o is the coefficient of hbar^o, equivalently
-the coefficient of x^(2o) with x = sqrt(hbar).  Internally everything is an
-array indexed by the integer power of x.
+A series is its coefficient array: index j holds the coefficient of x^j with
+x = sqrt(hbar), that is order j/2, the coefficient of hbar^(j/2).  Every
+order from 0 up to the last is present, and exp and log work on the array.
 """
 
 from __future__ import annotations
@@ -19,60 +19,52 @@ class SeriesError(ValueError):
 
 @dataclass(frozen=True)
 class PerturbationSeries:
-    """Coefficients of a truncated series, keyed by half-integer order."""
+    """Coefficients of a truncated series: a nonempty 1-D float array whose
+    index j is order j/2."""
 
-    coefficients: dict
-    max_order: float
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        for o in self.coefficients:
-            if round(2 * o) != 2 * o:
-                raise SeriesError(f"order {o} is not a half-integer")
-            if o > self.max_order + 1e-12:
-                raise SeriesError(f"order {o} beyond max_order {self.max_order}")
+        c = np.asarray(self.coefficients, dtype=float)
+        if c.ndim != 1 or c.size == 0:
+            raise SeriesError(f"want a nonempty 1-D array, got shape {c.shape}")
+        object.__setattr__(self, "coefficients", c)
+
+    @property
+    def max_order(self) -> float:
+        return (self.coefficients.size - 1) / 2
 
     def coeff(self, order: float) -> float:
-        return float(self.coefficients.get(order, 0.0))
+        if order not in self.orders():
+            raise SeriesError(f"order {order} not in a series through {self.max_order}")
+        return float(self.coefficients[round(2 * order)])
 
     def orders(self) -> list[float]:
-        return [j / 2.0 for j in range(int(round(2 * self.max_order)) + 1)]
-
-    def to_array(self) -> np.ndarray:
-        """Coefficients indexed by the integer power of x = sqrt(hbar)."""
-        out = np.zeros(int(round(2 * self.max_order)) + 1)
-        for o, c in self.coefficients.items():
-            out[int(round(2 * o))] = c
-        return out
-
-    @staticmethod
-    def from_array(arr: np.ndarray, max_order: float) -> "PerturbationSeries":
-        coeffs = {j / 2.0: float(c) for j, c in enumerate(arr)}
-        return PerturbationSeries(coefficients=coeffs, max_order=max_order)
+        return [j / 2.0 for j in range(self.coefficients.size)]
 
     def __neg__(self) -> "PerturbationSeries":
-        return PerturbationSeries(
-            coefficients={o: -c for o, c in self.coefficients.items()},
-            max_order=self.max_order,
-        )
+        return PerturbationSeries(-self.coefficients)
 
     def max_abs_diff(self, other: "PerturbationSeries") -> float:
-        orders = set(self.coefficients) | set(other.coefficients)
-        return max((abs(self.coeff(o) - other.coeff(o)) for o in orders), default=0.0)
+        """Largest coefficient difference; NaN if either side holds a NaN."""
+        if other.coefficients.size != self.coefficients.size:
+            raise SeriesError(f"max orders {self.max_order} and {other.max_order} differ")
+        return float(np.max(np.abs(self.coefficients - other.coefficients)))
 
 
 def series_exp(s: PerturbationSeries) -> PerturbationSeries:
     """exp of a truncated series, coefficient-wise in x = sqrt(hbar)."""
-    a = s.to_array()
+    a = s.coefficients
     b = np.zeros_like(a)
     b[0] = exp(a[0])
     for n in range(1, a.size):
         b[n] = sum(k * a[k] * b[n - k] for k in range(1, n + 1)) / n
-    return PerturbationSeries.from_array(b, s.max_order)
+    return PerturbationSeries(b)
 
 
 def series_log(s: PerturbationSeries) -> PerturbationSeries:
     """log of a truncated series with nonzero constant term."""
-    b = s.to_array()
+    b = s.coefficients
     if b[0] == 0.0:
         raise SeriesError("log of a series with zero constant term")
     a = np.zeros_like(b)
@@ -80,4 +72,4 @@ def series_log(s: PerturbationSeries) -> PerturbationSeries:
     for n in range(1, b.size):
         conv = sum(k * a[k] * b[n - k] for k in range(1, n))
         a[n] = (b[n] - conv / n) / b[0]
-    return PerturbationSeries.from_array(a, s.max_order)
+    return PerturbationSeries(a)

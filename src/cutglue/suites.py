@@ -132,15 +132,10 @@ def suite_gluing_theorem(data: ScaleData) -> Report:
 
 
 def suite_renormalization(data: ScaleData) -> Report:
-    lam, n_nodes = data.lam, data.context.mesh.n_nodes
-    # Per node, so that a coupling given by node id shifts like a constant.
-    quartic = data.interaction.coupling_at(4, np.arange(n_nodes))
-    nodes = range(n_nodes)
+    cubic = 0.1 * (np.arange(data.context.mesh.n_nodes) + 1)
     redefinitions = {
-        "quartic-scale-shift":
-            lambda k, t: quartic + 0.5 * lam if k == 4 else t,
-        "cubic-position-dependent":
-            lambda k, t: {p: 0.1 * (p + 1) for p in nodes} if k == 3 else t,
+        "quartic-scale-shift": lambda k, t: t + 0.5 * data.lam if k == 4 else t,
+        "cubic-position-dependent": lambda k, t: cubic if k == 3 else t,
     }
     commutes = renormalization_commutes(data, redefinitions)
     return Report("renormalization", commutes.checks)

@@ -208,6 +208,33 @@ def test_run_fast_suites(tmp_path, capsys):
     ({"mesh": mesh_file(NINE_NODES.replace("nodes=9", "nodes=9.0"))},
      "mesh.txt: bad header 'mesh dim=1 spacing=1.0 nodes=9.0': nodes= must be"),
     ({"suites": []}, "suites must be nonempty"),
+    ({"mesh": mesh_file(NINE_NODES.replace("node 8 boundary", "node 8 boundry"))},
+     "mesh.txt: role 'boundry' is not boundary or interior in line "
+     "'node 8 boundry vol=1.0 pos 8.0'"),
+    ({"mesh": mesh_file(NINE_NODES.replace("node 3 interior vol=1.0",
+                                           "node 3 interior vol=abc"))},
+     "mesh.txt: 'abc' is not a number in line 'node 3 interior vol=abc pos 3.0'"),
+    ({"mesh": mesh_file(NINE_NODES.replace("edge 2 3 w=1.0", "edge 2 3 w=abc"))},
+     "mesh.txt: 'abc' is not a number in line 'edge 2 3 w=abc len=1.0'"),
+    ({"mesh": mesh_file(NINE_NODES.replace("node 3 interior", "node x interior"))},
+     "mesh.txt: 'x' is not an integer in line 'node x interior vol=1.0 pos 3.0'"),
+    ({"mesh": mesh_file(NINE_NODES.replace("pos 3.0", "pos 3.0 0.0"))},
+     "mesh.txt: line 'node 3 interior vol=1.0 pos 3.0 0.0' has 2 coordinates, "
+     "the first node line has 1"),
+    ({"mesh": mesh_file(NINE_NODES.replace("node 3 interior vol=1.0 pos",
+                                           "node 3 interior vol=1.0"))},
+     "mesh.txt: no pos in line 'node 3 interior vol=1.0 3.0'"),
+    ({"mesh": mesh_file(NINE_NODES.replace("edge 2 3 w=1.0 len=1.0", "edge 2 3 w=1.0"))},
+     "mesh.txt: want w= len= once each and nothing else in line 'edge 2 3 w=1.0'"),
+    ({"mesh": mesh_file(NINE_NODES.replace("edge 2 3 w=1.0", "edge 2 3 w=1.0 w=1.0"))},
+     "mesh.txt: want w= len= once each and nothing else in line "
+     "'edge 2 3 w=1.0 w=1.0 len=1.0'"),
+    ({"mesh": mesh_file(NINE_NODES.replace("node 3 interior vol=1.0",
+                                           "node 3 interior vol=1.0 mass=2.0"))},
+     "mesh.txt: want vol= once each and nothing else in line "
+     "'node 3 interior vol=1.0 mass=2.0 pos 3.0'"),
+    ({"mesh": mesh_file(NINE_NODES.replace("node 3 interior vol=1.0", "node 3 interior"))},
+     "mesh.txt: want vol= once each and nothing else in line 'node 3 interior pos 3.0'"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
@@ -233,7 +260,11 @@ def test_run_fast_suites(tmp_path, capsys):
         "lambda-repeated", "mesh-header-empty", "mesh-header-not-mesh",
         "mesh-header-token-without-value", "mesh-header-token-two-values",
         "mesh-header-nodes-missing", "mesh-header-nodes-not-integer",
-        "suites-empty"])
+        "suites-empty", "mesh-role-misspelt", "mesh-volume-not-a-number",
+        "mesh-weight-not-a-number", "mesh-node-id-not-an-integer",
+        "mesh-coordinate-counts-mixed", "mesh-node-pos-missing",
+        "mesh-edge-key-missing", "mesh-edge-key-repeated", "mesh-node-key-unknown",
+        "mesh-node-key-missing"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
@@ -271,6 +302,20 @@ def test_coupling_by_node_reaches_the_vertices(tmp_path, capsys):
     code = cli.main(["run", path, "--out-dir", str(tmp_path / "r"),
                      "--suite", "renormalization"])
     assert code == 0
+
+
+def test_coupling_list_and_node_map_write_the_same_reports(tmp_path, capsys):
+    """{node id: value} is the per-node list with zeros elsewhere: every report,
+    renormalization included, is byte-identical."""
+    written = []
+    for k, cubic in enumerate(([0.0, 0.0, 0.3, 0.0, 0.5, 0.0, 0.0, -0.2, 0.0],
+                               {"2": 0.3, "4": 0.5, "7": -0.2})):
+        out = tmp_path / f"r{k}"
+        path = path9_with(tmp_path, interaction={"3": cubic, "4": 0.2})
+        assert cli.main(["run", path, "--out-dir", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert any(name.endswith("-renormalization.csv") for name in written[0])
+    assert written[0] == written[1]
 
 
 def test_unknown_suite_exits_two(tmp_path, capsys):

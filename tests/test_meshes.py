@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,16 @@ def test_header_reads_only_the_node_count():
     assert header == "mesh nodes=9"
     for old in ("mesh dim=1 spacing=1.0 nodes=9", "mesh dim=3 spacing=nan nodes=9"):
         assert Mesh.from_text(f"{old}\n{body}").to_text() == mesh.to_text()
+
+
+def test_keys_read_by_name_not_position():
+    """w= and len= may come in either order and still land in their own
+    fields: a swap must not read the length as the weight."""
+    mesh = build_grid_mesh(4, 3, 0.5, metric_profile=lambda x: 1.0 + 0.1 * x[0])
+    text = mesh.to_text()
+    swapped = re.sub(r"w=(\S+) len=(\S+)", r"len=\2 w=\1", text)
+    assert swapped != text
+    assert Mesh.from_text(swapped).to_text() == text
 
 
 def test_node_lines_in_any_order_read_back_equal():

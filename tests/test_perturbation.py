@@ -31,7 +31,7 @@ def interaction_w_series(vertices, mean, cov, max_order):
     `NodeGaussian.series`, taking vertices instead of an interaction."""
     coeffs = -_vertex_series(vertices, mean, cov, max_order, gaussian_cumulant)[:, 0]
     coeffs[0] = 0.0  # log of the constant term 1
-    return PerturbationSeries.from_array(coeffs, max_order)
+    return PerturbationSeries(coeffs)
 
 
 def effective_action_series(bundle, kernel, interaction, eta, max_order,
@@ -63,8 +63,16 @@ def test_interaction_spec_validation():
     InteractionSpec({2: 0.0, 3: 1.0})  # zero low-power couplings are fine
 
 
+@pytest.mark.parametrize("coupling", [{1: 0.5}, [[0.1, 0.2]], "0.3"],
+                         ids=["mapping", "two-dimensional", "string"])
+def test_interaction_spec_refuses_other_coupling_forms(coupling):
+    """A coupling is a constant or one number per node, nothing else."""
+    with pytest.raises(PerturbationError):
+        InteractionSpec({3: coupling})
+
+
 def test_position_dependent_coupling():
-    spec = InteractionSpec({3: {1: 0.5, 2: 1.5}})
+    spec = InteractionSpec({3: [0.0, 0.5, 1.5, 0.0]})
     np.testing.assert_array_equal(spec.coupling_at(3, np.array([1, 2, 3])),
                                   [0.5, 1.5, 0.0])
 
@@ -392,7 +400,7 @@ FAMILIES = {
     "interval401-nested-order-1": lambda: (
         _interval401(), _widening(np.arange(30, 370), [29, 370, 28, 371, 27, 372])),
     "path9-non-nested-node-couplings": lambda: (
-        _path9({3: {1: 0.1, 2: -0.3, 4: 0.5, 6: 0.2, 7: 0.05}, 4: 0.2}),
+        _path9({3: [0.0, 0.1, -0.3, 0.0, 0.5, 0.0, 0.2, 0.05, 0.0], 4: 0.2}),
         [np.array(r) for r in ([1, 2, 3], [3, 4, 5, 6], [2, 7], [6], [1, 7])]),
     # four cubic vertices reach the K4 topology
     "path9-order-2": lambda: (
@@ -412,18 +420,18 @@ def test_family_columns_match_single_regions(name):
         assert min(r.size for r in regions) >= BLAS_MIN_NODES
     for r, got in zip(regions, family):
         single = gaussian.series(inter, [r], vols, max_order)[0]
-        np.testing.assert_allclose(got.to_array(), single.to_array(), rtol=1e-12,
+        np.testing.assert_allclose(got.coefficients, single.coefficients, rtol=1e-12,
                                    atol=0.0, err_msg=f"region {r.tolist()}")
         if r.size <= 6:
             z = interaction_z_series(vertex_terms(inter, r, vols), gaussian.mean[r],
                                      gaussian.cov[np.ix_(r, r)], max_order)
-            oracle = -series_log(z).to_array()
+            oracle = -series_log(z).coefficients
             oracle[0] += gaussian.order0
-            np.testing.assert_allclose(got.to_array(), oracle, rtol=1e-12, atol=0.0,
+            np.testing.assert_allclose(got.coefficients, oracle, rtol=1e-12, atol=0.0,
                                        err_msg=f"region {r.tolist()}")
 
 
-_NODE_COUPLINGS = {3: {1: 0.1, 2: -0.3, 4: 0.5, 6: 0.2, 7: 0.05}, 4: 0.2}
+_NODE_COUPLINGS = {3: [0.0, 0.1, -0.3, 0.0, 0.5, 0.0, 0.2, 0.05, 0.0], 4: 0.2}
 #: regions as callers may give them: the engine must read each as a node set
 ID_LIST_FAMILIES = {
     "path9-overlapping": lambda: (
@@ -453,12 +461,12 @@ def test_family_regions_are_node_sets(name):
     sets = [np.unique(r) for r in regions]
     oracle = gaussian.series(inter, sets, vols, max_order)
     for r, g, o in zip(sets, got, oracle):
-        np.testing.assert_array_equal(g.to_array(), o.to_array())
+        np.testing.assert_array_equal(g.coefficients, o.coefficients)
         single = gaussian.series(inter, [r], vols, max_order)[0]
         if len(regions) == 1:
-            np.testing.assert_array_equal(g.to_array(), single.to_array())
+            np.testing.assert_array_equal(g.coefficients, single.coefficients)
         else:
-            np.testing.assert_allclose(g.to_array(), single.to_array(), rtol=1e-12,
+            np.testing.assert_allclose(g.coefficients, single.coefficients, rtol=1e-12,
                                        atol=0.0, err_msg=f"region {r.tolist()}")
 
 
@@ -521,7 +529,7 @@ def test_zero_couplings_partition_is_one():
     kernel = build_mesh_kernel(mesh, 1.0)
     z = partition_series(mesh, M0, kernel, InteractionSpec({}),
                          np.zeros(2), 1.5)
-    np.testing.assert_allclose(z.to_array(), [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+    np.testing.assert_allclose(z.coefficients, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_identity_kernel_full_region_reduces_to_unregularized():

@@ -1,44 +1,66 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutglue.reports import Check
 from cutglue.series import (PerturbationSeries, SeriesError, series_exp,
                             series_log)
 
 
 def test_order_grading():
-    s = PerturbationSeries({0.0: 1.0, 0.5: 2.0, 1.5: -1.0}, max_order=1.5)
+    s = PerturbationSeries(np.array([1.0, 2.0, 0.0, -1.0]))
+    assert s.max_order == 1.5
     assert s.coeff(0.5) == 2.0
     assert s.coeff(1.0) == 0.0
+    assert type(s.coeff(1.5)) is float
     assert s.orders() == [0.0, 0.5, 1.0, 1.5]
-    np.testing.assert_array_equal(s.to_array(), [1.0, 2.0, 0.0, -1.0])
 
 
-def test_invalid_orders_rejected():
+def test_series_guards():
+    """A series is a nonempty 1-D array; coeff reads only its own orders, and
+    series through different orders do not compare."""
+    for bad in (np.zeros((2, 2)), np.zeros(0), 1.0):
+        with pytest.raises(SeriesError):
+            PerturbationSeries(bad)
+    s = PerturbationSeries(np.array([1.0, 2.0, 3.0, 4.0]))
+    for order in (0.3, s.max_order + 0.5, 5.0, -0.5):
+        with pytest.raises(SeriesError):
+            s.coeff(order)
     with pytest.raises(SeriesError):
-        PerturbationSeries({0.3: 1.0}, max_order=1.0)
-    with pytest.raises(SeriesError):
-        PerturbationSeries({2.0: 1.0}, max_order=1.0)
+        s.max_abs_diff(PerturbationSeries(np.array([1.0, 2.0, 3.0])))
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_nan_coefficient_fails_the_comparison(position):
+    """A NaN at any order makes the difference NaN, so no check built from it
+    passes."""
+    coeffs = np.array([1.0, 2.0, 3.0, 4.0])
+    coeffs[position] = np.nan
+    diff = PerturbationSeries(coeffs).max_abs_diff(
+        PerturbationSeries(np.array([1.0, 2.5, 3.0, 4.0])))
+    assert math.isnan(diff)
+    assert not Check("series-match", diff, 1e-10).passed
 
 
 def test_exp_of_linear_term():
     # exp(c x) = sum c^n / n! x^n
     c = 0.7
-    s = PerturbationSeries({0.5: c}, max_order=2.0)
+    s = PerturbationSeries(np.array([0.0, c, 0.0, 0.0, 0.0]))
     e = series_exp(s)
     expected = [1.0, c, c**2 / 2, c**3 / 6, c**4 / 24]
-    np.testing.assert_allclose(e.to_array(), expected, atol=1e-14)
+    np.testing.assert_allclose(e.coefficients, expected, atol=1e-14)
 
 
 def test_log_needs_constant_term():
     with pytest.raises(SeriesError):
-        series_log(PerturbationSeries({0.5: 1.0}, max_order=1.0))
+        series_log(PerturbationSeries(np.array([0.0, 1.0, 0.0])))
 
 
 def test_exp_log_round_trip_fixed():
-    s = PerturbationSeries({0.0: 0.3, 0.5: -1.2, 1.0: 0.8, 1.5: 2.0},
-                           max_order=1.5)
+    s = PerturbationSeries(np.array([0.3, -1.2, 0.8, 2.0]))
     back = series_log(series_exp(s))
     assert s.max_abs_diff(back) <= 1e-12
 
@@ -47,13 +69,13 @@ def test_exp_log_round_trip_fixed():
 @given(coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6))
 def test_exp_log_round_trip_property(coeffs):
     arr = np.asarray(coeffs)
-    s = PerturbationSeries.from_array(arr, max_order=(arr.size - 1) / 2)
+    s = PerturbationSeries(arr)
     back = series_log(series_exp(s))
     assert s.max_abs_diff(back) <= 1e-10 * max(1.0, np.abs(arr).max() ** arr.size)
 
 
 def test_negation_and_diff():
-    s = PerturbationSeries({0.0: 1.0, 1.0: -2.0}, max_order=1.0)
+    s = PerturbationSeries(np.array([1.0, 0.0, -2.0]))
     n = -s
     assert n.coeff(1.0) == 2.0
     assert s.max_abs_diff(n) == pytest.approx(4.0)
