@@ -37,7 +37,7 @@ from .kernels import (KernelMatrix, build_mesh_kernel, deformed_side_nodes,
 from .meshes import LEFT, RIGHT, Cut, Mesh, lambda_one
 from .operators import OperatorSpec, assemble
 from .perturbation import InteractionSpec, NodeGaussian
-from .reports import Check, Report
+from .reports import Report
 from .series import PerturbationSeries
 
 
@@ -262,19 +262,16 @@ def verify_deformed_gluing(data: ScaleData) -> Report:
     g_reg, glued = data.whole.cov, data.context.glued
 
     report = Report("deformed-gluing")
-    for side in deep:
-        nodes = deep[side]
-        diff = np.abs(kernel.matrix[nodes] - rows[side]).max() if nodes.size else 0.0
-        report.add(Check(f"restricted-rows-match-{side}", float(diff), 1e-10,
-                         {"deep_nodes": nodes.size}))
+    for side, nodes in deep.items():
+        report.compare(f"restricted-rows-match-{side}", kernel.matrix[nodes], rows[side],
+                       1e-10, {"deep_nodes": nodes.size})
     for a, b, name in ((LEFT, LEFT, f"same-side-{LEFT}"),
                        (RIGHT, RIGHT, f"same-side-{RIGHT}"),
                        (LEFT, RIGHT, "cross-side")):
         if deep[a].size == 0 or deep[b].size == 0:
             continue
-        whole = g_reg[np.ix_(deep[a], deep[b])]
-        averaged = rows[a] @ glued @ rows[b].T
-        report.add(Check(name, float(np.abs(whole - averaged).max()), 1e-10))
+        report.compare(name, g_reg[np.ix_(deep[a], deep[b])],
+                       rows[a] @ glued @ rows[b].T, 1e-10)
     return report
 
 
@@ -294,20 +291,19 @@ def verify_gluing_theorem(data: ScaleData, widen: bool = False) -> Report:
     block = ctx.bundle.green_block(ctx.cut.interface, ctx.cut.interface)
 
     report = Report("gluing-theorem")
-    report.add(Check("interface-covariance-two-paths",
-                     float(np.abs(block - ctx.g_sigma).max()), 1e-10))
+    report.compare("interface-covariance-two-paths", block, ctx.g_sigma, 1e-10)
 
     glued = glued_series(data)
     whole = whole_series(data)
     for o in glued.orders():
-        report.add(Check(f"glued-vs-whole-order-{o}",
-                         abs(glued.coeff(o) - whole.coeff(o)), 1e-10,
-                         {"region_size": data.region.size, "order": o}))
+        report.compare(f"glued-vs-whole-order-{o}", glued.coeff(o), whole.coeff(o),
+                       1e-10, {"region_size": data.region.size, "order": o})
 
     carried = glued_series(data, assembly="carry")
-    report.add(Check("interface-mean-assembly", glued.max_abs_diff(carried), 1e-12))
+    report.compare("interface-mean-assembly", glued.coefficients, carried.coefficients,
+                   1e-12)
     swapped = glued_series(data, side_order=(RIGHT, LEFT))
-    report.add(Check("side-swap", glued.max_abs_diff(swapped), 1e-12))
+    report.compare("side-swap", glued.coefficients, swapped.coefficients, 1e-12)
 
     if widen:
         n = ctx.mesh.n_nodes
@@ -321,11 +317,11 @@ def verify_gluing_theorem(data: ScaleData, widen: bool = False) -> Report:
             steps = zip(added.tolist(), regions, _series(data, data.glued, regions),
                         _series(data, data.whole, regions))
             for step, (p, r, g, w) in enumerate(steps, 1):
-                report.add(Check(f"widened-step-{step}", g.max_abs_diff(w),
-                                 1e-10, {"region_size": r.size, "added_node": p}))
+                report.compare(f"widened-step-{step}", g.coefficients, w.coefficients,
+                               1e-10, {"region_size": r.size, "added_node": p})
         final = np.flatnonzero(_node_mask(n, data.region, added))
-        report.add(Check("widened-final-region-is-trimmed-set",
-                         0.0 if np.array_equal(final, data.trimmed) else 1.0, 0.0))
+        report.require("widened-final-region-is-trimmed-set",
+                       np.array_equal(final, data.trimmed))
     return report
 
 
@@ -343,8 +339,7 @@ def renormalization_commutes(data: ScaleData, mappings: dict) -> Report:
     report = Report("renormalization-commutes")
     for name, mapping in mappings.items():
         after = verify_gluing_theorem(data.redefined(mapping))
-        after.add(Check("residual-magnitude-stable",
-                        abs(after.max_residual - base), 1e-10))
+        after.compare("residual-magnitude-stable", after.max_residual, base, 1e-10)
         for c in after.checks:
             c.details["redefinition"] = name
         report.extend(after.checks)
@@ -373,14 +368,13 @@ def lambda_sweep(data: ScaleData) -> Report:
         d = dict(details)
         d["order"] = o
         d["glued"] = glued.coeff(o)
-        report.add(Check(f"lam-{lam}-order-{o}",
-                         abs(glued.coeff(o) - whole.coeff(o)), 1e-10, d))
+        report.compare(f"lam-{lam}-order-{o}", glued.coeff(o), whole.coeff(o), 1e-10, d)
     if details["saturated"]:
         bundle, n = ctx.bundle, ctx.mesh.n_nodes
         cov = np.zeros((n, n))
         cov[np.ix_(bundle.interior, bundle.interior)] = bundle.green
         bare = NodeGaussian(data.whole.order0, bundle.extend(data.eta), cov)
         w_bare = _series(data, bare, [data.region])[0]
-        exact = 0.0 if np.array_equal(whole.coefficients, w_bare.coefficients) else 1.0
-        report.add(Check(f"lam-{lam}-saturation-bitwise", exact, 0.0, details))
+        report.require(f"lam-{lam}-saturation-bitwise",
+                       np.array_equal(whole.coefficients, w_bare.coefficients), details)
     return report

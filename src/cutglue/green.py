@@ -23,7 +23,7 @@ import numpy as np
 
 from .meshes import RIGHT, Cut, Mesh
 from .operators import OperatorSpec, assemble, operator_matrix
-from .reports import Check, Report
+from .reports import Report, gap
 
 
 class GreenError(ValueError):
@@ -245,10 +245,9 @@ def verify_quadratic_decomposition(bundle: GreenBundle, cut: Cut,
             + quadratic_form_S0(mesh, spec, bundle.extend(eta_r))
             - cross_form(bundle, ids_l, eta_l[loc_l], ids_r, eta_r[loc_r])
         )
-        errors.append(abs(total - parts) / scale)
-    # np.max, unlike max, keeps a NaN trial: it must fail, not vanish
-    report.add(Check("free-action-split", float(np.max(errors, initial=0.0)), 1e-12,
-                     {"trials": trials, "mesh_nodes": mesh.n_nodes}))
+        errors.append((total - parts) / scale)
+    report.compare("free-action-split", errors, 0.0, 1e-12,
+                   {"trials": trials, "mesh_nodes": mesh.n_nodes})
     return report
 
 
@@ -268,29 +267,22 @@ def verify_green_gluing(bundle: GreenBundle, sides: dict, g_sigma: np.ndarray,
     left, right = sides.values()
     interface = left.sigma  # the cut interface, shared by both sides
     report = Report("green-gluing")
-
-    def residual(ids_a, ids_b) -> float:
-        whole = bundle.green_block(ids_a, ids_b)
-        return float(np.abs(whole - glued[np.ix_(ids_a, ids_b)]).max())
-
     block = bundle.green_block(interface, interface)
-    report.add(Check("interface-green-two-paths",
-                     float(np.abs(block - g_sigma).max()), 1e-10))
-    report.add(Check("interface-response-inverse",
-                     float(np.abs((left.dtn_sigma + right.dtn_sigma) @ block
-                                  - np.eye(block.shape[0])).max()),
-                     1e-10))
+    report.compare("interface-green-two-paths", block, g_sigma, 1e-10)
+    report.compare("interface-response-inverse",
+                   (left.dtn_sigma + right.dtn_sigma) @ block,
+                   np.eye(block.shape[0]), 1e-10)
 
+    blocks = []
     for side, sb in sides.items():
-        if sb.interior.size == 0:
-            continue
-        report.add(Check(f"same-side-{side}",
-                         residual(sb.interior, sb.interior), 1e-10))
-        report.add(Check(f"side-to-interface-{side}",
-                         residual(sb.interior, interface), 1e-10))
+        if sb.interior.size:
+            blocks += [(f"same-side-{side}", sb.interior, sb.interior),
+                       (f"side-to-interface-{side}", sb.interior, interface)]
     if left.interior.size and right.interior.size:
-        report.add(Check("cross-side", residual(left.interior, right.interior),
-                         1e-10))
+        blocks.append(("cross-side", left.interior, right.interior))
+    for name, ids_a, ids_b in blocks:
+        report.compare(name, bundle.green_block(ids_a, ids_b),
+                       glued[np.ix_(ids_a, ids_b)], 1e-10)
     return report
 
 
@@ -301,10 +293,8 @@ def verify_dtn_difference(bundle: GreenBundle, sb: GreenBundle, side: str) -> Re
     The difference matrix is regular (finite entrywise); the report carries
     its max norm so refinement sweeps can confirm it stays bounded.
     """
-    whole_block = bundle.dtn_block(sb.outer, sb.outer)
-    diff = whole_block - sb.dtn_outer
-    norm = float(np.abs(diff).max()) if diff.size else 0.0
+    norm = gap(bundle.dtn_block(sb.outer, sb.outer), sb.dtn_outer)
     report = Report("outer-response-difference")
-    report.add(Check(f"finite-difference-{side}", 0.0 if np.isfinite(norm) else np.inf,
-                     0.0, {"max_entry": norm, "outer_nodes": sb.outer.size}))
+    report.require(f"finite-difference-{side}", np.isfinite(norm),
+                   {"max_entry": norm, "outer_nodes": sb.outer.size})
     return report

@@ -21,7 +21,7 @@ import numpy as np
 from .euclidean import RadialProfile
 from .green import GreenBundle
 from .meshes import _DIST_RTOL, CUT, Cut, Mesh
-from .reports import Check, Report
+from .reports import Report, gap
 
 
 class KernelError(ValueError):
@@ -83,9 +83,9 @@ class KernelMatrix:
 
     def __post_init__(self):
         m = self.matrix
-        if np.any(m < 0):
-            raise KernelError("negative kernel entries")
-        if np.abs(m.sum(axis=1) - 1.0).max() > 1e-12:
+        if not np.all(m >= 0):
+            raise KernelError("negative or NaN kernel entries")
+        if not gap(m.sum(axis=1), 1.0) <= 1e-12:
             raise KernelError("kernel rows must sum to 1")
 
     @property
@@ -196,10 +196,8 @@ def verify_regularization(g_reg: np.ndarray, spectral: np.ndarray) -> Report:
     `spectral_regularized_green`, of the same kernel."""
     report = Report("regularization")
     diag = np.diag(g_reg)
-    report.add(Check("finite-diagonal",
-                     0.0 if np.all(np.isfinite(diag)) else np.inf, 0.0,
-                     {"max_diag": float(diag.max())}))
-    report.add(Check("matrix-vs-spectral",
-                     float(np.abs(g_reg - spectral).max()), 1e-12))
-    report.add(Check("symmetry", float(np.abs(g_reg - g_reg.T).max()), 1e-12))
+    report.require("finite-diagonal", np.all(np.isfinite(diag)),
+                   {"max_diag": float(diag.max())})
+    report.compare("matrix-vs-spectral", g_reg, spectral, 1e-12)
+    report.compare("symmetry", g_reg, g_reg.T, 1e-12)
     return report

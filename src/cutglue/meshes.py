@@ -218,7 +218,8 @@ class Mesh:
         lines may come in any order, but there must be N of them and their
         ids must be exactly 0..N-1; each node sits at its id.  vol=, w= and
         len= are read by key, each once and in any order; a node's role is
-        boundary or interior, and every node has as many coordinates."""
+        boundary or interior, and every node has as many coordinates, at least
+        one."""
         header, *rows = [ln for ln in text.splitlines() if ln.strip()] or [""]
         n_nodes = _header_nodes(header)
         nodes = {}  # id -> (is boundary, volume, position)
@@ -237,6 +238,8 @@ class Mesh:
                     at = parts.index("pos", 3)
                     (vol,) = _keyed(parts[3:at], ("vol",), ln)
                     pos = [_number(float, x, ln) for x in parts[at + 1:]]
+                    if not pos:
+                        raise MeshError(f"no coordinates after pos in line {ln!r}")
                     dim = len(pos) if dim is None else dim
                     if len(pos) != dim:
                         raise MeshError(f"line {ln!r} has {len(pos)} coordinates, "

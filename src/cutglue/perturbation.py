@@ -61,10 +61,10 @@ class PerturbationError(ValueError):
 class InteractionSpec:
     """Polynomial interaction sum_k t_k phi^k (no 1/k! normalization).
 
-    couplings maps the power k to a constant or to one value per node, each
-    held as a float array of zero or one dimension.  Powers below 3 may be
-    recorded but must carry zero coupling: they would break the series
-    grading of the expansion.
+    couplings maps the power k to a finite constant or to one finite value
+    per node, each held as a float array of zero or one dimension.  Powers
+    below 3 may be recorded but must carry zero coupling: they would break
+    the series grading of the expansion.
     """
 
     couplings: dict
@@ -78,6 +78,8 @@ class InteractionSpec:
             if t.dtype.kind not in "iuf" or t.ndim > 1:
                 raise PerturbationError(f"power {k} coupling {t!r}: want a constant "
                                         "or one number per node")
+            if not np.all(np.isfinite(t)):
+                raise PerturbationError(f"power {k} coupling {t!r} is not finite")
             if k < 3 and np.any(t != 0.0):
                 raise PerturbationError(f"power {k} coupling must be zero "
                                         "(breaks the series grading)")

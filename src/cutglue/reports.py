@@ -1,4 +1,13 @@
-"""Structured verification records shared by all check routines."""
+"""Verification records, and the one rule every residual is computed by.
+
+A check's residual is `gap(got, want)`, the largest entrywise |got - want|:
+0.0 over no entries, NaN when any entry is NaN, so a NaN always fails its
+check.  `want` is a scalar or has the shape of `got`; no other pair is
+compared, so a difference is never broadcast.  A `Report` gains its checks
+through `Report.compare`, which takes that residual, or `Report.require`,
+an exact check whose residual is 0.0 when a condition holds and 1.0 when it
+does not.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +15,20 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def fmt(x: float) -> str:
     """Shortest round-tripping decimal form, for byte-stable report files."""
     return repr(float(x))
+
+
+def gap(got, want=0.0) -> float:
+    """Largest entrywise |got - want|; 0.0 over no entries, NaN if any is NaN.
+    want is a scalar or has the shape of got, and any other pair raises."""
+    if np.ndim(want) and np.shape(want) != np.shape(got):
+        raise ValueError(f"cannot compare shapes {np.shape(got)} and {np.shape(want)}")
+    return float(np.max(np.abs(np.subtract(got, want)), initial=0.0))
 
 
 @dataclass
@@ -45,6 +64,15 @@ class Report:
 
     def add(self, check: Check) -> None:
         self.checks.append(check)
+
+    def compare(self, name: str, got, want, tolerance: float,
+                details: dict | None = None) -> None:
+        """A check that got matches want to tolerance, by `gap`."""
+        self.add(Check(name, gap(got, want), tolerance, details or {}))
+
+    def require(self, name: str, holds, details: dict | None = None) -> None:
+        """An exact check: residual 0.0 when holds is true, 1.0 when not."""
+        self.add(Check(name, 0.0 if holds else 1.0, 0.0, details or {}))
 
     def extend(self, checks) -> None:
         self.checks.extend(checks)

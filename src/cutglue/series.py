@@ -45,12 +45,6 @@ class PerturbationSeries:
     def __neg__(self) -> "PerturbationSeries":
         return PerturbationSeries(-self.coefficients)
 
-    def max_abs_diff(self, other: "PerturbationSeries") -> float:
-        """Largest coefficient difference; NaN if either side holds a NaN."""
-        if other.coefficients.size != self.coefficients.size:
-            raise SeriesError(f"max orders {self.max_order} and {other.max_order} differ")
-        return float(np.max(np.abs(self.coefficients - other.coefficients)))
-
 
 def series_exp(s: PerturbationSeries) -> PerturbationSeries:
     """exp of a truncated series, coefficient-wise in x = sqrt(hbar)."""

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -11,7 +12,7 @@ import pytest
 
 import cutglue
 from cutglue import cli, suites
-from cutglue.reports import Check, Report
+from cutglue.reports import Check, Report, gap
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                       "path9_cubic.json")
@@ -224,6 +225,8 @@ def test_run_fast_suites(tmp_path, capsys):
     ({"mesh": mesh_file(NINE_NODES.replace("node 3 interior vol=1.0 pos",
                                            "node 3 interior vol=1.0"))},
      "mesh.txt: no pos in line 'node 3 interior vol=1.0 3.0'"),
+    ({"mesh": mesh_file(re.sub(r"pos \S+", "pos", NINE_NODES))},
+     "mesh.txt: no coordinates after pos in line 'node 0 boundary vol=1.0 pos'"),
     ({"mesh": mesh_file(NINE_NODES.replace("edge 2 3 w=1.0 len=1.0", "edge 2 3 w=1.0"))},
      "mesh.txt: want w= len= once each and nothing else in line 'edge 2 3 w=1.0'"),
     ({"mesh": mesh_file(NINE_NODES.replace("edge 2 3 w=1.0", "edge 2 3 w=1.0 w=1.0"))},
@@ -263,6 +266,7 @@ def test_run_fast_suites(tmp_path, capsys):
         "suites-empty", "mesh-role-misspelt", "mesh-volume-not-a-number",
         "mesh-weight-not-a-number", "mesh-node-id-not-an-integer",
         "mesh-coordinate-counts-mixed", "mesh-node-pos-missing",
+        "mesh-node-pos-empty",
         "mesh-edge-key-missing", "mesh-edge-key-repeated", "mesh-node-key-unknown",
         "mesh-node-key-missing"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
@@ -657,6 +661,18 @@ def test_nan_residual_is_the_worst_check(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path), "--suite", "nan"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == ["nan: FAIL (max residual nan at nan-one, 3 checks)"]
+
+
+def test_gap_reads_every_entry_and_never_broadcasts():
+    """gap is 0.0 over no entries, compares a scalar with every entry, and
+    refuses two shapes instead of broadcasting one against the other."""
+    assert gap(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
+    assert gap(np.zeros(0), 1.0) == 0.0
+    assert gap(np.array([1.0, -2.0]), 1.0) == 3.0
+    for got, want in ((np.zeros(3), np.zeros((3, 1))), (np.zeros(3), np.zeros(2)),
+                      (0.0, np.zeros(1))):
+        with pytest.raises(ValueError, match="cannot compare shapes"):
+            gap(got, want)
 
 
 @pytest.mark.parametrize("where", ["argument", "config"])

@@ -182,6 +182,20 @@ def test_quadratic_decomposition_keeps_a_nan_trial():
     assert np.isnan(check.residual) and not check.passed
 
 
+def test_poisson_nonnegative_fails_on_a_nan():
+    """One NaN in the Poisson map of massless path9 fails the sign check
+    too, not only the row sums."""
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                   "path9_cubic.json"), SUITES)
+    ctx = cfg.context
+    poisson = np.array(ctx.bundle.poisson)
+    poisson[2, 0] = np.nan
+    vars(ctx)["bundle"] = replace(ctx.bundle, poisson=poisson)
+    checks = {c.name: c for c in SUITES["green-identities"][1](cfg, 0).checks}
+    assert np.isnan(checks["poisson-nonnegative"].residual)
+    assert not checks["poisson-nonnegative"].passed
+
+
 def test_green_gluing_hand_values():
     mesh, cut = path5()
     bundle = green_bundle(mesh, M0)

@@ -84,6 +84,17 @@ def test_restriction_full_set_is_identity_transform():
     np.testing.assert_array_equal(same.matrix, kernel.matrix)
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ([[1.5, -0.5], [0.0, 1.0]], "negative or NaN kernel entries"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "negative or NaN kernel entries"),
+    ([[0.5, 0.4], [0.0, 1.0]], "rows must sum to 1"),
+], ids=["negative", "nan", "row-sum"])
+def test_kernel_matrix_refuses(matrix, message):
+    """A NaN entry is refused like a negative one, not let through."""
+    with pytest.raises(kn.KernelError, match=message):
+        kn.KernelMatrix(np.array(matrix), 1.0)
+
+
 def test_restriction_zero_mass_raises():
     # a row with all its mass outside the surviving columns must refuse
     m = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
