@@ -12,11 +12,16 @@ of an operator from the one assembly, `operators.operator_matrix`, whose
 boundary is its outer part followed by the cut interface.  The whole mesh is
 the problem with an empty interface.  `glued_green` rebuilds the whole
 Green's matrix from side data alone.  Every matrix made here is read-only,
-since a run shares each one among its checks.
+since a run shares each one among its checks.  The free action, the cross
+form and the harmonic extension take a leading batch axis, one row per
+trial, so the seeded trials of `verify_quadratic_decomposition` are one
+array program; their draws come from the standard library's `random`.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +90,12 @@ class GreenBundle:
         return np.concatenate([self.interior, self.outer, self.sigma])
 
     def extend(self, eta: np.ndarray) -> np.ndarray:
-        """Full-node harmonic extension field of boundary data eta."""
-        field = np.zeros(self.mesh.n_nodes)
-        field[self.boundary] = eta
-        field[self.interior] = self.poisson @ eta
+        """Full-node harmonic extension field of boundary data eta, (B,) or
+        one row per trial, (T, B); the field has eta's leading axes."""
+        field = np.zeros(eta.shape[:-1] + (self.mesh.n_nodes,))
+        # node-major view: one field runs the unbatched operations
+        field.T[self.boundary] = eta.T
+        field.T[self.interior] = self.poisson @ eta.T
         return field
 
     def green_block(self, ids_a, ids_b) -> np.ndarray:
@@ -188,28 +195,50 @@ def glued_green(sides: dict, g_sigma: np.ndarray, n_nodes: int):
     return _read_only(glued, to_sigma)
 
 
-def quadratic_form_S0(mesh: Mesh, spec: OperatorSpec, field: np.ndarray) -> float:
-    """Discrete free action: edge-difference energy plus interior mass term."""
+def quadratic_form_S0(mesh: Mesh, spec: OperatorSpec, field: np.ndarray):
+    """Discrete free action: edge-difference energy plus interior mass term.
+
+    A field of shape (N,) gives a float; (T, N) gives one action per row.
+    """
     i, j = mesh.edges[:, 0], mesh.edges[:, 1]
-    grad = 0.5 * np.sum(mesh.edge_weights * (field[i] - field[j]) ** 2)
+    grad = 0.5 * np.sum(mesh.edge_weights * (field[..., i] - field[..., j]) ** 2, axis=-1)
     interior = mesh.interior
     mass = 0.5 * spec.mass_squared * np.sum(
-        mesh.node_volumes[interior] * field[interior] ** 2
+        mesh.node_volumes[interior] * field[..., interior] ** 2, axis=-1
     )
-    return float(grad + mass)
+    return _scalar_or_rows(grad + mass)
 
 
 def cross_form(bundle: GreenBundle, ids_a: np.ndarray, eta_a: np.ndarray,
-               ids_b: np.ndarray, eta_b: np.ndarray) -> float:
+               ids_b: np.ndarray, eta_b: np.ndarray):
     """Boundary cross term between data on two disjoint boundary subsets.
 
     Defined so that the energy of a summed extension decomposes as
-    S0[a+b] = S0[a] + S0[b] - cross_form(a, b).
+    S0[a+b] = S0[a] + S0[b] - cross_form(a, b).  Data of shape (A,) and
+    (B,) give a float; (T, A) and (T, B) give one term per row.
     """
     if set(map(int, ids_a)) & set(map(int, ids_b)):
         raise GreenError("overlapping boundary subsets")
     block = bundle.dtn_block(ids_a, ids_b)
-    return float(-eta_a @ block @ eta_b)
+    # a row-wise dot product: each row is the vector dot of one unbatched call
+    dots = (eta_a @ block)[..., None, :] @ eta_b[..., :, None]
+    return _scalar_or_rows(-dots[..., 0, 0])
+
+
+def _scalar_or_rows(values):
+    """A float for an unbatched value, else the array of one value per row."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _uniform_draws(seed: int, shape: tuple) -> np.ndarray:
+    """Values uniform on [-1, 1) from the stdlib generator `random.Random(seed)`.
+
+    Each value is the top 53 bits of one little-endian 64-bit word of
+    randbytes, so the draws depend on the seed alone, on any platform.
+    """
+    size = math.prod(shape)
+    words = np.frombuffer(random.Random(seed).randbytes(8 * size), "<u8")
+    return ((words >> 11) * 2.0 ** -52 - 1.0).reshape(shape)
 
 
 def verify_quadratic_decomposition(bundle: GreenBundle, cut: Cut,
@@ -219,35 +248,37 @@ def verify_quadratic_decomposition(bundle: GreenBundle, cut: Cut,
     For random interior fields phi (zero on the boundary) and random boundary
     data split across the two outer parts, the free action of phi plus the
     harmonic extension must decompose into the separate energies minus the
-    boundary cross term.
+    boundary cross term.  Each trial is one row of a (trials, nodes) array,
+    drawn uniform on [-1, 1) from the nonnegative seed; the details name the
+    seed and the trial with the largest residual.
     """
-    rng = np.random.default_rng(seed)
+    if trials < 1 or seed < 0:
+        raise GreenError(f"need trials >= 1 and seed >= 0, got {trials} and {seed}")
     mesh, spec = bundle.mesh, bundle.spec
     # the left part keeps the cut-line nodes, the right part the rest
     on_right = cut.label[bundle.boundary] == RIGHT
     loc_l, loc_r = np.nonzero(~on_right)[0], np.nonzero(on_right)[0]
     ids_l, ids_r = bundle.boundary[loc_l], bundle.boundary[loc_r]
-    report = Report("quadratic-decomposition")
+    n_in = mesh.interior.size
+    draws = _uniform_draws(seed, (trials, n_in + bundle.boundary.size))
+    phi = np.zeros((trials, mesh.n_nodes))
+    phi[:, mesh.interior] = draws[:, :n_in]
+    eta = draws[:, n_in:]
+    eta_l, eta_r = np.where(on_right, 0.0, eta), np.where(on_right, eta, 0.0)
+    total = quadratic_form_S0(mesh, spec, phi + bundle.extend(eta))
+    parts = (
+        quadratic_form_S0(mesh, spec, phi)
+        + quadratic_form_S0(mesh, spec, bundle.extend(eta_l))
+        + quadratic_form_S0(mesh, spec, bundle.extend(eta_r))
+        - cross_form(bundle, ids_l, eta[:, loc_l], ids_r, eta[:, loc_r])
+    )
     scale = max(1.0, float(np.abs(bundle.green).max()))
-    errors = []
-    for _ in range(trials):
-        phi = np.zeros(mesh.n_nodes)
-        phi[mesh.interior] = rng.standard_normal(mesh.interior.size)
-        eta = rng.standard_normal(bundle.boundary.size)
-        eta_l = np.zeros_like(eta)
-        eta_r = np.zeros_like(eta)
-        eta_l[loc_l] = eta[loc_l]
-        eta_r[loc_r] = eta[loc_r]
-        total = quadratic_form_S0(mesh, spec, phi + bundle.extend(eta))
-        parts = (
-            quadratic_form_S0(mesh, spec, phi)
-            + quadratic_form_S0(mesh, spec, bundle.extend(eta_l))
-            + quadratic_form_S0(mesh, spec, bundle.extend(eta_r))
-            - cross_form(bundle, ids_l, eta_l[loc_l], ids_r, eta_r[loc_r])
-        )
-        errors.append((total - parts) / scale)
+    errors = (total - parts) / scale
+    report = Report("quadratic-decomposition")
+    # argmax names the first NaN trial, whose NaN the residual reports
     report.compare("free-action-split", errors, 0.0, 1e-12,
-                   {"trials": trials, "mesh_nodes": mesh.n_nodes})
+                   {"trials": trials, "mesh_nodes": mesh.n_nodes, "seed": seed,
+                    "worst_trial": int(np.argmax(np.abs(errors)))})
     return report
 
 

@@ -137,7 +137,7 @@ SUITES = {
         suite_green_identities,
     ),
     "quadratic-decomposition": (
-        "additive split of the free action under background shifts, randomized",
+        "additive split of the free action under background shifts, 120 seeded trials",
         suite_quadratic_decomposition,
     ),
     "averaging-closed-form": (

@@ -697,13 +697,14 @@ def test_run_keeps_scipy_off_the_import_path(tmp_path):
 
     Nor does it load `numpy.ma` (numpy's set routines import it on first
     call, so region sets are node masks), `fractions` or `decimal` (Wick
-    counts are integers).  `numpy.random`, for the seeded trials of
-    quadratic-decomposition, and `numpy.polynomial`, for the Gauss-Legendre
-    nodes of the flat-space quadrature, are allowed.
+    counts are integers), or `numpy.random` (the seeded trials of
+    quadratic-decomposition draw from the stdlib `random`).
+    `numpy.polynomial`, for the Gauss-Legendre nodes of the flat-space
+    quadrature, is allowed.
     """
     # a package and its submodules, not a sibling such as numpy.matrixlib
-    banned = tuple(f"{m}." for m in ("scipy", "numpy.ma", "fractions",
-                                     "decimal", "_decimal"))
+    banned = tuple(f"{m}." for m in ("scipy", "numpy.ma", "numpy.random",
+                                     "fractions", "decimal", "_decimal"))
     script = (
         "import sys\n"
         "from cutglue.cli import main\n"
@@ -732,7 +733,8 @@ def test_reports_byte_identical_across_reruns(tmp_path, capsys):
 
 def test_reports_byte_identical_across_hash_seeds(tmp_path):
     """Set and dict iteration orders must not reach the numbers: two
-    processes with different string hashing write the same bytes."""
+    processes with different string hashing write the same bytes, the
+    seeded quadratic-decomposition trials included."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cutglue.__file__)))
     dirs = []
     for hash_seed in ("1", "2"):
@@ -740,13 +742,14 @@ def test_reports_byte_identical_across_hash_seeds(tmp_path):
         env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
             [sys.executable, "-m", "cutglue", "run", CONFIG, "--out-dir", str(out),
+             "--seed", "5", "--suite", "quadratic-decomposition",
              "--suite", "gluing-theorem", "--suite", "lambda-sweep",
              "--suite", "renormalization"],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         dirs.append(out)
     names = sorted(os.listdir(dirs[0]))
-    assert names == sorted(os.listdir(dirs[1])) and len(names) == 7
+    assert names == sorted(os.listdir(dirs[1])) and len(names) == 9
     for fname in names:
         assert ((dirs[0] / fname).read_bytes()
                 == (dirs[1] / fname).read_bytes()), fname

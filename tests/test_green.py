@@ -1,4 +1,5 @@
 import os
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +181,83 @@ def test_quadratic_decomposition_keeps_a_nan_trial():
     broken = replace(bundle, poisson=np.full_like(bundle.poisson, np.nan))
     [check] = verify_quadratic_decomposition(broken, cut, trials=3).checks
     assert np.isnan(check.residual) and not check.passed
+
+
+def test_quadratic_decomposition_batch_is_the_trial_loop():
+    """The trials run as one batch.  Recomputed one at a time from the same
+    draws, with unbatched fields, every term matches the batch to rounding,
+    and the split holds trial by trial."""
+    grid = build_grid_mesh(5, 5, 1.0)
+    cut = cut_along_interface(grid, lambda n: grid.positions[n][0] == 2.0)
+    spec = OperatorSpec(0.3)
+    bundle = green_bundle(grid, spec)
+    seed, trials, n_in = 4, 120, grid.interior.size
+    draws = green._uniform_draws(seed, (trials, n_in + bundle.boundary.size))
+    phi = np.zeros((trials, grid.n_nodes))
+    phi[:, grid.interior] = draws[:, :n_in]
+    eta = draws[:, n_in:]
+    right = cut.label[bundle.boundary] == RIGHT
+    ids_l, ids_r = bundle.boundary[~right], bundle.boundary[right]
+    eta_l, eta_r = np.where(right, 0.0, eta), np.where(right, eta, 0.0)
+
+    def terms(phi, eta, eta_l, eta_r):
+        return [quadratic_form_S0(grid, spec, phi + bundle.extend(eta)),
+                quadratic_form_S0(grid, spec, phi),
+                quadratic_form_S0(grid, spec, bundle.extend(eta_l)),
+                quadratic_form_S0(grid, spec, bundle.extend(eta_r)),
+                cross_form(bundle, ids_l, eta[..., ~right], ids_r, eta[..., right])]
+
+    batch = terms(phi, eta, eta_l, eta_r)
+    for t in range(trials):
+        single = terms(phi[t], eta[t], eta_l[t], eta_r[t])
+        assert all(type(s) is float for s in single)
+        if t < 5:
+            np.testing.assert_allclose([b[t] for b in batch], single, rtol=1e-12)
+        total, *parts, cross = single
+        assert abs(total - (sum(parts) - cross)) <= 1e-12
+    [check] = verify_quadratic_decomposition(bundle, cut, trials, seed).checks
+    assert check.passed
+    assert check.details["seed"] == seed and 0 <= check.details["worst_trial"] < trials
+
+
+@pytest.mark.parametrize("part", ["cross-block", "poisson-entry"])
+def test_quadratic_decomposition_fails_one_perturbed_entry(part):
+    """One entry off by a relative 1e-9, in the boundary response the cross
+    term reads or in the Poisson map, fails the split."""
+    mesh, cut = path5()
+    bundle = green_bundle(mesh, M0)
+    if part == "cross-block":
+        # boundary [0, 4]: the cross term reads the response between them
+        dtn = np.array(bundle.dtn)
+        dtn[0, 1] *= 1 + 1e-9
+        broken = replace(bundle, dtn=dtn)
+    else:
+        poisson = np.array(bundle.poisson)
+        poisson[1, 0] *= 1 + 1e-9
+        broken = replace(bundle, poisson=poisson)
+    assert verify_quadratic_decomposition(bundle, cut, trials=20).passed
+    [check] = verify_quadratic_decomposition(broken, cut, trials=20).checks
+    assert check.residual > check.tolerance and not check.passed
+
+
+@pytest.mark.parametrize("trials, seed", [(0, 0), (-2, 0), (1, -1)])
+def test_quadratic_decomposition_refuses_no_trials_or_a_negative_seed(trials, seed):
+    """With no trials the residual would be the 0.0 of no entries, a pass."""
+    mesh, cut = path5()
+    with pytest.raises(GreenError, match="need trials >= 1 and seed >= 0"):
+        verify_quadratic_decomposition(green_bundle(mesh, M0), cut, trials, seed)
+
+
+def test_trial_draws_follow_the_seed():
+    """The draws are uniform on [-1, 1) from the stdlib generator: the same
+    seed draws the same values, two seeds draw different ones."""
+    draws = green._uniform_draws(1, (200, 30))
+    assert draws.shape == (200, 30)
+    assert -1.0 <= draws.min() < -0.99 and 0.99 < draws.max() < 1.0
+    np.testing.assert_array_equal(draws, green._uniform_draws(1, (200, 30)))
+    assert not np.array_equal(draws, green._uniform_draws(2, (200, 30)))
+    first = random.Random(1).getrandbits(64) >> 11
+    assert draws[0, 0] == first / 2.0 ** 52 - 1.0
 
 
 def test_poisson_nonnegative_fails_on_a_nan():
