@@ -10,13 +10,10 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 
-from .config import ConfigError, check_max_order, load_config
+from .config import ConfigError, load_config
 from .reports import Report
 from .suites import SUITES, run_suites
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -58,10 +55,7 @@ def run(args) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-        cfg = load_config(args.config, SUITES)
-        if args.max_order is not None:
-            cfg = replace(cfg, max_order=check_max_order(cfg.interaction,
-                                                         args.max_order))
+        cfg = load_config(args.config, SUITES, max_order=args.max_order)
         selected = cfg.suites
         if args.suite:
             unknown = [s for s in args.suite if s not in SUITES]

@@ -6,10 +6,12 @@ are checked here, before any numerics start; no object may hold a key that
 nothing reads, and each scale must leave deep nodes to put vertices on.
 The mesh, operator and cut are held by one `gluing.GluingContext`, which
 builds their Green data on first read, so loading a config builds none.
-Per-scale data is a `gluing.ScaleData`, built by `suites.run_suites` one
-scale at a time.  A coupling given as {node id: value} becomes the list of
-one value per node, zero at the nodes it does not name, so the interaction
-holds a constant or one value per node and nothing else.
+Each lambda becomes one `gluing.ScaleData`, which holds the interaction,
+kernel shape, eta and max_order and owns the admissibility rule; loading
+reads its deep sets, and `suites.run_suites` runs on copies that share
+them.  A coupling given as {node id: value} becomes the list of one value
+per node, zero at the nodes it does not name, so the interaction holds a
+constant or one value per node and nothing else.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gluing import GluingContext
-from .kernels import SHAPES, deformed_side_nodes
-from .meshes import LEFT, RIGHT, Mesh, MeshError, build_grid_mesh, \
-    build_interval_mesh, cut_along_interface, lambda_one
+from .gluing import GluingContext, GluingError, ScaleData
+from .kernels import SHAPES
+from .meshes import Mesh, MeshError, build_grid_mesh, build_interval_mesh, \
+    cut_along_interface
 from .operators import OperatorSpec, assemble, check_positive_spectrum
 from .perturbation import LEG_CAP, InteractionSpec, leg_budget
 
@@ -39,16 +41,12 @@ MESH_KEYS = {"interval": {"type", "n_interior", "spacing"},
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated inputs of one batch run.  context holds the mesh, operator
-    and cut, and builds their Green data on first read."""
+    """Validated inputs of one batch run: context holds the mesh, operator
+    and cut, and scales one `gluing.ScaleData` per lambda, in config order."""
 
     name: str
     context: GluingContext
-    interaction: InteractionSpec
-    shape: str
-    lambdas: tuple
-    eta: np.ndarray
-    max_order: float
+    scales: tuple
     suites: tuple
 
 
@@ -83,9 +81,9 @@ def _build_cut(mesh: Mesh, spec):
     value = _finite(spec["value"], "cut value")
     if axis < 0 or axis >= mesh.positions.shape[1]:
         raise ConfigError(f"cut axis {axis} out of range")
-    return cut_along_interface(
-        mesh, lambda n: abs(mesh.positions[n][axis] - value) < 1e-12
-    )
+    along = mesh.positions[:, axis]
+    tol = 1e-12 * float(np.abs(along).max())  # rounding of the axis's extent
+    return cut_along_interface(mesh, lambda n: abs(along[n] - value) < tol)
 
 
 def _object(value, what: str, keys=None) -> dict:
@@ -186,7 +184,8 @@ def check_max_order(interaction: InteractionSpec, max_order: float) -> float:
     return max_order
 
 
-def load_config(path: str, known_suites) -> ScenarioConfig:
+def load_config(path: str, known_suites, max_order=None) -> ScenarioConfig:
+    """The config at path; max_order, when given, replaces the config's own."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -197,7 +196,7 @@ def load_config(path: str, known_suites) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     try:
-        return _interpret(raw, known_suites)
+        return _interpret(raw, known_suites, max_order)
     except ConfigError:
         raise
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -205,7 +204,7 @@ def load_config(path: str, known_suites) -> ScenarioConfig:
         raise ConfigError(f"bad config entry: {exc}") from exc
 
 
-def _interpret(raw: dict, known_suites) -> ScenarioConfig:
+def _interpret(raw: dict, known_suites, max_order) -> ScenarioConfig:
     missing = REQUIRED_KEYS - raw.keys()
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
@@ -237,18 +236,23 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
     if shape not in SHAPES:
         raise ConfigError(f"unknown kernel shape {shape!r}")
 
+    own = check_max_order(interaction, _finite(raw["max_order"], "max_order"))
+    max_order = own if max_order is None else check_max_order(interaction, max_order)
+    eta = _build_eta(mesh, raw.get("eta"))
+
     if not lambdas:
         raise ConfigError("lambdas must be nonempty")
-    lam1 = lambda_one(mesh, cut)
+    context, scales = GluingContext(mesh, operator, cut), []
     for lam in lambdas:
-        if lam <= lam1:
-            raise ConfigError(f"lam below lambda_1: {lam} <= {lam1}")
+        try:
+            scale = ScaleData(context, interaction, lam, shape, eta, max_order)
+        except GluingError as exc:
+            raise ConfigError(str(exc)) from exc
         # Every vertex region holds the deep nodes: with none, checks compare 0 with 0.
-        if not sum(deformed_side_nodes(mesh, cut, s, lam).size for s in (LEFT, RIGHT)):
+        if not scale.region.size:
             raise ConfigError(f"empty vertex region at lam {lam}: no side node "
                               f"is 1/lam or more from its side's boundary")
-
-    max_order = check_max_order(interaction, _finite(raw["max_order"], "max_order"))
+        scales.append(scale)
 
     suites = raw.get("suites", sorted(known_suites))
     if not isinstance(suites, list):
@@ -260,13 +264,5 @@ def _interpret(raw: dict, known_suites) -> ScenarioConfig:
     if unknown:
         raise ConfigError(f"unknown suites: {unknown}")
 
-    return ScenarioConfig(
-        name=_build_name(raw["name"]),
-        context=GluingContext(mesh, operator, cut),
-        interaction=interaction,
-        shape=shape,
-        lambdas=lambdas,
-        eta=_build_eta(mesh, raw.get("eta")),
-        max_order=max_order,
-        suites=suites,
-    )
+    return ScenarioConfig(name=_build_name(raw["name"]), context=context,
+                          scales=tuple(scales), suites=suites)

@@ -13,13 +13,13 @@ of exact linear algebra, order by order.
 
 Green data is built once per cut (`GluingContext`), kernels, deformed nodes
 and Gaussian data once per scale (`ScaleData`); each builds a field on first
-read, and vertex regions are index subsets of it.  A run is lambda-major: it
-builds one `ScaleData` at a time, every check of that scale reads it, and it
-is dropped before the next scale is built.  The glued assemblies and the
-coupling redefinitions share one covariance.  The glued and whole series on
-the union region are computed once per scale and couplings; the widening
-evaluates all its regions of one scale in a single engine pass per Gaussian
-(glued and whole).
+read, and vertex regions are index subsets of it.  A run is lambda-major:
+each check of a scale reads one copy of the config's `ScaleData`, sharing
+the deep sets read at load, and it is dropped before the next is made.  The
+glued assemblies and the coupling redefinitions share one covariance.  The
+glued and whole series on the union region are computed once per scale and
+couplings; the widening evaluates all its regions of one scale in a single
+engine pass per Gaussian (glued and whole).
 """
 
 from __future__ import annotations
@@ -104,9 +104,10 @@ class ScaleData:
     shared.  lam must exceed the admissibility scale of the cut.  The rest
     is built on first read: kernel, at lam; deep, each side's deformed nodes,
     read off the cut; deep_rows, their rows of the kernel restricted to that
-    side; region, the union of the deep nodes; trimmed, where widening ends;
-    glued and whole, node-level Gaussian data that vertex regions index into
-    (whole.cov is H G H'); base, their series on the region.
+    side; region, the union of the deep nodes (deep and region are read-only:
+    copies share them); trimmed, where widening ends; glued and whole,
+    node-level Gaussian data that vertex regions index into (whole.cov is
+    H G H'); base, their series on the region.
     """
 
     context: GluingContext
@@ -118,8 +119,9 @@ class ScaleData:
 
     def __post_init__(self):
         mesh = self.context.mesh
-        if self.lam <= lambda_one(mesh, self.context.cut):
-            raise GluingError("lam below lambda_1")
+        lam1 = lambda_one(mesh, self.context.cut)
+        if self.lam <= lam1:
+            raise GluingError(f"lam below lambda_1: {self.lam} <= {lam1}")
         eta = (np.zeros(mesh.boundary.size) if self.eta is None
                else np.asarray(self.eta, dtype=float))
         if eta.size != mesh.boundary.size:
@@ -132,7 +134,8 @@ class ScaleData:
 
     @cached_property
     def deep(self) -> dict:
-        return {s: deformed_side_nodes(self.context.mesh, self.context.cut, s, self.lam)
+        mesh, cut = self.context.mesh, self.context.cut
+        return {s: _read_only(deformed_side_nodes(mesh, cut, s, self.lam))[0]
                 for s in (LEFT, RIGHT)}
 
     @cached_property
@@ -142,7 +145,8 @@ class ScaleData:
 
     @cached_property
     def region(self) -> np.ndarray:
-        return np.flatnonzero(_node_mask(self.context.mesh.n_nodes, *self.deep.values()))
+        return _read_only(np.flatnonzero(
+            _node_mask(self.context.mesh.n_nodes, *self.deep.values())))[0]
 
     @cached_property
     def trimmed(self) -> np.ndarray:
@@ -169,10 +173,9 @@ class ScaleData:
         return other
 
 
-def averaged_gaussian(kernel: KernelMatrix, eta: np.ndarray | None,
+def averaged_gaussian(kernel: KernelMatrix, eta: np.ndarray,
                       bundle: GreenBundle) -> NodeGaussian:
     """Whole-manifold route: averaged harmonic extension and propagator."""
-    eta = np.zeros(bundle.boundary.size) if eta is None else np.asarray(eta, dtype=float)
     phi_bg = bundle.extend(eta)
     return NodeGaussian(quadratic_form_S0(bundle.mesh, bundle.spec, phi_bg),
                         kernel.matrix @ phi_bg,

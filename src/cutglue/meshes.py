@@ -431,15 +431,19 @@ def _box_lattice(shape: tuple[int, ...], spacing: float, metric_profile) -> Mesh
     positions = coords * spacing
     nodes, axes = np.nonzero(coords < last)
     edges = np.column_stack([nodes, nodes + np.cumprod((1,) + shape[:-1])[axes]])
+    try:
+        weight, volume = spacing ** (dim - 2), spacing**dim
+    except OverflowError:
+        raise MeshError(f"spacing {spacing} overflows edge weights or volumes") from None
     mids = 0.5 * (positions[edges[:, 0]] + positions[edges[:, 1]])
     prof_mid = np.array([float(metric_profile(m)) for m in mids])
     prof_node = np.array([float(metric_profile(p)) for p in positions])
     return Mesh(
         positions=positions,
         edges=edges,
-        edge_weights=spacing ** (dim - 2) * prof_mid,
+        edge_weights=weight * prof_mid,
         edge_lengths=spacing * prof_mid,
-        node_volumes=spacing**dim * prof_node,
+        node_volumes=volume * prof_node,
         boundary=np.nonzero(((coords == 0) | (coords == last)).any(axis=1))[0],
     )
 

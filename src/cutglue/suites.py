@@ -2,15 +2,16 @@
 
 A run's Green data belongs to its `gluing.GluingContext`
 (`ScenarioConfig.context`), which builds each field once, on first read, and
-every suite reads it.  `run_suites` is lambda-major: per scale it builds
-that scale's `ScaleData`, which the runners of PER_SCALE (and FIRST_SCALE, at
-the first) take in place of the config, and drops it before the next.  The
-context and each scale build only the fields the selected runners read.
+every suite reads it.  `run_suites` is lambda-major: per scale it copies
+its `ScaleData`, which the runners of PER_SCALE (and FIRST_SCALE, at the
+first) take in place of the config, and drops the copy before the next.  The
+context and each copy build only the fields the selected runners read.
 kernel-properties builds its own left side bundle and kernels.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from math import pi
 
 import numpy as np
@@ -83,8 +84,9 @@ def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
     mesh, cut = cfg.context.mesh, cfg.context.cut
     d = mesh.distance_matrix()
     left = side_bundle(mesh, cfg.context.operator, cut, LEFT)
-    for lam in cfg.lambdas:
-        kernel = build_mesh_kernel(mesh, lam, cfg.shape)
+    for scale in cfg.scales:
+        lam = scale.lam
+        kernel = build_mesh_kernel(mesh, lam, scale.shape)
         report.compare(f"rows-stochastic-lam-{lam}", kernel.matrix.sum(axis=1), 1.0, 1e-12)
         off = kernel.matrix * (d > kernel.support_radius * (1 + _DIST_RTOL))
         report.compare(f"ball-support-lam-{lam}", off, 0.0, 0.0)
@@ -173,18 +175,18 @@ SUITES = {
 
 def run_suites(cfg: ScenarioConfig, names, seed: int) -> dict:
     """{name: Report} of each named suite, run once however often it is
-    named, in the order first named.  One scale's data is alive at a time:
-    it is dropped before the next is built."""
+    named, in the order first named.  Each scale runs on a copy that holds
+    all it builds; one is alive at a time, dropped before the next is made."""
     names = list(dict.fromkeys(names))
     reports = {}
     for name in names:
         if name not in PER_SCALE + FIRST_SCALE:
             reports[name] = SUITES[name][1](cfg, seed)
-    for k, lam in enumerate(cfg.lambdas):
+    for k, scale in enumerate(cfg.scales):
         scaled = [n for n in names if n in PER_SCALE or (k == 0 and n in FIRST_SCALE)]
         if not scaled:
             break
-        data = ScaleData(cfg.context, cfg.interaction, lam, cfg.shape, cfg.eta, cfg.max_order)
+        data = copy(scale)
         for name in scaled:
             part = SUITES[name][1](data)
             reports.setdefault(name, Report(part.name)).extend(part.checks)

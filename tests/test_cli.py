@@ -92,7 +92,7 @@ def test_run_fast_suites(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("changes, message", [
-    ({"lambdas": [0.1]}, "lam below lambda_1"),
+    ({"lambdas": [0.1]}, "config error: lam below lambda_1: 0.1 <= 0.25\n"),
     ({"operator": {"mass_squared": -5}}, "non-positive spectrum"),
     ({"lambdas": ["x"]}, "lambdas entry must be a finite number, got 'x'"),
     ({"max_order": 3.0}, "above the cap"),
@@ -238,6 +238,12 @@ def test_run_fast_suites(tmp_path, capsys):
      "'node 3 interior vol=1.0 mass=2.0 pos 3.0'"),
     ({"mesh": mesh_file(NINE_NODES.replace("node 3 interior vol=1.0", "node 3 interior"))},
      "mesh.txt: want vol= once each and nothing else in line 'node 3 interior pos 3.0'"),
+    ({"mesh": {"type": "grid", "nx": 5, "ny": 5, "spacing": 1e200}},
+     "spacing 1e+200 overflows edge weights or volumes"),
+    ({"mesh": {"type": "grid", "nx": 5, "ny": 5, "spacing": 1e300}},
+     "spacing 1e+300 overflows edge weights or volumes"),
+    ({"mesh": {"type": "interval", "n_interior": 7, "spacing": 1e-310}},
+     "spacing 1e-310 overflows edge weights or volumes"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
@@ -268,7 +274,8 @@ def test_run_fast_suites(tmp_path, capsys):
         "mesh-coordinate-counts-mixed", "mesh-node-pos-missing",
         "mesh-node-pos-empty",
         "mesh-edge-key-missing", "mesh-edge-key-repeated", "mesh-node-key-unknown",
-        "mesh-node-key-missing"])
+        "mesh-node-key-missing", "grid-volume-overflow-1e200",
+        "grid-volume-overflow-1e300", "interval-weight-overflow-1e-310"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
@@ -301,8 +308,9 @@ def test_coupling_by_node_reaches_the_vertices(tmp_path, capsys):
     from cutglue.config import load_config
     path = path9_with(tmp_path, interaction={"3": 0.3, "4": {"4": 0.5}})
     cfg = load_config(path, suites.SUITES)
-    np.testing.assert_array_equal(cfg.interaction.coupling_at(4, np.arange(9)),
-                                  [0.0] * 4 + [0.5] + [0.0] * 4)
+    for scale in cfg.scales:
+        np.testing.assert_array_equal(scale.interaction.coupling_at(4, np.arange(9)),
+                                      [0.0] * 4 + [0.5] + [0.0] * 4)
     code = cli.main(["run", path, "--out-dir", str(tmp_path / "r"),
                      "--suite", "renormalization"])
     assert code == 0
@@ -435,8 +443,8 @@ def test_suite_alone_writes_the_same_report(tmp_path, capsys, config):
         from cutglue.config import load_config
         from cutglue.kernels import build_mesh_kernel
         cfg = load_config(config, suites.SUITES)
-        assert not any(build_mesh_kernel(cfg.context.mesh, lam, cfg.shape).is_identity
-                       for lam in cfg.lambdas)
+        assert not any(build_mesh_kernel(cfg.context.mesh, s.lam, s.shape).is_identity
+                       for s in cfg.scales)
     together = tmp_path / "together"
     names = sorted(suites.SUITES)
     assert cli.main(["run", config, "--out-dir", str(together),
@@ -538,19 +546,19 @@ def test_lambda_sweep_reads_the_base_series(tmp_path, monkeypatch, capsys):
 
 
 def test_one_scale_alive_at_a_time(tmp_path, monkeypatch, capsys):
-    """The data of a scale is freed, by reference counting alone, before
-    the data of the next scale is built, and the last before reports are
-    written."""
+    """The run's copy of a scale is freed, by reference counting alone,
+    before the copy of the next scale is made, and the last before reports
+    are written."""
     built = []
-    build = suites.ScaleData
+    build = suites.copy
 
-    def tracked(*args):
+    def tracked(scale):
         assert all(ref() is None for ref in built), "an earlier scale is alive"
-        data = build(*args)
+        data = build(scale)
         built.append(weakref.ref(data))
         return data
 
-    monkeypatch.setattr(suites, "ScaleData", tracked)
+    monkeypatch.setattr(suites, "copy", tracked)
     gc.disable()
     try:
         assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path)]) == 0
@@ -594,17 +602,68 @@ def test_per_scale_runners_read_only_scale_data(tmp_path, capsys):
 
 
 def test_context_arrays_are_read_only():
+    """So are the deep sets read at load, which every run copy of a scale
+    shares."""
     from cutglue.config import load_config
     cfg = load_config(CONFIG, suites.SUITES)
     ctx = cfg.context
     assert cfg.context is ctx
     with pytest.raises(ValueError, match="read-only"):
         ctx.bundle.green[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.scales[0].region[0] = 0
     for array in (ctx.bundle.poisson, ctx.bundle.dtn, ctx.g_sigma, ctx.glued,
                   ctx.to_sigma, *ctx.eigenpairs,
                   *(a for sb in ctx.sides.values()
-                    for a in (sb.green, sb.poisson, sb.dtn))):
+                    for a in (sb.green, sb.poisson, sb.dtn)),
+                  *(a for scale in cfg.scales
+                    for a in (scale.region, *scale.deep.values()))):
         assert not array.flags.writeable
+
+
+def test_run_reads_each_deep_set_once(tmp_path, monkeypatch, capsys):
+    """Loading reads both sides' deep sets per scale; the run reads none."""
+    calls = count_calls(monkeypatch, ("deformed_side_nodes",))
+    assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path)]) == 0
+    with open(CONFIG, encoding="utf-8") as fh:
+        n_lambdas = len(json.load(fh)["lambdas"])
+    assert calls == {"deformed_side_nodes": 2 * n_lambdas}
+
+
+def test_run_leaves_the_loaded_scales_as_loaded(monkeypatch):
+    """The run works on copies that share the loaded deep sets and keep all
+    else they build: afterwards each loaded scale holds no other field."""
+    from dataclasses import fields
+
+    from cutglue.config import load_config
+    cfg = load_config(CONFIG, suites.SUITES)
+    copies = []
+    build = suites.copy
+
+    def kept(scale):
+        copies.append(build(scale))
+        return copies[-1]
+
+    monkeypatch.setattr(suites, "copy", kept)
+    suites.run_suites(cfg, cfg.suites, seed=0)
+    assert len(copies) == len(cfg.scales)
+    for scale, data in zip(cfg.scales, copies):
+        assert set(vars(scale)) == {f.name for f in fields(scale)} | {"deep", "region"}
+        assert data.deep is scale.deep and data.region is scale.region
+        assert "kernel" in vars(data)
+
+
+def test_cut_tolerance_follows_the_mesh_extent(tmp_path, capsys):
+    """The interface is chosen to rounding of the coordinates along the cut
+    axis: grid5 at spacing 1e-13, its cut and scales scaled alike, loads."""
+    with open(GRID_CONFIG, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw.update(mesh={"type": "grid", "nx": 5, "ny": 5, "spacing": 1e-13},
+               cut={"axis": 0, "value": 2e-13}, lambdas=[1.5e13, 2.5e13])
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path / "r"),
+                     "--suite", "green-identities"]) == 0
 
 
 def test_numerical_failure_exits_one(tmp_path, monkeypatch, capsys):
