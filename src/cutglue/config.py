@@ -5,7 +5,8 @@ a scale grid, boundary data, and the suites to run.  All cross-references
 are checked here, before any numerics start; no object may hold a key that
 nothing reads, and each scale must leave deep nodes to put vertices on.
 The mesh, operator and cut are held by one `gluing.GluingContext`, which
-builds their Green data on first read, so loading a config builds none.
+builds their Green data on first read; loading builds the whole mesh's
+bundle alone, which is the spectrum check.
 Each lambda becomes one `gluing.ScaleData`, which holds the interaction,
 kernel shape, eta and max_order and owns the admissibility rule; loading
 reads its deep sets, and `suites.run_suites` runs on copies that share
@@ -26,7 +27,7 @@ from .gluing import GluingContext, GluingError, ScaleData
 from .kernels import SHAPES
 from .meshes import Mesh, MeshError, build_grid_mesh, build_interval_mesh, \
     cut_along_interface
-from .operators import OperatorSpec, assemble, check_positive_spectrum
+from .operators import OperatorSpec
 from .perturbation import LEG_CAP, InteractionSpec, leg_budget
 
 
@@ -200,7 +201,7 @@ def load_config(path: str, known_suites, max_order=None) -> ScenarioConfig:
     except ConfigError:
         raise
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        # MeshError, OperatorError and PerturbationError are ValueErrors too.
+        # MeshError, GreenError and PerturbationError are ValueErrors too.
         raise ConfigError(f"bad config entry: {exc}") from exc
 
 
@@ -220,10 +221,10 @@ def _interpret(raw: dict, known_suites, max_order) -> ScenarioConfig:
     lambdas = tuple(_finite(x, "lambdas entry") for x in raw["lambdas"])
     if len(set(lambdas)) < len(lambdas):
         raise ConfigError(f"lambdas repeat a scale: {list(lambdas)}")
-    # Side operators are principal submatrices of this one and the summed
-    # interface response is its Schur complement: they inherit positivity.
-    interior = mesh.interior
-    check_positive_spectrum(assemble(mesh, operator)[np.ix_(interior, interior)])
+    # The spectrum check; side operators and the summed interface response
+    # inherit positivity from the whole one.
+    context = GluingContext(mesh, operator, cut)
+    context.bundle
     couplings = _object(raw["interaction"], "interaction")
     bad = [k for k in couplings if not _canonical(k)]
     if bad:
@@ -242,7 +243,7 @@ def _interpret(raw: dict, known_suites, max_order) -> ScenarioConfig:
 
     if not lambdas:
         raise ConfigError("lambdas must be nonempty")
-    context, scales = GluingContext(mesh, operator, cut), []
+    scales = []
     for lam in lambdas:
         try:
             scale = ScaleData(context, interaction, lam, shape, eta, max_order)

@@ -10,12 +10,14 @@ keeps all gluing identities exact up to rounding.  The whole mesh and each
 side of a cut are one kind of object, a `GreenBundle`: the Dirichlet problem
 of an operator from the one assembly, `operators.operator_matrix`, whose
 boundary is its outer part followed by the cut interface.  The whole mesh is
-the problem with an empty interface.  `glued_green` rebuilds the whole
-Green's matrix from side data alone.  Every matrix made here is read-only,
-since a run shares each one among its checks.  The free action, the cross
-form and the harmonic extension take a leading batch axis, one row per
-trial, so the seeded trials of `verify_quadratic_decomposition` are one
-array program; their draws come from the standard library's `random`.
+the problem with an empty interface.  Building one is the spectrum check:
+it refuses an operator not positive definite or too ill-conditioned for
+float64.  `glued_green` rebuilds the whole Green's matrix from side data
+alone.  Every matrix made here is read-only, since a run shares each one
+among its checks.  The free action, the cross form and the harmonic
+extension take a leading batch axis, one row per trial, so the seeded
+trials of `verify_quadratic_decomposition` are one array program; their
+draws come from the standard library's `random`.
 """
 
 from __future__ import annotations
@@ -43,12 +45,19 @@ def _read_only(*arrays):
 
 
 def _inverse_spd(m: np.ndarray, what: str) -> np.ndarray:
+    """Inverse from the Cholesky factor: the one refusal of an operator that
+    is not positive definite, whose error alone computes its smallest eigenvalue."""
     try:
         c = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise GreenError(f"non-positive spectrum in {what}") from exc
+    except np.linalg.LinAlgError:
+        lam = float(np.linalg.eigvalsh(m)[0])
+        raise GreenError(f"non-positive spectrum in {what}: "
+                         f"smallest eigenvalue {lam:g}") from None
     inv = np.linalg.inv(c)
     return _read_only(inv.T @ inv)[0]
+
+
+CONDITION_LIMIT = 1.0 / np.finfo(float).eps  # about 4.5e15
 
 
 def _block(matrix: np.ndarray, labels: np.ndarray, ids_a, ids_b) -> np.ndarray:
@@ -135,10 +144,22 @@ def _dirichlet(mesh: Mesh, spec: OperatorSpec, a: np.ndarray, interior: np.ndarr
     Green's matrix G = inv(a_ii), Poisson map -G a_ib and Schur complement
     a_bb - a_ib' G a_ib onto the boundary, with i the node ids `interior`
     and b those of outer then sigma.  An empty interior leaves a_bb as it is.
+
+    The condition number of a_ii is at least max diag(a_ii) max diag(G), as
+    a diagonal entry is at most the largest eigenvalue; from CONDITION_LIMIT
+    on, float64 cannot resolve a_ii and it is refused.  A side passes if its
+    whole mesh did: its a_ii is a principal submatrix of the whole one and
+    its G at most the whole G's block.  The interface response sum gets none.
     """
     boundary = np.concatenate([outer, sigma])
     a_ib = a[np.ix_(interior, boundary)]
-    green = _inverse_spd(a[np.ix_(interior, interior)], what)
+    a_ii = a[np.ix_(interior, interior)]
+    green = _inverse_spd(a_ii, what)
+    # Python floats overflow to inf with no warning
+    kappa = float(a_ii.diagonal().max(initial=0)) * float(green.diagonal().max(initial=0))
+    if not kappa < CONDITION_LIMIT:
+        raise GreenError(f"{what} is too ill-conditioned for float64: "
+                         f"condition number at least {kappa:g}")
     poisson, dtn = _read_only(-green @ a_ib,
                               a[np.ix_(boundary, boundary)] - a_ib.T @ green @ a_ib)
     return GreenBundle(mesh, spec, interior, outer, sigma, green, poisson, dtn)

@@ -2,9 +2,9 @@
 
 `operator_matrix` is the one assembly path: the whole mesh's operator and
 each side operator of a cut are built by it, from their own per-edge
-conductances and per-node mass.  Dense numpy throughout: the spectrum check
-is one Cholesky factorization, and a symmetric eigensolve
-(`np.linalg.eigvalsh`) only words its error.
+conductances and per-node mass.  Dense numpy throughout.  This module only
+assembles: the Green bundle's Cholesky factorization (`green._inverse_spd`)
+is the spectrum check.
 """
 
 from __future__ import annotations
@@ -16,16 +16,12 @@ import numpy as np
 from .meshes import Mesh
 
 
-class OperatorError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class OperatorSpec:
     """Physical parameters of the quadratic-form operator.
 
     mass_squared may be any real; positivity of the Dirichlet spectrum is
-    checked after assembly, not assumed.
+    checked where the Green bundle factors the operator, not assumed.
     """
 
     mass_squared: float = 0.0
@@ -57,22 +53,3 @@ def assemble(mesh: Mesh, spec: OperatorSpec) -> np.ndarray:
     interior = mesh.interior
     mass[interior] = spec.mass_squared * mesh.node_volumes[interior]
     return operator_matrix(mesh, mesh.edge_weights, mass)
-
-
-def smallest_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of an interior block (dense solve, desk scale)."""
-    if not np.allclose(m, m.T, atol=1e-12):
-        raise OperatorError("interior matrix lost symmetry")
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-def check_positive_spectrum(interior_matrix: np.ndarray) -> None:
-    """Raise unless the symmetric interior block is positive definite: a
-    Cholesky test, with the smallest eigenvalue only in the error."""
-    if not np.allclose(interior_matrix, interior_matrix.T, atol=1e-12):
-        raise OperatorError("interior matrix lost symmetry")
-    try:
-        np.linalg.cholesky(interior_matrix)
-    except np.linalg.LinAlgError:
-        lam = smallest_eigenvalue(interior_matrix)
-        raise OperatorError(f"non-positive spectrum: smallest eigenvalue {lam:g}") from None

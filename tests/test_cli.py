@@ -1,6 +1,9 @@
+import copy
 import gc
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -93,7 +96,8 @@ def test_run_fast_suites(tmp_path, capsys):
 
 @pytest.mark.parametrize("changes, message", [
     ({"lambdas": [0.1]}, "config error: lam below lambda_1: 0.1 <= 0.25\n"),
-    ({"operator": {"mass_squared": -5}}, "non-positive spectrum"),
+    ({"operator": {"mass_squared": -5}},
+     "non-positive spectrum in interior operator: smallest eigenvalue -4.84776\n"),
     ({"lambdas": ["x"]}, "lambdas entry must be a finite number, got 'x'"),
     ({"max_order": 3.0}, "above the cap"),
     ({"interaction": {"3": [0.1, 0.2]}}, "has 2 entries, mesh has 9 nodes"),
@@ -244,6 +248,12 @@ def test_run_fast_suites(tmp_path, capsys):
      "spacing 1e+300 overflows edge weights or volumes"),
     ({"mesh": {"type": "interval", "n_interior": 7, "spacing": 1e-310}},
      "spacing 1e-310 overflows edge weights or volumes"),
+    ({"mesh": mesh_file(NINE_NODES.replace("edge 3 4 w=1.0", "edge 3 4 w=1e300"))},
+     "interior operator is too ill-conditioned for float64: "
+     "condition number at least 1e+300\n"),
+    ({"mesh": mesh_file(NINE_NODES.replace("edge 0 1 w=1.0", "edge 0 8 w=1.0")
+                        .replace("edge 7 8 w=1.0 len=1.0\n", ""))},
+     "non-positive spectrum in interior operator"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
@@ -275,7 +285,8 @@ def test_run_fast_suites(tmp_path, capsys):
         "mesh-node-pos-empty",
         "mesh-edge-key-missing", "mesh-edge-key-repeated", "mesh-node-key-unknown",
         "mesh-node-key-missing", "grid-volume-overflow-1e200",
-        "grid-volume-overflow-1e300", "interval-weight-overflow-1e-310"])
+        "grid-volume-overflow-1e300", "interval-weight-overflow-1e-310",
+        "operator-ill-conditioned", "operator-singular-interior-off-boundary"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
@@ -300,6 +311,67 @@ def test_bad_argument_exits_two(tmp_path, capsys, args, message):
     err = capsys.readouterr().err
     assert message in err and err.count("config error:") == 1
     assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
+# What a mutation puts in place of a value or multiplies a number by.
+MUTANT_NUMBERS = (0, 1, -1, 1e300, -1e300, 1e-300, -1e-300, math.nan, math.inf, -math.inf)
+MUTANT_VALUES = (None, True, "x", [], {}, [1.0], {"0": 1.0})
+
+
+def _entries(value, path=()):
+    """Every (path, value) below a JSON value, depth first."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,), child
+        yield from _entries(child, path + (key,))
+
+
+def mutate(raw: dict, rng: random.Random):
+    """A copy of the config with one entry deleted, replaced by a value of
+    another type, or, if a number, set to or scaled by one of MUTANT_NUMBERS;
+    and a line saying which."""
+    raw = copy.deepcopy(raw)
+    path, value = rng.choice(list(_entries(raw)))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    kind = rng.choice(("delete", "swap", "set", "scale") if number else ("delete", "swap"))
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "swap":
+        parent[path[-1]] = rng.choice(MUTANT_VALUES)
+    elif kind == "set":
+        parent[path[-1]] = rng.choice(MUTANT_NUMBERS)
+    else:
+        parent[path[-1]] *= rng.choice(MUTANT_NUMBERS)
+    return raw, f"{kind} {'/'.join(map(str, path))}"
+
+
+@pytest.mark.parametrize("config, seed", [(CONFIG, 1), (GRID_CONFIG, 2)],
+                         ids=["path9_cubic", "grid5_quartic"])
+def test_mutated_configs_keep_the_exit_code_contract(tmp_path, capsys, config, seed):
+    """Seeded mutations of a committed config, each run with one random suite:
+    main returns 0, 1 or 2 and raises nothing, an exit 1 names a failed check
+    and an exit 2 prints one config error."""
+    with open(config, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    rng = random.Random(seed)
+    for k in range(100):
+        mutant, what = mutate(raw, rng)
+        path = tmp_path / f"mutant{k}.json"
+        path.write_text(json.dumps(mutant))
+        code = cli.main(["run", str(path), "--out-dir", str(tmp_path / f"r{k}"),
+                         "--suite", rng.choice(sorted(suites.SUITES))])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), what
+        assert (code == 1) == ("  failed: " in err), (what, err)
+        assert (code == 2) == (err.count("config error:") == 1), (what, err)
 
 
 def test_coupling_by_node_reaches_the_vertices(tmp_path, capsys):
@@ -462,30 +534,38 @@ def test_suite_alone_writes_the_same_report(tmp_path, capsys, config):
 def test_run_builds_each_scale_once(tmp_path, monkeypatch, capsys):
     """Every suite that reads a scale shares its data: one kernel, one
     averaged propagator H G H' and one glued covariance per scale, and one
-    glued Green's matrix and one interior eigendecomposition per run.
-    kernel-properties, which builds its own kernels, is left out; the
-    saturation oracle of lambda-sweep averages nothing."""
+    glued Green's matrix, one interior eigendecomposition and one Cholesky
+    factor of the whole interior operator per run, the one that loading
+    the config makes.  kernel-properties, which builds its own kernels, is
+    left out; the saturation oracle of lambda-sweep averages nothing."""
     calls = count_calls(monkeypatch, ("build_mesh_kernel", "regularized_green",
                                       "glued_gaussian", "glued_green",
                                       "GluingContext"))
-    eighs = []
-    eigh = np.linalg.eigh
+    eighs, whole_factors = [], []
+    eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+    with open(CONFIG, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    n_interior, n_lambdas = raw["mesh"]["n_interior"], len(raw["lambdas"])
 
     def counted_eigh(*args, **kwargs):
         eighs.append(1)
         return eigh(*args, **kwargs)
 
+    def counted_cholesky(m, *args, **kwargs):
+        if m.shape == (n_interior, n_interior):
+            whole_factors.append(1)
+        return cholesky(m, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     selected = [s for s in suites.SUITES if s != "kernel-properties"]
     assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
                      *(a for s in selected for a in ("--suite", s))]) == 0
-    with open(CONFIG, encoding="utf-8") as fh:
-        n_lambdas = len(json.load(fh)["lambdas"])
     assert calls == {"build_mesh_kernel": n_lambdas,
                      "regularized_green": n_lambdas,
                      "glued_gaussian": n_lambdas, "glued_green": 1,
                      "GluingContext": 1}
-    assert len(eighs) == 1
+    assert len(eighs) == 1 and len(whole_factors) == 1
 
 
 @pytest.mark.parametrize("suite, reads_glued", [("regularization", False),
@@ -508,10 +588,10 @@ def test_scale_suite_alone_builds_only_what_it_reads(tmp_path, monkeypatch, caps
                         "deformed_side_nodes")),
 ])
 def test_suite_alone_builds_no_side_data(tmp_path, monkeypatch, capsys, suite, unread):
-    """The run's Green data, like a scale's, is built field by field on
-    first read: run alone, a suite that reads no side data builds none.  The
-    only deep sets read are the two per scale that loading the config reads
-    to refuse an empty vertex region."""
+    """The run's side Green data, like a scale's data, is built field by
+    field on first read: run alone, a suite that reads no side data builds
+    none.  Loading the config builds the whole bundle alone, and reads the
+    two deep sets per scale that refuse an empty vertex region."""
     calls = count_calls(monkeypatch, unread)
     assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path), "--suite", suite]) == 0
     with open(CONFIG, encoding="utf-8") as fh:

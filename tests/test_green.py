@@ -13,7 +13,7 @@ from cutglue.green import (GreenError, cross_form, glued_green, green_bundle,
                            interface_green, quadratic_form_S0, side_bundle,
                            verify_dtn_difference, verify_green_gluing,
                            verify_quadratic_decomposition)
-from cutglue.meshes import (LEFT, RIGHT, build_grid_mesh, build_interval_mesh,
+from cutglue.meshes import (LEFT, RIGHT, Mesh, build_grid_mesh, build_interval_mesh,
                             cut_along_interface)
 from cutglue.operators import OperatorSpec, assemble, operator_matrix
 from cutglue.suites import SUITES
@@ -104,6 +104,95 @@ def test_whole_mesh_is_the_problem_without_interface(make, column):
         np.testing.assert_array_equal(sb.boundary, np.concatenate([outer, cut.interface]))
         np.testing.assert_array_equal(
             sb.nodes, np.concatenate([cut.side_interior(side), outer, cut.interface]))
+
+
+def interior_block(mesh, spec):
+    return assemble(mesh, spec)[np.ix_(mesh.interior, mesh.interior)]
+
+
+def test_smallest_eigenvalue_path_oracle():
+    """The interior operator of 3 interior nodes is tridiag(-1, 2, -1), whose
+    eigenvalues are 2 - sqrt(2), 2 and 2 + sqrt(2): a mass term moving the
+    lowest to -0.123456 is refused, and the refusal names that value."""
+    mesh = build_interval_mesh(3, 1.0)
+    green_bundle(mesh, M0)
+    spec = OperatorSpec(-(2.0 - np.sqrt(2.0)) - 0.123456)
+    with pytest.raises(GreenError, match=r"^non-positive spectrum in interior "
+                                         r"operator: smallest eigenvalue -0\.123456$"):
+        green_bundle(mesh, spec)
+
+
+@pytest.mark.parametrize("offset", [1e-9, -1e-9], ids=["above", "below"])
+def test_cholesky_and_eigenvalue_agree_at_the_threshold(offset):
+    """mass^2 just above and just below minus the smallest massless
+    eigenvalue: the whole bundle is built exactly when the eigenvalue is
+    positive."""
+    mesh = build_interval_mesh(7, 1.0)
+    massless = np.linalg.eigvalsh(interior_block(mesh, M0))[0]
+    spec = OperatorSpec(-massless + offset)
+    try:
+        green_bundle(mesh, spec)
+        passed = True
+    except GreenError as exc:
+        assert "non-positive spectrum" in str(exc)
+        passed = False
+    smallest = np.linalg.eigvalsh(interior_block(mesh, spec))[0]
+    assert passed == (smallest > 0) == (offset > 0)
+
+
+def test_negative_mass_can_break_positivity():
+    with pytest.raises(GreenError, match="non-positive spectrum"):
+        green_bundle(build_grid_mesh(5, 5, 1.0), OperatorSpec(mass_squared=-10.0))
+
+
+def test_condition_bound_refuses_what_float64_cannot_resolve():
+    """One edge of weight 1e300 in a unit path: the Cholesky factor exists,
+    but max diag(A) max diag(G) reads 1e300 and the bundle is refused."""
+    text = "".join(
+        ["mesh dim=1 spacing=1.0 nodes=9\n"]
+        + [f"node {k} {'boundary' if k in (0, 8) else 'interior'} vol=1.0 pos {k}.0\n"
+           for k in range(9)]
+        + [f"edge {k} {k + 1} w={1e300 if k == 3 else 1.0} len=1.0\n" for k in range(8)])
+    with pytest.raises(GreenError, match=r"^interior operator is too ill-conditioned "
+                                         r"for float64: condition number at least 1e\+300$"):
+        green_bundle(Mesh.from_text(text), M0)
+
+
+def test_condition_bound_refuses_from_the_limit_on(monkeypatch):
+    """path5's bound is max diag(A) max diag(G) = 2 * 1, to rounding: a limit
+    at the bound refuses the bundle, the next float up does not."""
+    mesh, _ = path5()
+    kappa = 2.0 * float(green_bundle(mesh, M0).green.diagonal().max())
+    assert kappa == pytest.approx(2.0, abs=1e-14)
+    monkeypatch.setattr(green, "CONDITION_LIMIT", np.nextafter(kappa, 3.0))
+    green_bundle(mesh, M0)
+    monkeypatch.setattr(green, "CONDITION_LIMIT", kappa)
+    with pytest.raises(GreenError, match="condition number at least 2$"):
+        green_bundle(mesh, M0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(4, 7), ny=st.integers(3, 6), column=st.integers(0, 4),
+       amp=st.floats(0.0, 0.9), mass=st.floats(0.0, 4.0))
+def test_side_condition_bound_is_at_most_the_whole(nx, ny, column, amp, mass):
+    """A side bundle cannot be refused once the whole one was built: its
+    interior operator is a principal submatrix of the whole one, and its
+    Green's matrix is at most the whole one's block, so its bound
+    max diag(A) max diag(G) is at most the whole bound."""
+    mesh = build_grid_mesh(nx, ny, 1.0,
+                           metric_profile=lambda x: 1.0 + amp * np.sin(x[0] + x[1]) ** 2)
+    column = 1 + column % (nx - 2)
+    cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == column)
+    spec = OperatorSpec(mass)
+    diagonal = np.diag(assemble(mesh, spec))
+
+    def bound(bundle):
+        return (diagonal[bundle.interior].max(initial=0.0)
+                * bundle.green.diagonal().max(initial=0.0))
+
+    whole = bound(green_bundle(mesh, spec))
+    for side in (LEFT, RIGHT):
+        assert bound(side_bundle(mesh, spec, cut, side)) <= whole * (1 + 1e-12)
 
 
 def test_quadratic_form_hand_value():
