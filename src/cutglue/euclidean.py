@@ -25,6 +25,8 @@ QUAD_RTOL = 1e-8
 #: Gauss-Legendre points per panel when a profile's mass is summed or two
 #: profiles are composed
 _PROFILE_ORDER = 64
+#: Gauss-Legendre points per panel of a sphere average, checked at twice that
+_SPHERE_ORDER = 48
 
 
 class AveragingError(ValueError):
@@ -97,7 +99,7 @@ class RadialProfile:
                 total += float(ws @ self.density(xs))
         return total
 
-    def nodes(self, order: int = 32) -> list[tuple[float, float]]:
+    def nodes(self, order: int) -> list[tuple[float, float]]:
         """(radius, weight) pairs representing the distribution for quadrature."""
         out = [(r, m) for r, m in self.atoms]
         if self.density is not None:
@@ -293,8 +295,7 @@ def _averaged_value(dim: int, s: float, factors: Sequence[RadialProfile],
     return float(u.fn(np.array([s]))[0])
 
 
-def sphere_average(dim: int, x, lam: float, spec: EuclideanKernelSpec,
-                   order: int = 48) -> float:
+def sphere_average(dim: int, x, lam: float, spec: EuclideanKernelSpec) -> float:
     """Averaged fundamental solution H(G)(x) at scale lam.
 
     Each factor i displaces by a vector of length at most alphas[i]/lam drawn
@@ -302,7 +303,7 @@ def sphere_average(dim: int, x, lam: float, spec: EuclideanKernelSpec,
     the integrand reduces every directional average to a one-dimensional
     piecewise Gauss-Legendre integral, so nested averages keep full accuracy
     across the kinks the inner averages introduce.  The value is recomputed
-    at doubled order; disagreement past QUAD_RTOL raises.
+    at twice _SPHERE_ORDER; disagreement past QUAD_RTOL raises.
     """
     if lam <= 0:
         raise AveragingError("lam must be positive")
@@ -310,13 +311,13 @@ def sphere_average(dim: int, x, lam: float, spec: EuclideanKernelSpec,
         raise AveragingError("dimension mismatch")
     s = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
     factors = [p.scaled(a / lam) for a, p in zip(spec.alphas, spec.profiles)]
-    coarse = _averaged_value(dim, s, factors, order)
-    fine = _averaged_value(dim, s, factors, 2 * order)
+    coarse = _averaged_value(dim, s, factors, _SPHERE_ORDER)
+    fine = _averaged_value(dim, s, factors, 2 * _SPHERE_ORDER)
     scale = max(1.0, abs(fine))
     if abs(fine - coarse) > QUAD_RTOL * scale:
         raise AveragingError(
-            f"quadrature not converged: order {order} -> {2 * order} moved "
-            f"{abs(fine - coarse):.3e} (rtol {QUAD_RTOL:g})"
+            f"quadrature not converged: order {_SPHERE_ORDER} -> "
+            f"{2 * _SPHERE_ORDER} moved {abs(fine - coarse):.3e} (rtol {QUAD_RTOL:g})"
         )
     return fine
 
@@ -333,8 +334,8 @@ class DeformationProfile:
 
 
 def extract_profile_f(dim: int, lam: float, spec: EuclideanKernelSpec,
-                      ts: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-                      order: int = 48) -> DeformationProfile:
+                      ts: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0)
+                      ) -> DeformationProfile:
     """Recover f from the closed form H(G)(x) = lam^(n-2) f(|x|^2 lam^2) + G_ball.
 
     G_ball is the fundamental solution evaluated at the ball radius 1/lam
@@ -351,7 +352,7 @@ def extract_profile_f(dim: int, lam: float, spec: EuclideanKernelSpec,
     direction[0] = 1.0
     for t in ts:
         x = sqrt(t) / lam * direction
-        h = sphere_average(dim, x, lam, spec, order=order)
+        h = sphere_average(dim, x, lam, spec)
         vals.append((h - g_ball) / lam ** (dim - 2))
     return DeformationProfile(ts=ts, values=np.asarray(vals))
 

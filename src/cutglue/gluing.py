@@ -13,13 +13,14 @@ of exact linear algebra, order by order.
 
 Green data is built once per cut (`GluingContext`), kernels, deformed nodes
 and Gaussian data once per scale (`ScaleData`); each builds a field on first
-read, and vertex regions are index subsets of it.  A run is lambda-major:
-each check of a scale reads one copy of the config's `ScaleData`, sharing
-the deep sets read at load, and it is dropped before the next is made.  The
-glued assemblies and the coupling redefinitions share one covariance.  The
-glued and whole series on the union region are computed once per scale and
-couplings; the widening evaluates all its regions of one scale in a single
-engine pass per Gaussian (glued and whole).
+read, and vertex regions are index subsets of it.  Both routes average with
+the scale's kernel; only `verify_deformed_gluing` restricts it to a side.  A
+run is lambda-major: each check of a scale reads one copy of the config's
+`ScaleData`, sharing the deep sets read at load, and it is dropped before the
+next is made.  The glued assemblies and the coupling redefinitions share one
+covariance.  The glued and whole series on the union region are computed once
+per scale and couplings; the widening evaluates all its regions of one scale
+in a single engine pass per Gaussian (glued and whole).
 """
 
 from __future__ import annotations
@@ -103,11 +104,11 @@ class ScaleData:
     mesh.boundary); each side sees its own outer part, with cut-line nodes
     shared.  lam must exceed the admissibility scale of the cut.  The rest
     is built on first read: kernel, at lam; deep, each side's deformed nodes,
-    read off the cut; deep_rows, their rows of the kernel restricted to that
-    side; region, the union of the deep nodes (deep and region are read-only:
-    copies share them); trimmed, where widening ends; glued and whole,
-    node-level Gaussian data that vertex regions index into (whole.cov is
-    H G H'); base, their series on the region.
+    read off the cut; region, the union of the deep nodes (deep and region
+    are read-only: copies share them); trimmed, where widening ends; glued
+    and whole, node-level Gaussian data that vertex regions index into, both
+    averaged by the kernel (whole.cov is H G H'); base, their series on the
+    region.
     """
 
     context: GluingContext
@@ -137,11 +138,6 @@ class ScaleData:
         mesh, cut = self.context.mesh, self.context.cut
         return {s: _read_only(deformed_side_nodes(mesh, cut, s, self.lam))[0]
                 for s in (LEFT, RIGHT)}
-
-    @cached_property
-    def deep_rows(self) -> dict:
-        return {s: restrict_kernel_to_submesh(self.kernel, sb.nodes).matrix[self.deep[s]]
-                for s, sb in self.context.sides.items()}
 
     @cached_property
     def region(self) -> np.ndarray:
@@ -192,18 +188,19 @@ def glued_gaussian(data: ScaleData) -> NodeGaussian:
 
     Built exclusively from side Green's matrices, side Poisson operators,
     and the interface covariance from the summed interface responses, with
-    the interface mean folded into the background field.  Rows of nodes deep
-    inside a side average with that side's restricted kernel.
+    the interface mean folded into the background field.  It averages with the
+    scale's kernel, whose row at a deep node is the side-restricted row, as
+    restricted-rows-match-{side} of `verify_deformed_gluing` checks.
     """
-    order0, mean, rows = _glued_mean(data, "fold", (LEFT, RIGHT))
-    return NodeGaussian(order0, mean, rows @ data.context.glued @ rows.T)
+    h = data.kernel.matrix
+    return NodeGaussian(*_glued_mean(data, "fold", (LEFT, RIGHT)),
+                        h @ data.context.glued @ h.T)
 
 
 def _glued_mean(data: ScaleData, assembly: str, side_order: tuple):
-    """Order-0 action, averaged mean and averaging rows of the glued field.
-    "fold" bakes the interface mean into the background before averaging,
-    "carry" adds it through the interface map afterwards; the two must agree
-    identically."""
+    """Order-0 action and averaged mean of the glued field.  "fold" bakes the
+    interface mean into the background before averaging, "carry" adds it
+    through the interface map afterwards; the two must agree identically."""
     if assembly not in ("fold", "carry"):
         raise GluingError(f"unknown assembly {assembly!r}")
     ctx = data.context
@@ -224,10 +221,7 @@ def _glued_mean(data: ScaleData, assembly: str, side_order: tuple):
         b[ctx.cut.interface] = mu
     else:
         b = b + ctx.to_sigma @ mu
-    rows = np.array(data.kernel.matrix)
-    for s, deep in data.deep.items():
-        rows[deep] = data.deep_rows[s]
-    return order0, rows @ b, rows
+    return order0, data.kernel.matrix @ b
 
 
 def _series(data: ScaleData, gaussian: NodeGaussian, regions) -> list[PerturbationSeries]:
@@ -242,13 +236,13 @@ def glued_series(data: ScaleData, assembly: str = "fold",
     and mean; the covariance of data.glued depends on neither choice."""
     if (assembly, tuple(side_order)) == ("fold", (LEFT, RIGHT)):
         return data.base[0]
-    order0, mean = _glued_mean(data, assembly, side_order)[:2]
+    order0, mean = _glued_mean(data, assembly, side_order)
     return _series(data, NodeGaussian(order0, mean, data.glued.cov), [data.region])[0]
 
 
-def whole_series(data: ScaleData, region: np.ndarray | None = None) -> PerturbationSeries:
+def whole_series(data: ScaleData) -> PerturbationSeries:
     """Whole-manifold comparison target, through the whole-mesh Green path."""
-    return data.base[1] if region is None else _series(data, data.whole, [region])[0]
+    return data.base[1]
 
 
 def verify_deformed_gluing(data: ScaleData) -> Report:
@@ -259,10 +253,13 @@ def verify_deformed_gluing(data: ScaleData) -> Report:
     averaged with each side's restricted kernel rows: the side-regularized
     propagator plus an interface round trip on one side, the pure interface
     round trip across sides, all built from restricted kernels and side Green
-    data only.
+    data only.  The one place a kernel is restricted to a side, it checks
+    that the deep rows pass through unchanged (restricted-rows-match-{side}).
     """
-    kernel, deep, rows = data.kernel, data.deep, data.deep_rows
+    kernel, deep = data.kernel, data.deep
     g_reg, glued = data.whole.cov, data.context.glued
+    rows = {s: restrict_kernel_to_submesh(kernel, sb.nodes).matrix[deep[s]]
+            for s, sb in data.context.sides.items()}
 
     report = Report("deformed-gluing")
     for side, nodes in deep.items():

@@ -46,13 +46,15 @@ def _read_only(*arrays):
 
 def _inverse_spd(m: np.ndarray, what: str) -> np.ndarray:
     """Inverse from the Cholesky factor: the one refusal of an operator that
-    is not positive definite, whose error alone computes its smallest eigenvalue."""
+    is not positive definite, whose error alone computes its smallest
+    eigenvalue (on a singular operator, a rounding residue of either sign)."""
     try:
         c = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         lam = float(np.linalg.eigvalsh(m)[0])
-        raise GreenError(f"non-positive spectrum in {what}: "
-                         f"smallest eigenvalue {lam:g}") from None
+        head = (f"non-positive spectrum in {what}" if lam <= 0.0
+                else f"{what} is not positive definite to rounding")
+        raise GreenError(f"{head}: smallest eigenvalue {lam:g}") from None
     inv = np.linalg.inv(c)
     return _read_only(inv.T @ inv)[0]
 

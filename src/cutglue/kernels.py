@@ -3,13 +3,13 @@
 A kernel at scale lam is a row-stochastic matrix supported in geodesic balls
 of radius 1/lam.  Applied on both legs of the Green's matrix it produces a
 regularized propagator with a finite diagonal.  Once 1/lam drops below the
-minimum edge length the kernel is the exact identity matrix and every
-regularized quantity coincides bitwise with its unregularized original.
+minimum edge length every ball holds its own node alone: the kernel is the
+exact identity and each regularized quantity equals its original bitwise.
 
 A kernel shape maps an array of scaled distances t = d lam in [0, 1] to an
 array of nonnegative weights; each kernel is built from one shape call over
 every node pair inside the balls.  A run holds one kernel per scale, with each
-side's deformed nodes and their restricted rows, in `gluing.ScaleData`.
+side's deformed nodes, in `gluing.ScaleData`; both routes average with it.
 """
 
 from __future__ import annotations
@@ -99,16 +99,15 @@ def build_mesh_kernel(mesh: Mesh, lam: float, shape="uniform") -> KernelMatrix:
 
     Rows are normalized to 1 over the geodesic ball of radius 1/lam; balls
     truncated by the mesh edge are simply renormalized.  A ball smaller than
-    the shortest edge yields the exact identity matrix.  No cut is read:
-    `gluing.ScaleData` checks lam against the cut's lambda_1.
+    the shortest edge holds its node alone, weighted x/x = 1.0 (an identity
+    row too if the shape is 0 at t = 0): the kernel is the exact identity.
+    No cut is read: `gluing.ScaleData` checks lam against the cut's lambda_1.
     """
     if lam <= 0:
         raise KernelError("lam must be positive")
     shape = resolve_shape(shape)
     radius = 1.0 / lam
     n = mesh.n_nodes
-    if radius < float(mesh.edge_lengths.min()) * (1.0 - _DIST_RTOL):
-        return KernelMatrix(matrix=np.eye(n), lam=lam)
     d = mesh.distance_matrix()
     rows, cols = np.nonzero(d <= radius * (1.0 + _DIST_RTOL))
     w = np.zeros((n, n))

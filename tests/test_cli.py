@@ -251,9 +251,6 @@ def test_run_fast_suites(tmp_path, capsys):
     ({"mesh": mesh_file(NINE_NODES.replace("edge 3 4 w=1.0", "edge 3 4 w=1e300"))},
      "interior operator is too ill-conditioned for float64: "
      "condition number at least 1e+300\n"),
-    ({"mesh": mesh_file(NINE_NODES.replace("edge 0 1 w=1.0", "edge 0 8 w=1.0")
-                        .replace("edge 7 8 w=1.0 len=1.0\n", ""))},
-     "non-positive spectrum in interior operator"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
@@ -286,13 +283,33 @@ def test_run_fast_suites(tmp_path, capsys):
         "mesh-edge-key-missing", "mesh-edge-key-repeated", "mesh-node-key-unknown",
         "mesh-node-key-missing", "grid-volume-overflow-1e200",
         "grid-volume-overflow-1e300", "interval-weight-overflow-1e-310",
-        "operator-ill-conditioned", "operator-singular-interior-off-boundary"])
+        "operator-ill-conditioned"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
     assert cli.main(["run", bad, "--out-dir", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert message in err and err.count("config error:") == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_singular_operator_exits_two(tmp_path, capsys):
+    """path9's nodes with edge 0-8 in place of 0-1 and no edge 7-8: the
+    interior nodes 1..7 form a path touching no boundary node, so the interior
+    operator is singular.  Its computed smallest eigenvalue is a rounding
+    residue whose sign depends on the LAPACK build; either way the run exits
+    2 with one config error, and a positive value is not called non-positive."""
+    singular = NINE_NODES.replace("edge 0 1 w=1.0", "edge 0 8 w=1.0").replace(
+        "edge 7 8 w=1.0 len=1.0\n", "")
+    bad = path9_with(tmp_path, mesh=mesh_file(singular)(tmp_path))
+    assert cli.main(["run", bad, "--out-dir", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 1 and err.count("\n") == 1
+    found = re.search(r"(non-positive spectrum in interior operator|interior operator "
+                      r"is not positive definite to rounding): smallest eigenvalue "
+                      r"(\S+)\n", err)
+    assert found, err
+    assert (float(found[2]) <= 0.0) == found[1].startswith("non-positive")
     assert not (tmp_path / "r").exists()
 
 
@@ -597,6 +614,21 @@ def test_suite_alone_builds_no_side_data(tmp_path, monkeypatch, capsys, suite, u
     with open(CONFIG, encoding="utf-8") as fh:
         at_load = {"deformed_side_nodes": 2 * len(json.load(fh)["lambdas"])}
     assert calls == {name: at_load.get(name, 0) for name in unread}
+
+
+@pytest.mark.parametrize("suite, per_scale", [("gluing-theorem", 0),
+                                             ("lambda-sweep", 0),
+                                             ("deformed-gluing", 2)])
+def test_only_deformed_gluing_restricts_kernels(tmp_path, monkeypatch, capsys,
+                                                suite, per_scale):
+    """The glued route averages with the scale's kernel itself; deformed-gluing
+    alone restricts it, once to each side per scale, to check that the rows
+    of the deep nodes come through unchanged."""
+    calls = count_calls(monkeypatch, ("restrict_kernel_to_submesh",))
+    assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path), "--suite", suite]) == 0
+    with open(CONFIG, encoding="utf-8") as fh:
+        n_lambdas = len(json.load(fh)["lambdas"])
+    assert calls == {"restrict_kernel_to_submesh": per_scale * n_lambdas}
 
 
 def test_lambda_sweep_reads_the_base_series(tmp_path, monkeypatch, capsys):

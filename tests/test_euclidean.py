@@ -246,14 +246,14 @@ def _ulps(got, want):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_quadrature_matches_scalar_reference(name):
-    (spec, ts), lam, order = CASES[name], 2.0, 48
+    (spec, ts), lam, order = CASES[name], 2.0, eu._SPHERE_ORDER
     dim = spec.dim
     factors = [p.scaled(a / lam) for a, p in zip(spec.alphas, spec.profiles)]
-    prof = eu.extract_profile_f(dim, lam, spec, ts=ts, order=order)
+    prof = eu.extract_profile_f(dim, lam, spec, ts=ts)
     g_ball = _scalar_green(dim, 1.0 / lam)
     for t, got in zip(prof.ts, prof.values):
         s = sqrt(t) / lam
-        h = eu.sphere_average(dim, [s] + [0.0] * (dim - 1), lam, spec, order=order)
+        h = eu.sphere_average(dim, [s] + [0.0] * (dim - 1), lam, spec)
         want = _scalar_value(dim, s, factors, 2 * order)
         assert _ulps(h, want) <= QUAD_ULPS
         assert _ulps(got, (want - g_ball) / lam ** (dim - 2)) <= QUAD_ULPS

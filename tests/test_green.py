@@ -122,6 +122,20 @@ def test_smallest_eigenvalue_path_oracle():
         green_bundle(mesh, spec)
 
 
+def test_failed_factor_with_positive_eigenvalue_is_not_called_non_positive(monkeypatch):
+    """A Cholesky factor can fail on a singular operator whose computed
+    smallest eigenvalue is a positive rounding residue.  The failure is forced
+    here on tridiag(-1, 2, -1), whose smallest eigenvalue is 2 - sqrt(2): the
+    refusal names that value and does not call it non-positive."""
+    def fail(m, *args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(GreenError, match=r"^interior operator is not positive definite "
+                                         r"to rounding: smallest eigenvalue 0\.585786$"):
+        green_bundle(build_interval_mesh(3, 1.0), M0)
+
+
 @pytest.mark.parametrize("offset", [1e-9, -1e-9], ids=["above", "below"])
 def test_cholesky_and_eigenvalue_agree_at_the_threshold(offset):
     """mass^2 just above and just below minus the smallest massless

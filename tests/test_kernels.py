@@ -276,22 +276,27 @@ ORACLE_MESHES = {
 @pytest.mark.parametrize("name", list(ORACLE_MESHES))
 def test_kernel_builders_match_loops_bitwise(name):
     """Each builder against its loop; the deep sets, read off the cut, against
-    a loop over the side bundle's index arrays."""
+    a loop over the side bundle's index arrays.  Restriction to a side passes
+    the rows of its deep nodes through bitwise, which lets the glued route
+    average with the unrestricted kernel.  At a saturated scale, 1/lam below
+    the shortest edge, the one build path gives the identity bitwise."""
     make, lams, column = ORACLE_MESHES[name]
     mesh = make()
     cut = _column_cut(mesh, column)
     sides = {side: side_bundle(mesh, M0, cut, side) for side in (LEFT, RIGHT)}
-    for lam in lams:
+    saturated = 2.0 / float(mesh.edge_lengths.min())
+    for lam in (*lams, saturated):
+        deep = {side: kn.deformed_side_nodes(mesh, cut, side, lam) for side in sides}
+        for side, sb in sides.items():
+            assert np.array_equal(deep[side], _loop_deformed_side_nodes(mesh, sb, lam))
         for shape in kn.SHAPES:
             kernel = kn.build_mesh_kernel(mesh, lam, shape)
-            assert not kernel.is_identity
+            assert kernel.is_identity == (lam == saturated)
             assert np.array_equal(kernel.matrix, _loop_mesh_kernel(mesh, lam, shape))
-            for sb in sides.values():
+            for side, sb in sides.items():
                 got = kn.restrict_kernel_to_submesh(kernel, sb.nodes).matrix
                 assert np.array_equal(got, _loop_restrict(kernel.matrix, sb.nodes))
-        for side, sb in sides.items():
-            assert np.array_equal(kn.deformed_side_nodes(mesh, cut, side, lam),
-                                  _loop_deformed_side_nodes(mesh, sb, lam))
+                assert np.array_equal(got[deep[side]], kernel.matrix[deep[side]])
 
 
 def test_degenerate_rows_are_identity_rows():
@@ -308,6 +313,9 @@ def test_degenerate_rows_are_identity_rows():
             assert np.array_equal(kernel.matrix[p], np.eye(5)[p])
         assert np.all(kernel.matrix >= 0.0)
         np.testing.assert_allclose(kernel.matrix.sum(axis=1), 1.0, atol=1e-14)
+    # at radius 1, below the shortest edge, every row is degenerate
+    for shape in (zero, composed):
+        assert kn.build_mesh_kernel(mesh, 1.0, shape).is_identity
     mixed = kernel
     assert not mixed.is_identity
     # node 0 keeps mass only at node 1: dropping node 1 still refuses
