@@ -1,7 +1,9 @@
 """Batch front-end: run verification suites from a config, write reports.
 
 Exit status: 0 when every selected check passes, 1 on a numerical failure,
-2 on a configuration problem.  Report files are byte-stable across reruns.
+2 on a configuration problem, which includes report files that cannot be
+written (found only after the suites ran).  Report files are byte-stable
+across reruns.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def list_suites(stream=None) -> int:
-    stream = sys.stdout if stream is None else stream
+def list_suites() -> int:
     for name in sorted(SUITES):
         description, _ = SUITES[name]
-        stream.write(f"{name}: {description}\n")
+        print(f"{name}: {description}")
     return EXIT_OK
 
 
@@ -55,13 +56,8 @@ def run(args) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-        cfg = load_config(args.config, SUITES, max_order=args.max_order)
-        selected = cfg.suites
-        if args.suite:
-            unknown = [s for s in args.suite if s not in SUITES]
-            if unknown:
-                raise ConfigError(f"unknown suites: {unknown}")
-            selected = tuple(args.suite)
+        cfg = load_config(args.config, SUITES, max_order=args.max_order,
+                          suites=args.suite)
         try:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:
@@ -70,32 +66,35 @@ def run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    reports = run_suites(cfg, selected, args.seed)
-
-    all_passed = True
+    reports = run_suites(cfg, args.seed)
     summary = Report(cfg.name)
-    for name, report in reports.items():
-        base = os.path.join(args.out_dir, f"{cfg.name}-{name}")
-        with open(base + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+    for report in reports.values():
         summary.extend(report.checks)
+    try:
+        for name, report in reports.items():
+            base = os.path.join(args.out_dir, f"{cfg.name}-{name}")
+            with open(base + ".csv", "w", encoding="utf-8") as fh:
+                fh.write(report.to_csv())
+            with open(base + ".json", "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+        with open(os.path.join(args.out_dir, f"{cfg.name}-summary.json"),
+                  "w", encoding="utf-8") as fh:
+            fh.write(summary.to_json())
+    except OSError as exc:
+        print(f"config error: cannot write reports: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+    for name, report in reports.items():
         status = "pass" if report.passed else "FAIL"
         worst = report.worst
         at = "" if worst is None else f" at {worst.name}"
         print(f"{name}: {status} (max residual {report.max_residual:.3e}{at}, "
               f"{len(report.checks)} checks)")
-        if not report.passed:
-            all_passed = False
-            for c in report.checks:
-                if not c.passed:
-                    print(f"  failed: {c.name} residual {c.residual:.3e} "
-                          f"tolerance {c.tolerance:.3e}", file=sys.stderr)
-    with open(os.path.join(args.out_dir, f"{cfg.name}-summary.json"),
-              "w", encoding="utf-8") as fh:
-        fh.write(summary.to_json())
-    return EXIT_OK if all_passed else EXIT_NUMERICAL
+        for c in report.checks:
+            if not c.passed:
+                print(f"  failed: {c.name} residual {c.residual:.3e} "
+                      f"tolerance {c.tolerance:.3e}", file=sys.stderr)
+    return EXIT_OK if summary.passed else EXIT_NUMERICAL
 
 
 def main(argv=None) -> int:

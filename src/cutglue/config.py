@@ -3,16 +3,15 @@
 A config names a mesh, a cut, an operator, an interaction, a kernel shape,
 a scale grid, boundary data, and the suites to run.  All cross-references
 are checked here, before any numerics start; no object may hold a key that
-nothing reads, and each scale must leave deep nodes to put vertices on.
-The mesh, operator and cut are held by one `gluing.GluingContext`, which
-builds their Green data on first read; loading builds the whole mesh's
-bundle alone, which is the spectrum check.
-Each lambda becomes one `gluing.ScaleData`, which holds the interaction,
-kernel shape, eta and max_order and owns the admissibility rule; loading
-reads its deep sets, and `suites.run_suites` runs on copies that share
-them.  A coupling given as {node id: value} becomes the list of one value
-per node, zero at the nodes it does not name, so the interaction holds a
-constant or one value per node and nothing else.
+nothing reads.  The mesh, operator and cut are held by one
+`gluing.GluingContext`; loading builds the whole mesh's Green bundle alone,
+which is the spectrum check.  Each lambda becomes one `gluing.ScaleData`,
+which owns both admissibility rules; `suites.run_suites` runs on copies.
+The suite list is settled here: a list given to `load_config` overrides the
+config's, unknown names are refused and repeats dropped, so
+`ScenarioConfig.suites` is what runs.  A coupling given as {node id: value}
+becomes the list of one value per node, zero at the nodes it does not name,
+so the interaction holds a constant or one value per node and nothing else.
 """
 
 from __future__ import annotations
@@ -43,7 +42,8 @@ MESH_KEYS = {"interval": {"type", "n_interior", "spacing"},
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated inputs of one batch run: context holds the mesh, operator
-    and cut, and scales one `gluing.ScaleData` per lambda, in config order."""
+    and cut, scales one `gluing.ScaleData` per lambda, in config order, and
+    suites the names of the suites that run, each once."""
 
     name: str
     context: GluingContext
@@ -169,6 +169,16 @@ def _build_eta(mesh: Mesh, spec) -> np.ndarray:
     return np.array([_finite(value, "eta value") for value in spec])
 
 
+def _suite_list(names: list, known_suites) -> tuple:
+    """The named suites, each once, in the order first named."""
+    if not names:
+        raise ConfigError("suites must be nonempty")
+    unknown = [s for s in names if s not in known_suites]
+    if unknown:
+        raise ConfigError(f"unknown suites: {unknown}")
+    return tuple(dict.fromkeys(names))
+
+
 def check_max_order(interaction: InteractionSpec, max_order: float) -> float:
     """A nonnegative half-integer order whose terms stay within LEG_CAP legs."""
     if not (math.isfinite(max_order) and max_order >= 0
@@ -185,8 +195,8 @@ def check_max_order(interaction: InteractionSpec, max_order: float) -> float:
     return max_order
 
 
-def load_config(path: str, known_suites, max_order=None) -> ScenarioConfig:
-    """The config at path; max_order, when given, replaces the config's own."""
+def load_config(path: str, known_suites, max_order=None, suites=None) -> ScenarioConfig:
+    """The config at path; max_order and suites, when given, replace its own."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -197,7 +207,7 @@ def load_config(path: str, known_suites, max_order=None) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     try:
-        return _interpret(raw, known_suites, max_order)
+        return _interpret(raw, known_suites, max_order, suites)
     except ConfigError:
         raise
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -205,7 +215,7 @@ def load_config(path: str, known_suites, max_order=None) -> ScenarioConfig:
         raise ConfigError(f"bad config entry: {exc}") from exc
 
 
-def _interpret(raw: dict, known_suites, max_order) -> ScenarioConfig:
+def _interpret(raw: dict, known_suites, max_order, suites) -> ScenarioConfig:
     missing = REQUIRED_KEYS - raw.keys()
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
@@ -243,27 +253,17 @@ def _interpret(raw: dict, known_suites, max_order) -> ScenarioConfig:
 
     if not lambdas:
         raise ConfigError("lambdas must be nonempty")
-    scales = []
-    for lam in lambdas:
-        try:
-            scale = ScaleData(context, interaction, lam, shape, eta, max_order)
-        except GluingError as exc:
-            raise ConfigError(str(exc)) from exc
-        # Every vertex region holds the deep nodes: with none, checks compare 0 with 0.
-        if not scale.region.size:
-            raise ConfigError(f"empty vertex region at lam {lam}: no side node "
-                              f"is 1/lam or more from its side's boundary")
-        scales.append(scale)
+    try:
+        scales = tuple(ScaleData(context, interaction, lam, shape, eta, max_order)
+                       for lam in lambdas)
+    except GluingError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    suites = raw.get("suites", sorted(known_suites))
-    if not isinstance(suites, list):
+    listed = raw.get("suites", sorted(known_suites))
+    if not isinstance(listed, list):
         raise ConfigError("suites must be a list of suite names")
-    suites = tuple(suites)
-    if not suites:
-        raise ConfigError("suites must be nonempty")
-    unknown = [s for s in suites if s not in known_suites]
-    if unknown:
-        raise ConfigError(f"unknown suites: {unknown}")
-
-    return ScenarioConfig(name=_build_name(raw["name"]), context=context,
-                          scales=tuple(scales), suites=suites)
+    listed = _suite_list(listed, known_suites)
+    name = _build_name(raw["name"])
+    if suites is not None:  # after the config: its own errors are reported first
+        listed = _suite_list(suites, known_suites)
+    return ScenarioConfig(name=name, context=context, scales=scales, suites=listed)

@@ -124,8 +124,9 @@ class RadialProfile:
         )
 
 
-def sphere_shell(radius: float = 1.0) -> RadialProfile:
-    return RadialProfile(atoms=((radius, 1.0),), support=radius)
+def sphere_shell() -> RadialProfile:
+    """The unit sphere, as a radius distribution: one atom at radius 1."""
+    return RadialProfile(atoms=((1.0, 1.0),), support=1.0)
 
 
 def uniform_ball(dim: int) -> RadialProfile:

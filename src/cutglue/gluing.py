@@ -13,14 +13,15 @@ of exact linear algebra, order by order.
 
 Green data is built once per cut (`GluingContext`), kernels, deformed nodes
 and Gaussian data once per scale (`ScaleData`); each builds a field on first
-read, and vertex regions are index subsets of it.  Both routes average with
-the scale's kernel; only `verify_deformed_gluing` restricts it to a side.  A
-run is lambda-major: each check of a scale reads one copy of the config's
-`ScaleData`, sharing the deep sets read at load, and it is dropped before the
-next is made.  The glued assemblies and the coupling redefinitions share one
-covariance.  The glued and whole series on the union region are computed once
-per scale and couplings; the widening evaluates all its regions of one scale
-in a single engine pass per Gaussian (glued and whole).
+read, and vertex regions are index subsets of it; `ScaleData` alone admits a
+scale.  Both routes average with the scale's kernel; only
+`verify_deformed_gluing` restricts it to a side.  A run is lambda-major:
+each check of a scale reads one copy of the config's `ScaleData`, sharing the
+deep sets read at load, and it is dropped before the next is made.  The glued
+assemblies and the coupling redefinitions share one covariance.  The glued
+and whole series on the union region are computed once per scale and
+couplings; the widening evaluates all its regions of one scale in a single
+engine pass per Gaussian (glued and whole).
 """
 
 from __future__ import annotations
@@ -102,13 +103,14 @@ class ScaleData:
 
     eta is the Dirichlet data over the whole boundary (ordered like
     mesh.boundary); each side sees its own outer part, with cut-line nodes
-    shared.  lam must exceed the admissibility scale of the cut.  The rest
-    is built on first read: kernel, at lam; deep, each side's deformed nodes,
-    read off the cut; region, the union of the deep nodes (deep and region
-    are read-only: copies share them); trimmed, where widening ends; glued
-    and whole, node-level Gaussian data that vertex regions index into, both
-    averaged by the kernel (whole.cov is H G H'); base, their series on the
-    region.
+    shared.  It alone admits a scale: lam must exceed the cut's lambda_1,
+    and some side node must be 1/lam or more from its side's boundary, so
+    that region is not empty; building one reads deep and region.  deep is
+    each side's deformed nodes, read off the cut, and region their union
+    (both read-only: copies share them).  The rest is built on first read:
+    kernel, at lam; trimmed, where widening ends; glued and whole, node-level
+    Gaussian data that vertex regions index into, both averaged by the kernel
+    (whole.cov is H G H'); base, their series on the region.
     """
 
     context: GluingContext
@@ -128,6 +130,10 @@ class ScaleData:
         if eta.size != mesh.boundary.size:
             raise GluingError("eta must cover the whole boundary")
         object.__setattr__(self, "eta", eta)
+        # with no deep node to put vertices on, every check compares 0 with 0
+        if not self.region.size:
+            raise GluingError(f"empty vertex region at lam {self.lam}: no side "
+                              f"node is 1/lam or more from its side's boundary")
 
     @cached_property
     def kernel(self) -> KernelMatrix:

@@ -15,7 +15,7 @@ A term over very few node tuples is one einsum call instead.
 
 One engine pass serves a whole family of vertex regions
 (`NodeGaussian.series`): mean and covariance are gathered once on the union
-of the regions, and each vertex type carries one weight column per region,
+of the regions, and each vertex carries one weight column per region,
 zero off it.  Every instance operand carries that column axis, so a Wick
 term is contracted once for all regions and its matrix-vector products
 become one matrix product.  A single region is a family of one.
@@ -25,15 +25,16 @@ kept alongside as independent routes; they must never be merged.
 
 The engine imports only `series`: Gaussian data arrive as a `NodeGaussian`
 of plain arrays, built in `gluing` from Green bundles and kernels.  Each
-datum has one form: a coupling is a constant or one value per node, and a
-series leaves the engine as its coefficient array.
+datum has one form: a coupling is a constant or one value per node, a vertex
+is the (power, weights) instance pair the engine contracts, and a series
+leaves the engine as its coefficient array.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb, factorial, prod
 
 import numpy as np
@@ -100,33 +101,13 @@ class InteractionSpec:
         return InteractionSpec({k: mapping(k, t) for k, t in self.couplings.items()})
 
 
-@dataclass(frozen=True)
-class VertexType:
-    """One interaction monomial summed over a vertex region.
-
-    power  : number of field legs k.
-    weights: t_k(p) vol(p) over the region nodes; in a family of regions,
-             one column per region, zero off it (see `NodeGaussian.series`).
-    """
-
-    power: int
-    weights: np.ndarray
-
-    @property
-    def xpower(self) -> int:
-        """k - 2, the power of sqrt(hbar) the vertex carries."""
-        return self.power - 2
-
-
 def vertex_terms(interaction: InteractionSpec, region: np.ndarray,
-                 volumes: np.ndarray) -> list[VertexType]:
-    """Vertex types of the interaction restricted to the region nodes."""
+                 volumes: np.ndarray) -> list[tuple]:
+    """The interaction's vertices on the region nodes, one (power k, weights
+    t_k(p) vol(p) over the region) instance pair per nonzero power."""
     region = np.asarray(region, dtype=int)
-    out = []
-    for k in interaction.powers():
-        w = interaction.coupling_at(k, region) * volumes[region]
-        out.append(VertexType(power=k, weights=w))
-    return out
+    return [(k, interaction.coupling_at(k, region) * volumes[region])
+            for k in interaction.powers()]
 
 
 def wick_pairings(legs):
@@ -370,7 +351,7 @@ def gaussian_cumulant(instances, mean: np.ndarray, cov: np.ndarray):
 
 
 def _vertex_counts(xpowers, xmax: int):
-    """(counts per vertex type, x-power) of each nonempty multiset within xmax."""
+    """(counts per vertex, x-power) of each nonempty multiset within xmax."""
     ranges = [range(xmax // x + 1) for x in xpowers]
     for counts in itertools.product(*ranges):
         xpow = sum(x * c for x, c in zip(xpowers, counts))
@@ -388,20 +369,21 @@ def leg_budget(powers, max_order: float) -> int:
 
 def _vertex_series(vertices, mean: np.ndarray, cov: np.ndarray,
                    max_order: float, moment, columns: int = 1) -> np.ndarray:
-    """Coefficients in x of the sum over vertex-type multisets within the order
+    """Coefficients in x of the sum over vertex multisets within the order
     budget of prod_v (-1)^(c_v) / c_v! times moment(instances), one column per
-    weight column of the vertices (see `_wick_sum`).
+    weight column of the vertices (see `_wick_sum`).  A vertex is a
+    (power k, weights) pair and carries x^(k - 2).
 
     The prefactor is one float division of exact integers, so it is correctly
     rounded; the moment engine enforces the leg budget.  Order 0 is left at zero.
     """
     xmax = int(round(2 * max_order))
     coeffs = np.zeros((xmax + 1, columns))
-    for counts, xpow in _vertex_counts([v.xpower for v in vertices], xmax):
+    for counts, xpow in _vertex_counts([k - 2 for k, _ in vertices], xmax):
         pref = (-1) ** sum(counts) / prod(factorial(c) for c in counts)
         instances = []
         for v, c in zip(vertices, counts):
-            instances.extend([(v.power, v.weights)] * c)
+            instances.extend([v] * c)  # one weights object: `_wick_sum` caches by id
         coeffs[xpow] += pref * moment(instances, mean, cov)
     return coeffs
 
@@ -428,7 +410,7 @@ class NodeGaussian:
         """Minus log of E[exp(-V)] plus order 0, one series per vertex region.
 
         The family is one engine pass: mean and covariance are gathered once
-        on the union of the regions, and each vertex type carries one weight
+        on the union of the regions, and each vertex carries one weight
         column per region, zero off that region, so every Wick topology is
         contracted once for all regions.  One region is a family of one.
         A region is the set of its node ids, marked in a mask over the nodes,
@@ -439,8 +421,8 @@ class NodeGaussian:
             inside[np.asarray(r, dtype=int), k] = True
         union = np.flatnonzero(inside.any(axis=1))
         inside = inside[union]
-        vertices = [replace(v, weights=np.where(inside, v.weights[:, None], 0.0))
-                    for v in vertex_terms(interaction, union, volumes)]
+        vertices = [(k, np.where(inside, w[:, None], 0.0))
+                    for k, w in vertex_terms(interaction, union, volumes)]
         w = -_vertex_series(vertices, self.mean.take(union),
                             self.cov.take(union, 0).take(union, 1), max_order,
                             gaussian_cumulant, len(regions))

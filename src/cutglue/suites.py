@@ -2,10 +2,11 @@
 
 A run's Green data belongs to its `gluing.GluingContext`
 (`ScenarioConfig.context`), which builds each field once, on first read, and
-every suite reads it.  `run_suites` is lambda-major: per scale it copies
-its `ScaleData`, which the runners of PER_SCALE (and FIRST_SCALE, at the
-first) take in place of the config, and drops the copy before the next.  The
-context and each copy build only the fields the selected runners read.
+every suite reads it.  `run_suites` runs `cfg.suites`, the list settled at
+load, and is lambda-major: per scale it copies its `ScaleData`, which the
+runners of PER_SCALE (and FIRST_SCALE, at the first) take in place of the
+config, and drops the copy before the next.  The context and each copy build
+only the fields the selected runners read.
 kernel-properties builds its own left side bundle and kernels.
 """
 
@@ -20,8 +21,8 @@ from . import euclidean as eu
 from .config import ScenarioConfig
 from .gluing import (ScaleData, lambda_sweep, renormalization_commutes,
                      verify_deformed_gluing, verify_gluing_theorem)
-from .green import (side_bundle, verify_dtn_difference, verify_green_gluing,
-                    verify_quadratic_decomposition)
+from .green import (TRIALS, side_bundle, verify_dtn_difference,
+                    verify_green_gluing, verify_quadratic_decomposition)
 from .kernels import (build_mesh_kernel, restrict_kernel_to_submesh,
                       spectral_regularized_green, verify_regularization)
 from .meshes import _DIST_RTOL, LEFT, RIGHT
@@ -50,8 +51,7 @@ def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
 
 
 def suite_quadratic_decomposition(cfg: ScenarioConfig, seed: int) -> Report:
-    return verify_quadratic_decomposition(cfg.context.bundle, cfg.context.cut,
-                                          trials=120, seed=seed)
+    return verify_quadratic_decomposition(cfg.context.bundle, cfg.context.cut, seed)
 
 
 def suite_averaging_closed_form(cfg: ScenarioConfig, seed: int) -> Report:
@@ -139,7 +139,8 @@ SUITES = {
         suite_green_identities,
     ),
     "quadratic-decomposition": (
-        "additive split of the free action under background shifts, 120 seeded trials",
+        "additive split of the free action under background shifts, "
+        f"{TRIALS} seeded trials",
         suite_quadratic_decomposition,
     ),
     "averaging-closed-form": (
@@ -173,17 +174,17 @@ SUITES = {
 }
 
 
-def run_suites(cfg: ScenarioConfig, names, seed: int) -> dict:
-    """{name: Report} of each named suite, run once however often it is
-    named, in the order first named.  Each scale runs on a copy that holds
-    all it builds; one is alive at a time, dropped before the next is made."""
-    names = list(dict.fromkeys(names))
+def run_suites(cfg: ScenarioConfig, seed: int) -> dict:
+    """{name: Report} of each suite of cfg.suites, in their order.  Each
+    scale runs on a copy that holds all it builds; one is alive at a time,
+    dropped before the next is made."""
     reports = {}
-    for name in names:
+    for name in cfg.suites:
         if name not in PER_SCALE + FIRST_SCALE:
             reports[name] = SUITES[name][1](cfg, seed)
     for k, scale in enumerate(cfg.scales):
-        scaled = [n for n in names if n in PER_SCALE or (k == 0 and n in FIRST_SCALE)]
+        scaled = [n for n in cfg.suites
+                  if n in PER_SCALE or (k == 0 and n in FIRST_SCALE)]
         if not scaled:
             break
         data = copy(scale)
@@ -191,4 +192,4 @@ def run_suites(cfg: ScenarioConfig, names, seed: int) -> dict:
             part = SUITES[name][1](data)
             reports.setdefault(name, Report(part.name)).extend(part.checks)
         del data
-    return {name: reports[name] for name in names}
+    return {name: reports[name] for name in cfg.suites}

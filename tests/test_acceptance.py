@@ -104,7 +104,7 @@ def test_criterion_3_quadratic_decomposition():
     worst = 0.0
     for mesh, cut in _cases():
         rep = verify_quadratic_decomposition(green_bundle(mesh, OperatorSpec(0.1)),
-                                             cut, trials=120, seed=11)
+                                             cut, seed=11)
         assert all(c.details["trials"] >= 100 for c in rep.checks)
         worst = max(worst, rep.max_residual)
     _emit(3, worst <= 1e-12,

@@ -426,6 +426,48 @@ def test_unknown_suite_exits_two(tmp_path, capsys):
     assert "unknown suites" in capsys.readouterr().err
 
 
+def test_suite_override_is_settled_at_load(tmp_path):
+    """An override is refused with the config's own message, after every
+    entry of the config, and keeps each suite once, in the order first named."""
+    from cutglue.config import ConfigError, load_config
+    listed = path9_with(tmp_path, suites=["nope", "lambda-sweep", "nope"])
+    with pytest.raises(ConfigError) as own:
+        load_config(listed, suites.SUITES)
+    with pytest.raises(ConfigError) as override:
+        load_config(CONFIG, suites.SUITES, suites=["nope", "lambda-sweep", "nope"])
+    assert str(override.value) == str(own.value) == "unknown suites: ['nope', 'nope']"
+    with pytest.raises(ConfigError, match="name 'a/b' must be a plain file name"):
+        load_config(path9_with(tmp_path, name="a/b"), suites.SUITES, suites=["nope"])
+    cfg = load_config(CONFIG, suites.SUITES,
+                      suites=["lambda-sweep", "green-identities", "lambda-sweep"])
+    assert cfg.suites == ("lambda-sweep", "green-identities")
+    assert list(suites.run_suites(cfg, 0)) == list(cfg.suites)
+
+
+def test_suite_listed_twice_runs_once(tmp_path, capsys):
+    from cutglue.config import load_config
+    path = path9_with(tmp_path, suites=["lambda-sweep", "green-identities",
+                                        "lambda-sweep"])
+    assert load_config(path, suites.SUITES).suites == ("lambda-sweep", "green-identities")
+    assert cli.main(["run", path, "--out-dir", str(tmp_path / "r")]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "lambda-sweep", "green-identities"]
+
+
+def test_report_that_cannot_be_written_exits_two(tmp_path, capsys):
+    """A directory where a report file goes is found only after the suites
+    ran: one config error line, not a traceback."""
+    out = tmp_path / "r"
+    (out / "path9_cubic-green-identities.csv").mkdir(parents=True)
+    code = cli.main(["run", CONFIG, "--suite", "green-identities",
+                     "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("config error: cannot write reports: ")
+    assert captured.err.count("\n") == 1 and "Is a directory" in captured.err
+
+
 def test_bad_max_order_exits_two(tmp_path, capsys):
     code = cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
                      "--max-order", "0.3", "--suite", "green-identities"])
@@ -757,7 +799,7 @@ def test_run_leaves_the_loaded_scales_as_loaded(monkeypatch):
         return copies[-1]
 
     monkeypatch.setattr(suites, "copy", kept)
-    suites.run_suites(cfg, cfg.suites, seed=0)
+    suites.run_suites(cfg, seed=0)
     assert len(copies) == len(cfg.scales)
     for scale, data in zip(cfg.scales, copies):
         assert set(vars(scale)) == {f.name for f in fields(scale)} | {"deep", "region"}

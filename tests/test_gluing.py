@@ -42,6 +42,10 @@ def test_scenario_validation():
     ctx = GluingContext(mesh, M0, cut)
     with pytest.raises(GluingError, match="lambda_1"):
         ScaleData(context=ctx, interaction=InteractionSpec({}), lam=0.2)
+    # above lambda_1 = 1/4, but no side node is 1/0.4 from its side's boundary
+    with pytest.raises(GluingError, match=r"^empty vertex region at lam 0\.4: no side "
+                                          r"node is 1/lam or more from its side's boundary$"):
+        ScaleData(context=ctx, interaction=InteractionSpec({}), lam=0.4)
     with pytest.raises(GluingError, match="eta"):
         ScaleData(context=ctx, interaction=InteractionSpec({}), lam=1.0,
                   eta=np.array([1.0]))

@@ -268,12 +268,11 @@ def test_cross_form_closes_the_decomposition():
 
 def test_quadratic_decomposition_reports():
     mesh, cut = path5()
-    rep = verify_quadratic_decomposition(green_bundle(mesh, M0), cut, trials=100)
+    rep = verify_quadratic_decomposition(green_bundle(mesh, M0), cut)
     assert rep.passed and rep.max_residual <= 1e-12
     grid = build_grid_mesh(5, 5, 1.0)
     gcut = cut_along_interface(grid, lambda n: grid.positions[n][0] == 2.0)
-    rep = verify_quadratic_decomposition(green_bundle(grid, OperatorSpec(0.3)),
-                                         gcut, trials=100)
+    rep = verify_quadratic_decomposition(green_bundle(grid, OperatorSpec(0.3)), gcut)
     assert rep.passed and rep.max_residual <= 1e-12
 
 
@@ -282,7 +281,7 @@ def test_quadratic_decomposition_keeps_a_nan_trial():
     mesh, cut = path5()
     bundle = green_bundle(mesh, M0)
     broken = replace(bundle, poisson=np.full_like(bundle.poisson, np.nan))
-    [check] = verify_quadratic_decomposition(broken, cut, trials=3).checks
+    [check] = verify_quadratic_decomposition(broken, cut).checks
     assert np.isnan(check.residual) and not check.passed
 
 
@@ -294,7 +293,7 @@ def test_quadratic_decomposition_batch_is_the_trial_loop():
     cut = cut_along_interface(grid, lambda n: grid.positions[n][0] == 2.0)
     spec = OperatorSpec(0.3)
     bundle = green_bundle(grid, spec)
-    seed, trials, n_in = 4, 120, grid.interior.size
+    seed, trials, n_in = 4, green.TRIALS, grid.interior.size
     draws = green._uniform_draws(seed, (trials, n_in + bundle.boundary.size))
     phi = np.zeros((trials, grid.n_nodes))
     phi[:, grid.interior] = draws[:, :n_in]
@@ -318,7 +317,7 @@ def test_quadratic_decomposition_batch_is_the_trial_loop():
             np.testing.assert_allclose([b[t] for b in batch], single, rtol=1e-12)
         total, *parts, cross = single
         assert abs(total - (sum(parts) - cross)) <= 1e-12
-    [check] = verify_quadratic_decomposition(bundle, cut, trials, seed).checks
+    [check] = verify_quadratic_decomposition(bundle, cut, seed).checks
     assert check.passed
     assert check.details["seed"] == seed and 0 <= check.details["worst_trial"] < trials
 
@@ -338,17 +337,15 @@ def test_quadratic_decomposition_fails_one_perturbed_entry(part):
         poisson = np.array(bundle.poisson)
         poisson[1, 0] *= 1 + 1e-9
         broken = replace(bundle, poisson=poisson)
-    assert verify_quadratic_decomposition(bundle, cut, trials=20).passed
-    [check] = verify_quadratic_decomposition(broken, cut, trials=20).checks
+    assert verify_quadratic_decomposition(bundle, cut).passed
+    [check] = verify_quadratic_decomposition(broken, cut).checks
     assert check.residual > check.tolerance and not check.passed
 
 
-@pytest.mark.parametrize("trials, seed", [(0, 0), (-2, 0), (1, -1)])
-def test_quadratic_decomposition_refuses_no_trials_or_a_negative_seed(trials, seed):
-    """With no trials the residual would be the 0.0 of no entries, a pass."""
+def test_quadratic_decomposition_refuses_a_negative_seed():
     mesh, cut = path5()
-    with pytest.raises(GreenError, match="need trials >= 1 and seed >= 0"):
-        verify_quadratic_decomposition(green_bundle(mesh, M0), cut, trials, seed)
+    with pytest.raises(GreenError, match="need seed >= 0, got -1"):
+        verify_quadratic_decomposition(green_bundle(mesh, M0), cut, -1)
 
 
 def test_trial_draws_follow_the_seed():

@@ -14,7 +14,7 @@ from cutglue.kernels import build_mesh_kernel, regularized_green
 from cutglue.meshes import Mesh, build_grid_mesh, build_interval_mesh
 from cutglue.operators import OperatorSpec
 from cutglue.perturbation import (BLAS_MIN_NODES, LEG_CAP, InteractionSpec,
-                                  NodeGaussian, PerturbationError, VertexType,
+                                  NodeGaussian, PerturbationError,
                                   _pair_matrices, _pairing_count,
                                   _vertex_series, gaussian_cumulant,
                                   gaussian_expectation, interaction_z_series,
@@ -87,9 +87,9 @@ def test_vertex_terms_trim_table():
     assert list(region) == [2]
     vs = vertex_terms(InteractionSpec({3: 0.3}), region, mesh.node_volumes)
     assert len(vs) == 1
-    v = vs[0]
-    assert v.power == 3 and v.xpower == 1  # order sqrt(hbar)
-    np.testing.assert_allclose(v.weights, [0.3])
+    power, weights = vs[0]
+    assert power == 3
+    np.testing.assert_allclose(weights, [0.3])
     assert vertex_terms(InteractionSpec({}), region, mesh.node_volumes) == []
 
 
@@ -125,7 +125,7 @@ def test_vertex_prefactors_are_the_rounded_rationals():
     the exact rational: a moment that is 1 in its own column and 0 elsewhere
     reads every prefactor back bitwise."""
     weights = np.ones(1)
-    vertices = [VertexType(k, weights) for k in (3, 4, 6)]
+    vertices = [(k, weights) for k in (3, 4, 6)]
     seen = []
 
     def moment(instances, mean, cov):
@@ -271,8 +271,8 @@ def test_w_series_is_minus_log_of_z_series(n):
     cov = root @ root.T / n
     w3, w4 = 0.2 * rng.standard_normal(n), 0.1 * rng.standard_normal(n)
     for vertices, max_order in [
-            ([VertexType(3, w3), VertexType(4, w4)], 2.0),
-            ([VertexType(4, w4)], 3.0)]:
+            ([(3, w3), (4, w4)], 2.0),
+            ([(4, w4)], 3.0)]:
         got = interaction_w_series(vertices, mean, cov, max_order)
         want = -series_log(interaction_z_series(vertices, mean, cov, max_order))
         for o in want.orders():
@@ -310,7 +310,7 @@ def test_leg_budget_mixed_powers():
 def test_leg_budget_decides_the_engine_cap(powers):
     """The budget is within LEG_CAP exactly when the z-series expands."""
     mean, cov, one = np.array([0.3]), np.array([[1.0]]), np.ones(1)
-    vertices = [VertexType(power=k, weights=one) for k in powers]
+    vertices = [(k, one) for k in powers]
     for twice in range(9):
         max_order = twice / 2
         for series in (interaction_z_series, interaction_w_series):
