@@ -9,7 +9,6 @@ across reruns.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 
@@ -98,7 +97,6 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING)
     args = build_parser().parse_args(argv)
     if args.command == "list-suites":
         return list_suites()

@@ -50,12 +50,17 @@ class GluingError(ValueError):
 @dataclass(frozen=True)
 class GluingContext:
     """Green data of one (mesh, operator, cut), read-only, each field built on
-    first read: whole and side Green bundles, the interface Green's matrix
+    first read: lambda_one, the cut's `meshes.lambda_one`, read once for
+    every scale; whole and side Green bundles, the interface Green's matrix
     g_sigma, `green.glued_green` (glued, to_sigma) and interior eigenpairs."""
 
     mesh: Mesh
     operator: OperatorSpec
     cut: Cut
+
+    @cached_property
+    def lambda_one(self) -> float:
+        return lambda_one(self.mesh, self.cut)
 
     @cached_property
     def bundle(self) -> GreenBundle:
@@ -121,8 +126,7 @@ class ScaleData:
     max_order: float = 1.5
 
     def __post_init__(self):
-        mesh = self.context.mesh
-        lam1 = lambda_one(mesh, self.context.cut)
+        mesh, lam1 = self.context.mesh, self.context.lambda_one
         if self.lam <= lam1:
             raise GluingError(f"lam below lambda_1: {self.lam} <= {lam1}")
         eta = (np.zeros(mesh.boundary.size) if self.eta is None

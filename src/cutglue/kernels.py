@@ -2,9 +2,11 @@
 
 A kernel at scale lam is a row-stochastic matrix supported in geodesic balls
 of radius 1/lam.  Applied on both legs of the Green's matrix it produces a
-regularized propagator with a finite diagonal.  Once 1/lam drops below the
-minimum edge length every ball holds its own node alone: the kernel is the
+regularized propagator with a finite diagonal.  Once the shortest edge falls
+outside the ball every ball holds its own node alone: the kernel is the
 exact identity and each regularized quantity equals its original bitwise.
+The ball and the boundary clearance of the deep sets are `meshes.in_ball`
+and `meshes.clear_of`, which own the slack; this module writes none.
 
 A kernel shape maps an array of scaled distances t = d lam in [0, 1] to an
 array of nonnegative weights; each kernel is built from one shape call over
@@ -20,7 +22,7 @@ import numpy as np
 
 from .euclidean import RadialProfile
 from .green import GreenBundle
-from .meshes import _DIST_RTOL, CUT, Cut, Mesh
+from .meshes import CUT, Cut, Mesh, clear_of, in_ball
 from .reports import Report, gap
 
 
@@ -77,10 +79,6 @@ class KernelMatrix:
     matrix: np.ndarray
     lam: float
 
-    @property
-    def support_radius(self) -> float:
-        return 1.0 / self.lam
-
     def __post_init__(self):
         m = self.matrix
         if not np.all(m >= 0):
@@ -97,10 +95,11 @@ class KernelMatrix:
 def build_mesh_kernel(mesh: Mesh, lam: float, shape="uniform") -> KernelMatrix:
     """Averaging kernel at scale lam: weight(p,q) = shape(d(p,q) lam) vol(q).
 
-    Rows are normalized to 1 over the geodesic ball of radius 1/lam; balls
-    truncated by the mesh edge are simply renormalized.  A ball smaller than
-    the shortest edge holds its node alone, weighted x/x = 1.0 (an identity
-    row too if the shape is 0 at t = 0): the kernel is the exact identity.
+    Rows are normalized to 1 over the geodesic ball of radius 1/lam, as
+    `meshes.in_ball` draws it; balls truncated by the mesh edge are simply
+    renormalized.  A ball that the shortest edge falls outside holds its node
+    alone, weighted x/x = 1.0 (an identity row too if the shape is 0 at
+    t = 0): the kernel is the exact identity.
     No cut is read: `gluing.ScaleData` checks lam against the cut's lambda_1.
     """
     if lam <= 0:
@@ -109,7 +108,7 @@ def build_mesh_kernel(mesh: Mesh, lam: float, shape="uniform") -> KernelMatrix:
     radius = 1.0 / lam
     n = mesh.n_nodes
     d = mesh.distance_matrix()
-    rows, cols = np.nonzero(d <= radius * (1.0 + _DIST_RTOL))
+    rows, cols = np.nonzero(in_ball(d, lam))
     w = np.zeros((n, n))
     w[rows, cols] = (shape(np.minimum(d[rows, cols] / radius, 1.0))
                      * mesh.node_volumes[cols])
@@ -173,19 +172,19 @@ def spectral_regularized_green(mesh: Mesh, eigenpairs: tuple[np.ndarray, np.ndar
 def deformed_side_nodes(mesh: Mesh, cut: Cut, side: str, lam: float) -> np.ndarray:
     """Side interior nodes whose 1/lam ball cannot leave the side submanifold.
 
-    These are the nodes where the whole-mesh and restricted kernels agree row
-    by row, and additionally at distance >= 1/lam from the side's own
-    boundary, outer and interface (so they survive the side's deformation
-    too).  Read off the mesh and the cut alone.
+    These are the nodes whose ball (`meshes.in_ball`) holds no node of the
+    other side, so the whole-mesh and restricted kernels agree row by row,
+    and that are also clear of the side's own boundary, outer and interface
+    (`meshes.clear_of`), so they survive the side's deformation too.  Read
+    off the mesh and the cut alone.
     """
     interior = cut.side_interior(side)
     bdry = np.concatenate([cut.side_outer_boundary(side), cut.interface])
     outside = np.flatnonzero((cut.label != side) & (cut.label != CUT))
-    radius = 1.0 / lam
     rows = mesh.distance_matrix()[interior]
-    deep = rows[:, bdry].min(axis=1) >= radius * (1.0 - _DIST_RTOL)
+    deep = clear_of(rows[:, bdry].min(axis=1), lam)
     if outside.size:
-        deep &= rows[:, outside].min(axis=1) > radius * (1.0 + _DIST_RTOL)
+        deep &= ~in_ball(rows[:, outside].min(axis=1), lam)
     return interior[deep].astype(int)
 
 

@@ -14,14 +14,11 @@ h^n p(node).
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 LEFT = "left"
 RIGHT = "right"
@@ -29,8 +26,21 @@ CUT = "cut"
 
 #: relative slack used when comparing geodesic distances against 1/Lambda,
 #: so that balls and trims behave predictably when a node sits exactly on
-#: the cut radius.
+#: the cut radius.  `in_ball` and `clear_of` alone apply it: every ball, deep
+#: set, trim and saturation test reads them.
 _DIST_RTOL = 1e-9
+
+
+def in_ball(d, lam: float):
+    """Whether geodesic distance d lies in the ball of radius 1/lam, widened
+    by the slack: every pair a kernel averages over."""
+    return d <= (1.0 / lam) * (1.0 + _DIST_RTOL)
+
+
+def clear_of(d, lam: float):
+    """Whether distance d from a boundary reaches 1/lam, narrowed by the
+    slack: a node that far from it survives the deformation."""
+    return d >= (1.0 / lam) * (1.0 - _DIST_RTOL)
 
 
 class MeshError(ValueError):
@@ -181,20 +191,15 @@ class Mesh:
         return self.distance_matrix()[self.boundary].min(axis=0)
 
     def trim_to_deformed(self, lam: float) -> np.ndarray:
-        """Nodes at geodesic distance >= 1/lam from every boundary node.
-
-        The deformed manifold where the regularized interaction lives.  An
-        empty result is legal and logged.
+        """Nodes at geodesic distance >= 1/lam from every boundary node, by
+        `clear_of`: the deformed manifold where the regularized interaction
+        lives.  It may be empty; nothing is logged.
         """
         if lam <= 0:
             raise MeshError("deformation parameter must be positive")
-        radius = 1.0 / lam
-        keep = self.boundary_distance() >= radius * (1.0 - _DIST_RTOL)
+        keep = clear_of(self.boundary_distance(), lam)
         keep[self.boundary] = False
-        nodes = np.nonzero(keep)[0]
-        if nodes.size == 0:
-            logger.warning("deformed mesh is empty at lambda=%g (radius %g)", lam, radius)
-        return nodes
+        return np.nonzero(keep)[0]
 
     def to_text(self) -> str:
         """Line-oriented serialization (see README for the format)."""

@@ -143,27 +143,19 @@ def _pair_matrices(residues):
 
     def rec(idx, left):
         if idx == len(slots):
-            yield {} if all(v == 0 for v in left) else None
+            if not any(left):
+                yield {}
             return
         a, b = slots[idx]
         cap = left[a] // 2 if a == b else min(left[a], left[b])
         for c in range(cap + 1):
             nxt = list(left)
-            if a == b:
-                nxt[a] -= 2 * c
-            else:
-                nxt[a] -= c
-                nxt[b] -= c
+            nxt[a] -= c  # twice on a self loop, which takes two legs of a
+            nxt[b] -= c
             for tail in rec(idx + 1, nxt):
-                if tail is not None:
-                    out = dict(tail)
-                    if c:
-                        out[(a, b)] = c
-                    yield out
+                yield {**tail, (a, b): c} if c else tail
 
-    for m in rec(0, list(residues)):
-        if m is not None:
-            yield m
+    yield from rec(0, list(residues))
 
 
 def _pairing_count(residues, m) -> int:

@@ -25,7 +25,7 @@ from .green import (TRIALS, side_bundle, verify_dtn_difference,
                     verify_green_gluing, verify_quadratic_decomposition)
 from .kernels import (build_mesh_kernel, restrict_kernel_to_submesh,
                       spectral_regularized_green, verify_regularization)
-from .meshes import _DIST_RTOL, LEFT, RIGHT
+from .meshes import LEFT, RIGHT, in_ball
 from .reports import Report
 
 # The runners of these take one scale's `ScaleData`; the others (cfg, seed).
@@ -88,12 +88,12 @@ def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
         lam = scale.lam
         kernel = build_mesh_kernel(mesh, lam, scale.shape)
         report.compare(f"rows-stochastic-lam-{lam}", kernel.matrix.sum(axis=1), 1.0, 1e-12)
-        off = kernel.matrix * (d > kernel.support_radius * (1 + _DIST_RTOL))
+        off = kernel.matrix * ~in_ball(d, lam)
         report.compare(f"ball-support-lam-{lam}", off, 0.0, 0.0)
         restricted = restrict_kernel_to_submesh(kernel, left.nodes)
         report.compare(f"restricted-rows-stochastic-lam-{lam}",
                        restricted.matrix.sum(axis=1), 1.0, 1e-12)
-        if 1.0 / lam < float(mesh.edge_lengths.min()):
+        if not in_ball(float(mesh.edge_lengths.min()), lam):
             report.require(f"saturation-identity-lam-{lam}", kernel.is_identity)
     return report
 

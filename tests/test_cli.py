@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -627,6 +628,30 @@ def test_run_builds_each_scale_once(tmp_path, monkeypatch, capsys):
     assert len(eighs) == 1 and len(whole_factors) == 1
 
 
+def test_run_reads_lambda_one_once(tmp_path, monkeypatch, capsys):
+    """lambda_1 is a field of the cut's context: one read admits every scale."""
+    calls = count_calls(monkeypatch, ("lambda_one",))
+    assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path)]) == 0
+    assert calls == {"lambda_one": 1}
+
+
+def test_scale_in_the_slack_band_passes(tmp_path, capsys):
+    """At lam just above 1/(shortest edge), inside the slack of the ball rule,
+    the ball still holds the neighbours at distance 1: the kernel averages, so
+    kernel-properties predicts no saturation, and the run passes, warning-free."""
+    changed = path9_with(tmp_path, lambdas=[1.0000000001])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", changed, "--out-dir", str(tmp_path / "r"),
+                         "--suite", "kernel-properties"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, ""), err
+    assert "kernel-properties: pass" in out
+    report = json.loads((tmp_path / "r" / "path9_cubic-kernel-properties.json").read_text())
+    names = [c["check"] for c in report["checks"]]
+    assert len(names) == 3 and not any(n.startswith("saturation-identity-") for n in names)
+
+
 @pytest.mark.parametrize("suite, reads_glued", [("regularization", False),
                                                ("deformed-gluing", False),
                                                ("gluing-theorem", True)])
@@ -911,13 +936,13 @@ def test_run_keeps_scipy_off_the_import_path(tmp_path):
     Nor does it load `numpy.ma` (numpy's set routines import it on first
     call, so region sets are node masks), `fractions` or `decimal` (Wick
     counts are integers), or `numpy.random` (the seeded trials of
-    quadratic-decomposition draw from the stdlib `random`).
-    `numpy.polynomial`, for the Gauss-Legendre nodes of the flat-space
-    quadrature, is allowed.
+    quadratic-decomposition draw from the stdlib `random`), or `logging`
+    (nothing in a run logs).  `numpy.polynomial`, for the Gauss-Legendre
+    nodes of the flat-space quadrature, is allowed.
     """
     # a package and its submodules, not a sibling such as numpy.matrixlib
     banned = tuple(f"{m}." for m in ("scipy", "numpy.ma", "numpy.random",
-                                     "fractions", "decimal", "_decimal"))
+                                     "fractions", "decimal", "_decimal", "logging"))
     script = (
         "import sys\n"
         "from cutglue.cli import main\n"

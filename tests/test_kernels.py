@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from cutglue import kernels as kn
 from cutglue.euclidean import EuclideanKernelSpec, compose_kernels
+from cutglue.config import ScenarioConfig
 from cutglue.gluing import GluingContext, ScaleData, verify_deformed_gluing
 from cutglue.green import green_bundle, side_bundle
 from cutglue.meshes import (LEFT, RIGHT, _DIST_RTOL, build_grid_mesh,
                             build_interval_mesh, cut_along_interface)
 from cutglue.operators import OperatorSpec, assemble
 from cutglue.perturbation import InteractionSpec
+from cutglue.suites import suite_kernel_properties
 from test_meshes import _bumpy, _scrambled
 
 M0 = OperatorSpec(0.0)
@@ -187,7 +189,7 @@ def test_kernel_rows_stochastic_property(lam, shape, n):
     assert np.all(kernel.matrix >= 0.0)
     np.testing.assert_allclose(kernel.matrix.sum(axis=1), 1.0, atol=1e-12)
     d = mesh.distance_matrix()
-    assert np.all(kernel.matrix[d > kernel.support_radius * (1 + 1e-9)] == 0.0)
+    assert np.all(kernel.matrix[d > 1.0 / kernel.lam * (1 + 1e-9)] == 0.0)
 
 
 # -- scalar references: per-node loops, the oracles for the array builders ---
@@ -297,6 +299,39 @@ def test_kernel_builders_match_loops_bitwise(name):
                 got = kn.restrict_kernel_to_submesh(kernel, sb.nodes).matrix
                 assert np.array_equal(got, _loop_restrict(kernel.matrix, sb.nodes))
                 assert np.array_equal(got[deep[side]], kernel.matrix[deep[side]])
+
+
+# relative offsets of 1/lam from the shortest edge, on both sides of the slack
+SLACK_DELTAS = (0.0, *(sign * d for d in (1e-12, 1e-10, 5e-10, 1e-9, 2e-9)
+                       for sign in (1, -1)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(grid=st.booleans(), amplitude=st.floats(0.0, 0.8),
+       frequency=st.floats(0.1, 3.0), spacing=st.floats(0.2, 2.0))
+def test_saturation_check_follows_the_ball_rule(grid, amplitude, frequency, spacing):
+    """At lam = 1/(h_min (1 + delta)) on a curved mesh, kernel-properties
+    predicts saturation by the kernel's own ball rule: wherever it emits
+    saturation-identity, the kernel is the identity, and the suite passes.
+    A grid cut's lambda_1 can be 1/h_min: only the scales above it are run."""
+    def profile(x):
+        return 1.0 + amplitude * np.sin(frequency * np.sum(x)) ** 2
+
+    mesh = (build_grid_mesh(9, 9, spacing, profile) if grid
+            else build_interval_mesh(7, spacing, profile))
+    ctx = GluingContext(mesh, M0, _column_cut(mesh, None))
+    h_min = float(mesh.edge_lengths.min())
+    lams = [lam for lam in (1.0 / (h_min * (1.0 + delta)) for delta in SLACK_DELTAS)
+            if lam > ctx.lambda_one]
+    for shape in kn.SHAPES:
+        scales = tuple(ScaleData(ctx, InteractionSpec({}), lam, shape) for lam in lams)
+        report = suite_kernel_properties(ScenarioConfig("curved", ctx, scales, ()), 0)
+        assert report.passed, [c.name for c in report.checks if not c.passed]
+        emitted = [lam for lam in lams
+                   if any(c.name == f"saturation-identity-lam-{lam}" for c in report.checks)]
+        assert emitted  # delta = -2e-9 is past the slack
+        for lam in emitted:
+            assert kn.build_mesh_kernel(mesh, lam, shape).is_identity
 
 
 def test_degenerate_rows_are_identity_rows():
