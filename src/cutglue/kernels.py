@@ -100,6 +100,8 @@ def build_mesh_kernel(mesh: Mesh, lam: float, shape="uniform") -> KernelMatrix:
     renormalized.  A ball that the shortest edge falls outside holds its node
     alone, weighted x/x = 1.0 (an identity row too if the shape is 0 at
     t = 0): the kernel is the exact identity.
+    The one n x n buffer is the weight matrix, divided by its row sums in
+    place; it becomes the kernel.
     No cut is read: `gluing.ScaleData` checks lam against the cut's lambda_1.
     """
     if lam <= 0:
@@ -114,10 +116,12 @@ def build_mesh_kernel(mesh: Mesh, lam: float, shape="uniform") -> KernelMatrix:
                      * mesh.node_volumes[cols])
     total = w.sum(axis=1)
     live = total > 0.0
-    # degenerate rows (shape vanishing on the whole ball) stay identity rows
-    m = np.eye(n)
-    m[live] = w[live] / total[live, None]
-    return KernelMatrix(matrix=m, lam=lam)
+    np.divide(w, total[:, None], out=w, where=live[:, None])
+    # degenerate rows (shape vanishing on the whole ball) become identity rows
+    dead = np.flatnonzero(~live)
+    w[dead] = 0.0
+    w[dead, dead] = 1.0
+    return KernelMatrix(matrix=w, lam=lam)
 
 
 def restrict_kernel_to_submesh(kernel: KernelMatrix, keep_nodes) -> KernelMatrix:

@@ -292,11 +292,12 @@ def _wick_sum(instances, mean: np.ndarray, cov: np.ndarray, terms):
     one per column; every topology is contracted once for all columns and the
     result has shape (K,).  Weights of shape (n,) are one column, and the
     result is a float.  The terms are summed as one matrix-vector product of
-    their multiplicities with their per-column values.
+    their multiplicities with their per-column values.  Instance operands are
+    cached across terms; an elementwise power of cov, for a propagator
+    multiplicity above 1, is formed where a term reads it and dropped after.
     """
     ws = [w if np.ndim(w) == 2 else np.asarray(w)[:, None] for _, w in instances]
     mean, diag = mean[:, None], np.diag(cov)[:, None]
-    cov_powers = {1: cov}  # elementwise powers, one per propagator multiplicity
     legs = {}  # instance operands, one per (weights, mean legs, self loops)
     # per-term multiplicities and contractions; the zero row keeps an empty
     # sum well formed
@@ -309,10 +310,7 @@ def _wick_sum(instances, mean: np.ndarray, cov: np.ndarray, terms):
                 v = w * mean**u if u else w
                 legs[key] = v * diag**c if c else v
             ops.append(legs[key])
-        for _, c in t.cross:
-            if c not in cov_powers:
-                cov_powers[c] = cov**c
-            ops.append(cov_powers[c])
+        ops.extend(cov if c == 1 else cov**c for _, c in t.cross)
         mults.append(t.mult)
         values.append(_contract(t.subs, ops, mean.size))
     total = np.array(mults) @ np.array(values)
@@ -415,9 +413,8 @@ class NodeGaussian:
         inside = inside[union]
         vertices = [(k, np.where(inside, w[:, None], 0.0))
                     for k, w in vertex_terms(interaction, union, volumes)]
-        w = -_vertex_series(vertices, self.mean.take(union),
-                            self.cov.take(union, 0).take(union, 1), max_order,
-                            gaussian_cumulant, len(regions))
+        w = -_vertex_series(vertices, self.mean[union], self.cov[np.ix_(union, union)],
+                            max_order, gaussian_cumulant, len(regions))
         w[0] = 0.0  # log of the constant term 1
         w[0] += self.order0
         return [PerturbationSeries(c.copy()) for c in w.T]

@@ -28,7 +28,8 @@ def gap(got, want=0.0) -> float:
     want is a scalar or has the shape of got, and any other pair raises."""
     if np.ndim(want) and np.shape(want) != np.shape(got):
         raise ValueError(f"cannot compare shapes {np.shape(got)} and {np.shape(want)}")
-    return float(np.max(np.abs(np.subtract(got, want)), initial=0.0))
+    diff = np.asarray(np.subtract(got, want))
+    return float(np.max(np.abs(diff, out=diff), initial=0.0))
 
 
 @dataclass

@@ -80,6 +80,9 @@ def suite_averaging_closed_form(cfg: ScenarioConfig, seed: int) -> Report:
 
 
 def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
+    """Checks of each scale's kernel, built here, and of its restriction to
+    the left side.  One scale's kernel and restricted kernel are alive at a
+    time: both are dropped before the next scale's kernel is built."""
     report = Report("kernel-properties")
     mesh, cut = cfg.context.mesh, cfg.context.cut
     d = mesh.distance_matrix()
@@ -88,13 +91,15 @@ def suite_kernel_properties(cfg: ScenarioConfig, seed: int) -> Report:
         lam = scale.lam
         kernel = build_mesh_kernel(mesh, lam, scale.shape)
         report.compare(f"rows-stochastic-lam-{lam}", kernel.matrix.sum(axis=1), 1.0, 1e-12)
-        off = kernel.matrix * ~in_ball(d, lam)
+        # the largest entry off the ball, as kernel entries are nonnegative
+        off = np.max(kernel.matrix, where=~in_ball(d, lam), initial=0.0)
         report.compare(f"ball-support-lam-{lam}", off, 0.0, 0.0)
         restricted = restrict_kernel_to_submesh(kernel, left.nodes)
         report.compare(f"restricted-rows-stochastic-lam-{lam}",
                        restricted.matrix.sum(axis=1), 1.0, 1e-12)
         if not in_ball(float(mesh.edge_lengths.min()), lam):
             report.require(f"saturation-identity-lam-{lam}", kernel.is_identity)
+        del kernel, restricted
     return report
 
 

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -899,6 +900,55 @@ def test_nan_residual_is_the_worst_check(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", CONFIG, "--out-dir", str(tmp_path), "--suite", "nan"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == ["nan: FAIL (max residual nan at nan-one, 3 checks)"]
+
+
+@pytest.mark.parametrize("changes", [{"lambdas": [1e308]},
+                                     {"eta": {"0": 1e300, "8": -0.5}}],
+                         ids=["huge-lambda", "huge-eta"])
+def test_overflow_is_a_numerical_failure(tmp_path, capsys, changes):
+    """Valid configs whose arithmetic overflows: under the error filter for
+    RuntimeWarning, no warning escapes; the NaN residuals fail their checks
+    (exit 1, `failed:` lines) and every report file is written."""
+    code = cli.main(["run", path9_with(tmp_path, **changes),
+                     "--out-dir", str(tmp_path / "r")])
+    assert code == 1
+    assert "  failed: " in capsys.readouterr().err
+    with open(CONFIG, encoding="utf-8") as fh:
+        names = json.load(fh)["suites"]
+    assert sorted(os.listdir(tmp_path / "r")) == sorted(
+        [f"path9_cubic-{n}.{ext}" for n in names for ext in ("csv", "json")]
+        + ["path9_cubic-summary.json"])
+
+
+# Traced peak of a run over the level before it, in n x n float64 arrays.  The
+# interval run below reads about 10.4.  A power of the covariance cached in the
+# moment engine takes it to 11.1, and kernel-properties' kernel temporaries (a
+# kernel normalized out of place, one scale's kernels alive through the next)
+# to 11.5.
+DENSE_ARRAYS_PEAK = 11.0
+
+
+def test_dense_working_set(tmp_path, capsys):
+    """Every n x n array a run allocates is one a check reads: the traced peak
+    of an interval run with every mesh suite but renormalization stays below
+    DENSE_ARRAYS_PEAK n x n float64 arrays."""
+    path = path9_with(tmp_path, **{
+        **INTERVAL_CHANGES, "name": "interval201",
+        "mesh": {"type": "interval", "n_interior": 201, "spacing": 1.0},
+        "cut": {"axis": 0, "value": 101.0},
+        "interaction": {"3": 0.3, "4": 0.2}, "lambdas": [0.05, 0.1, 0.2],
+        "max_order": 1.0,
+        "suites": ["green-identities", "quadratic-decomposition", "kernel-properties",
+                   "regularization", "deformed-gluing", "gluing-theorem", "lambda-sweep"]})
+    n = 201 + 2  # interior nodes and the two ends
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "r")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < DENSE_ARRAYS_PEAK * 8 * n * n, peak / (8 * n * n)
 
 
 def test_gap_reads_every_entry_and_never_broadcasts():
