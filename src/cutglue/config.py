@@ -152,21 +152,21 @@ def _build_name(name) -> str:
 
 
 def _build_eta(mesh: Mesh, spec) -> np.ndarray:
-    nb = mesh.boundary.size
-    if spec is None:
-        return np.zeros(nb)
+    """The node field, zero off the boundary, of absent data, of a list in
+    mesh.boundary order, or of {boundary node id: value}."""
+    eta, nb = np.zeros(mesh.n_nodes), mesh.boundary.size
     if isinstance(spec, dict):
-        pos = {int(n): k for k, n in enumerate(mesh.boundary)}
-        eta = np.zeros(nb)
+        on_boundary = set(mesh.boundary.tolist())
         for node, value in spec.items():
-            if not (_canonical(node) and int(node) in pos):
+            if not (_canonical(node) and int(node) in on_boundary):
                 raise ConfigError(f"eta names {node!r}, not a boundary node id")
-            eta[pos[int(node)]] = _finite(value, "eta value")
-        return eta
-    if not isinstance(spec, list) or len(spec) != nb:
+            eta[int(node)] = _finite(value, "eta value")
+    elif isinstance(spec, list) and len(spec) == nb:
+        eta[mesh.boundary] = [_finite(value, "eta value") for value in spec]
+    elif spec is not None:
         raise ConfigError(f"eta must be a flat list of {nb} boundary values, "
                           f"got {spec!r}")
-    return np.array([_finite(value, "eta value") for value in spec])
+    return eta
 
 
 def _suite_list(names: list, known_suites) -> tuple:

@@ -9,7 +9,9 @@ the interface variable) add up to one node-level field with covariance
 engine of the perturbation module does the rest.  The whole-manifold route
 (`averaged_gaussian`, from the whole mesh's Green bundle) sits beside the
 glued one (`glued_gaussian`); agreement of the two series is then a matter
-of exact linear algebra, order by order.
+of exact linear algebra, order by order.  The boundary data eta is one node
+field, zero off the boundary; `GreenBundle.extend` alone extends it, into
+the whole mesh on the whole route and into each side on the glued one.
 
 Green data is built once per cut (`GluingContext`), kernels, deformed nodes
 and Gaussian data once per scale (`ScaleData`); each builds a field on first
@@ -106,16 +108,17 @@ def _node_mask(n: int, *parts) -> np.ndarray:
 class ScaleData:
     """One gluing experiment at one scale, and what every check of it reads.
 
-    eta is the Dirichlet data over the whole boundary (ordered like
-    mesh.boundary); each side sees its own outer part, with cut-line nodes
-    shared.  It alone admits a scale: lam must exceed the cut's lambda_1,
-    and some side node must be 1/lam or more from its side's boundary, so
-    that region is not empty; building one reads deep and region.  deep is
-    each side's deformed nodes, read off the cut, and region their union
-    (both read-only: copies share them).  The rest is built on first read:
-    kernel, at lam; trimmed, where widening ends; glued and whole, node-level
-    Gaussian data that vertex regions index into, both averaged by the kernel
-    (whole.cov is H G H'); base, their series on the region.
+    eta is the Dirichlet data: a node field, zero off mesh.boundary (zeros
+    if not given), stored as a read-only copy; each side reads its own outer
+    part, with cut-line nodes shared.  It alone admits a scale: lam must
+    exceed the cut's lambda_1, and some side node must be 1/lam or more from
+    its side's boundary, so that region is not empty; building one reads deep
+    and region.  deep is each side's deformed nodes, read off the cut, and
+    region their union (both read-only: copies share them).  The rest is
+    built on first read, its arrays read-only too: kernel, at lam; trimmed,
+    where widening ends; glued and whole, node-level Gaussian data that
+    vertex regions index into, both averaged by the kernel (whole.cov is
+    H G H'); base, their series on the region.
     """
 
     context: GluingContext
@@ -129,11 +132,13 @@ class ScaleData:
         mesh, lam1 = self.context.mesh, self.context.lambda_one
         if self.lam <= lam1:
             raise GluingError(f"lam below lambda_1: {self.lam} <= {lam1}")
-        eta = (np.zeros(mesh.boundary.size) if self.eta is None
-               else np.asarray(self.eta, dtype=float))
-        if eta.size != mesh.boundary.size:
-            raise GluingError("eta must cover the whole boundary")
-        object.__setattr__(self, "eta", eta)
+        eta = np.zeros(mesh.n_nodes) if self.eta is None else np.array(self.eta, float)
+        if eta.shape != (mesh.n_nodes,):
+            raise GluingError(f"eta must be a node field of shape ({mesh.n_nodes},), "
+                              f"got {eta.shape}")
+        if np.any(eta[mesh.interior] != 0.0):
+            raise GluingError("eta must be zero off the boundary, interface included")
+        object.__setattr__(self, "eta", _read_only(eta)[0])
         # with no deep node to put vertices on, every check compares 0 with 0
         if not self.region.size:
             raise GluingError(f"empty vertex region at lam {self.lam}: no side "
@@ -156,7 +161,7 @@ class ScaleData:
 
     @cached_property
     def trimmed(self) -> np.ndarray:
-        return self.context.mesh.trim_to_deformed(self.lam)
+        return _read_only(self.context.mesh.trim_to_deformed(self.lam))[0]
 
     @cached_property
     def glued(self) -> NodeGaussian:
@@ -184,13 +189,8 @@ def averaged_gaussian(kernel: KernelMatrix, eta: np.ndarray,
     """Whole-manifold route: averaged harmonic extension and propagator."""
     phi_bg = bundle.extend(eta)
     return NodeGaussian(quadratic_form_S0(bundle.mesh, bundle.spec, phi_bg),
-                        kernel.matrix @ phi_bg,
-                        regularized_green(kernel, bundle))
-
-
-def _side_eta(data: ScaleData, sb) -> np.ndarray:
-    pos = {int(n): k for k, n in enumerate(data.context.mesh.boundary)}
-    return np.array([data.eta[pos[int(n)]] for n in sb.outer])
+                        *_read_only(kernel.matrix @ phi_bg,
+                                    regularized_green(kernel, bundle)))
 
 
 def glued_gaussian(data: ScaleData) -> NodeGaussian:
@@ -203,33 +203,31 @@ def glued_gaussian(data: ScaleData) -> NodeGaussian:
     restricted-rows-match-{side} of `verify_deformed_gluing` checks.
     """
     h = data.kernel.matrix
-    return NodeGaussian(*_glued_mean(data, "fold", (LEFT, RIGHT)),
-                        h @ data.context.glued @ h.T)
+    order0, mean = _glued_mean(data, "fold", (LEFT, RIGHT))
+    return NodeGaussian(order0, *_read_only(mean, h @ data.context.glued @ h.T))
 
 
 def _glued_mean(data: ScaleData, assembly: str, side_order: tuple):
-    """Order-0 action and averaged mean of the glued field.  "fold" bakes the
-    interface mean into the background before averaging, "carry" adds it
-    through the interface map afterwards; the two must agree identically."""
+    """Order-0 action and averaged mean of the glued field: eta extended into
+    each side by `GreenBundle.extend`, from the interface mean mu ("fold") or
+    from zero on the interface, with mu then added through the interface map
+    ("carry"); the two must agree identically."""
     if assembly not in ("fold", "carry"):
         raise GluingError(f"unknown assembly {assembly!r}")
-    ctx = data.context
-    sides, g_sigma = {s: ctx.sides[s] for s in side_order}, ctx.g_sigma
+    ctx, eta = data.context, data.eta
+    sides, g_sigma = [ctx.sides[s] for s in side_order], ctx.g_sigma
 
-    etas = {s: _side_eta(data, sb) for s, sb in sides.items()}
-    c = sum(sb.dtn_cross.T @ etas[s] for s, sb in sides.items())
+    c = sum(sb.dtn_cross.T @ eta[sb.outer] for sb in sides)
     mu = -g_sigma @ c
-    s0 = sum(0.5 * etas[s] @ sb.dtn_outer @ etas[s] for s, sb in sides.items())
+    s0 = sum(0.5 * eta[sb.outer] @ sb.dtn_outer @ eta[sb.outer] for sb in sides)
     order0 = float(s0 - 0.5 * c @ g_sigma @ c)
 
-    b = np.zeros(ctx.mesh.n_nodes)
-    sigma_value = mu if assembly == "fold" else np.zeros_like(mu)
-    for s, sb in sides.items():
-        b[sb.outer] = etas[s]
-        b[sb.interior] = sb.poisson @ np.concatenate([etas[s], sigma_value])
+    b = eta.copy()
     if assembly == "fold":
         b[ctx.cut.interface] = mu
-    else:
+    for sb in sides:
+        b = sb.extend(b)
+    if assembly == "carry":
         b = b + ctx.to_sigma @ mu
     return order0, data.kernel.matrix @ b
 

@@ -14,7 +14,8 @@ the problem with an empty interface.  Building one is the spectrum check:
 it refuses an operator not positive definite or too ill-conditioned for
 float64.  `glued_green` rebuilds the whole Green's matrix from side data
 alone.  Every matrix made here is read-only, since a run shares each one
-among its checks.  The free action, the cross form and the harmonic
+among its checks.  The harmonic extension and the cross form read boundary
+data from node fields.  The free action, the cross form and the harmonic
 extension take a leading batch axis, one row per trial, so the TRIALS
 seeded trials of `verify_quadratic_decomposition` are one array program;
 their draws come from the standard library's `random`.
@@ -80,8 +81,8 @@ class GreenBundle:
     The boundary is ordered [outer..., sigma...]: outer is the mesh boundary
     the problem sees and sigma the interface, empty for the whole mesh.
     green   : (I, I) inverse of the interior operator.
-    poisson : (I, B); interior values of the harmonic extension of eta are
-              poisson @ eta.
+    poisson : (I, B); interior values of the harmonic extension of boundary
+              values eta, ordered like the boundary, are poisson @ eta.
     dtn     : (B, B) Schur complement of the operator onto the boundary;
               the energy of the harmonic extension is eta' dtn eta / 2.
     """
@@ -104,14 +105,14 @@ class GreenBundle:
         """Every node of the problem: interior, outer boundary, interface."""
         return np.concatenate([self.interior, self.outer, self.sigma])
 
-    def extend(self, eta: np.ndarray) -> np.ndarray:
-        """Full-node harmonic extension field of boundary data eta, (B,) or
-        one row per trial, (T, B); the field has eta's leading axes."""
-        field = np.zeros(eta.shape[:-1] + (self.mesh.n_nodes,))
-        # node-major view: one field runs the unbatched operations
-        field.T[self.boundary] = eta.T
-        field.T[self.interior] = self.poisson @ eta.T
-        return field
+    def extend(self, field: np.ndarray) -> np.ndarray:
+        """Harmonic extension of a node field's boundary values, (N,) or one
+        row per trial, (T, N): a copy whose interior nodes hold poisson @
+        field[..., boundary]; every other node keeps the field's value."""
+        out = np.array(field, dtype=float)
+        # node-major operands: one field runs the unbatched operations
+        out.T[self.interior] = self.poisson @ field[..., self.boundary].T
+        return out
 
     def green_block(self, ids_a, ids_b) -> np.ndarray:
         """Green's matrix between interior node ids ids_a (rows) and ids_b."""
@@ -236,19 +237,20 @@ def quadratic_form_S0(mesh: Mesh, spec: OperatorSpec, field: np.ndarray):
     return _scalar_or_rows(grad + mass)
 
 
-def cross_form(bundle: GreenBundle, ids_a: np.ndarray, eta_a: np.ndarray,
-               ids_b: np.ndarray, eta_b: np.ndarray):
-    """Boundary cross term between data on two disjoint boundary subsets.
+def cross_form(bundle: GreenBundle, ids_a: np.ndarray, ids_b: np.ndarray,
+               field: np.ndarray):
+    """Boundary cross term between the parts of one node field on two
+    disjoint boundary subsets, the node ids ids_a and ids_b.
 
     Defined so that the energy of a summed extension decomposes as
-    S0[a+b] = S0[a] + S0[b] - cross_form(a, b).  Data of shape (A,) and
-    (B,) give a float; (T, A) and (T, B) give one term per row.
+    S0[a+b] = S0[a] + S0[b] - cross_form(a, b).  A field of shape (N,)
+    gives a float; (T, N) gives one term per row.
     """
     if set(map(int, ids_a)) & set(map(int, ids_b)):
         raise GreenError("overlapping boundary subsets")
     block = bundle.dtn_block(ids_a, ids_b)
     # a row-wise dot product: each row is the vector dot of one unbatched call
-    dots = (eta_a @ block)[..., None, :] @ eta_b[..., :, None]
+    dots = (field[..., ids_a] @ block)[..., None, :] @ field[..., ids_b, None]
     return _scalar_or_rows(-dots[..., 0, 0])
 
 
@@ -281,23 +283,21 @@ def verify_quadratic_decomposition(bundle: GreenBundle, cut: Cut,
     """
     if seed < 0:
         raise GreenError(f"need seed >= 0, got {seed}")
-    mesh, spec = bundle.mesh, bundle.spec
-    # the left part keeps the cut-line nodes, the right part the rest
-    on_right = cut.label[bundle.boundary] == RIGHT
-    loc_l, loc_r = np.nonzero(~on_right)[0], np.nonzero(on_right)[0]
-    ids_l, ids_r = bundle.boundary[loc_l], bundle.boundary[loc_r]
+    mesh, spec, boundary = bundle.mesh, bundle.spec, bundle.boundary
     n_in = mesh.interior.size
-    draws = _uniform_draws(seed, (TRIALS, n_in + bundle.boundary.size))
-    phi = np.zeros((TRIALS, mesh.n_nodes))
+    draws = _uniform_draws(seed, (TRIALS, n_in + boundary.size))
+    phi, eta = np.zeros((2, TRIALS, mesh.n_nodes))
     phi[:, mesh.interior] = draws[:, :n_in]
-    eta = draws[:, n_in:]
-    eta_l, eta_r = np.where(on_right, 0.0, eta), np.where(on_right, eta, 0.0)
+    eta[:, boundary] = draws[:, n_in:]
+    # the left part keeps the cut-line nodes, the right part the rest
+    right = cut.label == RIGHT
+    eta_l, eta_r = np.where(right, 0.0, eta), np.where(right, eta, 0.0)
     total = quadratic_form_S0(mesh, spec, phi + bundle.extend(eta))
     parts = (
         quadratic_form_S0(mesh, spec, phi)
         + quadratic_form_S0(mesh, spec, bundle.extend(eta_l))
         + quadratic_form_S0(mesh, spec, bundle.extend(eta_r))
-        - cross_form(bundle, ids_l, eta[:, loc_l], ids_r, eta[:, loc_r])
+        - cross_form(bundle, boundary[~right[boundary]], boundary[right[boundary]], eta)
     )
     scale = max(1.0, float(np.abs(bundle.green).max()))
     errors = (total - parts) / scale

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euclidean import RadialProfile
-from .green import GreenBundle
+from .green import GreenBundle, _read_only
 from .meshes import CUT, Cut, Mesh, clear_of, in_ball
 from .reports import Report, gap
 
@@ -101,7 +101,7 @@ def build_mesh_kernel(mesh: Mesh, lam: float, shape="uniform") -> KernelMatrix:
     alone, weighted x/x = 1.0 (an identity row too if the shape is 0 at
     t = 0): the kernel is the exact identity.
     The one n x n buffer is the weight matrix, divided by its row sums in
-    place; it becomes the kernel.
+    place; it becomes the kernel, read-only, as a run shares it.
     No cut is read: `gluing.ScaleData` checks lam against the cut's lambda_1.
     """
     if lam <= 0:
@@ -121,7 +121,7 @@ def build_mesh_kernel(mesh: Mesh, lam: float, shape="uniform") -> KernelMatrix:
     dead = np.flatnonzero(~live)
     w[dead] = 0.0
     w[dead, dead] = 1.0
-    return KernelMatrix(matrix=w, lam=lam)
+    return KernelMatrix(matrix=_read_only(w)[0], lam=lam)
 
 
 def restrict_kernel_to_submesh(kernel: KernelMatrix, keep_nodes) -> KernelMatrix:
@@ -130,24 +130,25 @@ def restrict_kernel_to_submesh(kernel: KernelMatrix, keep_nodes) -> KernelMatrix
     Rows of nodes in the submesh lose their outside columns and are rescaled
     to unit sum; rows fully supported inside come through unchanged.  Rows of
     nodes outside the submesh are replaced by identity rows (they carry no
-    meaning for the submesh problem).
+    meaning for the submesh problem).  The result is read-only.
     """
     keep = np.zeros(kernel.matrix.shape[0], dtype=bool)
     keep[np.asarray(list(keep_nodes), dtype=int)] = True
     kept, dropped = np.flatnonzero(keep), np.flatnonzero(~keep)
     m = np.array(kernel.matrix)
-    # take() keeps each row's gathered columns contiguous, so every row mass
-    # is summed in the same order as the row on its own
-    mass = m.take(kept, axis=1).sum(axis=1)
-    leaks = np.flatnonzero(keep & m[:, dropped].any(axis=1))
-    empty = leaks[mass[leaks] <= 0.0]
+    # kept rows with weight outside; exact, as kernel entries are nonnegative
+    leaks = np.flatnonzero(keep & (m @ ~keep > 0.0))
+    # each gathered row is contiguous, so every row mass is summed in the
+    # same order as the row on its own
+    mass = m[np.ix_(leaks, kept)].sum(axis=1)
+    empty = leaks[mass <= 0.0]
     if empty.size:
         raise KernelError(f"zero surviving row mass at node {empty[0]}")
     m[np.ix_(leaks, dropped)] = 0.0
-    m[np.ix_(leaks, kept)] /= mass[leaks, None]
+    m[np.ix_(leaks, kept)] /= mass[:, None]
     m[dropped] = 0.0
     m[dropped, dropped] = 1.0
-    return KernelMatrix(matrix=m, lam=kernel.lam)
+    return KernelMatrix(matrix=_read_only(m)[0], lam=kernel.lam)
 
 
 def regularized_green(kernel: KernelMatrix, bundle: GreenBundle) -> np.ndarray:

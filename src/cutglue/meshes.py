@@ -182,7 +182,9 @@ class Mesh:
                     changed = True
             if not changed:
                 break
-        return np.ascontiguousarray(to.T)
+        d = np.ascontiguousarray(to.T)
+        d.flags.writeable = False  # shared by every ball, deep set and trim
+        return d
 
     def boundary_distance(self) -> np.ndarray:
         """Per-node geodesic distance to the nearest boundary node."""

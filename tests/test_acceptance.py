@@ -24,6 +24,7 @@ from cutglue.operators import OperatorSpec, assemble
 from cutglue.perturbation import InteractionSpec, wick_pairings
 from cutglue.reports import Report, gap
 from cutglue.series import PerturbationSeries, series_exp, series_log
+from test_perturbation import boundary_field
 
 
 _CAPFD = None
@@ -182,11 +183,12 @@ def _scenarios():
     out = []
     for couplings in ({3: 0.3}, {4: 0.2}, {3: 0.3, 4: 0.2}):
         for eta_on in (False, True):
-            p_eta = np.array([1.0, -0.5]) if eta_on else None
+            p_eta = boundary_field(path9, [1.0, -0.5]) if eta_on else None
             out.append(ScaleData(
                 context=pctx, interaction=InteractionSpec(couplings), lam=1.0,
                 eta=p_eta, max_order=1.5))
-            g_eta = 0.2 * np.arange(grid5.boundary.size) if eta_on else None
+            g_eta = (boundary_field(grid5, 0.2 * np.arange(grid5.boundary.size))
+                     if eta_on else None)
             out.append(ScaleData(
                 context=gctx, interaction=InteractionSpec(couplings), lam=2.5,
                 eta=g_eta, max_order=1.5))
@@ -211,7 +213,7 @@ def test_criterion_8_coupling_redefinitions():
     pcut = cut_along_interface(path9, lambda n: n == 4)
     data = ScaleData(context=GluingContext(path9, OperatorSpec(0.0), pcut),
                      interaction=InteractionSpec({3: 0.3, 4: 0.2}),
-                     lam=1.0, eta=np.array([1.0, -0.5]), max_order=1.5)
+                     lam=1.0, eta=boundary_field(path9, [1.0, -0.5]), max_order=1.5)
     rep = renormalization_commutes(data, {
         "position-dependent":
             lambda k, t: 0.1 * (np.arange(9) + 1) if k == 3 else t,
@@ -245,7 +247,7 @@ def test_criterion_10_saturation_bitwise():
         g_reg[np.ix_(bundle.interior, bundle.interior)], bundle.green)
     sc = ScaleData(context=GluingContext(mesh, OperatorSpec(0.0), cut),
                    interaction=InteractionSpec({3: 0.3, 4: 0.2}),
-                   lam=1.0, eta=np.array([1.0, -0.5]), max_order=1.5)
+                   lam=1.0, eta=boundary_field(mesh, [1.0, -0.5]), max_order=1.5)
     rep = Report("lambda-sweep")
     for lam in (0.5, 1.0, 2.5):
         rep.extend(lambda_sweep(replace(sc, lam=lam)).checks)

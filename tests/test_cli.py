@@ -421,6 +421,35 @@ def test_coupling_list_and_node_map_write_the_same_reports(tmp_path, capsys):
     assert written[0] == written[1]
 
 
+def test_eta_list_and_node_map_write_the_same_reports(tmp_path, capsys):
+    """eta as one value per boundary node, in mesh.boundary order, and as
+    {boundary node id: value} is one node field: on the grid-deep benchmark
+    workload's seed-1 config (`bench/workloads.py`) every report is
+    byte-identical."""
+    from cutglue.meshes import build_grid_mesh
+    rng = random.Random(1)
+    values = [rng.uniform(-1.0, 1.0) for _ in range(40)]
+    boundary = build_grid_mesh(11, 11, 1.0).boundary.tolist()
+    grid11 = {
+        "name": "grid11",
+        "mesh": {"type": "grid", "nx": 11, "ny": 11, "spacing": 1.0},
+        "cut": {"axis": 0, "value": 5.0},
+        "operator": {"mass_squared": 0.1},
+        "interaction": {"3": 0.2, "4": 0.1},
+        "kernel": {"shape": "bump"},
+        "lambdas": [1.5, 2.5],
+        "max_order": 1.5,
+        "suites": ["gluing-theorem", "lambda-sweep"],
+    }
+    written = []
+    for k, eta in enumerate((values, {str(n): v for n, v in zip(boundary, values)})):
+        path, out = tmp_path / f"grid11-{k}.json", tmp_path / f"r{k}"
+        path.write_text(json.dumps({**grid11, "eta": eta}))
+        assert cli.main(["run", str(path), "--out-dir", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "grid11-gluing-theorem.csv" in written[0] and written[0] == written[1]
+
+
 def test_unknown_suite_exits_two(tmp_path, capsys):
     code = cli.main(["run", CONFIG, "--out-dir", str(tmp_path),
                      "--suite", "nonexistent"])
@@ -766,7 +795,8 @@ def test_per_scale_runners_read_only_scale_data(tmp_path, capsys):
     for k, lam in enumerate((0.5, 1.0, 2.5)):
         data = ScaleData(
             context=ctx, interaction=InteractionSpec({3: 0.3, 4: 0.2}),
-            lam=lam, shape="uniform", eta=np.array([1.0, -0.5]), max_order=1.5)
+            lam=lam, shape="uniform", eta=np.array([1.0] + [0.0] * 7 + [-0.5]),
+            max_order=1.5)
         runners = dict(every_scale)
         if k == 0:
             runners["renormalization"] = suites.suite_renormalization
@@ -783,8 +813,11 @@ def test_per_scale_runners_read_only_scale_data(tmp_path, capsys):
 
 def test_context_arrays_are_read_only():
     """So are the deep sets read at load, which every run copy of a scale
-    shares."""
+    shares, the mesh's distances, each scale's eta, kernel, restricted
+    kernel, trimmed set and Gaussian data."""
     from cutglue.config import load_config
+    from cutglue.kernels import restrict_kernel_to_submesh
+    from cutglue.meshes import LEFT
     cfg = load_config(CONFIG, suites.SUITES)
     ctx = cfg.context
     assert cfg.context is ctx
@@ -792,12 +825,19 @@ def test_context_arrays_are_read_only():
         ctx.bundle.green[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         cfg.scales[0].region[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.scales[0].eta[0] = 0.0
     for array in (ctx.bundle.poisson, ctx.bundle.dtn, ctx.g_sigma, ctx.glued,
-                  ctx.to_sigma, *ctx.eigenpairs,
+                  ctx.to_sigma, *ctx.eigenpairs, ctx.mesh.distance_matrix(),
                   *(a for sb in ctx.sides.values()
                     for a in (sb.green, sb.poisson, sb.dtn)),
                   *(a for scale in cfg.scales
-                    for a in (scale.region, *scale.deep.values()))):
+                    for a in (scale.region, *scale.deep.values(), scale.eta,
+                              scale.kernel.matrix, scale.trimmed,
+                              restrict_kernel_to_submesh(
+                                  scale.kernel, ctx.sides[LEFT].nodes).matrix,
+                              scale.glued.mean, scale.glued.cov,
+                              scale.whole.mean, scale.whole.cov))):
         assert not array.flags.writeable
 
 

@@ -15,9 +15,14 @@ from cutglue.meshes import (LEFT, RIGHT, build_grid_mesh, build_interval_mesh,
 from cutglue.operators import OperatorSpec
 from cutglue.perturbation import InteractionSpec
 from cutglue.reports import Report, gap
-from test_perturbation import effective_action_series
+from test_perturbation import boundary_field, effective_action_series
 
 M0 = OperatorSpec(0.0)
+
+
+def _eta(mesh, values):
+    """The scenarios' Dirichlet data: None, or one value per boundary node."""
+    return None if values is None else boundary_field(mesh, values)
 
 
 def path9_scenario(couplings, eta=None, lam=1.0, max_order=1.5):
@@ -25,7 +30,7 @@ def path9_scenario(couplings, eta=None, lam=1.0, max_order=1.5):
     cut = cut_along_interface(mesh, lambda n: n == 4)
     return ScaleData(context=GluingContext(mesh, M0, cut),
                      interaction=InteractionSpec(couplings), lam=lam,
-                     eta=eta, max_order=max_order)
+                     eta=_eta(mesh, eta), max_order=max_order)
 
 
 def grid_scenario(couplings, eta=None, lam=2.5, mass=0.1):
@@ -33,7 +38,7 @@ def grid_scenario(couplings, eta=None, lam=2.5, mass=0.1):
     cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == 2.0)
     ctx = GluingContext(mesh, OperatorSpec(mass), cut)
     return ScaleData(context=ctx, interaction=InteractionSpec(couplings),
-                     lam=lam, eta=eta, max_order=1.5)
+                     lam=lam, eta=_eta(mesh, eta), max_order=1.5)
 
 
 def test_scenario_validation():
@@ -51,10 +56,39 @@ def test_scenario_validation():
                   eta=np.array([1.0]))
 
 
+@pytest.mark.parametrize("eta, message", [
+    (np.array([1.0, -0.5]), r"eta must be a node field of shape \(9,\), got \(2,\)"),
+    (np.zeros(10), r"eta must be a node field of shape \(9,\), got \(10,\)"),
+    (np.zeros((1, 9)), r"eta must be a node field of shape \(9,\), got \(1, 9\)"),
+    (np.eye(9)[2], "eta must be zero off the boundary, interface included"),
+    (np.eye(9)[4], "eta must be zero off the boundary, interface included"),
+    (np.full(9, np.nan), "eta must be zero off the boundary, interface included"),
+], ids=["boundary-list", "long", "batched", "interior-node", "interface-node", "nan"])
+def test_scale_data_refuses_eta_not_a_boundary_field(eta, message):
+    """Node 4 of the nine-node path is the interface, node 2 a side interior
+    node; eta must be an (N,) node field that is zero off nodes 0 and 8."""
+    mesh = build_interval_mesh(7, 1.0)
+    ctx = GluingContext(mesh, M0, cut_along_interface(mesh, lambda n: n == 4))
+    with pytest.raises(GluingError, match=f"^{message}$"):
+        ScaleData(context=ctx, interaction=InteractionSpec({}), lam=1.0, eta=eta)
+
+
+def test_scale_data_keeps_a_read_only_copy_of_eta():
+    mesh = build_interval_mesh(7, 1.0)
+    ctx = GluingContext(mesh, M0, cut_along_interface(mesh, lambda n: n == 4))
+    given = np.zeros(9, dtype=int)
+    given[0] = 2
+    data = ScaleData(context=ctx, interaction=InteractionSpec({}), lam=1.0, eta=given)
+    given[0] = 3
+    assert data.eta.dtype == float and data.eta.tolist() == [2.0] + [0.0] * 8
+    assert not data.eta.flags.writeable
+    assert path9_scenario({}).eta.tolist() == [0.0] * 9
+
+
 def test_free_order_zero_equals_whole_action():
     mesh = build_interval_mesh(3, 1.0)
     cut = cut_along_interface(mesh, lambda n: n == 2)
-    eta = np.array([1.0, -0.5])
+    eta = boundary_field(mesh, [1.0, -0.5])
     data = ScaleData(context=GluingContext(mesh, M0, cut),
                      interaction=InteractionSpec({}), lam=1.0, eta=eta,
                      max_order=1.0)

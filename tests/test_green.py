@@ -17,6 +17,7 @@ from cutglue.meshes import (LEFT, RIGHT, Mesh, build_grid_mesh, build_interval_m
                             cut_along_interface)
 from cutglue.operators import OperatorSpec, assemble, operator_matrix
 from cutglue.suites import SUITES
+from test_perturbation import boundary_field
 
 M0 = OperatorSpec(mass_squared=0.0)
 
@@ -37,15 +38,37 @@ def test_green_matrix_hand_value():
 def test_harmonic_extension_linear_profile():
     mesh, _ = path5()
     bundle = green_bundle(mesh, M0)
-    field = bundle.extend(np.array([1.0, 0.0]))
+    field = bundle.extend(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
     np.testing.assert_allclose(field, [1.0, 0.75, 0.5, 0.25, 0.0], atol=1e-14)
 
 
 def test_constant_extension():
     mesh = build_grid_mesh(5, 5, 1.0)
     bundle = green_bundle(mesh, M0)
-    field = bundle.extend(np.ones(mesh.boundary.size))
+    field = bundle.extend(boundary_field(mesh, 1.0))
     np.testing.assert_allclose(field, 1.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_side_extension_keeps_every_node_off_the_side_interior(side):
+    """A side bundle's extend writes its own interior nodes from the field's
+    side boundary values (outer, then the interface); every other entry, the
+    other side's interior included, comes back as given.  A batch extends
+    row by row, to rounding, and the field passed in is not written."""
+    mesh = build_grid_mesh(5, 5, 1.0)
+    cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == 2.0)
+    sb = side_bundle(mesh, OperatorSpec(0.1), cut, side)
+    fields = np.random.default_rng(3).standard_normal((4, mesh.n_nodes))
+    given = fields.copy()
+    out = sb.extend(fields)
+    assert np.array_equal(fields, given)
+    others = np.ones(mesh.n_nodes, dtype=bool)
+    others[sb.interior] = False
+    assert np.array_equal(out[:, others], fields[:, others])
+    np.testing.assert_allclose(out[:, sb.interior], fields[:, sb.boundary] @ sb.poisson.T,
+                               rtol=1e-13, atol=1e-15)
+    for row, field in zip(out, fields):
+        np.testing.assert_allclose(sb.extend(field), row, rtol=1e-13, atol=1e-15)
 
 
 def test_poisson_maximum_principle():
@@ -212,7 +235,7 @@ def test_side_condition_bound_is_at_most_the_whole(nx, ny, column, amp, mass):
 def test_quadratic_form_hand_value():
     mesh, _ = path5()
     bundle = green_bundle(mesh, M0)
-    field = bundle.extend(np.array([1.0, 0.0]))
+    field = bundle.extend(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
     assert quadratic_form_S0(mesh, M0, field) == pytest.approx(0.125, abs=1e-14)
     assert quadratic_form_S0(mesh, M0, np.zeros(5)) == 0.0
 
@@ -224,7 +247,7 @@ def test_quadratic_form_matches_schur_energy():
     rng = np.random.default_rng(7)
     for _ in range(20):
         eta = rng.standard_normal(mesh.boundary.size)
-        s_edges = quadratic_form_S0(mesh, spec, bundle.extend(eta))
+        s_edges = quadratic_form_S0(mesh, spec, bundle.extend(boundary_field(mesh, eta)))
         s_schur = 0.5 * eta @ bundle.dtn @ eta
         assert s_edges == pytest.approx(s_schur, abs=1e-12)
 
@@ -233,9 +256,10 @@ def test_cross_form_zero_and_overlap():
     mesh, cut = path5()
     bundle = green_bundle(mesh, M0)
     a, b = np.array([0]), np.array([4])
-    assert cross_form(bundle, a, np.array([1.0]), b, np.array([0.0])) == 0.0
+    field = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    assert cross_form(bundle, a, b, field) == 0.0
     with pytest.raises(GreenError, match="overlapping"):
-        cross_form(bundle, a, np.array([1.0]), a, np.array([1.0]))
+        cross_form(bundle, a, a, field)
 
 
 @settings(max_examples=30, deadline=None)
@@ -245,10 +269,11 @@ def test_cross_form_symmetry(ea, eb):
     bundle = green_bundle(mesh, OperatorSpec(0.2))
     ids = list(map(int, mesh.boundary))
     a, b = np.array(ids[:3]), np.array(ids[3:6])
-    va = np.array([ea, -ea, 2 * ea])
-    vb = np.array([eb, eb, -eb])
-    s_ab = cross_form(bundle, a, va, b, vb)
-    s_ba = cross_form(bundle, b, vb, a, va)
+    field = np.zeros(mesh.n_nodes)
+    field[a] = [ea, -ea, 2 * ea]
+    field[b] = [eb, eb, -eb]
+    s_ab = cross_form(bundle, a, b, field)
+    s_ba = cross_form(bundle, b, a, field)
     assert s_ab == pytest.approx(s_ba, abs=1e-12)
 
 
@@ -257,12 +282,11 @@ def test_cross_form_closes_the_decomposition():
     mesh, cut = path5()
     bundle = green_bundle(mesh, M0)
     a, b = np.array([0]), np.array([4])
-    va, vb = np.array([1.0]), np.array([1.0])
-    full = np.array([1.0, 1.0])
+    full = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
     s_sum = quadratic_form_S0(mesh, M0, bundle.extend(full))
-    s_a = quadratic_form_S0(mesh, M0, bundle.extend(np.array([1.0, 0.0])))
-    s_b = quadratic_form_S0(mesh, M0, bundle.extend(np.array([0.0, 1.0])))
-    assert s_sum == pytest.approx(s_a + s_b - cross_form(bundle, a, va, b, vb),
+    s_a = quadratic_form_S0(mesh, M0, bundle.extend(np.array([1.0, 0.0, 0.0, 0.0, 0.0])))
+    s_b = quadratic_form_S0(mesh, M0, bundle.extend(np.array([0.0, 0.0, 0.0, 0.0, 1.0])))
+    assert s_sum == pytest.approx(s_a + s_b - cross_form(bundle, a, b, full),
                                   abs=1e-14)
 
 
@@ -295,11 +319,12 @@ def test_quadratic_decomposition_batch_is_the_trial_loop():
     bundle = green_bundle(grid, spec)
     seed, trials, n_in = 4, green.TRIALS, grid.interior.size
     draws = green._uniform_draws(seed, (trials, n_in + bundle.boundary.size))
-    phi = np.zeros((trials, grid.n_nodes))
+    phi, eta = np.zeros((2, trials, grid.n_nodes))
     phi[:, grid.interior] = draws[:, :n_in]
-    eta = draws[:, n_in:]
-    right = cut.label[bundle.boundary] == RIGHT
-    ids_l, ids_r = bundle.boundary[~right], bundle.boundary[right]
+    eta[:, bundle.boundary] = draws[:, n_in:]
+    right = cut.label == RIGHT
+    on_right = right[bundle.boundary]
+    ids_l, ids_r = bundle.boundary[~on_right], bundle.boundary[on_right]
     eta_l, eta_r = np.where(right, 0.0, eta), np.where(right, eta, 0.0)
 
     def terms(phi, eta, eta_l, eta_r):
@@ -307,7 +332,7 @@ def test_quadratic_decomposition_batch_is_the_trial_loop():
                 quadratic_form_S0(grid, spec, phi),
                 quadratic_form_S0(grid, spec, bundle.extend(eta_l)),
                 quadratic_form_S0(grid, spec, bundle.extend(eta_r)),
-                cross_form(bundle, ids_l, eta[..., ~right], ids_r, eta[..., right])]
+                cross_form(bundle, ids_l, ids_r, eta)]
 
     batch = terms(phi, eta, eta_l, eta_r)
     for t in range(trials):

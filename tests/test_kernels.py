@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,6 +301,28 @@ def test_kernel_builders_match_loops_bitwise(name):
                 got = kn.restrict_kernel_to_submesh(kernel, sb.nodes).matrix
                 assert np.array_equal(got, _loop_restrict(kernel.matrix, sb.nodes))
                 assert np.array_equal(got[deep[side]], kernel.matrix[deep[side]])
+
+
+def test_restriction_working_set():
+    """Restriction holds one n x n copy of the kernel and gathers of the
+    leaking rows only: on a 403-node interval, at interval-wide's scales and
+    to either side, the traced peak of the call, its result included, stays
+    at or below 1.25 n x n float64 arrays."""
+    mesh = build_interval_mesh(401, 1.0)
+    cut = _column_cut(mesh, None)
+    n = mesh.n_nodes
+    sides = [side_bundle(mesh, M0, cut, side).nodes for side in (LEFT, RIGHT)]
+    for lam in (0.05, 0.1, 0.2):
+        kernel = kn.build_mesh_kernel(mesh, lam, "bump")
+        for keep in sides:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kn.restrict_kernel_to_submesh(kernel, keep)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * 8 * n * n, peak / (8 * n * n)
 
 
 # relative offsets of 1/lam from the shortest edge, on both sides of the slack

@@ -35,6 +35,14 @@ def interaction_w_series(vertices, mean, cov, max_order):
     return PerturbationSeries(coeffs)
 
 
+def boundary_field(mesh, values):
+    """The node field holding values on mesh.boundary, in its order, and
+    zero elsewhere: the form of Dirichlet data eta."""
+    field = np.zeros(mesh.n_nodes)
+    field[mesh.boundary] = values
+    return field
+
+
 def effective_action_series(bundle, kernel, interaction, eta, max_order,
                             region=None):
     """Minus log of the regularized partition function, order by order, on
@@ -367,14 +375,15 @@ def test_z_series_releases_its_inputs():
 
 def _path9(couplings, max_order=1.5):
     mesh = build_interval_mesh(7, 1.0)
-    gaussian = averaged_gaussian(build_mesh_kernel(mesh, 1.0), np.array([1.0, -0.5]),
+    gaussian = averaged_gaussian(build_mesh_kernel(mesh, 1.0),
+                                 boundary_field(mesh, [1.0, -0.5]),
                                  green_bundle(mesh, M0))
     return gaussian, InteractionSpec(couplings), mesh, max_order
 
 
 def _grid(nx, lam):
     mesh = build_grid_mesh(nx, nx, 1.0)
-    eta = 0.2 * np.arange(mesh.boundary.size)
+    eta = boundary_field(mesh, 0.2 * np.arange(mesh.boundary.size))
     gaussian = averaged_gaussian(build_mesh_kernel(mesh, lam, "bump"), eta,
                                  green_bundle(mesh, OperatorSpec(0.1)))
     return gaussian, InteractionSpec({3: 0.2, 4: 0.1}), mesh, 1.5
@@ -383,7 +392,7 @@ def _grid(nx, lam):
 def _interval401():
     mesh = build_interval_mesh(401, 1.0)
     gaussian = averaged_gaussian(build_mesh_kernel(mesh, 0.05, "bump"),
-                                 np.array([0.4, -0.9]),
+                                 boundary_field(mesh, [0.4, -0.9]),
                                  green_bundle(mesh, OperatorSpec(0.1)))
     return gaussian, InteractionSpec({3: 0.3, 4: 0.2}), mesh, 1.0
 
@@ -477,7 +486,7 @@ def test_family_regions_are_node_sets(name):
 def test_free_series_is_order_zero_only():
     mesh = build_interval_mesh(3, 1.0)
     kernel = build_mesh_kernel(mesh, 1.0)
-    eta = np.array([1.0, 0.0])
+    eta = boundary_field(mesh, [1.0, 0.0])
     w = effective_action_series(green_bundle(mesh, M0), kernel, InteractionSpec({}),
                                 eta, 1.5)
     assert w.coeff(0.0) == pytest.approx(0.125, abs=1e-14)
@@ -489,7 +498,7 @@ def test_cubic_tadpole_coefficient():
     spec = M0
     bundle = green_bundle(mesh, spec)
     kernel = build_mesh_kernel(mesh, 1.0)
-    eta = np.array([1.0, 0.0])
+    eta = boundary_field(mesh, [1.0, 0.0])
     t3 = 0.3
     w = effective_action_series(bundle, kernel, InteractionSpec({3: t3}), eta, 1.5)
     region = mesh.trim_to_deformed(1.0)
@@ -506,7 +515,7 @@ def test_quartic_vacuum_coefficient():
     kernel = build_mesh_kernel(mesh, 1.0)
     t4 = 0.2
     w = effective_action_series(bundle, kernel, InteractionSpec({4: t4}),
-                                np.zeros(2), 1.0)
+                                np.zeros(mesh.n_nodes), 1.0)
     region = mesh.trim_to_deformed(1.0)
     g_reg = regularized_green(kernel, bundle)
     diag = np.diag(g_reg)[region]
@@ -518,7 +527,7 @@ def test_quartic_vacuum_coefficient():
 def test_partition_and_action_are_exp_log_partners():
     mesh = build_interval_mesh(5, 1.0)
     kernel = build_mesh_kernel(mesh, 1.0)
-    eta = np.array([0.7, -0.4])
+    eta = boundary_field(mesh, [0.7, -0.4])
     inter = InteractionSpec({3: 0.3, 4: 0.2})
     w = effective_action_series(green_bundle(mesh, M0), kernel, inter, eta, 1.5)
     z = partition_series(mesh, M0, kernel, inter, eta, 1.5)
@@ -532,7 +541,7 @@ def test_zero_couplings_partition_is_one():
     mesh = build_interval_mesh(3, 1.0)
     kernel = build_mesh_kernel(mesh, 1.0)
     z = partition_series(mesh, M0, kernel, InteractionSpec({}),
-                         np.zeros(2), 1.5)
+                         np.zeros(mesh.n_nodes), 1.5)
     np.testing.assert_allclose(z.coefficients, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -541,7 +550,7 @@ def test_identity_kernel_full_region_reduces_to_unregularized():
     bundle = green_bundle(mesh, M0)
     identity = build_mesh_kernel(mesh, 2.5)
     assert identity.is_identity
-    eta = np.array([1.0, 0.5])
+    eta = boundary_field(mesh, [1.0, 0.5])
     inter = InteractionSpec({3: 0.1})
     w = effective_action_series(bundle, identity, inter, eta, 1.5,
                                 region=mesh.interior)
@@ -566,13 +575,11 @@ def test_relabeling_invariance():
         boundary=np.sort(perm[mesh.boundary]),
     )
     inter = InteractionSpec({3: 0.3})
-    eta = np.array([1.0, -0.5])  # ordered along mesh.boundary = [0, 4]
+    eta = boundary_field(mesh, [1.0, -0.5])  # on mesh.boundary = [0, 4]
     k1 = build_mesh_kernel(mesh, 1.0)
     w1 = effective_action_series(green_bundle(mesh, M0), k1, inter, eta, 1.5)
-    pos = {int(n): k for k, n in enumerate(np.sort(perm[mesh.boundary]))}
-    eta2 = np.zeros(2)
-    for old, val in zip(mesh.boundary, eta):
-        eta2[pos[int(perm[old])]] = val
+    eta2 = np.zeros(mesh.n_nodes)
+    eta2[perm] = eta
     k2 = build_mesh_kernel(shuffled, 1.0)
     w2 = effective_action_series(green_bundle(shuffled, M0), k2, inter, eta2, 1.5)
     assert gap(w1.coefficients, w2.coefficients) <= 1e-12
@@ -583,4 +590,4 @@ def test_order_cap_exceeded_in_series():
     kernel = build_mesh_kernel(mesh, 1.0)
     with pytest.raises(PerturbationError, match="order cap"):
         effective_action_series(green_bundle(mesh, M0), kernel,
-                                InteractionSpec({3: 0.1}), np.zeros(2), 6.0)
+                                InteractionSpec({3: 0.1}), np.zeros(mesh.n_nodes), 6.0)
