@@ -12,9 +12,12 @@ of an operator from the one assembly, `operators.operator_matrix`, whose
 boundary is its outer part followed by the cut interface.  The whole mesh is
 the problem with an empty interface.  Building one is the spectrum check:
 it refuses an operator not positive definite or too ill-conditioned for
-float64.  `glued_green` rebuilds the whole Green's matrix from side data
-alone.  Every matrix made here is read-only, since a run shares each one
-among its checks.  The harmonic extension and the cross form read boundary
+float64.  Every Dirichlet Green's matrix, the interface one included, is
+inv(L)' inv(L) from the Cholesky factor L, inverted in place as 2x2 blocks
+down to leaves of at most `INVERSE_LEAF` rows, so no N x N LU is run.
+`glued_green` rebuilds the whole Green's matrix from side data alone.
+Every matrix made here is read-only, since a run shares each one among its
+checks.  The harmonic extension and the cross form read boundary
 data from node fields.  The free action, the cross form and the harmonic
 extension take a leading batch axis, one row per trial, so the TRIALS
 seeded trials of `verify_quadratic_decomposition` are one array program;
@@ -36,6 +39,8 @@ from .reports import Report, gap
 
 #: seeded trials of `verify_quadratic_decomposition`
 TRIALS = 120
+#: rows at and below which `_invert_lower` calls `np.linalg.inv`
+INVERSE_LEAF = 64
 
 
 class GreenError(ValueError):
@@ -49,10 +54,44 @@ def _read_only(*arrays):
     return arrays
 
 
+def _invert_lower(low: np.ndarray) -> None:
+    """Invert the lower triangular matrix `low` in place, by 2x2 blocks: for
+    L = [[A, 0], [C, D]], split at n // 2, the inverse is
+    [[inv(A), 0], [-inv(D) (C inv(A)), inv(D)]], with A and D inverted the
+    same way in their own blocks.  (C inv(A))' is formed in the zero
+    upper-right block and cleared from it, so no level allocates a block.
+    Only blocks of at most INVERSE_LEAF rows reach `np.linalg.inv`, whose
+    pivoted LU can leave a rounding residue above the diagonal; it is
+    dropped, so the strict upper triangle stays exactly zero."""
+    n = low.shape[0]
+    if n <= INVERSE_LEAF:
+        low[...] = np.tril(np.linalg.inv(low))
+        return
+    h = n // 2
+    _invert_lower(low[:h, :h])
+    _invert_lower(low[h:, h:])
+    upper, lower = low[:h, h:], low[h:, :h]
+    np.matmul(low[:h, :h].T, lower.T, out=upper)
+    np.matmul(low[h:, h:], upper.T, out=lower)
+    np.negative(lower, out=lower)
+    upper[...] = 0.0
+
+
 def _inverse_spd(m: np.ndarray, what: str) -> np.ndarray:
-    """Inverse from the Cholesky factor: the one refusal of an operator that
-    is not positive definite, whose error alone computes its smallest
-    eigenvalue (on a singular operator, a rounding residue of either sign)."""
+    """Inverse G = inv(L)' inv(L) from the Cholesky factor m = L L'.
+
+    The factor is the one refusal of an operator that is not positive
+    definite, whose error alone computes its smallest eigenvalue (on a
+    singular operator, a rounding residue of either sign).  inv(L) is the
+    recursive block inverse `_invert_lower`, written over the factor: an
+    N x N `np.linalg.inv` runs an LU with pivoting on the triangular factor,
+    about six times the flops of a triangular inverse, and holds three more
+    N x N LAPACK buffers while it runs.  A block of at most INVERSE_LEAF
+    rows is inverted by one `np.linalg.inv`: leaves of 16 to 128 rows invert
+    a 401- or 1601-row factor in about the same time (within 15%), as
+    smaller leaves add Python calls and larger ones LU flops.  An operator
+    with at most INVERSE_LEAF interior nodes is thus one leaf.
+    """
     try:
         c = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -60,8 +99,8 @@ def _inverse_spd(m: np.ndarray, what: str) -> np.ndarray:
         head = (f"non-positive spectrum in {what}" if lam <= 0.0
                 else f"{what} is not positive definite to rounding")
         raise GreenError(f"{head}: smallest eigenvalue {lam:g}") from None
-    inv = np.linalg.inv(c)
-    return _read_only(inv.T @ inv)[0]
+    _invert_lower(c)
+    return _read_only(c.T @ c)[0]
 
 
 CONDITION_LIMIT = 1.0 / np.finfo(float).eps  # about 4.5e15

@@ -170,15 +170,13 @@ class Mesh:
                 seen[order] = True
         to = np.full((n, n), np.inf)
         np.fill_diagonal(to, 0.0)
+        steps = [(to[v], nbrs[v], lengths[v][:, None]) for v in order if nbrs[v].size]
         for sweep in range(n):
             changed = False
-            for v in order if sweep % 2 == 0 else order[::-1]:
-                if nbrs[v].size == 0:
-                    continue
-                best = (to[nbrs[v]] + lengths[v][:, None]).min(axis=0)
-                shorter = best < to[v]
-                if shorter.any():
-                    to[v, shorter] = best[shorter]
+            for row, ids, length in steps if sweep % 2 == 0 else steps[::-1]:
+                best = (to[ids] + length).min(axis=0)
+                if (best < row).any():
+                    np.minimum(row, best, out=row)
                     changed = True
             if not changed:
                 break

@@ -43,12 +43,18 @@ FIVE_NODES = "".join(
        for k in range(5)]
     + [f"edge {k} {k + 1} w=1.0 len=1.0\n" for k in range(4)])
 
+
+def unit_path(nodes):
+    """A unit path of `nodes` nodes, its two ends the boundary, as a `file` mesh."""
+    return "".join(
+        [f"mesh dim=1 spacing=1.0 nodes={nodes}\n"]
+        + [f"node {k} {'boundary' if k in (0, nodes - 1) else 'interior'} vol=1.0 pos {k}.0\n"
+           for k in range(nodes)]
+        + [f"edge {k} {k + 1} w=1.0 len=1.0\n" for k in range(nodes - 1)])
+
+
 # path9_cubic's own mesh as a `file` mesh; cases change one value in it.
-NINE_NODES = "".join(
-    ["mesh dim=1 spacing=1.0 nodes=9\n"]
-    + [f"node {k} {'boundary' if k in (0, 8) else 'interior'} vol=1.0 pos {k}.0\n"
-       for k in range(9)]
-    + [f"edge {k} {k + 1} w=1.0 len=1.0\n" for k in range(8)])
+NINE_NODES = unit_path(9)
 
 
 def path9_with(tmp_path, **changes):
@@ -253,6 +259,11 @@ def test_run_fast_suites(tmp_path, capsys):
     ({"mesh": mesh_file(NINE_NODES.replace("edge 3 4 w=1.0", "edge 3 4 w=1e300"))},
      "interior operator is too ill-conditioned for float64: "
      "condition number at least 1e+300\n"),
+    # 201 interior nodes: G comes from the block recursion, not one leaf
+    ({"mesh": mesh_file(unit_path(203).replace("edge 100 101 w=1.0",
+                                               "edge 100 101 w=1e300"))},
+     "interior operator is too ill-conditioned for float64: "
+     "condition number at least 2.52475e+301\n"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
@@ -285,7 +296,7 @@ def test_run_fast_suites(tmp_path, capsys):
         "mesh-edge-key-missing", "mesh-edge-key-repeated", "mesh-node-key-unknown",
         "mesh-node-key-missing", "grid-volume-overflow-1e200",
         "grid-volume-overflow-1e300", "interval-weight-overflow-1e-310",
-        "operator-ill-conditioned"])
+        "operator-ill-conditioned", "operator-ill-conditioned-above-leaf"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)

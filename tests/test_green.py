@@ -208,6 +208,41 @@ def test_condition_bound_refuses_from_the_limit_on(monkeypatch):
         green_bundle(mesh, M0)
 
 
+def random_spd(n):
+    """A seeded symmetric positive definite matrix, eigenvalues about 1 to 5."""
+    b = np.random.default_rng(n).standard_normal((n, n))
+    return b @ b.T / n + np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 200, 401])
+def test_inverse_spd_is_the_inverse(n):
+    """At, around and above the leaf size, G from the block inverse of the
+    Cholesky factor is `np.linalg.inv` of the matrix to rounding and exactly
+    symmetric, and the factor's inverse is exactly lower triangular."""
+    m = random_spd(n)
+    g = green._inverse_spd(m, "test matrix")
+    want = np.linalg.inv(m)
+    assert np.abs(g - want).max() <= 4e-15 * np.abs(want).max()
+    assert np.array_equal(g, g.T)
+    inv = np.linalg.cholesky(m)
+    green._invert_lower(inv)
+    assert not np.triu(inv, 1).any()
+
+
+def test_whole_bundle_inverts_no_block_above_the_leaf(monkeypatch):
+    """Building the whole bundle of a 401-interior interval calls
+    `np.linalg.inv` on leaf blocks only, never on the whole factor."""
+    sizes, inv = [], np.linalg.inv
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    green_bundle(build_interval_mesh(401, 1.0), OperatorSpec(0.1))
+    assert sizes and max(sizes) <= green.INVERSE_LEAF
+
+
 @settings(max_examples=25, deadline=None)
 @given(nx=st.integers(4, 7), ny=st.integers(3, 6), column=st.integers(0, 4),
        amp=st.floats(0.0, 0.9), mass=st.floats(0.0, 4.0))
