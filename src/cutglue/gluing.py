@@ -4,9 +4,10 @@ The glued object integrates the product of the two side partition functions
 against a Gaussian in the interface values, with covariance equal to the
 interface block of the whole Green's matrix.  Here that integral is evaluated
 exactly: the three independent Gaussian fields (two side fluctuations and
-the interface variable) add up to one node-level field with covariance
-`green.glued_green`, built purely from side quantities, and the moment
-engine of the perturbation module does the rest.  The whole-manifold route
+the interface variable) add up to one node-level field whose covariance is
+the whole Green's matrix glued from side quantities; `green.glued_product`
+averages it with the kernel without forming it, and the moment engine of
+the perturbation module does the rest.  The whole-manifold route
 (`averaged_gaussian`, from the whole mesh's Green bundle) sits beside the
 glued one (`glued_gaussian`); agreement of the two series is then a matter
 of exact linear algebra, order by order.  The boundary data eta is one node
@@ -34,8 +35,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .green import (GreenBundle, _read_only, glued_green, green_bundle,
-                    interface_green, quadratic_form_S0, side_bundle)
+from .green import (GreenBundle, _read_only, glued_product, green_bundle,
+                    interface_green, interface_map, quadratic_form_S0,
+                    side_bundle)
 from .kernels import (KernelMatrix, build_mesh_kernel, deformed_side_nodes,
                       regularized_green, restrict_kernel_to_submesh)
 from .meshes import LEFT, RIGHT, Cut, Mesh, lambda_one
@@ -54,7 +56,8 @@ class GluingContext:
     """Green data of one (mesh, operator, cut), read-only, each field built on
     first read: lambda_one, the cut's `meshes.lambda_one`, read once for
     every scale; whole and side Green bundles, the interface Green's matrix
-    g_sigma, `green.glued_green` (glued, to_sigma) and interior eigenpairs."""
+    g_sigma, the interface map to_sigma (`green.interface_map`) and interior
+    eigenpairs."""
 
     mesh: Mesh
     operator: OperatorSpec
@@ -77,16 +80,8 @@ class GluingContext:
         return interface_green(self.sides[LEFT], self.sides[RIGHT])
 
     @cached_property
-    def _glued_green(self) -> tuple[np.ndarray, np.ndarray]:
-        return glued_green(self.sides, self.g_sigma, self.mesh.n_nodes)
-
-    @property
-    def glued(self) -> np.ndarray:
-        return self._glued_green[0]
-
-    @property
     def to_sigma(self) -> np.ndarray:
-        return self._glued_green[1]
+        return interface_map(self.sides, self.mesh.n_nodes)
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -202,9 +197,10 @@ def glued_gaussian(data: ScaleData) -> NodeGaussian:
     scale's kernel, whose row at a deep node is the side-restricted row, as
     restricted-rows-match-{side} of `verify_deformed_gluing` checks.
     """
-    h = data.kernel.matrix
+    ctx, h = data.context, data.kernel.matrix
     order0, mean = _glued_mean(data, "fold", (LEFT, RIGHT))
-    return NodeGaussian(order0, *_read_only(mean, h @ data.context.glued @ h.T))
+    cov = glued_product(h, h, ctx.sides, ctx.g_sigma, ctx.to_sigma)
+    return NodeGaussian(order0, *_read_only(mean, cov))
 
 
 def _glued_mean(data: ScaleData, assembly: str, side_order: tuple):
@@ -257,17 +253,17 @@ def verify_deformed_gluing(data: ScaleData) -> Report:
     """Decomposition of the averaged propagator across a cut.
 
     For nodes deep inside each side the whole-mesh averaged propagator
-    (data.whole.cov) must equal the glued Green's matrix (`green.glued_green`)
-    averaged with each side's restricted kernel rows: the side-regularized
+    (data.whole.cov) must equal the glued Green's matrix averaged with each
+    side's restricted kernel rows (`green.glued_product`): the side-regularized
     propagator plus an interface round trip on one side, the pure interface
     round trip across sides, all built from restricted kernels and side Green
     data only.  The one place a kernel is restricted to a side, it checks
     that the deep rows pass through unchanged (restricted-rows-match-{side}).
     """
     kernel, deep = data.kernel, data.deep
-    g_reg, glued = data.whole.cov, data.context.glued
+    ctx, g_reg = data.context, data.whole.cov
     rows = {s: restrict_kernel_to_submesh(kernel, sb.nodes).matrix[deep[s]]
-            for s, sb in data.context.sides.items()}
+            for s, sb in ctx.sides.items()}
 
     report = Report("deformed-gluing")
     for side, nodes in deep.items():
@@ -279,7 +275,8 @@ def verify_deformed_gluing(data: ScaleData) -> Report:
         if deep[a].size == 0 or deep[b].size == 0:
             continue
         report.compare(name, g_reg[np.ix_(deep[a], deep[b])],
-                       rows[a] @ glued @ rows[b].T, 1e-10)
+                       glued_product(rows[a], rows[b], ctx.sides, ctx.g_sigma,
+                                     ctx.to_sigma), 1e-10)
     return report
 
 

@@ -159,7 +159,8 @@ class Mesh:
         visit the nodes in breadth-first order, alternating direction, until
         one changes nothing (at most N sweeps).  Each distance is summed from
         its source outward, so d[s, t] equals Dijkstra's value bitwise;
-        unreachable pairs stay inf.
+        unreachable pairs stay inf.  `to` is then transposed in place, and
+        is d: the distances cost one N x N array.
         """
         n = self.n_nodes
         nbrs, lengths = self.neighbors
@@ -180,9 +181,9 @@ class Mesh:
                     changed = True
             if not changed:
                 break
-        d = np.ascontiguousarray(to.T)
-        d.flags.writeable = False  # shared by every ball, deep set and trim
-        return d
+        _transpose_in_place(to)
+        to.flags.writeable = False  # shared by every ball, deep set and trim
+        return to
 
     def boundary_distance(self) -> np.ndarray:
         """Per-node geodesic distance to the nearest boundary node."""
@@ -313,6 +314,27 @@ class Cut:
         ends = self.label[self.edges]
         return np.where((ends == side).any(axis=1), 1.0,
                         np.where((ends == CUT).all(axis=1), 0.5, 0.0))
+
+
+#: rows and columns per square block of `_transpose_in_place`
+TRANSPOSE_BLOCK = 64
+
+
+def _transpose_in_place(m: np.ndarray) -> None:
+    """Transpose the square matrix m in place, by square blocks of at most
+    TRANSPOSE_BLOCK rows: each diagonal block is transposed through a copy of
+    itself, and each block above the diagonal trades places with its mirror,
+    both transposed, through a copy of one of them.  No copy is larger than a
+    block, and the entries move unchanged."""
+    n = m.shape[0]
+    for i in range(0, n, TRANSPOSE_BLOCK):
+        rows = slice(i, i + TRANSPOSE_BLOCK)
+        m[rows, rows] = m[rows, rows].T.copy()
+        for j in range(i + TRANSPOSE_BLOCK, n, TRANSPOSE_BLOCK):
+            cols = slice(j, j + TRANSPOSE_BLOCK)
+            upper = m[rows, cols].copy()
+            m[rows, cols] = m[cols, rows].T
+            m[cols, rows] = upper.T
 
 
 def _bfs(nbrs: list[np.ndarray], starts: list[int], allowed: np.ndarray) -> list[int]:

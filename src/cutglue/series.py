@@ -42,9 +42,6 @@ class PerturbationSeries:
     def orders(self) -> list[float]:
         return [j / 2.0 for j in range(self.coefficients.size)]
 
-    def __neg__(self) -> "PerturbationSeries":
-        return PerturbationSeries(-self.coefficients)
-
 
 def series_exp(s: PerturbationSeries) -> PerturbationSeries:
     """exp of a truncated series, coefficient-wise in x = sqrt(hbar)."""

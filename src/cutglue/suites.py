@@ -40,8 +40,7 @@ def suite_green_identities(cfg: ScenarioConfig, seed: int) -> Report:
     k = left.dtn_sigma + right.dtn_sigma
     report.compare("interface-response-sum-inverse", k @ ctx.g_sigma, np.eye(k.shape[0]),
                    1e-10)
-    report.extend(verify_green_gluing(bundle, ctx.sides, ctx.g_sigma,
-                                      ctx.glued).checks)
+    report.extend(verify_green_gluing(bundle, ctx.sides, ctx.g_sigma).checks)
     report.extend(verify_dtn_difference(bundle, left, LEFT).checks)
     report.compare("green-symmetry", bundle.green, bundle.green.T, 1e-12)
     if ctx.operator.mass_squared == 0.0:

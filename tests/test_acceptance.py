@@ -91,7 +91,7 @@ def test_criterion_2_green_gluing_relations():
     worst = 0.0
     for mesh, cut in _cases():
         ctx = GluingContext(mesh, OperatorSpec(0.0), cut)
-        rep = verify_green_gluing(ctx.bundle, ctx.sides, ctx.g_sigma, ctx.glued)
+        rep = verify_green_gluing(ctx.bundle, ctx.sides, ctx.g_sigma)
         worst = max(worst, rep.max_residual)
     small = build_interval_mesh(3, 1.0)
     g = green_bundle(small, OperatorSpec(0.0)).green

@@ -7,7 +7,6 @@ import random
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -18,6 +17,7 @@ import pytest
 import cutglue
 from cutglue import cli, suites
 from cutglue.reports import Check, Report, gap
+from peaks import traced_peak
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                       "path9_cubic.json")
@@ -634,14 +634,16 @@ def test_suite_alone_writes_the_same_report(tmp_path, capsys, config):
 
 def test_run_builds_each_scale_once(tmp_path, monkeypatch, capsys):
     """Every suite that reads a scale shares its data: one kernel, one
-    averaged propagator H G H' and one glued covariance per scale, and one
-    glued Green's matrix, one interior eigendecomposition and one Cholesky
-    factor of the whole interior operator per run, the one that loading
-    the config makes.  kernel-properties, which builds its own kernels, is
-    left out; the saturation oracle of lambda-sweep averages nothing."""
+    averaged propagator H G H' and one glued covariance per scale, four
+    products by the glued Green's matrix per scale (the glued covariance
+    and deformed-gluing's three blocks), and one interface map, one
+    interior eigendecomposition and one Cholesky factor of the whole
+    interior operator per run, the one that loading the config makes.
+    kernel-properties, which builds its own kernels, is left out; the
+    saturation oracle of lambda-sweep averages nothing."""
     calls = count_calls(monkeypatch, ("build_mesh_kernel", "regularized_green",
-                                      "glued_gaussian", "glued_green",
-                                      "GluingContext"))
+                                      "glued_gaussian", "glued_product",
+                                      "interface_map", "GluingContext"))
     eighs, whole_factors = [], []
     eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
     with open(CONFIG, encoding="utf-8") as fh:
@@ -664,8 +666,8 @@ def test_run_builds_each_scale_once(tmp_path, monkeypatch, capsys):
                      *(a for s in selected for a in ("--suite", s))]) == 0
     assert calls == {"build_mesh_kernel": n_lambdas,
                      "regularized_green": n_lambdas,
-                     "glued_gaussian": n_lambdas, "glued_green": 1,
-                     "GluingContext": 1}
+                     "glued_gaussian": n_lambdas, "glued_product": 4 * n_lambdas,
+                     "interface_map": 1, "GluingContext": 1}
     assert len(eighs) == 1 and len(whole_factors) == 1
 
 
@@ -838,8 +840,8 @@ def test_context_arrays_are_read_only():
         cfg.scales[0].region[0] = 0
     with pytest.raises(ValueError, match="read-only"):
         cfg.scales[0].eta[0] = 0.0
-    for array in (ctx.bundle.poisson, ctx.bundle.dtn, ctx.g_sigma, ctx.glued,
-                  ctx.to_sigma, *ctx.eigenpairs, ctx.mesh.distance_matrix(),
+    for array in (ctx.bundle.poisson, ctx.bundle.dtn, ctx.g_sigma, ctx.to_sigma,
+                  *ctx.eigenpairs, ctx.mesh.distance_matrix(),
                   *(a for sb in ctx.sides.values()
                     for a in (sb.green, sb.poisson, sb.dtn)),
                   *(a for scale in cfg.scales
@@ -972,11 +974,10 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys, changes):
 
 
 # Traced peak of a run over the level before it, in n x n float64 arrays.  The
-# interval run below reads about 10.4.  A power of the covariance cached in the
-# moment engine takes it to 11.1, and kernel-properties' kernel temporaries (a
-# kernel normalized out of place, one scale's kernels alive through the next)
-# to 11.5.
-DENSE_ARRAYS_PEAK = 11.0
+# interval run below reads about 9.5, where gluing-theorem sets it.  A glued
+# Green's matrix formed as one n x n array and kept for the run, as it once
+# was, takes it to 10.5.
+DENSE_ARRAYS_PEAK = 10.0
 
 
 def test_dense_working_set(tmp_path, capsys):
@@ -991,15 +992,12 @@ def test_dense_working_set(tmp_path, capsys):
         "max_order": 1.0,
         "suites": ["green-identities", "quadratic-decomposition", "kernel-properties",
                    "regularization", "deformed-gluing", "gluing-theorem", "lambda-sweep"]})
-    n = 201 + 2  # interior nodes and the two ends
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+
+    def run():
         assert cli.main(["run", path, "--out-dir", str(tmp_path / "r")]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < DENSE_ARRAYS_PEAK * 8 * n * n, peak / (8 * n * n)
+
+    peak = traced_peak(run, 201 + 2)  # interior nodes and the two ends
+    assert peak < DENSE_ARRAYS_PEAK, peak
 
 
 def test_gap_reads_every_entry_and_never_broadcasts():

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from cutglue import green
 from cutglue.config import load_config
-from cutglue.green import (GreenError, cross_form, glued_green, green_bundle,
-                           interface_green, quadratic_form_S0, side_bundle,
+from cutglue.green import (GLUED_ROWS, GreenError, cross_form, glued_product,
+                           green_bundle, interface_green, interface_map,
+                           quadratic_form_S0, side_bundle,
                            verify_dtn_difference, verify_green_gluing,
                            verify_quadratic_decomposition)
+from cutglue.kernels import build_mesh_kernel
 from cutglue.meshes import (LEFT, RIGHT, Mesh, build_grid_mesh, build_interval_mesh,
                             cut_along_interface)
 from cutglue.operators import OperatorSpec, assemble, operator_matrix
 from cutglue.suites import SUITES
+from peaks import traced_peak
 from test_perturbation import boundary_field
 
 M0 = OperatorSpec(mass_squared=0.0)
@@ -460,15 +463,17 @@ def test_green_gluing_reports():
         cut = cut_along_interface(mesh, sel)
         sides = {s: side_bundle(mesh, spec, cut, s) for s in (LEFT, RIGHT)}
         g_sigma = interface_green(sides[LEFT], sides[RIGHT])
-        glued, _ = glued_green(sides, g_sigma, mesh.n_nodes)
-        rep = verify_green_gluing(green_bundle(mesh, spec), sides, g_sigma, glued)
+        rep = verify_green_gluing(green_bundle(mesh, spec), sides, g_sigma)
         assert rep.passed and rep.max_residual <= 1e-10
 
 
 @pytest.mark.parametrize("case", ["path9", "grid5", "grid7-curved"])
 def test_glued_green_is_the_padded_whole_green(case):
     """Side Green's matrices plus the interface round trip rebuild the whole
-    Green's matrix on every interior pair, and nothing elsewhere."""
+    Green's matrix on every interior pair, and nothing elsewhere: the glued
+    product on identity rows is the padded whole G, and on rows of a that
+    span three row blocks, the last partial, and b of another height it is
+    a G b'."""
     if case == "path9":
         mesh, spec, mid = build_interval_mesh(7, 1.0), M0, 4.0
     elif case == "grid5":
@@ -481,14 +486,35 @@ def test_glued_green_is_the_padded_whole_green(case):
         assert np.ptp(mesh.edge_weights) > 0.1 and np.ptp(mesh.node_volumes) > 0.1
     cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == mid)
     sides = {s: side_bundle(mesh, spec, cut, s) for s in (LEFT, RIGHT)}
-    glued, to_sigma = glued_green(sides, interface_green(sides[LEFT], sides[RIGHT]),
-                                  mesh.n_nodes)
+    g_sigma = interface_green(sides[LEFT], sides[RIGHT])
+    to_sigma = interface_map(sides, mesh.n_nodes)
     bundle = green_bundle(mesh, spec)
     padded = np.zeros((mesh.n_nodes, mesh.n_nodes))
     padded[np.ix_(bundle.interior, bundle.interior)] = bundle.green
-    assert np.abs(glued - padded).max() <= 1e-12 * np.abs(padded).max()
+    eye = np.eye(mesh.n_nodes)
+    rng = np.random.default_rng(7)
+    rows = rng.uniform(-1.0, 1.0, (2 * GLUED_ROWS + 5, mesh.n_nodes))
+    for a, b in ((eye, eye), (rows, rows[:3])):
+        want = a @ padded @ b.T
+        got = glued_product(a, b, sides, g_sigma, to_sigma)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     np.testing.assert_array_equal(to_sigma[cut.interface], np.eye(cut.interface.size))
     assert not to_sigma[mesh.boundary].any()
+
+
+def test_glued_product_holds_its_result_alone():
+    """No N x N glued Green's matrix is made: on a 403-node interval the
+    traced peak of an averaged glued covariance H G H' is its result and at
+    most three (GLUED_ROWS, n) temporaries."""
+    mesh = build_interval_mesh(401, 1.0)
+    cut = cut_along_interface(mesh, lambda n: n == 201)
+    sides = {s: side_bundle(mesh, M0, cut, s) for s in (LEFT, RIGHT)}
+    g_sigma, to_sigma = interface_green(*sides.values()), interface_map(sides, mesh.n_nodes)
+    h = build_mesh_kernel(mesh, 0.05, "bump").matrix
+    peak = traced_peak(lambda: glued_product(h, h, sides, g_sigma, to_sigma),
+                       mesh.n_nodes)
+    assert peak <= 1 + 3 * GLUED_ROWS / mesh.n_nodes, peak
 
 
 def test_green_block_reads_by_node_id():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +13,7 @@ from cutglue.meshes import (LEFT, RIGHT, _DIST_RTOL, build_grid_mesh,
 from cutglue.operators import OperatorSpec, assemble
 from cutglue.perturbation import InteractionSpec
 from cutglue.suites import suite_kernel_properties
+from peaks import traced_peak
 from test_meshes import _bumpy, _scrambled
 
 M0 = OperatorSpec(0.0)
@@ -315,14 +314,8 @@ def test_restriction_working_set():
     for lam in (0.05, 0.1, 0.2):
         kernel = kn.build_mesh_kernel(mesh, lam, "bump")
         for keep in sides:
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                kn.restrict_kernel_to_submesh(kernel, keep)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert peak <= 1.25 * 8 * n * n, peak / (8 * n * n)
+            peak = traced_peak(lambda: kn.restrict_kernel_to_submesh(kernel, keep), n)
+            assert peak <= 1.25, peak
 
 
 # relative offsets of 1/lam from the shortest edge, on both sides of the slack

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutglue.meshes import (LEFT, RIGHT, Mesh, MeshError, build_grid_mesh,
-                            build_interval_mesh, cut_along_interface, lambda_one)
+from cutglue.meshes import (LEFT, RIGHT, Mesh, MeshError, _transpose_in_place,
+                            build_grid_mesh, build_interval_mesh, cut_along_interface,
+                            lambda_one)
+from peaks import traced_peak
 
 
 def adjacency(mesh, values=None):
@@ -321,6 +323,23 @@ def test_geodesics_match_dijkstra_bitwise(name):
     d = mesh.distance_matrix()
     assert d.flags.c_contiguous
     np.testing.assert_array_equal(d, expected)
+
+
+def test_geodesics_hold_one_matrix():
+    """The relaxation buffer is transposed in place, not copied: the traced
+    peak of the distances of a 31 x 31 grid, the result included, stays at
+    or below 1.1 n x n float64 arrays."""
+    mesh = build_grid_mesh(31, 31, 1.0)
+    peak = traced_peak(mesh.distance_matrix, mesh.n_nodes)
+    assert peak <= 1.1, peak
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_transpose_in_place(n):
+    m = np.arange(n * n, dtype=float).reshape(n, n)
+    expected = m.T.copy()
+    _transpose_in_place(m)
+    np.testing.assert_array_equal(m, expected)
 
 
 def test_isolated_boundary_node_stays_unreachable():

@@ -73,10 +73,3 @@ def test_exp_log_round_trip_property(coeffs):
     s = PerturbationSeries(arr)
     back = series_log(series_exp(s))
     assert gap(s.coefficients, back.coefficients) <= 1e-10 * max(1.0, np.abs(arr).max() ** arr.size)
-
-
-def test_negation_and_diff():
-    s = PerturbationSeries(np.array([1.0, 0.0, -2.0]))
-    n = -s
-    assert n.coeff(1.0) == 2.0
-    assert gap(s.coefficients, n.coefficients) == pytest.approx(4.0)
