@@ -119,7 +119,7 @@ class ScaleData:
     context: GluingContext
     interaction: InteractionSpec
     lam: float
-    shape: object = "uniform"
+    shape: str = "uniform"
     eta: np.ndarray | None = None
     max_order: float = 1.5
 

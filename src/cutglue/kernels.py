@@ -8,10 +8,12 @@ exact identity and each regularized quantity equals its original bitwise.
 The ball and the boundary clearance of the deep sets are `meshes.in_ball`
 and `meshes.clear_of`, which own the slack; this module writes none.
 
-A kernel shape maps an array of scaled distances t = d lam in [0, 1] to an
-array of nonnegative weights; each kernel is built from one shape call over
-every node pair inside the balls.  A run holds one kernel per scale, with each
+A kernel shape is one of the names in `SHAPES`.  Each maps an array of
+scaled distances t = d lam in [0, 1] to an array of weights in [0, 1], and
+each is exactly 1 at t = 0; a kernel is built from one shape call over every
+node pair inside the balls.  A run holds one kernel per scale, with each
 side's deformed nodes, in `gluing.ScaleData`; both routes average with it.
+The mesh stack reads no flat-space module: only `suites` imports `euclidean`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .euclidean import RadialProfile
 from .green import GreenBundle, _read_only
 from .meshes import CUT, Cut, Mesh, clear_of, in_ball
 from .reports import Report, gap
@@ -49,35 +50,11 @@ SHAPES = {
 }
 
 
-def shape_from_profile(profile: RadialProfile):
-    """Discrete shape taken from a composed continuum radius distribution."""
-    if profile.density is None:
-        raise KernelError("composed shape needs a continuous radius density")
-
-    def shape(t: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(t)
-        live = (t > 0.0) & (t <= profile.support)
-        out[live] = profile.density(t[live])
-        return out
-
-    return shape
-
-
-def resolve_shape(name_or_fn):
-    if callable(name_or_fn):
-        return name_or_fn
-    try:
-        return SHAPES[name_or_fn]
-    except KeyError:
-        raise KernelError(f"unknown kernel shape {name_or_fn!r}") from None
-
-
 @dataclass(frozen=True)
 class KernelMatrix:
     """Row-stochastic averaging matrix with geodesic-ball support."""
 
     matrix: np.ndarray
-    lam: float
 
     def __post_init__(self):
         m = self.matrix
@@ -92,36 +69,35 @@ class KernelMatrix:
         return bool(np.array_equal(self.matrix, np.eye(n)))
 
 
-def build_mesh_kernel(mesh: Mesh, lam: float, shape="uniform") -> KernelMatrix:
+def build_mesh_kernel(mesh: Mesh, lam: float, shape: str = "uniform") -> KernelMatrix:
     """Averaging kernel at scale lam: weight(p,q) = shape(d(p,q) lam) vol(q).
 
     Rows are normalized to 1 over the geodesic ball of radius 1/lam, as
     `meshes.in_ball` draws it; balls truncated by the mesh edge are simply
-    renormalized.  A ball that the shortest edge falls outside holds its node
-    alone, weighted x/x = 1.0 (an identity row too if the shape is 0 at
-    t = 0): the kernel is the exact identity.
+    renormalized.  Every ball holds its own node, where the shape is 1 and
+    the volume positive, so every row sum is positive, and finite as the
+    mesh's volumes sum to a finite total.  A ball that the shortest edge
+    falls outside holds its node alone, weighted x/x = 1.0: the kernel is
+    the exact identity.
     The one n x n buffer is the weight matrix, divided by its row sums in
     place; it becomes the kernel, read-only, as a run shares it.
     No cut is read: `gluing.ScaleData` checks lam against the cut's lambda_1.
     """
     if lam <= 0:
         raise KernelError("lam must be positive")
-    shape = resolve_shape(shape)
+    try:
+        weight = SHAPES[shape]
+    except KeyError:
+        raise KernelError(f"unknown kernel shape {shape!r}") from None
     radius = 1.0 / lam
     n = mesh.n_nodes
     d = mesh.distance_matrix()
     rows, cols = np.nonzero(in_ball(d, lam))
     w = np.zeros((n, n))
-    w[rows, cols] = (shape(np.minimum(d[rows, cols] / radius, 1.0))
+    w[rows, cols] = (weight(np.minimum(d[rows, cols] / radius, 1.0))
                      * mesh.node_volumes[cols])
-    total = w.sum(axis=1)
-    live = total > 0.0
-    np.divide(w, total[:, None], out=w, where=live[:, None])
-    # degenerate rows (shape vanishing on the whole ball) become identity rows
-    dead = np.flatnonzero(~live)
-    w[dead] = 0.0
-    w[dead, dead] = 1.0
-    return KernelMatrix(matrix=_read_only(w)[0], lam=lam)
+    w /= w.sum(axis=1)[:, None]
+    return KernelMatrix(matrix=_read_only(w)[0])
 
 
 def restrict_kernel_to_submesh(kernel: KernelMatrix, keep_nodes) -> KernelMatrix:
@@ -148,7 +124,7 @@ def restrict_kernel_to_submesh(kernel: KernelMatrix, keep_nodes) -> KernelMatrix
     m[np.ix_(leaks, kept)] /= mass[:, None]
     m[dropped] = 0.0
     m[dropped, dropped] = 1.0
-    return KernelMatrix(matrix=_read_only(m)[0], lam=kernel.lam)
+    return KernelMatrix(matrix=_read_only(m)[0])
 
 
 def regularized_green(kernel: KernelMatrix, bundle: GreenBundle) -> np.ndarray:

@@ -84,13 +84,14 @@ def _keyed(tokens, keys: tuple, ln: str) -> list[float]:
 class Mesh:
     """Weighted graph discretizing a manifold with boundary.
 
-    positions    : (N, d) finite embedding coordinates.
+    positions    : (N, d) finite embedding coordinates, N >= 1 and d >= 1.
     edges        : (E, 2) pairs of distinct node indices, each unordered pair
                    listed once.
     edge_weights : (E,) finite conductances (> 0).
     edge_lengths : (E,) finite metric lengths used for geodesics (> 0).
-    node_volumes : (N,) finite discrete volume elements (> 0).  Boundary nodes keep
-                   a positive entry but carry no weight in bulk sums.
+    node_volumes : (N,) finite discrete volume elements (> 0) with a finite sum.
+                   Boundary nodes keep a positive entry but carry no weight in
+                   bulk sums.
     boundary     : sorted indices of boundary nodes.
     """
 
@@ -102,6 +103,9 @@ class Mesh:
     boundary: np.ndarray
 
     def __post_init__(self):
+        if self.positions.ndim != 2 or not self.positions.size:
+            raise MeshError("a mesh needs at least one node, and positions of "
+                            "shape (N, d) with d >= 1")
         for ids in (self.edges, self.boundary):
             if ids.size and (ids.min() < 0 or ids.max() >= self.n_nodes):
                 raise MeshError(f"node index out of range 0..{self.n_nodes - 1}")
@@ -117,6 +121,11 @@ class Mesh:
             values = getattr(self, name)
             if not (np.all(np.isfinite(values)) and np.all(values > 0)):
                 raise MeshError(f"{name} must be finite and positive")
+        # a finite total bounds every kernel row sum, as each shape is at most 1
+        with np.errstate(over="ignore"):
+            total = self.node_volumes.sum()
+        if not np.isfinite(total):
+            raise MeshError("node_volumes must have a finite sum")
         if not np.all(np.isfinite(self.positions)):
             raise MeshError("positions must be finite")
         interior = self.interior

@@ -264,6 +264,13 @@ def test_run_fast_suites(tmp_path, capsys):
                                                "edge 100 101 w=1e300"))},
      "interior operator is too ill-conditioned for float64: "
      "condition number at least 2.52475e+301\n"),
+    ({"mesh": mesh_file("mesh nodes=0\n")},
+     "mesh.txt: a mesh needs at least one node, and positions of shape "
+     "(N, d) with d >= 1\n"),
+    # each finite, but a ball over nodes 3..5 sums them past the float range
+    ({"mesh": mesh_file(re.sub(r"node ([345]) interior vol=1.0",
+                               r"node \1 interior vol=1e308", NINE_NODES))},
+     "mesh.txt: node_volumes must have a finite sum\n"),
 ], ids=["lambda-below-cut-scale", "negative-spectrum", "lambda-not-a-number",
         "leg-cap-exceeded", "coupling-list-length", "coupling-not-a-number",
         "coupling-nan", "coupling-null", "coupling-node-not-an-id",
@@ -296,7 +303,8 @@ def test_run_fast_suites(tmp_path, capsys):
         "mesh-edge-key-missing", "mesh-edge-key-repeated", "mesh-node-key-unknown",
         "mesh-node-key-missing", "grid-volume-overflow-1e200",
         "grid-volume-overflow-1e300", "interval-weight-overflow-1e-310",
-        "operator-ill-conditioned", "operator-ill-conditioned-above-leaf"])
+        "operator-ill-conditioned", "operator-ill-conditioned-above-leaf",
+        "mesh-no-nodes", "mesh-volume-sum-overflow"])
 def test_bad_config_exits_two(tmp_path, capsys, changes, message):
     changes = {k: v(tmp_path) if callable(v) else v for k, v in changes.items()}
     bad = path9_with(tmp_path, **changes)
@@ -1054,6 +1062,21 @@ def test_run_keeps_scipy_off_the_import_path(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_config_keeps_the_flat_space_lab_unloaded():
+    """The mesh stack (meshes, operators, green, kernels, gluing) and the
+    config that builds it read no flat-space module: only `suites` imports
+    `euclidean`, for averaging-closed-form."""
+    script = ("import sys\n"
+              "import cutglue.config\n"
+              "print('cutglue.euclidean' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cutglue.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_reports_byte_identical_across_reruns(tmp_path, capsys):

@@ -243,7 +243,7 @@ def test_whole_data_matches_effective_action_series():
     ctx = data.context
     for region in (data.region, data.trimmed, data.trimmed[1:]):
         fresh = effective_action_series(green_bundle(ctx.mesh, ctx.operator),
-                                        data.kernel, data.interaction,
+                                        data.kernel, data.lam, data.interaction,
                                         data.eta, data.max_order, region=region)
         got = data.whole.series(data.interaction, [region], ctx.mesh.node_volumes,
                                 data.max_order)[0]

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutglue import kernels as kn
-from cutglue.euclidean import EuclideanKernelSpec, compose_kernels
 from cutglue.config import ScenarioConfig
 from cutglue.gluing import GluingContext, ScaleData, verify_deformed_gluing
 from cutglue.green import green_bundle, side_bundle
@@ -60,14 +59,6 @@ def test_unknown_shape_rejected():
         kn.build_mesh_kernel(mesh, 1.0, "banana")
 
 
-def test_composed_shape_usable_on_mesh():
-    spec = EuclideanKernelSpec(dim=3, alphas=(0.5, 0.5))
-    shape = kn.shape_from_profile(compose_kernels(spec))
-    mesh = build_interval_mesh(7, 1.0)
-    kernel = kn.build_mesh_kernel(mesh, 1.0, shape)
-    np.testing.assert_allclose(kernel.matrix.sum(axis=1), 1.0, atol=1e-12)
-
-
 def test_restriction_deep_rows_unchanged():
     mesh = build_interval_mesh(7, 1.0)
     kernel = kn.build_mesh_kernel(mesh, 1.0)
@@ -95,13 +86,13 @@ def test_restriction_full_set_is_identity_transform():
 def test_kernel_matrix_refuses(matrix, message):
     """A NaN entry is refused like a negative one, not let through."""
     with pytest.raises(kn.KernelError, match=message):
-        kn.KernelMatrix(np.array(matrix), 1.0)
+        kn.KernelMatrix(np.array(matrix))
 
 
 def test_restriction_zero_mass_raises():
     # a row with all its mass outside the surviving columns must refuse
     m = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    kernel = kn.KernelMatrix(matrix=m, lam=1.0)
+    kernel = kn.KernelMatrix(matrix=m)
     with pytest.raises(kn.KernelError, match="zero surviving"):
         kn.restrict_kernel_to_submesh(kernel, {0, 2})
 
@@ -190,14 +181,14 @@ def test_kernel_rows_stochastic_property(lam, shape, n):
     assert np.all(kernel.matrix >= 0.0)
     np.testing.assert_allclose(kernel.matrix.sum(axis=1), 1.0, atol=1e-12)
     d = mesh.distance_matrix()
-    assert np.all(kernel.matrix[d > 1.0 / kernel.lam * (1 + 1e-9)] == 0.0)
+    assert np.all(kernel.matrix[d > 1.0 / lam * (1 + 1e-9)] == 0.0)
 
 
 # -- scalar references: per-node loops, the oracles for the array builders ---
 
 def _loop_mesh_kernel(mesh, lam, shape):
     """build_mesh_kernel row by row and pair by pair, shape on one t at a time."""
-    shape = kn.resolve_shape(shape)
+    shape = kn.SHAPES[shape]
     radius = 1.0 / lam
     n = mesh.n_nodes
     if radius < float(mesh.edge_lengths.min()) * (1.0 - _DIST_RTOL):
@@ -210,11 +201,7 @@ def _loop_mesh_kernel(mesh, lam, shape):
         for q in np.nonzero(inside)[0]:
             t = min(d[p, q] / radius, 1.0)
             w[q] = shape(np.array([t]))[0] * mesh.node_volumes[q]
-        total = w.sum()
-        if total <= 0.0:
-            m[p, p] = 1.0
-        else:
-            m[p] = w / total
+        m[p] = w / w.sum()
     return m
 
 
@@ -349,29 +336,3 @@ def test_saturation_check_follows_the_ball_rule(grid, amplitude, frequency, spac
         assert emitted  # delta = -2e-9 is past the slack
         for lam in emitted:
             assert kn.build_mesh_kernel(mesh, lam, shape).is_identity
-
-
-def test_degenerate_rows_are_identity_rows():
-    # edges 1.5, 2.5, 3.5, 4.5: at radius 2 the balls of nodes 3 and 4 hold
-    # only the node itself, where a composed shape (zero at t = 0) vanishes
-    mesh = build_interval_mesh(3, 1.0, metric_profile=lambda x: 1.0 + x[0])
-    composed = kn.shape_from_profile(compose_kernels(
-        EuclideanKernelSpec(dim=3, alphas=(0.5, 0.5))))
-    zero = lambda t: np.zeros_like(t)  # noqa: E731
-    for shape, degenerate in ((zero, range(5)), (composed, [3, 4])):
-        kernel = kn.build_mesh_kernel(mesh, 0.5, shape)
-        assert np.array_equal(kernel.matrix, _loop_mesh_kernel(mesh, 0.5, shape))
-        for p in degenerate:
-            assert np.array_equal(kernel.matrix[p], np.eye(5)[p])
-        assert np.all(kernel.matrix >= 0.0)
-        np.testing.assert_allclose(kernel.matrix.sum(axis=1), 1.0, atol=1e-14)
-    # at radius 1, below the shortest edge, every row is degenerate
-    for shape in (zero, composed):
-        assert kn.build_mesh_kernel(mesh, 1.0, shape).is_identity
-    mixed = kernel
-    assert not mixed.is_identity
-    # node 0 keeps mass only at node 1: dropping node 1 still refuses
-    for impl in (kn.restrict_kernel_to_submesh,
-                 lambda k, keep: _loop_restrict(k.matrix, keep)):
-        with pytest.raises(kn.KernelError, match="zero surviving row mass at node 0"):
-            impl(mixed, {0, 2, 3, 4})

@@ -43,23 +43,23 @@ def boundary_field(mesh, values):
     return field
 
 
-def effective_action_series(bundle, kernel, interaction, eta, max_order,
+def effective_action_series(bundle, kernel, lam, interaction, eta, max_order,
                             region=None):
     """Minus log of the regularized partition function, order by order, on
     the whole route built from scratch: the averaged Gaussian of
-    `averaged_gaussian` and vertices on the trimmed node set (or the
-    explicit region if one is given)."""
+    `averaged_gaussian` with the kernel at scale lam, and vertices on the
+    node set trimmed at lam (or the explicit region if one is given)."""
     mesh = bundle.mesh
     if region is None:
-        region = mesh.trim_to_deformed(kernel.lam)
+        region = mesh.trim_to_deformed(lam)
     gaussian = averaged_gaussian(kernel, eta, bundle)
     return gaussian.series(interaction, [region], mesh.node_volumes, max_order)[0]
 
 
-def partition_series(mesh, spec, kernel, interaction, eta, max_order):
+def partition_series(mesh, spec, kernel, lam, interaction, eta, max_order):
     """Regularized partition function as a series: exp of minus the action series."""
-    action = effective_action_series(green_bundle(mesh, spec), kernel, interaction,
-                                     eta, max_order)
+    action = effective_action_series(green_bundle(mesh, spec), kernel, lam,
+                                     interaction, eta, max_order)
     return series_exp(PerturbationSeries(-action.coefficients))
 
 
@@ -489,7 +489,7 @@ def test_free_series_is_order_zero_only():
     mesh = build_interval_mesh(3, 1.0)
     kernel = build_mesh_kernel(mesh, 1.0)
     eta = boundary_field(mesh, [1.0, 0.0])
-    w = effective_action_series(green_bundle(mesh, M0), kernel, InteractionSpec({}),
+    w = effective_action_series(green_bundle(mesh, M0), kernel, 1.0, InteractionSpec({}),
                                 eta, 1.5)
     assert w.coeff(0.0) == pytest.approx(0.125, abs=1e-14)
     assert all(w.coeff(o) == 0.0 for o in w.orders() if o > 0)
@@ -502,7 +502,7 @@ def test_cubic_tadpole_coefficient():
     kernel = build_mesh_kernel(mesh, 1.0)
     eta = boundary_field(mesh, [1.0, 0.0])
     t3 = 0.3
-    w = effective_action_series(bundle, kernel, InteractionSpec({3: t3}), eta, 1.5)
+    w = effective_action_series(bundle, kernel, 1.0, InteractionSpec({3: t3}), eta, 1.5)
     region = mesh.trim_to_deformed(1.0)
     mean = (kernel.matrix @ bundle.extend(eta))[region]
     g_reg = regularized_green(kernel, bundle)
@@ -516,7 +516,7 @@ def test_quartic_vacuum_coefficient():
     bundle = green_bundle(mesh, M0)
     kernel = build_mesh_kernel(mesh, 1.0)
     t4 = 0.2
-    w = effective_action_series(bundle, kernel, InteractionSpec({4: t4}),
+    w = effective_action_series(bundle, kernel, 1.0, InteractionSpec({4: t4}),
                                 np.zeros(mesh.n_nodes), 1.0)
     region = mesh.trim_to_deformed(1.0)
     g_reg = regularized_green(kernel, bundle)
@@ -531,8 +531,8 @@ def test_partition_and_action_are_exp_log_partners():
     kernel = build_mesh_kernel(mesh, 1.0)
     eta = boundary_field(mesh, [0.7, -0.4])
     inter = InteractionSpec({3: 0.3, 4: 0.2})
-    w = effective_action_series(green_bundle(mesh, M0), kernel, inter, eta, 1.5)
-    z = partition_series(mesh, M0, kernel, inter, eta, 1.5)
+    w = effective_action_series(green_bundle(mesh, M0), kernel, 1.0, inter, eta, 1.5)
+    z = partition_series(mesh, M0, kernel, 1.0, inter, eta, 1.5)
     back = -series_log(z).coefficients
     assert gap(w.coefficients, back) <= 1e-12
     assert z.coeff(0.5) == pytest.approx(-np.exp(-w.coeff(0.0)) * w.coeff(0.5),
@@ -542,7 +542,7 @@ def test_partition_and_action_are_exp_log_partners():
 def test_zero_couplings_partition_is_one():
     mesh = build_interval_mesh(3, 1.0)
     kernel = build_mesh_kernel(mesh, 1.0)
-    z = partition_series(mesh, M0, kernel, InteractionSpec({}),
+    z = partition_series(mesh, M0, kernel, 1.0, InteractionSpec({}),
                          np.zeros(mesh.n_nodes), 1.5)
     np.testing.assert_allclose(z.coefficients, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
 
@@ -554,7 +554,7 @@ def test_identity_kernel_full_region_reduces_to_unregularized():
     assert identity.is_identity
     eta = boundary_field(mesh, [1.0, 0.5])
     inter = InteractionSpec({3: 0.1})
-    w = effective_action_series(bundle, identity, inter, eta, 1.5,
+    w = effective_action_series(bundle, identity, 2.5, inter, eta, 1.5,
                                 region=mesh.interior)
     # unregularized tadpole: plain extension and plain Green diagonal
     phi = bundle.extend(eta)[mesh.interior]
@@ -579,11 +579,12 @@ def test_relabeling_invariance():
     inter = InteractionSpec({3: 0.3})
     eta = boundary_field(mesh, [1.0, -0.5])  # on mesh.boundary = [0, 4]
     k1 = build_mesh_kernel(mesh, 1.0)
-    w1 = effective_action_series(green_bundle(mesh, M0), k1, inter, eta, 1.5)
+    w1 = effective_action_series(green_bundle(mesh, M0), k1, 1.0, inter, eta, 1.5)
     eta2 = np.zeros(mesh.n_nodes)
     eta2[perm] = eta
     k2 = build_mesh_kernel(shuffled, 1.0)
-    w2 = effective_action_series(green_bundle(shuffled, M0), k2, inter, eta2, 1.5)
+    w2 = effective_action_series(green_bundle(shuffled, M0), k2, 1.0, inter, eta2,
+                                 1.5)
     assert gap(w1.coefficients, w2.coefficients) <= 1e-12
 
 
@@ -591,5 +592,5 @@ def test_order_cap_exceeded_in_series():
     mesh = build_interval_mesh(3, 1.0)
     kernel = build_mesh_kernel(mesh, 1.0)
     with pytest.raises(PerturbationError, match="order cap"):
-        effective_action_series(green_bundle(mesh, M0), kernel,
+        effective_action_series(green_bundle(mesh, M0), kernel, 1.0,
                                 InteractionSpec({3: 0.1}), np.zeros(mesh.n_nodes), 6.0)
