@@ -11,6 +11,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
+from builders import boundary_field
 from cutglue import euclidean as eu
 from cutglue import kernels as kn
 from cutglue.gluing import (GluingContext, ScaleData, lambda_sweep,
@@ -24,7 +25,6 @@ from cutglue.operators import OperatorSpec, assemble
 from cutglue.perturbation import InteractionSpec, wick_pairings
 from cutglue.reports import Report, gap
 from cutglue.series import PerturbationSeries, series_exp, series_log
-from test_perturbation import boundary_field
 
 
 _CAPFD = None

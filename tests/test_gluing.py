@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from builders import boundary_field, effective_action_series
 from cutglue import gluing
 from cutglue.gluing import (GluingContext, GluingError, ScaleData, _node_mask,
                             glued_gaussian, glued_series, lambda_sweep,
@@ -15,7 +16,6 @@ from cutglue.meshes import (LEFT, RIGHT, build_grid_mesh, build_interval_mesh,
 from cutglue.operators import OperatorSpec
 from cutglue.perturbation import InteractionSpec
 from cutglue.reports import Report, gap
-from test_perturbation import boundary_field, effective_action_series
 
 M0 = OperatorSpec(0.0)
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import boundary_field
 from cutglue import green
 from cutglue.config import load_config
+from cutglue.gluing import GluingContext
 from cutglue.green import (GLUED_ROWS, GreenError, cross_form, glued_product,
                            green_bundle, interface_green, interface_map,
                            quadratic_form_S0, side_bundle,
@@ -20,7 +22,6 @@ from cutglue.meshes import (LEFT, RIGHT, Mesh, build_grid_mesh, build_interval_m
 from cutglue.operators import OperatorSpec, assemble, operator_matrix
 from cutglue.suites import SUITES
 from peaks import traced_peak
-from test_perturbation import boundary_field
 
 M0 = OperatorSpec(mass_squared=0.0)
 
@@ -467,13 +468,9 @@ def test_green_gluing_reports():
         assert rep.passed and rep.max_residual <= 1e-10
 
 
-@pytest.mark.parametrize("case", ["path9", "grid5", "grid7-curved"])
-def test_glued_green_is_the_padded_whole_green(case):
-    """Side Green's matrices plus the interface round trip rebuild the whole
-    Green's matrix on every interior pair, and nothing elsewhere: the glued
-    product on identity rows is the padded whole G, and on rows of a that
-    span three row blocks, the last partial, and b of another height it is
-    a G b'."""
+def glue_case(case):
+    """(mesh, operator, cut) of path9, grid5, or a 7 x 7 grid whose curved
+    metric makes conductances and volumes vary across the cut."""
     if case == "path9":
         mesh, spec, mid = build_interval_mesh(7, 1.0), M0, 4.0
     elif case == "grid5":
@@ -484,7 +481,20 @@ def test_glued_green_is_the_padded_whole_green(case):
             metric_profile=lambda x: 1.0 + 0.4 * np.sin(x[0]) ** 2 + 0.1 * x[1])
         spec, mid = OperatorSpec(0.1), 3.0
         assert np.ptp(mesh.edge_weights) > 0.1 and np.ptp(mesh.node_volumes) > 0.1
-    cut = cut_along_interface(mesh, lambda n: mesh.positions[n][0] == mid)
+    return mesh, spec, cut_along_interface(mesh, lambda n: mesh.positions[n][0] == mid)
+
+
+GLUE_CASES = ["path9", "grid5", "grid7-curved"]
+
+
+@pytest.mark.parametrize("case", GLUE_CASES)
+def test_glued_green_is_the_padded_whole_green(case):
+    """Side Green's matrices plus the interface round trip rebuild the whole
+    Green's matrix on every interior pair, and nothing elsewhere: the glued
+    product on identity rows is the padded whole G, and on rows of a that
+    span three row blocks, the last partial, and b of another height it is
+    a G b'."""
+    mesh, spec, cut = glue_case(case)
     sides = {s: side_bundle(mesh, spec, cut, s) for s in (LEFT, RIGHT)}
     g_sigma = interface_green(sides[LEFT], sides[RIGHT])
     to_sigma = interface_map(sides, mesh.n_nodes)
@@ -501,6 +511,26 @@ def test_glued_green_is_the_padded_whole_green(case):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     np.testing.assert_array_equal(to_sigma[cut.interface], np.eye(cut.interface.size))
     assert not to_sigma[mesh.boundary].any()
+
+
+@pytest.mark.parametrize("case", GLUE_CASES)
+def test_determinants_glue(case):
+    """Free partition functions glue with their normalizations:
+    log det G = log det G_left + log det G_right + log det g_sigma, from side
+    data alone (the Schur-complement form of the Burghelea-Friedlander-
+    Kappeler gluing formula), every determinant positive, to 1e-12.  The
+    left interface response scaled by 1 + 1e-9 in g_sigma breaks it."""
+    ctx = GluingContext(*glue_case(case))
+
+    def log_det(m):
+        sign, value = np.linalg.slogdet(m)
+        assert sign == 1.0
+        return value
+
+    sides = ctx.sides
+    whole = log_det(ctx.bundle.green) - log_det(sides[LEFT].green) - log_det(sides[RIGHT].green)
+    planted = np.linalg.inv((1.0 + 1e-9) * sides[LEFT].dtn_sigma + sides[RIGHT].dtn_sigma)
+    assert abs(whole - log_det(ctx.g_sigma)) <= 1e-12 < abs(whole - log_det(planted))
 
 
 def test_glued_product_holds_its_result_alone():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import _bumpy, _scrambled
 from cutglue import kernels as kn
 from cutglue.config import ScenarioConfig
 from cutglue.gluing import GluingContext, ScaleData, verify_deformed_gluing
@@ -13,7 +14,6 @@ from cutglue.operators import OperatorSpec, assemble
 from cutglue.perturbation import InteractionSpec
 from cutglue.suites import suite_kernel_properties
 from peaks import traced_peak
-from test_meshes import _bumpy, _scrambled
 
 M0 = OperatorSpec(0.0)
 
@@ -129,6 +129,29 @@ def test_spectral_route_agrees():
     spectral = kn.spectral_regularized_green(
         mesh, np.linalg.eigh(assemble(mesh, spec)[interior]), kernel)
     np.testing.assert_allclose(g_reg, spectral, atol=1e-12)
+
+
+def test_regularized_diagonal_converges_under_refinement():
+    """At fixed physical scale the averaged diagonal converges as the mesh is
+    refined, and the bare one does not.  On a square of side 8 at spacing 1,
+    1/2 and 1/4 (mass^2 0.1, bump, lambda 0.8, centre node), each halving adds
+    about log 2/(2 pi) to G(c, c), the 2D log divergence, while the changes of
+    (H G H')(c, c) shrink.  The bounds are on discretization error, not
+    rounding: the bare increments miss log 2/(2 pi) by 3.5e-3, then 1.1e-3,
+    and the averaged diagonal moves by 2.0e-2, then 1.6e-3."""
+    bare, averaged = [], []
+    for nodes, spacing in ((9, 1.0), (17, 0.5), (33, 0.25)):
+        mesh = build_grid_mesh(nodes, nodes, spacing)
+        centre = int(np.flatnonzero((mesh.positions == 4.0).all(axis=1))[0])
+        bundle = green_bundle(mesh, OperatorSpec(0.1))
+        g_reg = kn.regularized_green(kn.build_mesh_kernel(mesh, 0.8, "bump"), bundle)
+        bare.append(bundle.green_block([centre], [centre])[0, 0])
+        averaged.append(g_reg[centre, centre])
+    steps, changes = np.diff(bare), np.abs(np.diff(averaged))
+    errors = np.abs(steps - np.log(2.0) / (2.0 * np.pi))
+    assert np.all(steps > 0.1)
+    assert errors[1] < errors[0] and errors[1] <= 0.002
+    assert changes[1] * 5.0 <= changes[0] and changes[1] < 0.005
 
 
 def test_deformed_side_nodes_nine_path():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutglue.meshes import (LEFT, RIGHT, Mesh, MeshError, _transpose_in_place,
-                            build_grid_mesh, build_interval_mesh, cut_along_interface,
+from builders import _bumpy, _scrambled
+from cutglue.meshes import (LEFT, RIGHT, Mesh, MeshError, build_grid_mesh,
+                            build_interval_mesh, cut_along_interface, in_ball,
                             lambda_one)
 from peaks import traced_peak
 
@@ -263,27 +264,6 @@ def test_geodesic_metric_properties(nx, ny, amp, seed):
         assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
 
-def _scrambled(mesh: Mesh, seed: int) -> tuple[Mesh, np.ndarray]:
-    """The mesh read back from text with nodes and edges relabelled at random.
-
-    Returns the new mesh and perm, where old node i is new node perm[i].
-    """
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(mesh.n_nodes)
-    header, *rows = mesh.to_text().splitlines()
-    nodes, edges = {}, []
-    for ln in rows:
-        kind, a, *rest = ln.split()
-        if kind == "node":
-            nodes[perm[int(a)]] = " ".join([kind, str(perm[int(a)]), *rest])
-        else:
-            b, *rest = rest
-            edges.append(" ".join([kind, str(perm[int(a)]), str(perm[int(b)]), *rest]))
-    lines = [header, *(nodes[k] for k in range(mesh.n_nodes)),
-             *(edges[k] for k in rng.permutation(len(edges)))]
-    return Mesh.from_text("\n".join(lines)), perm
-
-
 def _with_isolated_boundary_node(mesh: Mesh) -> Mesh:
     n = mesh.n_nodes
     return Mesh(positions=np.vstack([mesh.positions,
@@ -294,14 +274,11 @@ def _with_isolated_boundary_node(mesh: Mesh) -> Mesh:
                 boundary=np.append(mesh.boundary, n))
 
 
-def _bumpy(x):
-    return 1.0 + 0.5 * np.sin(np.sum(x)) ** 2
-
-
 GEODESIC_MESHES = {
     "interval-9": lambda: build_interval_mesh(7, 1.0),
     "interval-403": lambda: build_interval_mesh(401, 1.0),
     "interval-803": lambda: build_interval_mesh(801, 1.0),
+    "grid-5": lambda: build_grid_mesh(5, 5, 1.0),
     "grid-11": lambda: build_grid_mesh(11, 11, 1.0),
     "grid-21": lambda: build_grid_mesh(21, 21, 1.0),
     "interval-403-profile": lambda: build_interval_mesh(401, 0.1, _bumpy),
@@ -317,29 +294,42 @@ GEODESIC_MESHES = {
 
 @pytest.mark.parametrize("name", list(GEODESIC_MESHES))
 def test_geodesics_match_dijkstra_bitwise(name):
+    """Column s of the distance matrix is Dijkstra's distances from s."""
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     mesh = GEODESIC_MESHES[name]()
     expected = csgraph.dijkstra(adjacency(mesh, mesh.edge_lengths), directed=False)
     d = mesh.distance_matrix()
-    assert d.flags.c_contiguous
-    np.testing.assert_array_equal(d, expected)
+    assert d.flags.c_contiguous and not d.flags.writeable
+    np.testing.assert_array_equal(d.T, expected)
+
+
+@pytest.mark.parametrize("name", ["interval-9", "grid-5", "grid-11", "interval-403"])
+def test_geodesics_symmetric_bitwise_on_one_edge_length(name):
+    """With one edge length every shortest path adds the same lengths in the
+    same sequence both ways, so d is bitwise symmetric."""
+    d = GEODESIC_MESHES[name]().distance_matrix()
+    assert np.array_equal(d, d.T)
+
+
+@pytest.mark.parametrize("name", [n for n in GEODESIC_MESHES if "profile" in n])
+def test_balls_do_not_read_the_orientation(name):
+    """On a curved mesh d and d' differ by rounding only, far below the slack
+    of `in_ball`: even a ball cut exactly at one of the mesh's own distances
+    holds the same nodes whichever way the pairs are read."""
+    d = GEODESIC_MESHES[name]().distance_matrix()
+    assert np.abs(d - d.T).max() <= 1e-14 * d.max()
+    radii = np.unique(d[d > 0])
+    for r in radii[np.linspace(0, radii.size - 1, 40).astype(int)]:  # ends included
+        np.testing.assert_array_equal(in_ball(d, 1.0 / r), in_ball(d.T, 1.0 / r))
 
 
 def test_geodesics_hold_one_matrix():
-    """The relaxation buffer is transposed in place, not copied: the traced
-    peak of the distances of a 31 x 31 grid, the result included, stays at
-    or below 1.1 n x n float64 arrays."""
+    """The relaxation buffer is the distance matrix: the traced peak of the
+    distances of a 31 x 31 grid, the result included, stays at or below
+    1.1 n x n float64 arrays."""
     mesh = build_grid_mesh(31, 31, 1.0)
     peak = traced_peak(mesh.distance_matrix, mesh.n_nodes)
     assert peak <= 1.1, peak
-
-
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
-def test_transpose_in_place(n):
-    m = np.arange(n * n, dtype=float).reshape(n, n)
-    expected = m.T.copy()
-    _transpose_in_place(m)
-    np.testing.assert_array_equal(m, expected)
 
 
 def test_isolated_boundary_node_stays_unreachable():

@@ -8,6 +8,7 @@ from math import comb, factorial, prod
 import numpy as np
 import pytest
 
+from builders import boundary_field, effective_action_series
 from cutglue.gluing import averaged_gaussian
 from cutglue.green import green_bundle
 from cutglue.kernels import build_mesh_kernel, regularized_green
@@ -33,27 +34,6 @@ def interaction_w_series(vertices, mean, cov, max_order):
     coeffs = -_vertex_series(vertices, mean, cov, max_order, gaussian_cumulant)[:, 0]
     coeffs[0] = 0.0  # log of the constant term 1
     return PerturbationSeries(coeffs)
-
-
-def boundary_field(mesh, values):
-    """The node field holding values on mesh.boundary, in its order, and
-    zero elsewhere: the form of Dirichlet data eta."""
-    field = np.zeros(mesh.n_nodes)
-    field[mesh.boundary] = values
-    return field
-
-
-def effective_action_series(bundle, kernel, lam, interaction, eta, max_order,
-                            region=None):
-    """Minus log of the regularized partition function, order by order, on
-    the whole route built from scratch: the averaged Gaussian of
-    `averaged_gaussian` with the kernel at scale lam, and vertices on the
-    node set trimmed at lam (or the explicit region if one is given)."""
-    mesh = bundle.mesh
-    if region is None:
-        region = mesh.trim_to_deformed(lam)
-    gaussian = averaged_gaussian(kernel, eta, bundle)
-    return gaussian.series(interaction, [region], mesh.node_volumes, max_order)[0]
 
 
 def partition_series(mesh, spec, kernel, lam, interaction, eta, max_order):
